@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: verify build test vet fmt race chaos chaos-fleet bench bench-gate load fsck fleet load-fleet
+.PHONY: verify build test vet fmt race stress chaos chaos-fleet bench bench-gate load fsck fleet load-fleet
 
-verify: build vet fmt test race chaos-fleet load fsck fleet load-fleet bench-gate
+verify: build vet fmt test race stress chaos-fleet load fsck fleet load-fleet bench-gate
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,16 @@ test:
 # timeout, so the race pass gets explicit headroom.
 race:
 	$(GO) test -race -timeout 30m ./...
+
+# Multi-core sweep: the packages whose single run takes seconds, three
+# times at 1, 2 and 4 CPUs, so a test that only holds under a 1-CPU
+# scheduler (a goroutine assumed to have run, a caller assumed to have
+# arrived) fails here instead of on the next multi-core host.
+STRESS_PKGS = ./internal/solvecache/ ./internal/expr/ ./internal/nlp/ ./internal/lp/ \
+	./internal/overload/ ./internal/router/ ./internal/jobstore/
+
+stress:
+	$(GO) test -count=3 -cpu 1,2,4 $(STRESS_PKGS)
 
 # Fault-injection suite: the chaos pipeline acceptance scenario plus the
 # resilient-gather and fault-plan tests, with the parallel-path variants

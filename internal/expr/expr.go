@@ -1,6 +1,7 @@
 // Package expr implements scalar expression trees over indexed variables,
 // with evaluation, symbolic differentiation, reverse-mode automatic
-// differentiation, simplification, and affine-form extraction.
+// differentiation, simplification, and affine-form extraction, and with
+// compiled tapes (Tape) for hot loops that evaluate one expression many times.
 //
 // The package plays the role AMPL's expression layer plays in the paper: the
 // HSLB models of Table I and the performance functions of Table II are built

@@ -222,6 +222,12 @@ func TestGradientMatchesNumericProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		e := randomExpr(rng, 3, 4)
 		x := []float64{0.5 + rng.Float64()*2, 0.5 + rng.Float64()*2, 0.5 + rng.Float64()*2}
+		// The same trees and points hold the compiled tape to the tree
+		// walkers exactly, wild regions included.
+		if err := tapeMatchesTree(e, x); err != nil {
+			t.Error(err)
+			return false
+		}
 		v := e.Eval(x)
 		if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e6 {
 			return true

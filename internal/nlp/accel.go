@@ -4,7 +4,6 @@ import (
 	"math"
 	"sync"
 
-	"hslb/internal/expr"
 	"hslb/internal/linalg"
 )
 
@@ -65,7 +64,7 @@ const (
 // accelState carries the pieces of one Solve invocation the step needs.
 type accelState struct {
 	x, lower, upper []float64
-	cons            []canon
+	p               *problem
 	lam             []float64
 	mu              float64
 	alValue         func([]float64) float64
@@ -85,25 +84,19 @@ func (a *Accel) step(s *accelState) {
 	// Active set at the current point: constraints whose AL term carries
 	// curvature (equalities always; inequalities with a positive
 	// multiplier estimate).
+	s.p.sweep(s.x)
 	var active []int
-	for i := range s.cons {
-		if s.cons[i].eq || s.lam[i]+s.mu*s.cons[i].value(s.x) > 0 {
+	for i := range s.p.cons {
+		if s.p.cons[i].eq || s.lam[i]+s.mu*s.p.v[i] > 0 {
 			active = append(active, i)
 		}
 	}
 
 	sq := math.Sqrt(s.mu)
-	scratch := make([]float64, n)
 	row := func(i int) []float64 {
 		r := make([]float64, n)
-		expr.Gradient(s.cons[i].body, s.x, scratch)
-		f := sq
-		if s.cons[i].flip {
-			f = -f
-		}
-		for j := range r {
-			r[j] = f * scratch[j]
-		}
+		s.p.sweep(s.x)
+		s.p.cons[i].scatter(sq, r)
 		return r
 	}
 

@@ -90,12 +90,13 @@ var ErrBadStart = errors.New("nlp: starting point has wrong dimension")
 
 // canonical constraint: g(x) <= 0 (ineq) or h(x) == 0 (eq).
 type canon struct {
-	body expr.Expr
+	body *expr.Tape
 	rhs  float64
 	eq   bool
 	flip bool // GE constraints are flipped: rhs - body <= 0
 }
 
+// value runs the body's forward sweep at x.
 func (c *canon) value(x []float64) float64 {
 	v := c.body.Eval(x) - c.rhs
 	if c.flip {
@@ -104,15 +105,75 @@ func (c *canon) value(x []float64) float64 {
 	return v
 }
 
-// gradAdd accumulates s * ∇c(x) into g.
-func (c *canon) gradAdd(x []float64, s float64, g, scratch []float64) {
+// scatter accumulates s·∇c, at the point of the body's last forward sweep,
+// into g at the constraint's own variables.
+func (c *canon) scatter(s float64, g []float64) {
 	if c.flip {
 		s = -s
 	}
-	expr.Gradient(c.body, x, scratch)
-	for i := range g {
-		g[i] += s * scratch[i]
+	grad := c.body.Reverse()
+	for k, j := range c.body.Vars() {
+		g[j] += s * grad[k]
 	}
+}
+
+// problem is one Solve's model compiled to tapes, with what their last
+// forward sweeps computed. Every tape is swept at the same point, so any
+// reverse sweep run after sweep(x) is the gradient at x.
+type problem struct {
+	obj  *expr.Tape
+	cons []canon
+	// at is the point the tapes were last swept at; f and v are the
+	// objective and the canonical constraint values there.
+	at    []float64
+	swept bool
+	f     float64
+	v     []float64
+}
+
+func newProblem(m *model.Model) *problem {
+	p := &problem{
+		obj:  expr.Compile(m.Objective),
+		cons: make([]canon, 0, len(m.Cons)),
+		at:   make([]float64, m.NumVars()),
+		v:    make([]float64, len(m.Cons)),
+	}
+	for i := range m.Cons {
+		c := canon{body: expr.Compile(m.Cons[i].Body), rhs: m.Cons[i].RHS}
+		switch m.Cons[i].Sense {
+		case model.LE:
+		case model.GE:
+			c.flip = true
+		case model.EQ:
+			c.eq = true
+		}
+		p.cons = append(p.cons, c)
+	}
+	return p
+}
+
+// sweep makes the tapes hold x, re-running the forward sweeps unless they
+// already hold exactly x: the gradient SPG asks for right after the value
+// at the same point runs only reverse sweeps.
+func (p *problem) sweep(x []float64) {
+	if p.swept && sameBits(p.at, x) {
+		return
+	}
+	p.f = p.obj.Eval(x)
+	for i := range p.cons {
+		p.v[i] = p.cons[i].value(x)
+	}
+	copy(p.at, x)
+	p.swept = true
+}
+
+func sameBits(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Solve minimizes (or maximizes, per m.Sense) the model's objective over its
@@ -144,33 +205,22 @@ func Solve(m *model.Model, x0 []float64, opt Options) (*Result, error) {
 	}
 	project(x, lower, upper)
 
-	obj := m.Objective
 	negate := m.Sense == model.Maximize
-	cons := make([]canon, 0, len(m.Cons))
-	for i := range m.Cons {
-		c := canon{body: m.Cons[i].Body, rhs: m.Cons[i].RHS}
-		switch m.Cons[i].Sense {
-		case model.LE:
-		case model.GE:
-			c.flip = true
-		case model.EQ:
-			c.eq = true
-		}
-		cons = append(cons, c)
-	}
+	p := newProblem(m)
+	cons := p.cons
 
 	lam := make([]float64, len(cons)) // multipliers (eq and ineq share storage)
 	mu := opt.InitialMu
-	scratch := make([]float64, n)
 
 	// Augmented Lagrangian value and gradient at x.
 	alValue := func(x []float64) float64 {
-		f := obj.Eval(x)
+		p.sweep(x)
+		f := p.f
 		if negate {
 			f = -f
 		}
 		for i := range cons {
-			v := cons[i].value(x)
+			v := p.v[i]
 			if cons[i].eq {
 				f += lam[i]*v + 0.5*mu*v*v
 			} else {
@@ -185,26 +235,34 @@ func Solve(m *model.Model, x0 []float64, opt Options) (*Result, error) {
 		return f
 	}
 	alGrad := func(x, g []float64) {
-		expr.Gradient(obj, x, g)
+		p.sweep(x)
+		for i := range g {
+			g[i] = 0
+		}
+		grad := p.obj.Reverse()
+		for k, j := range p.obj.Vars() {
+			g[j] = grad[k]
+		}
 		if negate {
 			for i := range g {
 				g[i] = -g[i]
 			}
 		}
 		for i := range cons {
-			v := cons[i].value(x)
+			v := p.v[i]
 			if cons[i].eq {
-				cons[i].gradAdd(x, lam[i]+mu*v, g, scratch)
+				cons[i].scatter(lam[i]+mu*v, g)
 			} else if t := lam[i] + mu*v; t > 0 {
-				cons[i].gradAdd(x, t, g, scratch)
+				cons[i].scatter(t, g)
 			}
 		}
 	}
 
 	feasErr := func(x []float64) float64 {
+		p.sweep(x)
 		worst := 0.0
 		for i := range cons {
-			v := cons[i].value(x)
+			v := p.v[i]
 			if cons[i].eq {
 				worst = math.Max(worst, math.Abs(v))
 			} else {
@@ -219,7 +277,7 @@ func Solve(m *model.Model, x0 []float64, opt Options) (*Result, error) {
 		if opt.Accel != nil {
 			opt.Accel.step(&accelState{
 				x: x, lower: lower, upper: upper,
-				cons: cons, lam: lam, mu: mu,
+				p: p, lam: lam, mu: mu,
 				alValue: alValue, alGrad: alGrad,
 			})
 		}
@@ -234,8 +292,9 @@ func Solve(m *model.Model, x0 []float64, opt Options) (*Result, error) {
 			}
 		}
 		// Multiplier update (PHR).
+		p.sweep(x)
 		for i := range cons {
-			v := cons[i].value(x)
+			v := p.v[i]
 			if cons[i].eq {
 				lam[i] += mu * v
 			} else {

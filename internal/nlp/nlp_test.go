@@ -203,3 +203,28 @@ func TestResultFeasErrReported(t *testing.T) {
 		t.Fatalf("X = %v, want 2", r.X)
 	}
 }
+
+// TestProblemSweepFollowsThePoint: the reverse sweeps after sweep(x) are the
+// gradient at x whatever point was swept before, down to the sign of a zero
+// (1/x at +0 and −0 differ).
+func TestProblemSweepFollowsThePoint(t *testing.T) {
+	m := model.New()
+	x := m.AddVar("x", model.Continuous, -1, 1)
+	y := m.AddVar("y", model.Continuous, -1, 1)
+	m.AddConstraint("c", expr.Sum(expr.Div{Num: expr.C(1), Den: x}, expr.Prod(x, y)), model.GE, 0)
+	p := newProblem(m)
+	for _, pt := range [][]float64{{0.5, 2}, {0.5, 2}, {0.25, -1}, {0, 1}, {math.Copysign(0, -1), 1}} {
+		p.sweep(pt)
+		body := m.Cons[0].Body
+		if want := -body.Eval(pt); p.v[0] != want {
+			t.Fatalf("at %v: value %v, want %v", pt, p.v[0], want)
+		}
+		want := make([]float64, 2)
+		expr.Gradient(body, pt, want)
+		g := make([]float64, 2)
+		p.cons[0].scatter(-1, g)
+		if g[0] != want[0] || g[1] != want[1] {
+			t.Fatalf("at %v: gradient %v, want %v", pt, g, want)
+		}
+	}
+}

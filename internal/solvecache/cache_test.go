@@ -3,6 +3,7 @@ package solvecache
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -90,8 +91,11 @@ func TestSingleflightCoalesces(t *testing.T) {
 			results[i] = v
 		}(i)
 	}
-	// Let the goroutines pile up on the same key, then release the leader.
-	for calls.Load() == 0 {
+	// Release the leader only once every other caller has joined its flight:
+	// a caller that has not reached Do yet when fn returns legitimately
+	// starts a flight of its own.
+	for g.joined("key") != n-1 {
+		runtime.Gosched()
 	}
 	close(release)
 	wg.Wait()
@@ -107,6 +111,16 @@ func TestSingleflightCoalesces(t *testing.T) {
 			t.Fatalf("results[%d] = %d", i, v)
 		}
 	}
+}
+
+// joined returns how many callers have joined key's in-flight call.
+func (g *Group[V]) joined(key string) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if c := g.calls[key]; c != nil {
+		return c.dups
+	}
+	return 0
 }
 
 func TestSingleflightDistinctKeys(t *testing.T) {

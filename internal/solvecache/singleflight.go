@@ -20,6 +20,9 @@ type call[V any] struct {
 	wg  sync.WaitGroup
 	val V
 	err error
+	// dups counts the callers that joined this flight instead of running
+	// fn; it is written under Group.mu.
+	dups int
 	// panicked carries the panic value (wrapped with its stack) when fn
 	// panicked; goexit records that fn called runtime.Goexit. Either way
 	// the abnormal exit is re-propagated to every waiter — before this
@@ -52,6 +55,7 @@ func (g *Group[V]) Do(key string, fn func() (V, error)) (v V, err error, shared 
 		g.calls = make(map[string]*call[V])
 	}
 	if c, ok := g.calls[key]; ok {
+		c.dups++
 		g.mu.Unlock()
 		c.wg.Wait()
 		switch {
