@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: verify build test vet fmt race stress chaos chaos-fleet bench bench-gate load fsck fleet load-fleet
+.PHONY: verify build test vet fmt race stress chaos chaos-fleet load fsck fleet load-fleet
 
-verify: build vet fmt test race stress chaos-fleet load fsck fleet load-fleet bench-gate
+verify: build vet fmt test race stress chaos-fleet load fsck fleet load-fleet
 
 build:
 	$(GO) build ./...
@@ -34,14 +34,14 @@ race:
 # scheduler (a goroutine assumed to have run, a caller assumed to have
 # arrived) fails here instead of on the next multi-core host.
 STRESS_PKGS = ./internal/solvecache/ ./internal/expr/ ./internal/nlp/ ./internal/lp/ \
-	./internal/overload/ ./internal/router/ ./internal/jobstore/
+	./internal/overload/ ./internal/router/ ./internal/jobstore/ ./internal/faultnet/
 
 stress:
 	$(GO) test -count=3 -cpu 1,2,4 $(STRESS_PKGS)
 
 # Fault-injection suite: the chaos pipeline acceptance scenario plus the
-# resilient-gather and fault-plan tests, with the parallel-path variants
-# (worker-pool gather, concurrent NLP-BB) run under the race detector.
+# resilient-gather and fault-plan tests, with the worker-pool gather
+# variants run under the race detector.
 # Seeds are fixed inside the tests, so every run injects the identical
 # fault ledger.
 chaos:
@@ -50,7 +50,6 @@ chaos:
 	$(GO) test -v -run 'TestFaultPlan|TestInjected' ./internal/cesm/
 	$(GO) test -v -race -run 'TestChaosPipelineWorkersInvariant' ./internal/core/
 	$(GO) test -v -race -run 'TestParallelGather|TestRunLatency' ./internal/bench/
-	$(GO) test -v -race -run 'TestParallelNLPBB' ./internal/minlp/
 	$(GO) test -v -race -run 'TestChaosFleet' ./internal/fleet/
 	$(GO) test -v -race -run 'TestWorkLeaseExpiryReclaim|TestWorkIdempotentComplete|TestLocalWorkerPanicReclaimed' ./internal/neos/
 	$(GO) test -v -race -run 'TestLeaseConcurrentChaos|TestTornTailMidLeaseRecord' ./internal/jobstore/
@@ -68,23 +67,6 @@ chaos-fleet:
 	$(GO) test -v -race -run 'TestProxy' ./internal/faultnet/
 	$(GO) test -v -race -timeout 10m -run 'TestReplicate|TestAntiEntropy|TestPartitionedPeerDegradesWithinBudget|TestReplicationPushRetriesAcrossPartition' ./internal/neos/
 	$(GO) test -v -race -run 'TestRouterLiveResizeUnderTraffic|TestRouterRemovedShardInflightCompletes|TestAdminShardsRejectsBadSets|TestRouterFlapDamping|TestRingSetShardsConcurrentWithPick' ./internal/router/
-
-# Sequential-vs-parallel timing for the three hot paths (gather campaign,
-# deterministic NLP-BB solve ladder, racing-mode portfolio solve); writes
-# BENCH_parallel.json, fails if a stage's determinism contract is violated,
-# and — on hosts with >= 4 CPUs — fails unless racing mode is at least 1.5x
-# faster than sequential at 4 workers (on smaller hosts the speedup gate is
-# skipped with the reason logged and recorded in the report).
-bench:
-	$(GO) run ./cmd/hslbbench -o BENCH_parallel.json
-
-# The verify-time subset of `bench`: gather identity plus the race stage
-# (agreement ladder + speedup gate), without the long deterministic solve
-# ladder. The report goes to a scratch file so the committed
-# BENCH_parallel.json only changes when `make bench` is run deliberately.
-bench-gate:
-	@out="$$(mktemp)"; trap 'rm -f "$$out"' EXIT; \
-	$(GO) run ./cmd/hslbbench -stages gather,race -o "$$out"
 
 # Result-store integrity: run a small fixed-seed campaign into a scratch
 # store, then fsck it — an end-to-end walk of the content-addressed chunk

@@ -51,8 +51,6 @@ func main() {
 	cacheSize := flag.Int("cache-size", 256, "solve-cache capacity in entries")
 	jobTimeout := flag.Duration("job-timeout", 60*time.Second, "per-attempt timeout for async jobs")
 	solveTimeout := flag.Duration("solve-timeout", 120*time.Second, "wall-clock budget per solver invocation; on expiry the best incumbent is returned with status \"deadline\" (<0 disables)")
-	solveWorkers := flag.Int("solve-workers", 1, "parallel tree-search workers per NLPBB solve (results are identical at any setting)")
-	solveMode := flag.String("solve-mode", neos.SolveModeDeterministic, "\"deterministic\" runs the requested algorithm sequentially; \"race\" runs the portfolio racer (work-stealing NLPBB + OA + exhaustive search) and returns the same answers faster")
 	pprofAddr := flag.String("pprof-addr", "", "listen address for net/http/pprof (e.g. localhost:6060; empty = profiling off)")
 	maxAttempts := flag.Int("max-attempts", 3, "executions per async job before it is marked failed")
 	jobTTL := flag.Duration("job-ttl", time.Hour, "retention of completed jobs")
@@ -94,8 +92,6 @@ func main() {
 		MaxAttempts:         *maxAttempts,
 		JobTTL:              *jobTTL,
 		SolveTimeout:        *solveTimeout,
-		SolveWorkers:        *solveWorkers,
-		SolveMode:           *solveMode,
 		MaxPendingJobs:      *maxPendingJobs,
 		LeaseTTL:            *leaseTTL,
 		AsyncWorkers:        *asyncWorkers,
@@ -157,8 +153,8 @@ func main() {
 	if *dataDir != "" {
 		durability = "WAL in " + *dataDir
 	}
-	fmt.Printf("hslbserver listening on %s (max %d concurrent solves, %s mode, %s)\n",
-		*addr, *concurrency, *solveMode, durability)
+	fmt.Printf("hslbserver listening on %s (max %d concurrent solves, %s)\n",
+		*addr, *concurrency, durability)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -42,7 +42,6 @@ func main() {
 	id := flag.String("id", "", "worker ID reported in leases (default: hostname-pid)")
 	procs := flag.Int("procs", 1, "concurrent solves (each runs its own pull loop)")
 	leaseTTL := flag.Duration("lease-ttl", 0, "lease duration to request (0 = server default)")
-	solveWorkers := flag.Int("solve-workers", 1, "parallel tree-search workers per NLPBB solve")
 	drainGrace := flag.Duration("drain-grace", 10*time.Second, "how long shutdown lets an in-flight solve finish before releasing its lease (<0 releases immediately)")
 	baseBackoff := flag.Duration("backoff", 100*time.Millisecond, "initial idle/error poll backoff (doubles up to -max-backoff)")
 	maxBackoff := flag.Duration("max-backoff", 5*time.Second, "backoff ceiling")
@@ -77,13 +76,12 @@ func main() {
 			wid = fmt.Sprintf("%s-%d", *id, i)
 		}
 		w, err := fleet.New(client, fleet.Config{
-			ID:           wid,
-			LeaseTTL:     *leaseTTL,
-			SolveWorkers: *solveWorkers,
-			BaseBackoff:  *baseBackoff,
-			MaxBackoff:   *maxBackoff,
-			DrainGrace:   *drainGrace,
-			Logf:         logf,
+			ID:          wid,
+			LeaseTTL:    *leaseTTL,
+			BaseBackoff: *baseBackoff,
+			MaxBackoff:  *maxBackoff,
+			DrainGrace:  *drainGrace,
+			Logf:        logf,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -12,11 +12,10 @@ import (
 )
 
 // TestChaosPipelineWorkersInvariant is the end-to-end determinism gate for
-// the parallel hot paths: the full chaotic pipeline — faulty gather with
+// the parallel gather: the full chaotic pipeline — faulty gather with
 // retries and outlier rejection, fit, NLP-BB solve, execute — must produce
-// byte-identical benchmark data, failure report, and allocation whether it
-// runs sequentially or with worker pools in both the gather and the tree
-// search.
+// byte-identical benchmark data, failure report, and allocation whether the
+// gather runs sequentially or on a worker pool.
 func TestChaosPipelineWorkersInvariant(t *testing.T) {
 	// Same budget scaling as TestChaosPipelineAcceptance: a legitimate run
 	// must never time out (or seq and par gathers diverge), and the solve
@@ -57,7 +56,6 @@ func TestChaosPipelineWorkersInvariant(t *testing.T) {
 		}
 		po.Solver = SolverOptions()
 		po.Solver.Algorithm = minlp.NLPBB
-		po.Solver.Workers = workers
 		return po
 	}
 
@@ -74,7 +72,7 @@ func TestChaosPipelineWorkersInvariant(t *testing.T) {
 		t.Fatalf("sequential solve hit its %v deadline; allocation is an incumbent", solveTimeout)
 	}
 	if par.Quality != nil && par.Quality.SolveDeadline {
-		t.Fatalf("parallel solve hit its %v deadline; allocation is an incumbent", solveTimeout)
+		t.Fatalf("parallel-gather run's solve hit its %v deadline; allocation is an incumbent", solveTimeout)
 	}
 	if !reflect.DeepEqual(seq.Data, par.Data) {
 		t.Error("parallel gather changed the benchmark data")

@@ -190,7 +190,9 @@ func (p *Proxy) serve(client net.Conn) {
 
 // relay copies src to dst one chunk at a time so each chunk observes the
 // current latency/partition script. When cut is non-nil it counts down
-// toward a mid-stream close of closeTarget.
+// toward a mid-stream close of closeTarget. Each chunk is counted before it
+// is written, so Stats includes a byte before the far side can react to it
+// (the target answering a request, the client reading the reply).
 func (p *Proxy) relay(dst io.Writer, src net.Conn, counter *atomic.Uint64, cut *atomic.Int64, closeTarget net.Conn) {
 	buf := make([]byte, 32*1024)
 	for {
@@ -216,8 +218,8 @@ func (p *Proxy) relay(dst io.Writer, src net.Conn, counter *atomic.Uint64, cut *
 					}
 					chunk = buf[:keep]
 					if len(chunk) > 0 {
-						dst.Write(chunk)
 						counter.Add(uint64(len(chunk)))
+						dst.Write(chunk)
 					}
 					// Mid-stream close: both directions die with the
 					// response truncated at the byte budget.
@@ -226,10 +228,10 @@ func (p *Proxy) relay(dst io.Writer, src net.Conn, counter *atomic.Uint64, cut *
 					return
 				}
 			}
+			counter.Add(uint64(n))
 			if _, werr := dst.Write(chunk); werr != nil {
 				return
 			}
-			counter.Add(uint64(n))
 		}
 		if err != nil {
 			return

@@ -23,9 +23,6 @@ type Config struct {
 	// LeaseTTL is the lease duration requested from the server; the grant
 	// is authoritative (0 = server default).
 	LeaseTTL time.Duration
-	// SolveWorkers parallelizes the NLPBB tree search of each solve
-	// (default 1).
-	SolveWorkers int
 	// BaseBackoff is the idle/error poll delay, doubling up to MaxBackoff;
 	// 429/503 responses floor it at the server's Retry-After hint
 	// (defaults 100ms / 5s).
@@ -186,7 +183,7 @@ func (w *Worker) execute(ctx context.Context, grant *neos.WorkGrant) {
 		solve := w.cfg.SolveFn
 		if solve == nil {
 			solve = func(ctx context.Context, req *neos.SolveRequest) *neos.SolveResponse {
-				return neos.ExecuteRequest(ctx, req, w.cfg.SolveWorkers)
+				return neos.ExecuteRequest(ctx, req, 1)
 			}
 		}
 		done <- solve(solveCtx, &req)

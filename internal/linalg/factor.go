@@ -187,65 +187,6 @@ func (c *Cholesky) Solve(b Vector) (Vector, error) {
 	return x, nil
 }
 
-// Size returns the dimension of the factored matrix.
-func (c *Cholesky) Size() int { return c.l.Rows }
-
-// Update modifies the factorization in place so it factors A + v·vᵀ,
-// using the standard sequence of Givens-like plane rotations on L (cost
-// O(n²), versus O(n³) for refactoring). v is not modified.
-func (c *Cholesky) Update(v Vector) error {
-	n := c.l.Rows
-	if len(v) != n {
-		return ErrDimension
-	}
-	w := append(Vector(nil), v...)
-	l := c.l
-	for k := 0; k < n; k++ {
-		lkk := l.At(k, k)
-		r := math.Hypot(lkk, w[k])
-		cth := r / lkk
-		sth := w[k] / lkk
-		l.Set(k, k, r)
-		for i := k + 1; i < n; i++ {
-			lik := (l.At(i, k) + sth*w[i]) / cth
-			w[i] = cth*w[i] - sth*lik
-			l.Set(i, k, lik)
-		}
-	}
-	return nil
-}
-
-// Downdate modifies the factorization in place so it factors A − v·vᵀ,
-// via hyperbolic rotations. Fails with ErrNotPositiveDefinite when the
-// downdated matrix would lose positive definiteness (the caller should
-// refactor from scratch); the factor is left unusable in that case. v is
-// not modified.
-func (c *Cholesky) Downdate(v Vector) error {
-	n := c.l.Rows
-	if len(v) != n {
-		return ErrDimension
-	}
-	w := append(Vector(nil), v...)
-	l := c.l
-	for k := 0; k < n; k++ {
-		lkk := l.At(k, k)
-		d := (lkk - w[k]) * (lkk + w[k])
-		if d <= 0 || math.IsNaN(d) {
-			return ErrNotPositiveDefinite
-		}
-		r := math.Sqrt(d)
-		cth := r / lkk
-		sth := w[k] / lkk
-		l.Set(k, k, r)
-		for i := k + 1; i < n; i++ {
-			lik := (l.At(i, k) - sth*w[i]) / cth
-			w[i] = cth*w[i] - sth*lik
-			l.Set(i, k, lik)
-		}
-	}
-	return nil
-}
-
 // SolveSPD factors the symmetric positive-definite matrix a and solves
 // a*x = b, falling back to LU with diagonal regularization when a is not
 // quite positive definite (as happens with near-singular Gauss-Newton

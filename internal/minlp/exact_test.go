@@ -1,0 +1,103 @@
+package minlp
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"hslb/internal/expr"
+	"hslb/internal/model"
+)
+
+// tableIComps are the per-component (a, d) coefficients of tableIModel:
+// component i runs in a/nᵢ + d seconds on nᵢ nodes.
+var tableIComps = []struct{ a, d float64 }{
+	{3157.2, 12.4}, {8464.1, 4.9}, {1214.9, 41.6}, {5419.7, 8.2},
+}
+
+// tableIModel mirrors the paper's Table I instance shape the way
+// internal/core builds it: integer node counts per component, a continuous
+// makespan T, capacity coupling, and (optionally) selection sets
+// restricting two components to hardware-legal node counts — the presolve
+// edge case where interval screening, SOS reduction and integer rounding
+// all fire on one model.
+func tableIModel(total int, constrain bool) *model.Model {
+	m := model.New()
+	T := m.AddVar("T", model.Continuous, 0, 1e9)
+	var caps []expr.Expr
+	for i, c := range tableIComps {
+		n := m.AddVar(fmt.Sprintf("n%d", i), model.Integer, 1, float64(total))
+		ti := expr.Sum(expr.Div{Num: expr.C(c.a), Den: n}, expr.C(c.d))
+		m.AddConstraint(fmt.Sprintf("t%d", i), expr.Sub(ti, T), model.LE, 0)
+		caps = append(caps, n)
+		if constrain && i < 2 {
+			m.AddSelectionSet(fmt.Sprintf("set%d", i), n,
+				[]float64{2, 4, 8, 16, 24, 48, 96})
+		}
+	}
+	m.AddConstraint("cap", expr.Sum(caps...), model.LE, float64(total))
+	m.SetObjective(T, model.Minimize)
+	return m
+}
+
+// exactTableI returns the exact optimum of tableIModel(total, false)
+// without a solver: every component time is decreasing in its node count,
+// so the min-max allocation is reached by handing the nodes out one at a
+// time, each to the component that is currently slowest.
+func exactTableI(total int) float64 {
+	n := make([]float64, len(tableIComps))
+	time := func(i int) float64 { return tableIComps[i].a/n[i] + tableIComps[i].d }
+	for i := range n {
+		n[i] = 1
+	}
+	slowest := func() int {
+		s := 0
+		for i := range n {
+			if time(i) > time(s) {
+				s = i
+			}
+		}
+		return s
+	}
+	for left := total - len(n); left > 0; left-- {
+		n[slowest()]++
+	}
+	return time(slowest())
+}
+
+// TestSolveMatchesExactOptimum is the exactness gate for both algorithms:
+// on a bruteforceable instance and on the free Table I ladder the
+// certified answer must be the true optimum, not merely a value within the
+// pruning gap of it.
+func TestSolveMatchesExactOptimum(t *testing.T) {
+	t.Run("brute-force", func(t *testing.T) {
+		a1, d1, a2, d2, total := 1000.0, 10.0, 800.0, 8.0, 12
+		wantObj, wantN1, wantN2 := bruteMiniHSLB(a1, d1, a2, d2, total)
+		for _, alg := range []Algorithm{NLPBB, OuterApprox} {
+			r := solveWith(t, miniHSLB(a1, d1, a2, d2, total), Options{Algorithm: alg})
+			if !approxEq(r.Obj, wantObj, 1e-5) {
+				t.Fatalf("%v: obj %v, want %v", alg, r.Obj, wantObj)
+			}
+			if math.Round(r.X[1]) != float64(wantN1) || math.Round(r.X[2]) != float64(wantN2) {
+				t.Fatalf("%v: allocation (%v, %v), want (%d, %d)", alg, r.X[1], r.X[2], wantN1, wantN2)
+			}
+		}
+	})
+	ladder := []struct {
+		name  string
+		alg   Algorithm
+		total int
+	}{
+		{"nlpbb", NLPBB, 1024}, {"nlpbb", NLPBB, 2048},
+		{"oa", OuterApprox, 1024}, {"oa", OuterApprox, 2048}, {"oa", OuterApprox, 4096},
+	}
+	for _, tc := range ladder {
+		t.Run(fmt.Sprintf("tableI-%s-%d", tc.name, tc.total), func(t *testing.T) {
+			want := exactTableI(tc.total)
+			r := solveWith(t, tableIModel(tc.total, false), Options{Algorithm: tc.alg})
+			if rel := math.Abs(r.Obj-want) / want; rel > 1e-9 {
+				t.Fatalf("obj %v, exact optimum %v (relative error %.3g)", r.Obj, want, rel)
+			}
+		})
+	}
+}

@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 
 	"hslb/internal/expr"
 	"hslb/internal/lp"
@@ -70,32 +69,6 @@ type Options struct {
 	// The paper reports two orders of magnitude speedup from this rule.
 	BranchSOS bool
 	NLP       nlp.Options
-	// Workers, if > 1, lets NLPBB run up to Workers NLP relaxations
-	// concurrently by speculative prefetch: the branch-and-bound state
-	// machine itself stays sequential and deterministic, and the pool
-	// pre-solves the nodes most likely to be visited next (see
-	// solveNLPBBPar). The returned X, Obj, Nodes and NLPSolves are
-	// bit-identical for every worker count. 0 or 1 means the historical
-	// sequential search. OuterApprox ignores Workers — its cut pool grows
-	// as a side effect of every NLP solve, which is unsafe to reorder —
-	// and the solver records that no-op in Result.Warnings (see
-	// WarnOAWorkers). Negative values are treated as 0; values above a
-	// sane ceiling are clamped (in Race mode, to GOMAXPROCS: extra
-	// workers past the scheduler's parallelism only add contention).
-	Workers int
-	// Race selects the racing parallel mode. Instead of replaying the
-	// sequential search, a portfolio of solvers runs concurrently — a
-	// work-stealing NLP branch-and-bound whose workers own disjoint
-	// subtrees and prune against one shared incumbent, outer
-	// approximation (when Algorithm is OuterApprox), and on small
-	// instances an exhaustive enumeration — and the first contender to
-	// certify a result wins; the losers are cancelled. Node and solve
-	// counts become schedule-dependent, but every Optimal answer is
-	// normalized by a canonical finishing solve (see canonicalFinish), so
-	// for models whose optimum is unique within the pruning gap the
-	// returned X and Obj are bit-identical to the sequential solver's at
-	// any worker count. Result.Race reports how the race was won.
-	Race bool
 }
 
 func (o Options) withDefaults() Options {
@@ -110,25 +83,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxNodes == 0 {
 		o.MaxNodes = 100000
-	}
-	if o.Workers < 0 {
-		o.Workers = 0
-	}
-	// maxWorkers is a sanity ceiling for the deterministic prefetch pool:
-	// each worker holds at most a node clone, but channel buffers and the
-	// speculation window scale with the count, and thousands of workers
-	// have no physical backing anywhere this runs.
-	const maxWorkers = 256
-	if o.Workers > maxWorkers {
-		o.Workers = maxWorkers
-	}
-	if o.Race {
-		if o.Workers == 0 {
-			o.Workers = 1
-		}
-		if gmp := runtime.GOMAXPROCS(0); o.Workers > gmp {
-			o.Workers = gmp
-		}
 	}
 	return o
 }
@@ -171,24 +125,10 @@ type Result struct {
 	NLPSolves int       // NLP subproblem count (OuterApprox) or node count (NLPBB)
 	Cuts      int       // outer-approximation cuts added (OuterApprox only)
 	Presolve  PresolveStats
-	// Warnings lists configuration requests the solver could not honor
-	// (e.g. WarnOAWorkers). The answer itself is unaffected.
-	Warnings []string
-	// Race reports how a racing solve was won; nil outside Options.Race.
-	Race *RaceStats
 	// LPWarm reports warm-start activity of the outer-approximation node
 	// LPs (zero for NLPBB, which solves no LPs).
 	LPWarm lp.WarmStats
 }
-
-// WarnOAWorkers is recorded in Result.Warnings when Workers > 1 is
-// requested with OuterApprox outside race mode. The setting is a
-// documented no-op there: the OA cut pool grows as a side effect of every
-// NLP solve, so reordering those solves across workers would change the
-// relaxations (and with them the certified answer). Use Options.Race for
-// a parallel search, or Algorithm NLPBB for the deterministic prefetch
-// pool.
-const WarnOAWorkers = "minlp: Workers > 1 is a no-op for OuterApprox (cut generation is order-dependent); use Race mode or NLPBB"
 
 // ErrNonlinearEquality is returned for models with nonlinear equality
 // constraints, which break the convexity assumptions of both algorithms.
@@ -223,8 +163,6 @@ func SolveContext(ctx context.Context, m *model.Model, opt Options) (*Result, er
 	}
 	var res *Result
 	switch {
-	case opt.Race:
-		res, err = solveRace(ctx, w, opt)
 	case opt.Algorithm == NLPBB:
 		res, err = solveNLPBB(ctx, w, opt)
 	default:
@@ -233,18 +171,10 @@ func SolveContext(ctx context.Context, m *model.Model, opt Options) (*Result, er
 	if err != nil {
 		return nil, err
 	}
-	if !opt.Race && opt.Algorithm != NLPBB && opt.Workers > 1 {
-		res.Warnings = append(res.Warnings, WarnOAWorkers)
-	}
-	// Canonical finish: re-solve the winning integer assignment's NLP from
-	// a deterministic start, so the continuous part of every Optimal
-	// answer is a pure function of that assignment rather than of the
-	// search schedule that produced it.
+	// Canonical finish: descend to one representative of the tied integer
+	// assignments and re-solve its NLP from a deterministic start.
 	if res.Status == Optimal && res.X != nil {
 		if cx, cobj, ok := canonicalFinish(w, opt, res.X); ok {
-			if res.Race != nil {
-				res.Race.Polished = true
-			}
 			res.X, res.Obj = cx, cobj
 			res.NLPSolves++
 		}
@@ -253,17 +183,18 @@ func SolveContext(ctx context.Context, m *model.Model, opt Options) (*Result, er
 	return w.restore(res), nil
 }
 
-// canonicalFinish makes Optimal answers schedule-independent: the integer
-// variables are fixed to the incumbent's (rounded) assignment and one NLP
-// is solved over the remaining continuous variables from the deterministic
-// nil start. Racing-mode searches reach the optimal assignment through
-// whatever warm-start chain the scheduler happened to produce, so the raw
-// incumbent's continuous values carry bits of that history; after this
-// polish any two solves that agree on the integer assignment — guaranteed
-// for optima unique within the pruning gap — return bit-identical X and
-// Obj. Applied to every mode so sequential and racing answers stay
-// comparable. Best-effort: if the polish NLP stalls, the raw incumbent
-// stands.
+// canonicalFinish maps an Optimal answer to one representative of its
+// tie class. HSLB models are degenerate: a component off the critical path
+// can hold a few spare nodes without moving the makespan, so several
+// integer assignments share the optimal objective, and NLP-BB and outer
+// approximation (or one algorithm under different pruning gaps) can land on
+// different ones. The integer variables are fixed to the incumbent's
+// (rounded) assignment, walked down to the component-wise smallest tied
+// assignment, and the continuous variables re-solved from the
+// deterministic nil start, so any two solves that agree on the tie class
+// return bit-identical X and Obj — the continuous part is a function of
+// the assignment, not of the warm-start chain that reached it.
+// Best-effort: if the polish NLP stalls, the raw incumbent stands.
 func canonicalFinish(w *work, opt Options, raw []float64) ([]float64, float64, bool) {
 	m := w.m
 	intVars := m.IntegerVars()
@@ -286,18 +217,15 @@ func canonicalFinish(w *work, opt Options, raw []float64) ([]float64, float64, b
 	// solver can stall feasible but far from stationary on badly scaled
 	// fixed models, reporting "optimal" at a wildly pessimistic objective.
 	// A polished objective materially above the incumbent's is such a
-	// stall — keep the raw incumbent (schedule-independence is then
+	// stall — keep the raw incumbent (the representative is then
 	// best-effort, but a correct answer beats a canonical wrong one).
 	rawObj := dotObj(w.objCoef, raw)
 	if best.obj > rawObj+1e-6*(1+math.Abs(rawObj)) {
 		return nil, 0, false
 	}
-	// Tie descent: degenerate models admit several integer assignments with
-	// the same objective (a component off the critical path can hold a few
-	// spare nodes), and different search schedules legitimately land on
-	// different ones. Walk each integer variable down the contiguous
-	// interval of values whose re-solved objective still ties the reference,
-	// in variable order, so every schedule collapses to the same
+	// Tie descent: walk each integer variable down the contiguous interval
+	// of values whose re-solved objective still ties the reference, in
+	// variable order, so every search collapses to the same
 	// representative: the component-wise smallest tied assignment reachable
 	// by single steps. Candidates are screened against the constraints that
 	// involve only integer variables (selection-set pick1/link rows and the
@@ -338,7 +266,7 @@ func canonicalFinish(w *work, opt Options, raw []float64) ([]float64, float64, b
 			probes++
 			// Warm-starting the probe from the screened point keeps it a
 			// pure function of the walk state (itself a pure function of
-			// the starting assignment), so schedule-independence survives.
+			// the starting assignment), so the representative stays canonical.
 			r := solveAssignment(w, opt, intVars, z, xc)
 			if r == nil || r.obj > objRef+tieTol {
 				z[k]++
@@ -430,8 +358,8 @@ func solveAssignment(w *work, opt Options, intVars []int, z []float64, start []f
 	// answer resets the multipliers and penalty with a far better starting
 	// point; the restart sequence is a pure function of the fixed model and
 	// the given start (nil = the deterministic midpoint start), so the
-	// schedule-independence canonicalFinish needs is preserved. Iterate to
-	// a fixpoint.
+	// answer stays the function of the assignment canonicalFinish needs.
+	// Iterate to a fixpoint.
 	x0 := start
 	var best *fixedSolve
 	for round := 0; round < 8; round++ {
@@ -613,10 +541,9 @@ type node struct {
 	// branch inherit the parent relaxation's objective), and
 	// container/heap resolves them by internal position — stable for one
 	// fixed pop/push sequence but not something to build determinism on.
-	// Breaking ties by creation order pins the best-first order itself,
-	// so the parallel NLPBB search visits an identical tree at any worker
-	// count. Nodes that never get a seq (OuterApprox) tie at 0 and keep
-	// the old positional behavior.
+	// Breaking ties by creation order pins the best-first order itself.
+	// Nodes that never get a seq (OuterApprox) tie at 0 and keep the
+	// positional behavior.
 	seq int64
 	// start warm-starts the node's NLP relaxation from the parent's
 	// solution (nil at the root falls back to the box midpoint). The
@@ -713,7 +640,9 @@ func branchVar(nd *node, j int, val float64) (*node, *node) {
 }
 
 // branchSOS splits the first unresolved SOS-1 set around the weighted
-// average of the selected values (see internal/milp for details).
+// average of the selected values: selectors at or below the split weight
+// go left, the rest right, so each child keeps a contiguous block of the
+// set's allowed values (the SOS branching rule of paper §III-E).
 func branchSOS(m *model.Model, nd *node, x []float64, tol float64) (*node, *node, bool) {
 	for _, s := range m.SOS {
 		kmin, kmax := -1, -1

@@ -4,8 +4,6 @@ import (
 	"container/heap"
 	"context"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"hslb/internal/model"
 	"hslb/internal/nlp"
@@ -15,20 +13,7 @@ import (
 // continuous NLP relaxation restricted to the node's bounds; fractional
 // integer variables (or SOS-1 sets) are branched on; NLP objective values
 // give valid lower bounds because the problems are convex.
-//
-// With opt.Workers > 1 the NLP relaxations — the entirety of the per-node
-// cost — run on a pool of workers via speculative prefetch (see
-// solveNLPBBPar). The search itself stays a single deterministic state
-// machine, so X, Obj, Nodes and NLPSolves are identical at every worker
-// count.
 func solveNLPBB(ctx context.Context, w *work, opt Options) (*Result, error) {
-	if opt.Workers > 1 {
-		return solveNLPBBPar(ctx, w, opt)
-	}
-	return solveNLPBBSeq(ctx, w, opt)
-}
-
-func solveNLPBBSeq(ctx context.Context, w *work, opt Options) (*Result, error) {
 	m := w.m
 	intVars := m.IntegerVars()
 	open := &nodeHeap{rootNode(m)}
@@ -59,14 +44,13 @@ func solveNLPBBSeq(ctx context.Context, w *work, opt Options) (*Result, error) {
 		}
 		nodes++
 
-		ev := evalNode(w, opt, nd)
-		if ev.err != nil {
-			return nil, ev.err
+		res, err := evalNode(w, opt, nd)
+		if err != nil {
+			return nil, err
 		}
-		if ev.empty {
-			continue
+		if res == nil {
+			continue // empty box
 		}
-		res := ev.res
 		nlpSolves++
 		if res.Status == nlp.Infeasible {
 			continue
@@ -101,258 +85,28 @@ func solveNLPBBSeq(ctx context.Context, w *work, opt Options) (*Result, error) {
 	return resultOf(bestX, incumbent, Optimal, nodes, nlpSolves, 0), nil
 }
 
-// solveNLPBBPar parallelizes NLPBB without giving up determinism. A naive
-// scheme — pop W nodes, solve concurrently, apply as they finish — lets
-// scheduling decide which node's incumbent lands first, and on the
-// near-tie trees HSLB produces (§III-E: many allocations within the
-// relative gap of each other) that changes which optimal-within-gap
-// allocation is returned. Instead the coordinator here replays the exact
-// sequential state machine — same pop order (the (bound, seq) total order
-// makes it well defined), same prune tests against the same incumbent
-// trajectory, same counters — and the worker pool only PREFETCHES: it
-// speculatively solves the relaxations of the nodes currently most likely
-// to be popped next. When the machine reaches a node whose solve is done
-// or in flight, it consumes that result; otherwise it solves on demand.
-// Speculation can waste NLP solves (never counted; NLPSolves counts only
-// consumed solves, exactly the sequential set) but can never change the
-// search, so any worker count returns bit-identical X, Obj, Nodes and
-// NLPSolves. Workers also skip speculative solves already prunable
-// against an atomic incumbent snapshot: the incumbent only improves and
-// t − pruneGap(t) is increasing in t, so such a node is certain to be
-// pruned at consume time before its result is ever read.
-func solveNLPBBPar(ctx context.Context, w *work, opt Options) (*Result, error) {
-	workers := opt.Workers
-	m := w.m
-	intVars := m.IntegerVars()
-	open := &nodeHeap{rootNode(m)}
-	heap.Init(open)
-	var heapSeq int64
-
-	incumbent := math.Inf(1)
-	var bestX []float64
-	nodes, nlpSolves := 0, 0
-	var lastX []float64
-
-	var sharedInc atomic.Uint64
-	sharedInc.Store(math.Float64bits(incumbent))
-
-	// budget caps launched-but-unreceived evaluations; jobs and results
-	// are buffered to it so neither the coordinator nor an abandoned
-	// worker can ever block on the other.
-	budget := 2 * workers
-	jobs := make(chan *node, budget)
-	results := make(chan bbEval, budget)
-	var stopped atomic.Bool
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for nd := range jobs {
-				if stopped.Load() {
-					results <- bbEval{nd: nd, skipped: true}
-					continue
-				}
-				snap := math.Float64frombits(sharedInc.Load())
-				if nd.bound >= snap-pruneGap(opt, snap) {
-					results <- bbEval{nd: nd, skipped: true}
-					continue
-				}
-				results <- evalNode(w, opt, nd)
-			}
-		}()
-	}
-	defer func() {
-		stopped.Store(true)
-		close(jobs)
-		wg.Wait()
-	}()
-
-	// spec holds nodes popped off the heap for prefetch but not yet
-	// consumed by the state machine; together heap ∪ spec is exactly the
-	// sequential algorithm's open set. done parks received evaluations.
-	var spec []*node
-	done := map[*node]bbEval{}
-	launched := map[*node]bool{}
-	inflight := 0 // launched, result not yet received
-
-	recvOne := func() bool {
-		select {
-		case <-ctx.Done():
-			return false
-		case r := <-results:
-			done[r.nd] = r
-			inflight--
-			return true
-		}
-	}
-
-	for {
-		if open.Len()+len(spec) == 0 {
-			return resultOf(bestX, incumbent, Optimal, nodes, nlpSolves, 0), nil
-		}
-		if ctx.Err() != nil {
-			if bestX == nil {
-				if x, obj, ok := rescueDive(w, opt, lastX); ok {
-					incumbent = obj
-					bestX = snapInts(x, intVars)
-				}
-			}
-			return resultOf(bestX, incumbent, Deadline, nodes, nlpSolves, 0), nil
-		}
-		if nodes >= opt.MaxNodes {
-			return resultOf(bestX, incumbent, NodeLimit, nodes, nlpSolves, 0), nil
-		}
-
-		// Prefetch: keep the most promising open nodes solving in the
-		// background. Popping them here does not disturb the sequential
-		// order — the consume step below always takes the global
-		// (bound, seq) minimum of spec and the heap.
-		for len(spec) < workers && open.Len() > 0 && inflight < budget {
-			nd := heap.Pop(open).(*node)
-			spec = append(spec, nd)
-			launched[nd] = true
-			inflight++
-			jobs <- nd
-		}
-
-		// Consume the exact node the sequential loop would pop next.
-		best := -1
-		for i, s := range spec {
-			if best < 0 || nodeLess(s, spec[best]) {
-				best = i
-			}
-		}
-		var nd *node
-		if best >= 0 && (open.Len() == 0 || nodeLess(spec[best], (*open)[0])) {
-			nd = spec[best]
-			spec[best] = spec[len(spec)-1]
-			spec = spec[:len(spec)-1]
-		} else {
-			nd = heap.Pop(open).(*node)
-		}
-		if nd.bound >= incumbent-pruneGap(opt, incumbent) {
-			delete(done, nd) // any speculative result is abandoned
-			delete(launched, nd)
-			continue
-		}
-		nodes++
-
-		ev, ok := done[nd]
-		if !ok && !launched[nd] {
-			// Speculation missed this node entirely (it was pushed after
-			// the prefetch filled): solve on demand, still through the
-			// pool so the budget invariant holds.
-			for inflight >= budget {
-				if !recvOne() {
-					break
-				}
-			}
-			if ctx.Err() == nil {
-				launched[nd] = true
-				inflight++
-				jobs <- nd
-			}
-		}
-		for !ok && ctx.Err() == nil {
-			if !recvOne() {
-				break
-			}
-			ev, ok = done[nd]
-		}
-		if !ok {
-			continue // context expired while waiting; deadline path above
-		}
-		delete(done, nd)
-		delete(launched, nd)
-		if ev.skipped {
-			// The worker's incumbent snapshot said prunable but the
-			// consume-time test disagreed — impossible while the
-			// incumbent-monotonicity argument holds, but numerics are
-			// numerics: fall back to an inline solve rather than trust it.
-			ev = evalNode(w, opt, nd)
-		}
-
-		if ev.err != nil {
-			return nil, ev.err
-		}
-		if ev.empty {
-			continue
-		}
-		res := ev.res
-		nlpSolves++
-		if res.Status == nlp.Infeasible {
-			continue
-		}
-		obj := res.Obj
-		if obj >= incumbent-pruneGap(opt, incumbent) {
-			continue
-		}
-		clampToNode(res.X, nd)
-		lastX = res.X
-
-		frac := pickFractional(res.X, intVars, opt.IntTol)
-		if frac < 0 && res.FeasErr <= opt.FeasTol {
-			incumbent = obj
-			bestX = snapInts(res.X, intVars)
-			sharedInc.Store(math.Float64bits(incumbent))
-			continue
-		}
-		if frac < 0 {
-			continue
-		}
-		if opt.BranchSOS {
-			if left, right, ok := branchSOS(m, nd, res.X, opt.IntTol); ok {
-				pushChildren(open, &heapSeq, left, right, obj, res.X)
-				continue
-			}
-		}
-		left, right := branchVar(nd, frac, res.X[frac])
-		pushChildren(open, &heapSeq, left, right, obj, res.X)
-	}
-}
-
-// nodeLess is the heap's strict total order, usable outside the heap.
-func nodeLess(a, b *node) bool {
-	if a.bound != b.bound {
-		return a.bound < b.bound
-	}
-	return a.seq < b.seq
-}
-
-// bbEval is the outcome of evaluating one node's NLP relaxation.
-type bbEval struct {
-	nd      *node
-	skipped bool // prunable against the incumbent snapshot; not solved
-	empty   bool // empty bound box; not solved
-	res     *nlp.Result
-	err     error
-}
-
-// evalNode is the pure per-node work: restrict the model to the node's
-// box and solve the continuous relaxation. It touches no solver state —
-// w is read-only here (Clone reads it; the clone is private) — so any
-// number may run concurrently.
-func evalNode(w *work, opt Options, nd *node) bbEval {
-	ev := bbEval{nd: nd}
+// evalNode restricts the model to the node's box and solves the continuous
+// relaxation. It returns a nil result, unsolved, when the box is empty.
+func evalNode(w *work, opt Options, nd *node) (*nlp.Result, error) {
 	nm := w.m.Clone()
 	for i := range nm.Vars {
 		if nd.lower[i] > nd.upper[i] {
-			ev.empty = true
-			return ev
+			return nil, nil
 		}
 		nm.Vars[i].Lower = nd.lower[i]
 		nm.Vars[i].Upper = nd.upper[i]
 	}
 	if reduceSelectionSets(nm) {
-		ev.empty = true
-		return ev
+		return nil, nil
 	}
-	ev.res, ev.err = nlp.Solve(nm, nd.start, opt.NLP)
-	if ev.res != nil && ev.res.X != nil {
-		liftSelectors(w.m, nd, ev.res.X)
+	res, err := nlp.Solve(nm, nd.start, opt.NLP)
+	if err != nil {
+		return nil, err
 	}
-	return ev
+	if res.X != nil {
+		liftSelectors(w.m, nd, res.X)
+	}
+	return res, nil
 }
 
 // reduceSelectionSets rewrites each selection set for the NLP relaxation:

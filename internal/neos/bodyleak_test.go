@@ -119,10 +119,9 @@ func TestWaitPollsReuseConnection(t *testing.T) {
 }
 
 // TestConcurrentSolvesParallelWorkers: the singleflight+cache contract
-// must hold with the parallel tree search on — N identical concurrent
-// requests run the solver once, and the answer matches a sequential
-// server's bit for bit (SolveWorkers is excluded from the cache key on
-// exactly that guarantee).
+// must hold with several solve slots free — N identical concurrent
+// requests run the solver once, and the answer matches a one-at-a-time
+// server's bit for bit.
 func TestConcurrentSolvesParallelWorkers(t *testing.T) {
 	_, _, seqClient := newServerWith(t, Config{MaxConcurrent: 2})
 	seqRes, err := seqClient.Solve(context.Background(), &SolveRequest{Model: miniModel, Algorithm: "nlpbb"})
@@ -130,7 +129,7 @@ func TestConcurrentSolvesParallelWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, _, c := newServerWith(t, Config{MaxConcurrent: 4, SolveWorkers: 8})
+	_, _, c := newServerWith(t, Config{MaxConcurrent: 4})
 	ctx := context.Background()
 	const n = 8
 	var wg sync.WaitGroup
@@ -149,7 +148,7 @@ func TestConcurrentSolvesParallelWorkers(t *testing.T) {
 			t.Fatalf("request %d: %v", i, errs[i])
 		}
 		if results[i].Status != "optimal" || results[i].Objective != seqRes.Objective {
-			t.Fatalf("request %d: (%q, %v), want (%q, %v) — parallel solve changed the answer",
+			t.Fatalf("request %d: (%q, %v), want (%q, %v) — concurrent solve changed the answer",
 				i, results[i].Status, results[i].Objective, seqRes.Status, seqRes.Objective)
 		}
 		for k, v := range seqRes.Variables {

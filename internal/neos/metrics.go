@@ -3,14 +3,7 @@ package neos
 import (
 	"sync"
 
-	"hslb/internal/minlp"
 	"hslb/internal/solvecache"
-)
-
-// Solve modes for Config.SolveMode.
-const (
-	SolveModeDeterministic = "deterministic"
-	SolveModeRace          = "race"
 )
 
 // Metrics is the JSON document served at /metrics.
@@ -37,13 +30,6 @@ type Metrics struct {
 		WorkerPanics       uint64 `json:"worker_panics"`
 	} `json:"jobs"`
 	Solves SolveStats `json:"solves"`
-	// SolveMode is the server's configured mode, "deterministic" or
-	// "race" (see Config.SolveMode).
-	SolveMode string `json:"solve_mode"`
-	// Race accumulates racing-solver counters across all solves since
-	// startup; nil/omitted until the first racing solve completes (so
-	// deterministic deployments never show an all-zero section).
-	Race *RaceMetrics `json:"race,omitempty"`
 	// Overload describes the protection stack (breaker state, shed and
 	// brownout counters); nil/omitted when overload protection is off.
 	Overload *OverloadMetrics `json:"overload,omitempty"`
@@ -78,62 +64,6 @@ type LatencyBucket struct {
 var histBounds = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10, 60}
 
 var histLabels = []string{"0.001", "0.005", "0.025", "0.1", "0.5", "2.5", "10", "60", "+Inf"}
-
-// RaceMetrics aggregates the racing solver's counters across solves.
-type RaceMetrics struct {
-	// Solves is how many racing solves contributed to these counters.
-	Solves uint64 `json:"solves"`
-	// Steals counts work-chunk transfers between branch-and-bound
-	// workers, IncumbentUpdates accepted improvements of the shared
-	// incumbent.
-	Steals           uint64 `json:"steals"`
-	IncumbentUpdates uint64 `json:"incumbent_updates"`
-	// PortfolioWinner counts wins per contender name ("nlpbb-race",
-	// "oa", "exhaustive").
-	PortfolioWinner map[string]uint64 `json:"portfolio_winner"`
-}
-
-// raceCounters is the server-side accumulator behind Metrics.Race.
-type raceCounters struct {
-	mu      sync.Mutex
-	m       RaceMetrics
-	winners map[string]uint64
-}
-
-func newRaceCounters() *raceCounters {
-	return &raceCounters{winners: map[string]uint64{}}
-}
-
-// record folds one solve's race stats in; nil (a deterministic solve) is
-// a no-op so call sites need no mode check.
-func (r *raceCounters) record(st *minlp.RaceStats) {
-	if st == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.m.Solves++
-	r.m.Steals += uint64(st.Steals)
-	r.m.IncumbentUpdates += uint64(st.IncumbentUpdates)
-	if st.Winner != "" {
-		r.winners[st.Winner]++
-	}
-}
-
-// snapshot returns a copy for /metrics, nil before any racing solve.
-func (r *raceCounters) snapshot() *RaceMetrics {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.m.Solves == 0 {
-		return nil
-	}
-	out := r.m
-	out.PortfolioWinner = make(map[string]uint64, len(r.winners))
-	for k, v := range r.winners {
-		out.PortfolioWinner[k] = v
-	}
-	return &out
-}
 
 // histogram is a fixed-bucket latency histogram.
 type histogram struct {

@@ -65,11 +65,6 @@ type SolveResponse struct {
 	// the overload ladder — a best-effort rounding incumbent, not a
 	// certified optimum — and empty for full-quality answers.
 	Quality string `json:"quality,omitempty"`
-
-	// race carries the racing-mode statistics of the solve that produced
-	// this response, for the server's metrics accumulator. Not part of
-	// the wire format: the answer itself is identical in either mode.
-	race *minlp.RaceStats
 }
 
 // JobStatus is the lifecycle state of an async job.
@@ -98,38 +93,32 @@ func solve(req *SolveRequest) *SolveResponse {
 	if err != nil {
 		return &SolveResponse{Status: "error", Error: err.Error()}
 	}
-	return solveParsedContext(context.Background(), parsed, req, 0, false)
+	return solveParsedContext(context.Background(), parsed, req)
 }
 
 // ExecuteRequest parses and solves one request with the same pipeline the
 // server's solve paths use: ctx bounds the solve (expiry yields status
-// "deadline" with the best incumbent), workers > 1 parallelizes the NLPBB
-// tree search. It exists for fleet nodes (cmd/hslbworker) that lease jobs
-// over the work protocol and execute them locally; parse errors return
-// status "error", never an error value.
-func ExecuteRequest(ctx context.Context, req *SolveRequest, workers int) *SolveResponse {
+// "deadline" with the best incumbent). It exists for fleet nodes
+// (cmd/hslbworker) that lease jobs over the work protocol and execute them
+// locally; parse errors return status "error", never an error value. The
+// int argument is ignored: the solver is sequential, and the parameter is
+// kept only so existing callers still compile.
+func ExecuteRequest(ctx context.Context, req *SolveRequest, _ int) *SolveResponse {
 	parsed, err := ampl.Parse(req.Model)
 	if err != nil {
 		return &SolveResponse{Status: "error", Error: err.Error()}
 	}
-	return solveParsedContext(ctx, parsed, req, workers, false)
+	return solveParsedContext(ctx, parsed, req)
 }
 
 // solveParsedContext optimizes an already-parsed request; when ctx carries a
 // deadline the solver stops there and reports status "deadline" with its
-// best incumbent. workers and race are deployment knobs, not part of the
-// request (or its cache key): workers > 1 parallelizes the NLPBB tree
-// search, race selects the racing portfolio (minlp.Options.Race), and
-// neither can change the solution — the racing mode's canonical finish
-// returns the same X and Obj as the sequential search — only the
-// wall-clock.
-func solveParsedContext(ctx context.Context, parsed *ampl.Result, req *SolveRequest, workers int, race bool) *SolveResponse {
+// best incumbent.
+func solveParsedContext(ctx context.Context, parsed *ampl.Result, req *SolveRequest) *SolveResponse {
 	opt := minlp.Options{
 		BranchSOS: req.BranchSOS,
 		MaxNodes:  req.MaxNodes,
 		RelGap:    req.RelGap,
-		Workers:   workers,
-		Race:      race,
 	}
 	switch req.Algorithm {
 	case "", "oa":
@@ -143,7 +132,7 @@ func solveParsedContext(ctx context.Context, parsed *ampl.Result, req *SolveRequ
 	if err != nil {
 		return &SolveResponse{Status: "error", Error: err.Error()}
 	}
-	out := &SolveResponse{Status: res.Status.String(), Nodes: res.Nodes, race: res.Race}
+	out := &SolveResponse{Status: res.Status.String(), Nodes: res.Nodes}
 	if res.X != nil {
 		out.Objective = res.Obj
 		out.Variables = map[string]float64{}

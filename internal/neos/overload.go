@@ -171,8 +171,7 @@ func (s *Server) tryDegraded(key string, parsed *ampl.Result, req *SolveRequest)
 	defer func() { <-g.degradedSem }()
 	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.DegradedTimeout)
 	defer cancel()
-	resp := solveParsedContext(ctx, parsed, req, s.cfg.SolveWorkers, s.cfg.SolveMode == SolveModeRace)
-	s.race.record(resp.race)
+	resp := solveParsedContext(ctx, parsed, req)
 	switch resp.Status {
 	case "deadline":
 		if resp.Variables == nil {

@@ -58,24 +58,6 @@ type Config struct {
 	// models exist on which the outer-approximation cut loop makes
 	// progress far too slowly to ever finish.
 	SolveTimeout time.Duration
-	// SolveWorkers is minlp.Options.Workers for every solver invocation:
-	// > 1 parallelizes the NLPBB tree search. Deliberately absent from
-	// the cache key — the parallel search returns a bit-identical
-	// solution, so responses cached at one worker count are valid at any
-	// other (default 1; requests using OuterApprox are unaffected).
-	SolveWorkers int
-	// SolveMode selects how the solver uses SolveWorkers:
-	// "deterministic" (the default, also the empty string) replays the
-	// sequential search with a prefetch pool, "race" runs the racing
-	// portfolio (minlp.Options.Race) — work-stealing branch-and-bound
-	// plus concurrent outer approximation and exhaustive contenders.
-	// Both modes return the same X and objective for every request (the
-	// race normalizes its answer through a canonical finishing solve), so
-	// the mode is absent from the cache key and cached responses remain
-	// valid across mode changes; racing solves additionally feed the
-	// steal/incumbent/winner counters under /metrics. Any other value is
-	// rejected by NewServerWith.
-	SolveMode string
 	// MaxPendingJobs caps queued+running async jobs; /submit beyond it is
 	// rejected with 429 instead of growing the WAL without bound
 	// (0 = unlimited, the historical behavior).
@@ -159,9 +141,6 @@ func (c Config) withDefaults() Config {
 	if c.SolveTimeout == 0 {
 		c.SolveTimeout = 120 * time.Second
 	}
-	if c.SolveMode == "" {
-		c.SolveMode = SolveModeDeterministic
-	}
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = 30 * time.Second
 	}
@@ -224,9 +203,6 @@ type Server struct {
 	// solveFn executes one request on the async path; solveCached unless a
 	// test injected a fault hook via Config.
 	solveFn func(ctx context.Context, req *SolveRequest) *SolveResponse
-	// race accumulates racing-mode solver counters for /metrics; it only
-	// receives observations when cfg.SolveMode is "race".
-	race *raceCounters
 	// dupCompletes counts idempotent duplicate /work/complete no-ops;
 	// workerPanics counts recovered panics in in-process workers (each one
 	// leaves a leased job for the reaper to reclaim).
@@ -254,10 +230,6 @@ func NewServer(maxConcurrent int) *Server {
 // from cfg.DataDir and starting the worker pool.
 func NewServerWith(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	if cfg.SolveMode != SolveModeDeterministic && cfg.SolveMode != SolveModeRace {
-		return nil, fmt.Errorf("neos: unknown SolveMode %q (want %q or %q)",
-			cfg.SolveMode, SolveModeDeterministic, SolveModeRace)
-	}
 	if cfg.Replicate > 1 {
 		if strings.TrimSpace(cfg.SelfURL) == "" {
 			return nil, errors.New("neos: Replicate > 1 requires SelfURL (replica ownership is computed over SelfURL+Peers)")
@@ -279,7 +251,6 @@ func NewServerWith(cfg Config) (*Server, error) {
 		store: store,
 		sem:   make(chan struct{}, cfg.MaxConcurrent),
 		hist:  newHistogram(),
-		race:  newRaceCounters(),
 		quit:  make(chan struct{}),
 	}
 	if cfg.Overload.Enabled {
@@ -448,10 +419,9 @@ func (s *Server) solveFlight(ctx context.Context, key string, parsed *ampl.Resul
 			defer cancel()
 		}
 		start := time.Now()
-		resp := solveParsedContext(sctx, parsed, req, s.cfg.SolveWorkers, s.cfg.SolveMode == SolveModeRace)
+		resp := solveParsedContext(sctx, parsed, req)
 		elapsed := time.Since(start)
 		s.hist.observe(elapsed.Seconds())
-		s.race.record(resp.race)
 		if s.guard != nil {
 			s.guard.recordSolve(resp, elapsed, s.cfg.SolveTimeout)
 		}
@@ -663,10 +633,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	counts := s.store.Counts()
 	m := Metrics{
-		Cache:     s.cache.Stats(),
-		Solves:    s.hist.snapshot(),
-		SolveMode: s.cfg.SolveMode,
-		Race:      s.race.snapshot(),
+		Cache:  s.cache.Stats(),
+		Solves: s.hist.snapshot(),
 	}
 	m.Jobs.QueueDepth = counts[jobstore.Queued]
 	m.Jobs.Recovered = s.store.Recovered()

@@ -25,14 +25,6 @@ type Options struct {
 	MaxOuter  int     // augmented-Lagrangian iterations (default 50)
 	MaxInner  int     // SPG iterations per outer step (default 400)
 	InitialMu float64 // initial penalty (default 10)
-	// Accel, when non-nil, bolts a guarded Gauss-Newton step onto each
-	// outer iteration, with its factorization cached across Solve calls
-	// and patched by rank-1 updates (see Accel). It can only shorten the
-	// path the inner solver walks, never change what qualifies as a
-	// solution, but the iterate sequence does depend on the cache's
-	// history — callers that need reproducible iterates must leave it
-	// nil or use a fresh Accel per deterministic sequence.
-	Accel *Accel
 }
 
 func (o Options) withDefaults() Options {
@@ -274,13 +266,6 @@ func Solve(m *model.Model, x0 []float64, opt Options) (*Result, error) {
 
 	prevViol := math.Inf(1)
 	for outer := 0; outer < opt.MaxOuter; outer++ {
-		if opt.Accel != nil {
-			opt.Accel.step(&accelState{
-				x: x, lower: lower, upper: upper,
-				p: p, lam: lam, mu: mu,
-				alValue: alValue, alGrad: alGrad,
-			})
-		}
 		spg(alValue, alGrad, x, lower, upper, opt.MaxInner, opt.OptTol)
 		viol := feasErr(x)
 		if viol <= opt.FeasTol {
