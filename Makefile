@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: verify build test vet fmt race stress chaos chaos-fleet load fsck fleet load-fleet
+.PHONY: verify build test vet fmt race stress chaos chaos-fleet fsck
 
-verify: build vet fmt test race stress chaos-fleet load fsck fleet load-fleet
+verify: build vet fmt test race stress chaos-fleet fsck
 
 build:
 	$(GO) build ./...
@@ -41,7 +41,11 @@ stress:
 
 # Fault-injection suite: the chaos pipeline acceptance scenario plus the
 # resilient-gather and fault-plan tests, with the worker-pool gather
-# variants run under the race detector.
+# variants, the lease-fenced fleet (every job exactly one terminal state,
+# then a zero-solve replay of the batch) and the overload gates (exactly one
+# terminal outcome per request at 4x capacity; protected goodput >= 50% of
+# peak under a 4x storm with propagated deadlines) run under the race
+# detector.
 # Seeds are fixed inside the tests, so every run injects the identical
 # fault ledger.
 chaos:
@@ -51,22 +55,24 @@ chaos:
 	$(GO) test -v -race -run 'TestChaosPipelineWorkersInvariant' ./internal/core/
 	$(GO) test -v -race -run 'TestParallelGather|TestRunLatency' ./internal/bench/
 	$(GO) test -v -race -run 'TestChaosFleet' ./internal/fleet/
-	$(GO) test -v -race -run 'TestWorkLeaseExpiryReclaim|TestWorkIdempotentComplete|TestLocalWorkerPanicReclaimed' ./internal/neos/
+	$(GO) test -v -race -run 'TestWorkLeaseExpiryReclaim|TestWorkIdempotentComplete|TestLocalWorkerPanicReclaimed|TestChaosOverload4x|TestOverloadGoodputUnder4xStorm' ./internal/neos/
 	$(GO) test -v -race -run 'TestLeaseConcurrentChaos|TestTornTailMidLeaseRecord' ./internal/jobstore/
 
 # Self-healing-fleet suite, all under the race detector: the faultnet
 # proxy's own fault repertoire (latency, partition, refuse, mid-stream
 # cut), R-way replication with anti-entropy repair (including a replica
 # push retried across a partition), peer-budget exhaustion against a
-# partitioned peer, and the router's live-membership surface (resize under
-# real traffic, in-flight completion on shard removal, flap damping,
-# SetShards racing Pick/Order). Environments without a usable loopback
-# listener self-skip the network-dependent tests with the reason recorded
-# in the test log (t.Skip via requireLoopback).
+# partitioned peer, a peer-warmed answer with zero solves, the router's
+# live-membership surface (resize under real traffic, in-flight completion
+# on shard removal, flap damping, SetShards racing Pick/Order), and the
+# shard-kill scenario: three replicated shards behind faultnet proxies, one
+# killed with requests in flight, no client error, and a zero-solve replay
+# of its digests from the replicas. The faultnet tests self-skip where no
+# loopback listener is usable, with the reason in the test log.
 chaos-fleet:
 	$(GO) test -v -race -run 'TestProxy' ./internal/faultnet/
-	$(GO) test -v -race -timeout 10m -run 'TestReplicate|TestAntiEntropy|TestPartitionedPeerDegradesWithinBudget|TestReplicationPushRetriesAcrossPartition' ./internal/neos/
-	$(GO) test -v -race -run 'TestRouterLiveResizeUnderTraffic|TestRouterRemovedShardInflightCompletes|TestAdminShardsRejectsBadSets|TestRouterFlapDamping|TestRingSetShardsConcurrentWithPick' ./internal/router/
+	$(GO) test -v -race -timeout 10m -run 'TestReplicate|TestAntiEntropy|TestPartitionedPeerDegradesWithinBudget|TestReplicationPushRetriesAcrossPartition|TestPeerWarmServesWithoutSolver' ./internal/neos/
+	$(GO) test -v -race -run 'TestRouterLiveResizeUnderTraffic|TestRouterRemovedShardInflightCompletes|TestAdminShardsRejectsBadSets|TestRouterFlapDamping|TestRingSetShardsConcurrentWithPick|TestRouterShardKillReplicaFailover' ./internal/router/
 
 # Result-store integrity: run a small fixed-seed campaign into a scratch
 # store, then fsck it — an end-to-end walk of the content-addressed chunk
@@ -76,30 +82,3 @@ fsck:
 	$(GO) run ./cmd/hslb -nodes 64 -points 4 -repeats 1 \
 		-store-dir "$$dir" -campaign verify >/dev/null && \
 	$(GO) run ./cmd/hslb fsck -store-dir "$$dir"
-
-# Fleet acceptance: 1 hslbserver + 3 hslbworker real processes; one worker
-# is SIGKILLed provably mid-solve, and the scenario fails unless every job
-# still reaches a terminal state with the correct result, the killed
-# worker's lease is reclaimed by TTL expiry, and replaying the batch
-# through POST /solve costs zero solver invocations (fleet results warmed
-# the cache). Runs in ~10s.
-fleet:
-	$(GO) run ./cmd/hslbfleet -jobs 12 -workers 3
-
-# Sharded-fleet acceptance: real hslbserver shards behind a real hslbrouter
-# process. Measures goodput scaling 1 -> 4 shards through the router (the
-# >= 3x gate applies only on hosts with >= 4 CPUs; smaller hosts skip it
-# with the reason logged and recorded in the report), proves a cache-peering
-# warm end to end (a shard answers a model it never solved with zero solver
-# invocations), and SIGKILLs a shard with requests provably in flight to
-# check every request still gets exactly one terminal outcome. Writes
-# BENCH_fleet.json. Runs in ~20s.
-load-fleet:
-	$(GO) run ./cmd/hslbloadfleet -phase 2s -clients 8 -o BENCH_fleet.json
-
-# Overload acceptance: a closed-loop generator measures peak goodput at
-# solver capacity, then storms the protected server at 4x capacity with
-# propagated client deadlines (plus an unprotected server for contrast) and
-# fails unless protected goodput stays >= 50% of peak. Runs in ~15s.
-load:
-	$(GO) run ./cmd/hslbload -peak 3s -storm 5s -min-goodput-frac 0.5

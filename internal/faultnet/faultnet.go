@@ -12,9 +12,10 @@
 //     have been relayed toward the client, truncating whatever response
 //     was in flight.
 //
-// The proxy is used from package tests (a ring sibling behind a partition
-// must cost the peer budget, never a hang) and from the multi-process
-// fleet scenarios. It is deliberately transport-level: the services under
+// The proxy is used from package tests: a ring sibling behind a partition
+// must cost the peer budget, never a hang, and a shard whose proxy refuses
+// new connections and cuts the live ones is, to the router and its peers,
+// a killed process. It is deliberately transport-level: the services under
 // test must survive byte-exact truncation and wire silence, not polite
 // HTTP errors.
 package faultnet

@@ -24,7 +24,9 @@ import (
 //   - no job is executed to two conflicting results — every done job's
 //     result is the deterministic expected value;
 //   - every stale fencing write is rejected (HTTP 409 / ErrLeaseLost) and
-//     counted on /metrics.
+//     counted on /metrics;
+//   - every remote result warmed the solve cache: replaying the batch
+//     through POST /solve costs zero solver invocations.
 func TestChaosFleet(t *testing.T) {
 	ttl := 150 * time.Millisecond
 	if raceEnabled {
@@ -174,6 +176,26 @@ func TestChaosFleet(t *testing.T) {
 	if m.Jobs.Leased != 0 || m.Jobs.ActiveWorkers != 0 {
 		t.Fatalf("leases outstanding after drain: %d held by %d workers",
 			m.Jobs.Leased, m.Jobs.ActiveWorkers)
+	}
+
+	// Every remote complete warmed the server's solve cache: replaying the
+	// whole batch through POST /solve returns the recorded objectives
+	// without one solver invocation.
+	for model, obj := range byModel {
+		out, err := c.Solve(context.Background(), &neos.SolveRequest{Model: model})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Objective != obj {
+			t.Fatalf("replay of %q = %v, want recorded %v", model, out.Objective, obj)
+		}
+	}
+	after, err := c.Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := after.Solves.Count - m.Solves.Count; n != 0 {
+		t.Fatalf("replaying the batch invoked the solver %d times; fleet results did not warm the cache", n)
 	}
 }
 

@@ -1,15 +1,6 @@
 package lp
 
-import (
-	"fmt"
-	"math"
-	"os"
-)
-
-var (
-	warmCrossCheck = os.Getenv("HSLB_LP_CROSSCHECK") != ""
-	warmDisabled   = os.Getenv("HSLB_LP_NOWARM") != ""
-)
+import "math"
 
 // WarmSolver solves a sequence of LPs that differ only by appended
 // constraints, re-solving warm from the previous optimal basis instead of
@@ -87,7 +78,7 @@ func (ws *WarmSolver) AddConstraint(coef []float64, sense Sense, rhs float64) {
 
 // Solve optimizes the current problem, warm when possible.
 func (ws *WarmSolver) Solve() (*Solution, error) {
-	if ws.t == nil || warmDisabled {
+	if ws.t == nil {
 		return ws.cold()
 	}
 	t := ws.t
@@ -113,34 +104,7 @@ func (ws *WarmSolver) Solve() (*Solution, error) {
 		return ws.cold()
 	}
 	ws.stats.WarmResolves++
-	sol := t.solution(ws.p)
-	if warmCrossCheck {
-		ref, _, err := solveKeep(clone(ws.p))
-		if err != nil || ref.Status != sol.Status ||
-			(sol.Status == Optimal && math.Abs(ref.Obj-sol.Obj) > 1e-6*(1+math.Abs(ref.Obj))) {
-			panic(fmt.Sprintf("lp: warm/cold divergence: warm %v obj %v, cold %v obj %v (err %v)\nproblem: %+v",
-				sol.Status, sol.Obj, ref.Status, ref.Obj, err, ws.p))
-		}
-	}
-	return sol, nil
-}
-
-// clone deep-copies a problem for the cross-check path.
-func clone(p *Problem) *Problem {
-	q := &Problem{
-		NumVars: p.NumVars,
-		Obj:     append([]float64(nil), p.Obj...),
-		Lower:   append([]float64(nil), p.Lower...),
-		Upper:   append([]float64(nil), p.Upper...),
-	}
-	for _, c := range p.Cons {
-		q.Cons = append(q.Cons, Constraint{
-			Coef:  append([]float64(nil), c.Coef...),
-			Sense: c.Sense,
-			RHS:   c.RHS,
-		})
-	}
-	return q
+	return t.solution(ws.p), nil
 }
 
 // cold runs a full two-phase solve and caches the basis when it finishes

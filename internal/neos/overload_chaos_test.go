@@ -2,12 +2,14 @@ package neos
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -154,4 +156,164 @@ func TestChaosOverload4x(t *testing.T) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
+}
+
+// TestOverloadGoodputUnder4xStorm is the overload goodput gate. Closed-loop
+// clients first measure peak goodput — full-quality answers per second — at
+// exactly solver capacity, then storm the protected server at 4× capacity
+// with a propagated client deadline of 3× the peak mean latency. The test
+// fails unless the storm keeps at least half the peak goodput and no
+// request fails. The same storm against an unprotected server is
+// logged for contrast (EXPERIMENTS.md "Overload protection"), not gated.
+func TestOverloadGoodputUnder4xStorm(t *testing.T) {
+	const slots, factor = 2, 4
+	start := func(protected bool) string {
+		_, hs, _ := newServerWith(t, Config{
+			MaxConcurrent: slots,
+			SolveTimeout:  5 * time.Second,
+			Overload:      OverloadConfig{Enabled: protected},
+		})
+		return hs.URL
+	}
+	var ids atomic.Uint64 // one unique model per request: no cache hits
+	protected := start(true)
+
+	// Size the phases in solve times, so that the race detector's slowdown
+	// does not shrink them to a handful of answers.
+	sent := time.Now()
+	if _, err := NewClient(protected).Solve(context.Background(), &SolveRequest{Model: goodputModel(ids.Add(1))}); err != nil {
+		t.Fatal(err)
+	}
+	phase := max(time.Second, 12*time.Since(sent))
+
+	peak := runGoodputPhase(protected, slots, phase, 0, &ids)
+	if peak.full == 0 {
+		t.Fatal("peak phase produced no full-quality answers; cannot calibrate")
+	}
+	budget := min(max(3*peak.meanLatency(), 80*time.Millisecond), 2*time.Second)
+	storm := runGoodputPhase(protected, factor*slots, 3*phase/2, budget, &ids)
+	unprotected := runGoodputPhase(start(false), factor*slots, 3*phase/2, budget, &ids)
+
+	t.Logf("client deadline %v (3x peak mean latency %v)", budget, peak.meanLatency())
+	t.Logf("peak, protected, at capacity: %v", peak)
+	t.Logf("%dx storm, protected:          %v", factor, storm)
+	t.Logf("%dx storm, unprotected:        %v", factor, unprotected)
+	if storm.errors > 0 {
+		t.Errorf("%d storm requests failed: transport error, unexpected status or solver error", storm.errors)
+	}
+	if frac := storm.goodput() / peak.goodput(); frac < 0.5 {
+		t.Fatalf("protected goodput under %dx overload is %.0f%% of peak, need >= 50%%", factor, 100*frac)
+	}
+}
+
+// goodputModel is a near-tie 8-component load-balancing model whose
+// branch-and-bound takes tens of milliseconds: long enough that queueing is
+// real, short enough that a phase sees dozens of answers. id only moves the
+// right-hand side of a constraint that never binds, so every request is a
+// distinct cache key yet costs the solver the same tree.
+func goodputModel(id uint64) string {
+	const k, n = 8, 2000
+	var b strings.Builder
+	fmt.Fprintf(&b, "var T >= 0 <= 100000;\n")
+	names := make([]string, k)
+	for j := 1; j <= k; j++ {
+		names[j-1] = fmt.Sprintf("n%d", j)
+		fmt.Fprintf(&b, "var n%d integer >= 1 <= %d;\n", j, n)
+	}
+	b.WriteString("minimize total: T;\n")
+	for j := 1; j <= k; j++ {
+		fmt.Fprintf(&b, "subject to t%d: %0.6f / n%d + %0.6f <= T;\n",
+			j, float64(n)*1.375+float64(j)*0.001+0.0002, j, float64(j)*1e-6)
+	}
+	fmt.Fprintf(&b, "subject to cap: %s <= %d;\n", strings.Join(names, " + "), n)
+	fmt.Fprintf(&b, "subject to tag: T >= -%d;\n", id)
+	return b.String()
+}
+
+// goodputPhase tallies one closed-loop phase by outcome.
+type goodputPhase struct {
+	clients                            int
+	elapsed                            time.Duration
+	full, degraded, late, shed, errors uint64
+	fullLatency                        time.Duration // summed over full answers
+}
+
+func (p goodputPhase) goodput() float64 { return float64(p.full) / p.elapsed.Seconds() }
+
+func (p goodputPhase) meanLatency() time.Duration {
+	if p.full == 0 {
+		return 0
+	}
+	return p.fullLatency / time.Duration(p.full)
+}
+
+func (p goodputPhase) String() string {
+	return fmt.Sprintf("%d clients, %.1fs: goodput %.1f/s (full=%d degraded=%d late=%d shed429=%d err=%d, mean full latency %v)",
+		p.clients, p.elapsed.Seconds(), p.goodput(), p.full, p.degraded, p.late, p.shed, p.errors,
+		p.meanLatency().Round(time.Millisecond))
+}
+
+// runGoodputPhase drives clients closed-loop workers against url's /solve
+// for dur, each sending one request at a time with budget (if non-zero) as
+// the propagated deadline. A shed worker honors retry_after_ms, capped at
+// one second, before its next request. Goodput counts only full-quality
+// answers: a 200 that is neither degraded nor past its deadline.
+func runGoodputPhase(url string, clients int, dur, budget time.Duration, ids *atomic.Uint64) goodputPhase {
+	p := goodputPhase{clients: clients}
+	var mu sync.Mutex
+	client := &http.Client{Timeout: 30 * time.Second}
+	start := time.Now()
+	end := start.Add(dur)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for time.Now().Before(end) {
+				body, _ := json.Marshal(SolveRequest{Model: goodputModel(ids.Add(1))})
+				req, _ := http.NewRequest(http.MethodPost, url+"/solve", bytes.NewReader(body))
+				req.Header.Set("Content-Type", "application/json")
+				if budget > 0 {
+					req.Header.Set("X-Request-Deadline-Ms", fmt.Sprint(budget.Milliseconds()))
+				}
+				sent := time.Now()
+				resp, err := client.Do(req)
+				var out struct {
+					SolveResponse
+					RetryAfterMs int64 `json:"retry_after_ms"`
+				}
+				code := 0
+				if err == nil {
+					code = resp.StatusCode
+					if json.NewDecoder(resp.Body).Decode(&out) != nil {
+						code = 0
+					}
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+				}
+				lat := time.Since(sent)
+				mu.Lock()
+				switch {
+				case code == http.StatusOK && out.Quality == "degraded":
+					p.degraded++
+				case code == http.StatusOK && out.Status == "deadline":
+					p.late++
+				case code == http.StatusOK && out.Status != "error":
+					p.full++
+					p.fullLatency += lat
+				case code == http.StatusTooManyRequests:
+					p.shed++
+				default:
+					p.errors++
+				}
+				mu.Unlock()
+				if code == http.StatusTooManyRequests && out.RetryAfterMs > 0 {
+					time.Sleep(min(time.Duration(out.RetryAfterMs)*time.Millisecond, time.Second))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	p.elapsed = time.Since(start)
+	return p
 }
