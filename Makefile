@@ -32,9 +32,12 @@ race:
 # Multi-core sweep: the packages whose single run takes seconds, three
 # times at 1, 2 and 4 CPUs, so a test that only holds under a 1-CPU
 # scheduler (a goroutine assumed to have run, a caller assumed to have
-# arrived) fails here instead of on the next multi-core host.
+# arrived) fails here instead of on the next multi-core host. The fleet
+# worker's lease loop is timing-sensitive, so it runs here with the retry
+# schedule it sleeps on.
 STRESS_PKGS = ./internal/solvecache/ ./internal/expr/ ./internal/nlp/ ./internal/lp/ \
-	./internal/overload/ ./internal/router/ ./internal/jobstore/ ./internal/faultnet/
+	./internal/overload/ ./internal/router/ ./internal/jobstore/ ./internal/faultnet/ \
+	./internal/fleet/ ./internal/backoff/
 
 stress:
 	$(GO) test -count=3 -cpu 1,2,4 $(STRESS_PKGS)
@@ -62,7 +65,8 @@ chaos:
 # proxy's own fault repertoire (latency, partition, refuse, mid-stream
 # cut), R-way replication with anti-entropy repair (including a replica
 # push retried across a partition), peer-budget exhaustion against a
-# partitioned peer, a peer-warmed answer with zero solves, the router's
+# partitioned peer, a converged sweep costing one key listing per peer,
+# a peer-warmed answer with zero solves, the router's
 # live-membership surface (resize under real traffic, in-flight completion
 # on shard removal, flap damping, SetShards racing Pick/Order), and the
 # shard-kill scenario: three replicated shards behind faultnet proxies, one

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"hslb/internal/backoff"
 	"hslb/internal/cesm"
 	"hslb/internal/perf"
 )
@@ -457,7 +458,10 @@ func (c Campaign) gatherOne(ctx context.Context, total, rep int, a cesm.Allocati
 			break
 		}
 		out.retries++
-		if err := sleepBackoff(ctx, retry, c.Seed, total, rep, attempt); err != nil {
+		// Deterministic jitter in [0.5, 1.5) derived from the run identity.
+		rng := rand.New(rand.NewSource(c.Seed ^ int64(total)<<32 ^ int64(rep)<<16 ^ int64(attempt)))
+		d := backoff.Delay(retry.BaseBackoff, retry.MaxBackoff, attempt)
+		if err := backoff.Sleep(ctx, time.Duration(float64(d)*(0.5+rng.Float64()))); err != nil {
 			out.err = err
 			return out
 		}
@@ -518,26 +522,6 @@ func classifyRunError(err error) (kind string, recoverable bool) {
 		return "timeout", true
 	}
 	return "error", false
-}
-
-// sleepBackoff waits the exponential backoff delay for a retry, with
-// deterministic jitter in [0.5, 1.5) derived from the run identity, and
-// respects context cancellation.
-func sleepBackoff(ctx context.Context, retry RetryPolicy, seed int64, total, rep, attempt int) error {
-	d := retry.BaseBackoff << uint(attempt)
-	if d > retry.MaxBackoff || d <= 0 {
-		d = retry.MaxBackoff
-	}
-	rng := rand.New(rand.NewSource(seed ^ int64(total)<<32 ^ int64(rep)<<16 ^ int64(attempt)))
-	d = time.Duration(float64(d) * (0.5 + rng.Float64()))
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }
 
 // recordRun appends one successful run's samples and cost record.

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"hslb/internal/backoff"
 	"hslb/internal/neos"
 )
 
@@ -105,7 +106,7 @@ func TestChaosFleet(t *testing.T) {
 			BaseBackoff: 2 * time.Millisecond,
 			MaxBackoff:  50 * time.Millisecond,
 			SolveFn: func(sctx context.Context, req *neos.SolveRequest) *neos.SolveResponse {
-				sleepCtx(sctx, 3*time.Millisecond)
+				_ = backoff.Sleep(sctx, 3*time.Millisecond) // a cancelled solve still answers
 				return hookSolve(req)
 			},
 		})
@@ -118,7 +119,7 @@ func TestChaosFleet(t *testing.T) {
 		MaxBackoff:  50 * time.Millisecond,
 		SolveFn: func(sctx context.Context, req *neos.SolveRequest) *neos.SolveResponse {
 			// Outlive the lease: the renewal partition guarantees expiry.
-			sleepCtx(sctx, 3*ttl)
+			_ = backoff.Sleep(sctx, 3*ttl)
 			return hookSolve(req)
 		},
 	})

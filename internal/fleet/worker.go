@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hslb/internal/backoff"
 	"hslb/internal/neos"
 )
 
@@ -23,9 +24,10 @@ type Config struct {
 	// LeaseTTL is the lease duration requested from the server; the grant
 	// is authoritative (0 = server default).
 	LeaseTTL time.Duration
-	// BaseBackoff is the idle/error poll delay, doubling up to MaxBackoff;
-	// 429/503 responses floor it at the server's Retry-After hint
-	// (defaults 100ms / 5s).
+	// BaseBackoff is the lease-error retry delay, doubling per consecutive
+	// error up to MaxBackoff, which also caps the idle poll; a 429/503's
+	// Retry-After hint floors the one sleep it answers (defaults 100ms /
+	// 5s).
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
 	// DrainGrace bounds how long a stopping worker lets its in-flight solve
@@ -108,7 +110,10 @@ func (w *Worker) logf(format string, args ...interface{}) {
 // immediately instead of waiting out the TTL. Run returns nil on a clean
 // drain.
 func (w *Worker) Run(ctx context.Context) error {
-	backoff := w.cfg.BaseBackoff
+	// errs counts consecutive lease errors; any successful RPC proves the
+	// server healthy again and resets it, so the next error backs off
+	// from BaseBackoff.
+	errs := 0
 	for {
 		if ctx.Err() != nil {
 			return nil
@@ -119,25 +124,23 @@ func (w *Worker) Run(ctx context.Context) error {
 				return nil
 			}
 			// 429 (overload shed) and retried-out 503s carry the server's
-			// Retry-After hint; honor it as the backoff floor.
+			// Retry-After hint; it floors this one sleep only.
+			d := backoff.Delay(w.cfg.BaseBackoff, w.cfg.MaxBackoff, errs)
 			var se *neos.ServerError
-			if errors.As(err, &se) && se.RetryAfter > backoff {
-				backoff = se.RetryAfter
+			if errors.As(err, &se) {
+				d = max(d, se.RetryAfter)
 			}
-			w.logf("lease error (backing off %v): %v", backoff, err)
-			if !sleepCtx(ctx, backoff) {
+			errs++
+			w.logf("lease error (backing off %v): %v", d, err)
+			if backoff.Sleep(ctx, d) != nil {
 				return nil
 			}
-			backoff = minDur(backoff*2, w.cfg.MaxBackoff)
 			continue
 		}
-		// Any successful RPC proves the server healthy again, so the
-		// error-path backoff restarts from base — an idle (204) response
-		// after a 429 must not leave the next error inflated forever.
-		backoff = w.cfg.BaseBackoff
+		errs = 0
 		if grant == nil {
 			// No work; the hint covers backoffs and upcoming lease expiries.
-			if !sleepCtx(ctx, minDur(wait, w.cfg.MaxBackoff)) {
+			if backoff.Sleep(ctx, min(wait, w.cfg.MaxBackoff)) != nil {
 				return nil
 			}
 			continue
@@ -285,27 +288,6 @@ func (w *Worker) report(grant *neos.WorkGrant, resp *neos.SolveResponse) {
 		}
 		w.logf("job %d: %s (attempt %d/%d)", grant.JobID, resp.Status, grant.Attempt, grant.MaxAttempts)
 	}
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		d = time.Millisecond
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
-}
-
-func minDur(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func unmarshalRequest(raw []byte, req *neos.SolveRequest) error {

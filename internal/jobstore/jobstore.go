@@ -21,6 +21,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"hslb/internal/backoff"
 )
 
 // Status is the lifecycle state of a job.
@@ -125,6 +127,12 @@ type Store struct {
 }
 
 const walName = "jobs.wal"
+
+// maxRetryBackoff caps the delay Requeue puts before a retried attempt.
+// MaxAttempts is operator-set, so an uncapped doubling would park a job
+// for days by attempt 20; the default three-attempt schedule never
+// reaches the cap.
+const maxRetryBackoff = time.Minute
 
 // ErrStaleLease is returned when a transition presents a fencing token
 // that no longer matches the job's current lease — the lease expired, was
@@ -551,10 +559,10 @@ func (s *Store) finish(id, fence int64, st Status, result json.RawMessage, errMs
 
 // Requeue reports a retryable failure of a running attempt. If the job
 // has attempts left it returns to the queue with exponential backoff
-// (backoff · 2^(attempts-1)) and Requeue returns true; otherwise the job
-// is marked failed and Requeue returns false. Stale fencing tokens are
-// rejected with ErrStaleLease.
-func (s *Store) Requeue(id, fence int64, errMsg string, backoff time.Duration) (bool, error) {
+// (retryBackoff · 2^(attempts-1), capped at maxRetryBackoff) and Requeue
+// returns true; otherwise the job is marked failed and Requeue returns
+// false. Stale fencing tokens are rejected with ErrStaleLease.
+func (s *Store) Requeue(id, fence int64, errMsg string, retryBackoff time.Duration) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
@@ -575,8 +583,8 @@ func (s *Store) Requeue(id, fence int64, errMsg string, backoff time.Duration) (
 	}
 	j.Status = Queued
 	j.StartedAt = time.Time{}
-	if backoff > 0 {
-		j.NotBefore = s.opts.now().Add(backoff << (j.Attempts - 1))
+	if retryBackoff > 0 {
+		j.NotBefore = s.opts.now().Add(backoff.Delay(retryBackoff, maxRetryBackoff, j.Attempts-1))
 	}
 	if err := s.appendLocked(record{Op: "put", Job: j}); err != nil {
 		return false, err

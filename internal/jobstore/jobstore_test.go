@@ -369,3 +369,28 @@ func TestMaxPendingSurvivesRecovery(t *testing.T) {
 		t.Fatalf("err = %v, want ErrQueueFull after recovery", err)
 	}
 }
+
+// An operator-set MaxAttempts far past the default must not park a job for
+// days or, once the doubling overflows, rerun it immediately: every
+// requeue's NotBefore stays in (now, now+maxRetryBackoff].
+func TestRequeueBackoffCapped(t *testing.T) {
+	now := time.Unix(1000, 0)
+	s := open(t, "", Options{now: func() time.Time { return now }})
+	j, _ := s.Enqueue(json.RawMessage(`{}`), 64)
+	for attempt := 1; attempt < 64; attempt++ {
+		run, _, err := s.Dequeue()
+		if err != nil || run == nil || run.Attempts != attempt {
+			t.Fatalf("attempt %d: dequeue = %+v, %v", attempt, run, err)
+		}
+		retried, err := s.Requeue(j.ID, run.Fence, "timeout", 250*time.Millisecond)
+		if err != nil || !retried {
+			t.Fatalf("attempt %d: requeue = %v, %v", attempt, retried, err)
+		}
+		got, _ := s.Get(j.ID)
+		if !got.NotBefore.After(now) || got.NotBefore.After(now.Add(maxRetryBackoff)) {
+			t.Fatalf("attempt %d: NotBefore - now = %v, want within (0, %v]",
+				attempt, got.NotBefore.Sub(now), maxRetryBackoff)
+		}
+		now = got.NotBefore
+	}
+}

@@ -10,6 +10,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"hslb/internal/backoff"
 )
 
 // Client-side resilience: NEOS-style services sit on the far side of a
@@ -122,10 +124,13 @@ func (c *Client) doRetry(ctx context.Context, build func() (*http.Request, error
 	var lastErr error
 	for attempt := 0; attempt < rp.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			// A shedding server's Retry-After hint floors the delay: the
-			// server knows its queue better than our exponential schedule,
-			// and retrying earlier than asked just feeds the overload.
-			if err := backoffSleep(ctx, rp, attempt-1, retryAfterHint(lastErr)); err != nil {
+			// A shedding server's Retry-After hint floors this one delay:
+			// the server knows its queue better than our exponential
+			// schedule, and retrying earlier than asked just feeds the
+			// overload. The hint deliberately overrides MaxBackoff — a
+			// server asking for 10s means 10s.
+			d := max(backoff.Delay(rp.BaseBackoff, rp.MaxBackoff, attempt-1), retryAfterHint(lastErr))
+			if err := backoff.Sleep(ctx, d); err != nil {
 				return nil, err
 			}
 		}
@@ -154,28 +159,6 @@ func (c *Client) doRetry(ctx context.Context, build func() (*http.Request, error
 	return nil, fmt.Errorf("neos: giving up after %d attempts: %w", rp.MaxAttempts, lastErr)
 }
 
-// backoffSleep waits the capped exponential delay for retry #attempt —
-// floored at the server's Retry-After hint when one was given — honoring
-// context cancellation. The hint deliberately overrides MaxBackoff: a
-// server asking for 10s means 10s, however aggressive the local policy.
-func backoffSleep(ctx context.Context, rp RetryPolicy, attempt int, floor time.Duration) error {
-	d := rp.BaseBackoff << uint(attempt)
-	if d > rp.MaxBackoff || d <= 0 {
-		d = rp.MaxBackoff
-	}
-	if floor > d {
-		d = floor
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
 // retryAfterHint extracts the backoff hint from the previous attempt's
 // error, zero when there is none.
 func retryAfterHint(err error) time.Duration {
@@ -195,8 +178,7 @@ func retryAfterHint(err error) time.Duration {
 // is terminal. The context bounds the total wait.
 func (c *Client) Wait(ctx context.Context, id int64) (*JobResult, error) {
 	rp := c.Retry.withDefaults()
-	delay := rp.BaseBackoff
-	for {
+	for poll := 0; ; poll++ {
 		jr, err := c.Result(ctx, id)
 		var shed *ServerError
 		if err != nil {
@@ -207,20 +189,9 @@ func (c *Client) Wait(ctx context.Context, id int64) (*JobResult, error) {
 		} else if jr.Status == JobDone || jr.Status == JobFailed {
 			return jr, nil
 		}
-		wait := delay
-		if shed != nil && shed.RetryAfter > wait {
-			wait = shed.RetryAfter
-		}
-		t := time.NewTimer(wait)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return nil, ctx.Err()
-		case <-t.C:
-		}
-		delay *= 2
-		if delay > rp.MaxBackoff {
-			delay = rp.MaxBackoff
+		wait := max(backoff.Delay(rp.BaseBackoff, rp.MaxBackoff, poll), retryAfterHint(err))
+		if err := backoff.Sleep(ctx, wait); err != nil {
+			return nil, err
 		}
 	}
 }

@@ -194,10 +194,7 @@ func (c *Client) Submit(ctx context.Context, req *SolveRequest) (int64, error) {
 // Status == JobFailed and a nil error: the HTTP request succeeded, the
 // solve did not.
 func (c *Client) Result(ctx context.Context, id int64) (*JobResult, error) {
-	resp, err := c.doRetry(ctx, func() (*http.Request, error) {
-		return http.NewRequestWithContext(ctx, http.MethodGet,
-			fmt.Sprintf("%s/result?id=%d", c.BaseURL, id), nil)
-	})
+	resp, err := c.get(ctx, fmt.Sprintf("/result?id=%d", id))
 	if err != nil {
 		// The server reports failed jobs with 422 but still ships the
 		// JobResult body; recover it from the captured error body.
@@ -219,9 +216,7 @@ func (c *Client) Result(ctx context.Context, id int64) (*JobResult, error) {
 
 // Metrics fetches the server's instrumentation snapshot.
 func (c *Client) Metrics(ctx context.Context) (*Metrics, error) {
-	resp, err := c.doRetry(ctx, func() (*http.Request, error) {
-		return http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/metrics", nil)
-	})
+	resp, err := c.get(ctx, "/metrics")
 	if err != nil {
 		return nil, err
 	}
@@ -232,12 +227,33 @@ func (c *Client) Metrics(ctx context.Context) (*Metrics, error) {
 	return &out, nil
 }
 
+// get sends GET {BaseURL}{path} under the retry policy; the caller owns
+// the response body.
+func (c *Client) get(ctx context.Context, path string) (*http.Response, error) {
+	return c.doRetry(ctx, func() (*http.Request, error) {
+		return http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
+	})
+}
+
+// post sends body as JSON to path and decodes the success response into
+// out.
 func (c *Client) post(ctx context.Context, path string, body, out interface{}) error {
-	var buf strings.Builder
-	if err := json.NewEncoder(&buf).Encode(body); err != nil {
+	resp, err := c.postRaw(ctx, path, body)
+	if err != nil {
 		return err
 	}
-	resp, err := c.doRetry(ctx, func() (*http.Request, error) {
+	return decodeBody(resp, out)
+}
+
+// postRaw is post without response decoding: the caller owns the response
+// and must drain/close it (LeaseWork needs the status code and headers to
+// distinguish a grant from a no-work 204).
+func (c *Client) postRaw(ctx context.Context, path string, body interface{}) (*http.Response, error) {
+	var buf strings.Builder
+	if err := json.NewEncoder(&buf).Encode(body); err != nil {
+		return nil, err
+	}
+	return c.doRetry(ctx, func() (*http.Request, error) {
 		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost,
 			c.BaseURL+path, strings.NewReader(buf.String()))
 		if err != nil {
@@ -246,10 +262,6 @@ func (c *Client) post(ctx context.Context, path string, body, out interface{}) e
 		hreq.Header.Set("Content-Type", "application/json")
 		return hreq, nil
 	})
-	if err != nil {
-		return err
-	}
-	return decodeBody(resp, out)
 }
 
 func (c *Client) httpClient() *http.Client {

@@ -6,9 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"hslb/internal/backoff"
 )
 
 // R-way result replication with anti-entropy repair. With Config.Replicate
@@ -30,10 +33,10 @@ import (
 //     cache, which writes through to the result store. A replica is
 //     trusted for bytes, not judgement.
 //   - Anti-entropy: a background sweeper (kicked early on membership
-//     changes) walks local persisted keys, re-derives each key's owners,
-//     pushes results missing from sibling owners, and pulls keys this
-//     server now owns but lacks — so a ring resize converges the replica
-//     sets without any request traffic.
+//     changes) lists each peer's persisted keys once, re-derives each
+//     key's owners, pushes local results the peer owns but lacks, and
+//     pulls listed keys this server owns but lacks — so a ring resize
+//     converges the replica sets without any request traffic.
 //
 // Consistency contract: results are immutable for a given key (solves are
 // deterministic), so replicas can only be missing, never conflicting;
@@ -183,14 +186,10 @@ func (s *Server) pusher() {
 			continue
 		}
 		// Back off before the retry; a dead owner must not spin the queue.
-		backoff := 100 * time.Millisecond << uint(p.attempts-1)
-		if backoff > 2*time.Second {
-			backoff = 2 * time.Second
-		}
 		select {
 		case <-s.quit:
 			return
-		case <-time.After(backoff):
+		case <-time.After(backoff.Delay(100*time.Millisecond, 2*time.Second, p.attempts-1)):
 		}
 		r.pushRetries.Add(1)
 		r.enqueue(p)
@@ -205,25 +204,19 @@ func (s *Server) sweeper() {
 	if interval == 0 {
 		interval = defaultAntiEntropyInterval
 	}
-	if interval < 0 {
-		// Sweeps disabled (tests drive sweepOnce directly); still honor
-		// kicks so membership changes repair.
-		for {
-			select {
-			case <-s.quit:
-				return
-			case <-s.repl.kick:
-				s.sweepOnce()
-			}
-		}
+	// A negative interval disables periodic sweeps (tests drive sweepOnce
+	// directly); kicks still run one so membership changes repair.
+	var tick <-chan time.Time
+	if interval > 0 {
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		tick = t.C
 	}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
 	for {
 		select {
 		case <-s.quit:
 			return
-		case <-tick.C:
+		case <-tick:
 			s.sweepOnce()
 		case <-s.repl.kick:
 			s.sweepOnce()
@@ -242,41 +235,40 @@ func (s *Server) kickSweep() {
 	}
 }
 
-// sweepOnce runs one full anti-entropy pass: push repair (results this
-// server holds that a sibling owner lacks) then pull repair (keys this
-// server now owns but never received). Every decision is re-derived from
-// the current membership — no cached "confirmed" set — so a sweep after a
-// resize converges the replica sets even if earlier sweeps ran against
-// older rings.
+// sweepOnce runs one anti-entropy pass, one peer at a time, driven by the
+// peer's single GET /keys?prefix=solve/ listing: push every local result
+// the peer owns but lacks, then pull every listed key this server owns
+// but lacks (it joined the ring, or inherited the range in a resize). A
+// converged pair costs one request per peer; each repair adds its own
+// transfer. Ownership is re-derived from the current membership — no
+// cached "confirmed" set — so a sweep after a resize converges the
+// replica sets even if earlier sweeps ran against older rings.
 func (s *Server) sweepOnce() {
 	r := s.repl
 	if r == nil || s.results == nil {
 		return
 	}
 	ctx := context.Background()
-	peers := s.peering.peerList()
-
-	// Push side: for each local persisted key, make sure every sibling
-	// owner holds it.
-	for _, full := range s.results.KeysWithPrefix(solveKeyPrefix) {
+	local := s.results.KeysWithPrefix(solveKeyPrefix)
+	for _, peer := range s.peering.peerList() {
 		select {
 		case <-s.quit:
 			return
 		default:
 		}
-		key := strings.TrimPrefix(full, solveKeyPrefix)
-		for _, owner := range s.replicaOwners(key) {
-			if owner == r.selfURL {
+		var listed []string
+		if _, err := getJSON(ctx, r.http, peer+"/keys?prefix="+solveKeyPrefix, &listed); err != nil {
+			continue // peer unreachable or misbehaving; next sweep retries
+		}
+		held := make(map[string]bool, len(listed))
+		for _, full := range listed {
+			held[full] = true
+		}
+
+		for _, full := range local {
+			key := strings.TrimPrefix(full, solveKeyPrefix)
+			if held[full] || !slices.Contains(s.replicaOwners(key), peer) {
 				continue
-			}
-			var history []HistoryEntry
-			status, err := getJSON(ctx, r.http,
-				fmt.Sprintf("%s/history/%s%s?limit=1", owner, solveKeyPrefix, key), &history)
-			if err == nil && len(history) > 0 {
-				continue // owner has it
-			}
-			if status != http.StatusNotFound {
-				continue // owner unreachable or misbehaving; next sweep retries
 			}
 			data, _, err := s.results.HeadValue(full)
 			if err != nil {
@@ -286,34 +278,14 @@ func (s *Server) sweepOnce() {
 			if json.Unmarshal(data, &resp) != nil || !peerWarmable(&resp) {
 				continue
 			}
-			if r.push(ctx, repPush{key: key, target: owner, payload: data}) == nil {
+			if r.push(ctx, repPush{key: key, target: peer, payload: data}) == nil {
 				r.sweepPushed.Add(1)
 			}
 		}
-	}
 
-	// Pull side: keys a sibling holds that this server now owns but lacks
-	// (it joined the ring, or inherited the range in a resize).
-	for _, peer := range peers {
-		select {
-		case <-s.quit:
-			return
-		default:
-		}
-		var keys []string
-		if _, err := getJSON(ctx, r.http, peer+"/keys?prefix="+solveKeyPrefix, &keys); err != nil {
-			continue
-		}
-		for _, full := range keys {
+		for _, full := range listed {
 			key := strings.TrimPrefix(full, solveKeyPrefix)
-			owned := false
-			for _, owner := range s.replicaOwners(key) {
-				if owner == r.selfURL {
-					owned = true
-					break
-				}
-			}
-			if !owned {
+			if !slices.Contains(s.replicaOwners(key), r.selfURL) {
 				continue
 			}
 			if _, ok := s.results.Head(solveKeyPrefix + key); ok {

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,8 +17,9 @@ import (
 
 // newFleetShard starts a shard whose SelfURL is its own live httptest URL:
 // the listener comes up first (behind an atomically swapped handler), the
-// URL goes into cfg.SelfURL, then the Server is built and plugged in.
-func newFleetShard(t *testing.T, cfg Config) (*Server, *httptest.Server, *Client) {
+// URL goes into cfg.SelfURL, then the Server is built and plugged in —
+// wrapped by wrap, when given, so a test can observe the shard's traffic.
+func newFleetShard(t *testing.T, cfg Config, wrap ...func(http.Handler) http.Handler) (*Server, *httptest.Server, *Client) {
 	t.Helper()
 	type handlerBox struct{ h http.Handler }
 	var h atomic.Value
@@ -32,7 +34,11 @@ func newFleetShard(t *testing.T, cfg Config) (*Server, *httptest.Server, *Client
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	h.Store(handlerBox{s.Handler()})
+	handler := s.Handler()
+	for _, w := range wrap {
+		handler = w(handler)
+	}
+	h.Store(handlerBox{handler})
 	return s, hs, NewClient(hs.URL)
 }
 
@@ -263,6 +269,80 @@ func TestAntiEntropyPullRepair(t *testing.T) {
 	if mB.Replication.SweepPulled != 1 || mB.Solves.Count != 0 {
 		t.Fatalf("B metrics = %+v solves=%d, want 1 sweep pull and 0 solves",
 			mB.Replication, mB.Solves.Count)
+	}
+}
+
+// requestLog records "METHOD path?query" for every request a shard serves.
+type requestLog struct {
+	mu   sync.Mutex
+	seen []string
+}
+
+func (l *requestLog) wrap(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		l.mu.Lock()
+		l.seen = append(l.seen, r.Method+" "+r.URL.RequestURI())
+		l.mu.Unlock()
+		next.ServeHTTP(w, r)
+	})
+}
+
+// take returns the requests recorded since the last take.
+func (l *requestLog) take() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	seen := l.seen
+	l.seen = nil
+	return seen
+}
+
+// TestAntiEntropyConvergedSweepListsOnce: once the replica sets have
+// converged, a sweep costs each peer exactly one GET /keys listing — no
+// per-key /history probes, no pushes, no pulls.
+func TestAntiEntropyConvergedSweepListsOnce(t *testing.T) {
+	var logA, logB requestLog
+	sbA, hsA, cA := newFleetShard(t, replCfg(t), logA.wrap)
+	sbB, hsB, _ := newFleetShard(t, replCfg(t, hsA.URL), logB.wrap)
+	resp, err := http.Post(hsA.URL+"/admin/peers", "application/json",
+		strings.NewReader(fmt.Sprintf(`{"peers":[%q]}`, hsB.URL)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	waitFor(t, "the membership-change sweep", func() bool { return sbA.replicationMetrics().Sweeps > 0 })
+
+	// With two members and R=2 both own every key: each fill replicates.
+	ctx := context.Background()
+	for i, m := range []string{miniModel, "var x integer >= 0 <= 9; maximize o: x;"} {
+		if out, err := cA.Solve(ctx, &SolveRequest{Model: m}); err != nil || out.Status != "optimal" {
+			t.Fatalf("seed solve %d: %+v, %v", i, out, err)
+		}
+		key, err := RequestKey(&SolveRequest{Model: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "replication of "+key[:12], func() bool { return hasPersisted(sbB, key) })
+	}
+
+	listing := "GET /keys?prefix=" + solveKeyPrefix
+	for _, c := range []struct {
+		name   string
+		sweep  *Server
+		peer   *requestLog
+		others *requestLog
+	}{{"A", sbA, &logB, &logA}, {"B", sbB, &logA, &logB}} {
+		logA.take()
+		logB.take()
+		c.sweep.sweepOnce()
+		if got := c.peer.take(); len(got) != 1 || got[0] != listing {
+			t.Errorf("%s's sweep sent its peer %q, want exactly [%q]", c.name, got, listing)
+		}
+		if got := c.others.take(); len(got) != 0 {
+			t.Errorf("%s's sweep reached itself: %q", c.name, got)
+		}
+		if m := c.sweep.replicationMetrics(); m.SweepPushed != 0 || m.SweepPulled != 0 {
+			t.Errorf("%s's converged sweep repaired something: %+v", c.name, m)
+		}
 	}
 }
 

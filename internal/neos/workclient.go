@@ -2,12 +2,10 @@ package neos
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 )
 
@@ -99,23 +97,4 @@ func (c *Client) FailWork(ctx context.Context, jobID, fence int64, errMsg string
 func (c *Client) ReleaseWork(ctx context.Context, jobID, fence int64) error {
 	return mapLeaseErr(c.post(ctx, "/work/fail",
 		WorkFailRequest{JobID: jobID, Fence: fence, Release: true}, &struct{}{}))
-}
-
-// postRaw is post without response decoding: the caller owns the response
-// and must drain/close it (LeaseWork needs the status code and headers to
-// distinguish a grant from a no-work 204).
-func (c *Client) postRaw(ctx context.Context, path string, body interface{}) (*http.Response, error) {
-	var buf strings.Builder
-	if err := json.NewEncoder(&buf).Encode(body); err != nil {
-		return nil, err
-	}
-	return c.doRetry(ctx, func() (*http.Request, error) {
-		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost,
-			c.BaseURL+path, strings.NewReader(buf.String()))
-		if err != nil {
-			return nil, err
-		}
-		hreq.Header.Set("Content-Type", "application/json")
-		return hreq, nil
-	})
 }
