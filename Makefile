@@ -34,17 +34,20 @@ race:
 # scheduler (a goroutine assumed to have run, a caller assumed to have
 # arrived) fails here instead of on the next multi-core host. The fleet
 # worker's lease loop is timing-sensitive, so it runs here with the retry
-# schedule it sleeps on.
+# schedule it sleeps on; the gather runner's kill-and-resume tests run
+# here with the JSONL log and the result store they resume from.
 STRESS_PKGS = ./internal/solvecache/ ./internal/expr/ ./internal/nlp/ ./internal/lp/ \
 	./internal/overload/ ./internal/router/ ./internal/jobstore/ ./internal/faultnet/ \
-	./internal/fleet/ ./internal/backoff/
+	./internal/fleet/ ./internal/backoff/ ./internal/jsonl/ ./internal/resultstore/ \
+	./internal/bench/
 
 stress:
 	$(GO) test -count=3 -cpu 1,2,4 $(STRESS_PKGS)
 
 # Fault-injection suite: the chaos pipeline acceptance scenario plus the
-# resilient-gather and fault-plan tests, with the worker-pool gather
-# variants, the lease-fenced fleet (every job exactly one terminal state,
+# resilient-gather, crash-resume (from the campaign's incomplete gather
+# document in the result store) and fault-plan tests, with the worker-pool
+# gather variants, the lease-fenced fleet (every job exactly one terminal state,
 # then a zero-solve replay of the batch) and the overload gates (exactly one
 # terminal outcome per request at 4x capacity; protected goodput >= 50% of
 # peak under a 4x storm with propagated deadlines) run under the race
@@ -53,7 +56,7 @@ stress:
 # fault ledger.
 chaos:
 	$(GO) test -v -run 'TestChaosPipelineAcceptance|TestPipelineSolveDeadlineLadder' ./internal/core/
-	$(GO) test -v -run 'TestResilientRun|TestInsufficientSamples|TestCheckpoint|TestRejectOutliers' ./internal/bench/
+	$(GO) test -v -run 'TestResilientRun|TestInsufficientSamples|TestCheckpoint|TestCampaignCommitsGatherHistory|TestRejectOutliers' ./internal/bench/
 	$(GO) test -v -run 'TestFaultPlan|TestInjected' ./internal/cesm/
 	$(GO) test -v -race -run 'TestChaosPipelineWorkersInvariant' ./internal/core/
 	$(GO) test -v -race -run 'TestParallelGather|TestRunLatency' ./internal/bench/

@@ -40,10 +40,6 @@ type Campaign struct {
 	// zero value retries recoverable failures up to DefaultMaxAttempts
 	// times with exponential backoff.
 	Retry RetryPolicy
-	// Checkpoint, if non-empty, is a JSONL file recording completed runs.
-	// A campaign restarted with the same plan and checkpoint replays
-	// completed runs from the file instead of re-executing them.
-	Checkpoint string
 	// OutlierK, if > 0, enables MAD-based outlier rejection of gathered
 	// samples before fitting: samples whose relative residual from a
 	// preliminary fit deviates from the median by more than OutlierK
@@ -68,7 +64,11 @@ type Campaign struct {
 	// store: the evolving gather document is committed under
 	// "gather/<CampaignID>" at every checkpoint boundary (each completed
 	// run) and once more, marked complete, when the campaign finishes.
-	// CampaignID must be non-empty for commits to happen.
+	// CampaignID must be non-empty for commits to happen. The store is
+	// also how a crashed campaign resumes: rerun with the same Results,
+	// CampaignID and plan, it replays the runs its incomplete head
+	// document holds and executes only the missing ones. A complete head
+	// or a different plan starts a new version of the document instead.
 	Results    *resultstore.Store
 	CampaignID string
 	// RunLatency, if > 0, is simulated machine wall-clock added to every

@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"errors"
-	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -48,30 +47,39 @@ func TestParallelGatherDeterministic(t *testing.T) {
 	}
 }
 
-// TestParallelGatherCheckpoint: a parallel campaign appends checkpoint
-// entries from many workers (in completion order, not plan order); a
-// resume must still replay every run and reproduce the same Data.
+// TestParallelGatherCheckpoint: a parallel campaign resumes from an
+// incomplete head document whose entries are an out-of-plan-order subset
+// of the runs (workers commit in completion order); it must execute
+// exactly the missing runs and reproduce the same Data.
 func TestParallelGatherCheckpoint(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ck.jsonl")
 	plan := &cesm.FaultPlan{Seed: 5, CrashProb: 0.1}
 	c := chaosCampaign(11, plan)
 	c.Workers = 8
-	c.Checkpoint = path
 
-	first, firstReport, err := c.RunContext(context.Background())
+	ref := c
+	ref.Results, ref.CampaignID = openResults(t), "ref"
+	first, firstReport, err := ref.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if firstReport.Resumed != 0 {
-		t.Fatalf("fresh campaign resumed %d runs", firstReport.Resumed)
-	}
-
-	second, secondReport, err := c.RunContext(context.Background())
+	doc, err := LoadGather(ref.Results, "ref")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if secondReport.Resumed != firstReport.Completed {
-		t.Fatalf("resume replayed %d runs, want %d", secondReport.Resumed, firstReport.Completed)
+	var subset []gatherEntry
+	for i := len(doc.Entries) - 1; i >= 0; i -= 3 {
+		subset = append(subset, doc.Entries[i])
+	}
+
+	c.Results, c.CampaignID = openResults(t), "cam"
+	commitIncomplete(t, c, subset)
+	second, report, err := c.RunContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Resumed != len(subset) || report.Completed != firstReport.Completed-len(subset) {
+		t.Fatalf("resumed %d / completed %d, want %d / %d", report.Resumed, report.Completed,
+			len(subset), firstReport.Completed-len(subset))
 	}
 	if !reflect.DeepEqual(first, second) {
 		t.Errorf("resumed Data differs:\nfirst  %s\nsecond %s",

@@ -127,7 +127,8 @@ type FailureReport struct {
 	// runs); Completed counts runs that produced a sample set.
 	Attempts  int `json:"attempts"`
 	Completed int `json:"completed"`
-	// Resumed counts runs replayed from the checkpoint file.
+	// Resumed counts runs replayed from the campaign's incomplete gather
+	// document in the result store instead of executed.
 	Resumed int `json:"resumed"`
 	// Retries counts failed attempts that were retried.
 	Retries  int              `json:"retries"`
@@ -148,7 +149,7 @@ func AttemptSeed(base int64, rep, attempt int) int64 {
 type gatherTask struct {
 	total, rep int
 	a          cesm.Allocation
-	resumed    *ckEntry // set when the checkpoint already has this run
+	resumed    *gatherEntry // set when the head gather document already has this run
 }
 
 // runOutcome is everything one executed task produced. Workers fill these
@@ -176,10 +177,13 @@ type runOutcome struct {
 // Runs execute on a pool of Workers goroutines (see Campaign.Workers).
 // Every run is independent — seeds and injected faults are pure functions
 // of the plan — so results are merged back in plan order and the returned
-// Data and FailureReport do not depend on scheduling. Checkpoint appends
-// are serialized through a single writer and stay eager (a run is durable
-// as soon as it completes, not when the campaign ends); entries may land
-// out of plan order in the file, which resume handles by keyed lookup.
+// Data and FailureReport do not depend on scheduling.
+//
+// With Results and CampaignID set, result-store commits are serialized
+// through a single writer and stay eager (a run is durable as soon as it
+// completes, not when the campaign ends), and a campaign whose head
+// gather document is incomplete and of the same plan resumes from it:
+// the runs it holds are replayed, not executed.
 func (c Campaign) RunContext(ctx context.Context) (*Data, *FailureReport, error) {
 	if len(c.NodeCounts) == 0 {
 		return nil, nil, ErrNoCounts
@@ -209,14 +213,9 @@ func (c Campaign) RunContext(ctx context.Context) (*Data, *FailureReport, error)
 		workers = 1
 	}
 
-	var ck *checkpoint
-	if c.Checkpoint != "" {
-		var err error
-		ck, err = openCheckpoint(c.Checkpoint, c, repeats)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer ck.close()
+	resume, err := c.resumeEntries(repeats)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	report := &FailureReport{}
@@ -234,15 +233,14 @@ func (c Campaign) RunContext(ctx context.Context) (*Data, *FailureReport, error)
 	}
 
 	var tasks []gatherTask
+	var resumed []gatherEntry
 	for _, total := range c.NodeCounts {
 		a := allocs[total]
 		for rep := 0; rep < repeats; rep++ {
 			t := gatherTask{total: total, rep: rep, a: a}
-			if ck != nil {
-				if e, ok := ck.lookup(total, rep); ok {
-					e := e
-					t.resumed = &e
-				}
+			if e, ok := resume[runKey{total, rep}]; ok {
+				t.resumed = &e
+				resumed = append(resumed, e)
 			}
 			tasks = append(tasks, t)
 		}
@@ -251,44 +249,35 @@ func (c Campaign) RunContext(ctx context.Context) (*Data, *FailureReport, error)
 	outcomes := make([]runOutcome, len(tasks))
 
 	// One campaign-internal cancel fans a non-recoverable failure (or a
-	// checkpoint write error) out to every in-flight run, so the pool
+	// result-store commit error) out to every in-flight run, so the pool
 	// drains promptly instead of finishing the whole plan.
 	runCtx, cancelRuns := context.WithCancel(ctx)
 	defer cancelRuns()
 
-	// All checkpoint appends and result-store commits funnel through this
-	// one goroutine; neither the file handle nor the store head is written
-	// concurrently.
+	// All result-store commits funnel through this one goroutine, so the
+	// store head is never written concurrently. Every intermediate commit
+	// carries the resumed runs too, so a second crash loses none of them.
 	var (
-		ckCh   chan ckEntry
-		ckDone chan error
+		commitCh   chan gatherEntry
+		commitDone chan error
 	)
-	if ck != nil || c.recordsResults() {
-		ckCh = make(chan ckEntry, workers)
-		ckDone = make(chan error, 1)
+	if c.recordsResults() {
+		commitCh = make(chan gatherEntry, workers)
+		commitDone = make(chan error, 1)
 		go func() {
 			var werr error
-			var committed []ckEntry
-			for e := range ckCh {
+			committed := resumed
+			for e := range commitCh {
 				if werr != nil {
 					continue // drain; first error already cancelled the runs
 				}
-				if ck != nil {
-					if err := ck.append(e); err != nil {
-						werr = err
-						cancelRuns()
-						continue
-					}
-				}
-				if c.recordsResults() {
-					committed = append(committed, e)
-					if err := c.commitGather(committed, repeats, false); err != nil {
-						werr = err
-						cancelRuns()
-					}
+				committed = append(committed, e)
+				if err := c.commitGather(committed, repeats, false); err != nil {
+					werr = err
+					cancelRuns()
 				}
 			}
-			ckDone <- werr
+			commitDone <- werr
 		}()
 	}
 
@@ -303,8 +292,8 @@ func (c Campaign) RunContext(ctx context.Context) (*Data, *FailureReport, error)
 				out := c.gatherOne(runCtx, t.total, t.rep, t.a, retry)
 				if out.err != nil {
 					cancelRuns()
-				} else if out.tm != nil && ckCh != nil {
-					ckCh <- entryOf(t.total, t.rep, t.a, out.tm)
+				} else if out.tm != nil && commitCh != nil {
+					commitCh <- entryOf(t.total, t.rep, t.a, out.tm)
 				}
 				outcomes[idx] = out
 			}
@@ -321,9 +310,9 @@ func (c Campaign) RunContext(ctx context.Context) (*Data, *FailureReport, error)
 	}
 	close(idxCh)
 	wg.Wait()
-	if ckCh != nil {
-		close(ckCh)
-		if werr := <-ckDone; werr != nil {
+	if commitCh != nil {
+		close(commitCh)
+		if werr := <-commitDone; werr != nil {
 			return nil, nil, werr
 		}
 	}
@@ -394,7 +383,7 @@ func (c Campaign) RunContext(ctx context.Context) (*Data, *FailureReport, error)
 		// Final commit: every run (resumed and fresh) in plan order, marked
 		// complete. Identical reruns of the same plan commit an identical
 		// document, which the store records as a no-op.
-		var all []ckEntry
+		var all []gatherEntry
 		for i, t := range tasks {
 			switch {
 			case t.resumed != nil:

@@ -4,8 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -231,14 +229,12 @@ func TestRejectOutliersKeepsFloor(t *testing.T) {
 	}
 }
 
-// TestCheckpointResume is the satellite acceptance test: kill a campaign
-// mid-run (simulated via context cancellation after N runs), reopen, and
-// the resumed campaign must replay no completed runs and produce
-// byte-identical Data to an uninterrupted campaign with the same seed.
+// TestCheckpointResume kills a campaign mid-flight (context cancellation
+// once the result store holds five gather commits) and reruns it with the
+// same store and campaign ID: the rerun must execute only the runs missing
+// from the head document and produce byte-identical Data to an
+// uninterrupted campaign with the same seed.
 func TestCheckpointResume(t *testing.T) {
-	dir := t.TempDir()
-	ckPath := filepath.Join(dir, "campaign.jsonl")
-
 	base := Campaign{
 		Resolution: cesm.Res1Deg,
 		Layout:     cesm.Layout1,
@@ -253,17 +249,17 @@ func TestCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Interrupted campaign: cancel after 5 completed runs by wrapping the
-	// allocator (called once per total) is not per-run, so cancel via a
-	// counting fault-free hook: use a context cancelled from a goroutine
-	// watching the checkpoint file grow.
+	// Interrupted campaign: one worker with simulated machine latency per
+	// run, so the kill lands while runs are still outstanding.
+	rs := openResults(t)
 	interrupted := base
-	interrupted.Checkpoint = ckPath
+	interrupted.Results, interrupted.CampaignID = rs, "cam"
+	interrupted.Workers = 1
+	interrupted.RunLatency = 5 * time.Millisecond
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
-		for {
-			b, _ := os.ReadFile(ckPath)
-			if countLines(b) >= 6 { // header + 5 runs
+		for ctx.Err() == nil {
+			if log, _ := rs.Log(GatherKey("cam"), 0); len(log) >= 5 {
 				cancel()
 				return
 			}
@@ -272,30 +268,28 @@ func TestCheckpointResume(t *testing.T) {
 	}()
 	_, _, err = interrupted.RunContext(ctx)
 	cancel()
-	if err == nil {
-		t.Log("campaign finished before the simulated kill; resume still exercised below")
-	} else if !errors.Is(err, context.Canceled) {
-		t.Fatalf("interrupted campaign err = %v", err)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted campaign err = %v, want context.Canceled", err)
 	}
 
-	b, err := os.ReadFile(ckPath)
+	head, err := LoadGather(rs, "cam")
 	if err != nil {
 		t.Fatal(err)
 	}
-	completedBefore := countLines(b) - 1
-	if completedBefore == 0 {
-		t.Fatal("no runs checkpointed before the kill")
+	completedBefore := len(head.Entries)
+	if head.Complete || completedBefore == 0 {
+		t.Fatalf("head after the kill: complete=%v with %d entries", head.Complete, completedBefore)
 	}
 
-	// Resume. No completed run may be replayed (resumed == checkpointed).
+	// Resume. No committed run may be executed again.
 	resumed := base
-	resumed.Checkpoint = ckPath
+	resumed.Results, resumed.CampaignID = rs, "cam"
 	got, report, err := resumed.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if report.Resumed != completedBefore {
-		t.Fatalf("resumed %d runs, checkpoint held %d", report.Resumed, completedBefore)
+		t.Fatalf("resumed %d runs, head document held %d", report.Resumed, completedBefore)
 	}
 	if report.Completed != len(base.NodeCounts)*base.Repeats-completedBefore {
 		t.Fatalf("re-executed %d runs, want %d", report.Completed,
@@ -318,111 +312,41 @@ func TestCheckpointResume(t *testing.T) {
 	}
 }
 
-func TestCheckpointTornLine(t *testing.T) {
-	dir := t.TempDir()
-	ckPath := filepath.Join(dir, "campaign.jsonl")
-	c := Campaign{
-		Resolution: cesm.Res1Deg,
-		Layout:     cesm.Layout1,
-		NodeCounts: []int{64, 128, 256, 512},
-		Seed:       2,
-		Checkpoint: ckPath,
+// TestCheckpointMismatch: an incomplete head written by a different plan
+// resumes nothing; the campaign runs fresh and commits on top of the
+// history, which keeps the foreign document.
+func TestCheckpointMismatch(t *testing.T) {
+	base := Campaign{
+		Resolution: cesm.Res1Deg, Layout: cesm.Layout1,
+		NodeCounts: []int{64, 128, 256, 512}, Seed: 2,
 	}
-	want, _, err := c.RunContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tear the file: drop the trailing newline and half the last record.
-	b, err := os.ReadFile(ckPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(ckPath, b[:len(b)-25], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, report, err := c.RunContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Resumed != 3 || report.Completed != 1 {
-		t.Fatalf("torn checkpoint: resumed %d / completed %d, want 3 / 1", report.Resumed, report.Completed)
-	}
-	if mustJSON(t, want.Samples) != mustJSON(t, got.Samples) {
-		t.Fatal("data differs after torn-line recovery")
-	}
-}
-
-// TestCheckpointTornHeader: a crash while writing the *header* line must
-// recover like any torn record — truncate, rewrite the header, resume
-// with zero entries — not read as a foreign campaign and abort with
-// ErrCheckpointMismatch.
-func TestCheckpointTornHeader(t *testing.T) {
-	cases := map[string]string{
-		// The process died before the newline flushed.
-		"no-newline": `{"version":1,"resolu`,
-		// The newline made it out but the line is still garbage.
-		"with-newline": `{"version":1,"resolu` + "\n",
-		// Torn header followed by entries from the old file: without a
-		// valid header the entries are unprovenanced and must be dropped.
-		"with-orphan-entries": "{\"vers\n{\"total\":64,\"rep\":0,\"nodes\":{},\"times\":{},\"run_total\":1}\n",
-	}
-	for name, torn := range cases {
+	entries := gatheredEntries(t, base)
+	for name, change := range map[string]func(*Campaign){
+		"seed":        func(c *Campaign) { c.Seed = 3 },
+		"truth-scale": func(c *Campaign) { c.TruthScale = map[cesm.Component]float64{cesm.OCN: 1.5} },
+	} {
 		t.Run(name, func(t *testing.T) {
-			ckPath := filepath.Join(t.TempDir(), "campaign.jsonl")
-			c := Campaign{
-				Resolution: cesm.Res1Deg,
-				Layout:     cesm.Layout1,
-				NodeCounts: []int{64, 128, 256, 512},
-				Seed:       2,
-				Checkpoint: ckPath,
-			}
-			// Reference data from an untouched campaign.
-			ref := c
-			ref.Checkpoint = ""
-			want, _, err := ref.RunContext(context.Background())
+			c := base
+			c.Results, c.CampaignID = openResults(t), "cam"
+			foreign := commitIncomplete(t, c, entries[:2])
+			change(&c)
+			_, report, err := c.RunContext(context.Background())
 			if err != nil {
 				t.Fatal(err)
-			}
-			if err := os.WriteFile(ckPath, []byte(torn), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			got, report, err := c.RunContext(context.Background())
-			if err != nil {
-				t.Fatalf("torn header not recovered: %v", err)
 			}
 			if report.Resumed != 0 || report.Completed != len(c.NodeCounts) {
 				t.Fatalf("resumed %d / completed %d, want 0 / %d",
 					report.Resumed, report.Completed, len(c.NodeCounts))
 			}
-			if mustJSON(t, want.Samples) != mustJSON(t, got.Samples) {
-				t.Fatal("data differs after torn-header recovery")
-			}
-			// The rewritten file must now be a valid checkpoint: a second
-			// resume replays everything.
-			_, report2, err := c.RunContext(context.Background())
+			log, err := c.Results.Log(GatherKey("cam"), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if report2.Resumed != len(c.NodeCounts) {
-				t.Fatalf("re-resume replayed %d, want %d", report2.Resumed, len(c.NodeCounts))
+			if len(log) != len(c.NodeCounts)+2 || log[len(log)-1].Hash != foreign.Hash {
+				t.Fatalf("history has %d commits ending at %s, want %d ending at the foreign %s",
+					len(log), log[len(log)-1].Hash, len(c.NodeCounts)+2, foreign.Hash)
 			}
 		})
-	}
-}
-
-func TestCheckpointMismatch(t *testing.T) {
-	dir := t.TempDir()
-	ckPath := filepath.Join(dir, "campaign.jsonl")
-	c := Campaign{
-		Resolution: cesm.Res1Deg, Layout: cesm.Layout1,
-		NodeCounts: []int{64, 128, 256, 512}, Seed: 2, Checkpoint: ckPath,
-	}
-	if _, _, err := c.RunContext(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	c.Seed = 3
-	if _, _, err := c.RunContext(context.Background()); !errors.Is(err, ErrCheckpointMismatch) {
-		t.Fatalf("err = %v, want ErrCheckpointMismatch", err)
 	}
 }
 
@@ -445,16 +369,6 @@ func TestDefaultAllocationTinyTotals(t *testing.T) {
 			}
 		}
 	}
-}
-
-func countLines(b []byte) int {
-	n := 0
-	for _, c := range b {
-		if c == '\n' {
-			n++
-		}
-	}
-	return n
 }
 
 func mustJSON(t *testing.T, v interface{}) string {

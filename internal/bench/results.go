@@ -2,11 +2,15 @@ package bench
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 
 	"hslb/internal/cesm"
+	"hslb/internal/perf"
 	"hslb/internal/resultstore"
 )
 
@@ -17,7 +21,23 @@ import (
 // history; the final commit carries complete=true and a deterministic,
 // plan-ordered entry list. Successive versions share most of their
 // chunks in the content-addressed store, so the history costs far less
-// than runs × document size.
+// than runs × document size. The head document is also the campaign's
+// only durable record: see resumeEntries.
+
+// gatherEntry is one completed run. Times are stored as exact
+// round-tripping float64s (encoding/json uses the shortest representation
+// that parses back bit-identically), so a resumed campaign reproduces the
+// uninterrupted campaign's Data exactly.
+type gatherEntry struct {
+	Total    int                `json:"total"`
+	Rep      int                `json:"rep"`
+	Nodes    map[string]int     `json:"nodes"`
+	Times    map[string]float64 `json:"times"`
+	RunTotal float64            `json:"run_total"`
+}
+
+// runKey identifies one planned run.
+type runKey struct{ total, rep int }
 
 // GatherDoc is the committed form of a campaign's gathered data.
 type GatherDoc struct {
@@ -27,7 +47,7 @@ type GatherDoc struct {
 	Repeats    int                `json:"repeats"`
 	NodeCounts []int              `json:"node_counts"`
 	TruthScale map[string]float64 `json:"truth_scale,omitempty"`
-	Entries    []ckEntry          `json:"entries"`
+	Entries    []gatherEntry      `json:"entries"`
 	Complete   bool               `json:"complete"`
 }
 
@@ -41,8 +61,8 @@ func (c Campaign) recordsResults() bool {
 // gatherDoc assembles the committed document from the entries completed
 // so far, sorted into plan order so the document is independent of
 // worker scheduling.
-func (c Campaign) gatherDoc(entries []ckEntry, repeats int, complete bool) GatherDoc {
-	sorted := append([]ckEntry(nil), entries...)
+func (c Campaign) gatherDoc(entries []gatherEntry, repeats int, complete bool) GatherDoc {
+	sorted := append([]gatherEntry(nil), entries...)
 	sort.Slice(sorted, func(i, j int) bool {
 		if sorted[i].Total != sorted[j].Total {
 			return sorted[i].Total < sorted[j].Total
@@ -68,7 +88,7 @@ func (c Campaign) gatherDoc(entries []ckEntry, repeats int, complete bool) Gathe
 }
 
 // commitGather commits one version of the gather document.
-func (c Campaign) commitGather(entries []ckEntry, repeats int, complete bool) error {
+func (c Campaign) commitGather(entries []gatherEntry, repeats int, complete bool) error {
 	doc := c.gatherDoc(entries, repeats, complete)
 	b, err := json.Marshal(doc)
 	if err != nil {
@@ -82,6 +102,41 @@ func (c Campaign) commitGather(entries []ckEntry, repeats int, complete bool) er
 		return fmt.Errorf("bench: commit gather doc: %w", err)
 	}
 	return nil
+}
+
+// resumeEntries returns the runs an interrupted earlier attempt of this
+// campaign committed, keyed by run: the entries of the head gather
+// document when that document is incomplete and was written by the same
+// plan. No store, no head, a complete head or a different plan resumes
+// nothing; the campaign then runs fresh and commits on top of the
+// history.
+func (c Campaign) resumeEntries(repeats int) (map[runKey]gatherEntry, error) {
+	if !c.recordsResults() {
+		return nil, nil
+	}
+	doc, err := LoadGather(c.Results, c.CampaignID)
+	if errors.Is(err, resultstore.ErrNoKey) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("bench: resume: %w", err)
+	}
+	if doc.Complete || !samePlan(doc, c.gatherDoc(nil, repeats, false)) {
+		return nil, nil
+	}
+	out := make(map[runKey]gatherEntry, len(doc.Entries))
+	for _, e := range doc.Entries {
+		out[runKey{e.Total, e.Rep}] = e
+	}
+	return out, nil
+}
+
+// samePlan reports whether two gather documents were written by the same
+// campaign plan.
+func samePlan(a, b GatherDoc) bool {
+	return a.Resolution == b.Resolution && a.Layout == b.Layout && a.Seed == b.Seed &&
+		a.Repeats == b.Repeats && slices.Equal(a.NodeCounts, b.NodeCounts) &&
+		maps.Equal(a.TruthScale, b.TruthScale)
 }
 
 // LoadGather reads the head gather document of a campaign back from the
@@ -105,4 +160,33 @@ func (c Campaign) truthScaleConfig(cfg *cesm.Config) {
 		return
 	}
 	cfg.TruthScale = c.TruthScale
+}
+
+// entryOf converts one completed run into its gather-document entry.
+func entryOf(total, rep int, a cesm.Allocation, tm *cesm.Timing) gatherEntry {
+	e := gatherEntry{
+		Total:    total,
+		Rep:      rep,
+		Nodes:    map[string]int{},
+		Times:    map[string]float64{},
+		RunTotal: tm.Total,
+	}
+	for _, comp := range cesm.OptimizedComponents {
+		e.Nodes[comp.String()] = a.Get(comp)
+		e.Times[comp.String()] = tm.Comp[comp]
+	}
+	return e
+}
+
+// replayEntry appends a resumed run to the campaign data exactly as the
+// live path would have.
+func replayEntry(data *Data, e gatherEntry) {
+	for _, comp := range cesm.OptimizedComponents {
+		data.Samples[comp] = append(data.Samples[comp], perf.Sample{
+			Nodes: e.Nodes[comp.String()],
+			Time:  e.Times[comp.String()],
+		})
+	}
+	data.Records = append(data.Records, RunRecord{TotalNodes: e.Total, Total: e.RunTotal})
+	data.Runs++
 }

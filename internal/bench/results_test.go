@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"context"
+	"encoding/json"
+	"reflect"
 	"testing"
 
 	"hslb/internal/cesm"
@@ -15,6 +18,89 @@ func openResults(t *testing.T) *resultstore.Store {
 	}
 	t.Cleanup(func() { rs.Close() })
 	return rs
+}
+
+// gatheredEntries runs c into a scratch store and returns the entries of
+// its complete gather document, in plan order.
+func gatheredEntries(t *testing.T, c Campaign) []gatherEntry {
+	t.Helper()
+	c.Results, c.CampaignID = openResults(t), "ref"
+	if _, _, err := c.RunContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := LoadGather(c.Results, "ref")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return doc.Entries
+}
+
+// commitIncomplete commits entries, in the order given, as the incomplete
+// head gather document of c's plan: what a campaign killed mid-flight
+// leaves in the store.
+func commitIncomplete(t *testing.T, c Campaign, entries []gatherEntry) resultstore.Commit {
+	t.Helper()
+	repeats := c.Repeats
+	if repeats == 0 {
+		repeats = 1
+	}
+	doc := c.gatherDoc(nil, repeats, false)
+	doc.Entries = entries
+	b, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit, err := c.Results.Commit(GatherKey(c.CampaignID), b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return commit
+}
+
+// TestCheckpointResumeCarriesResumedEntries: the first intermediate commit
+// after a resume holds the resumed runs plus the fresh one, so a second
+// crash loses none of them.
+func TestCheckpointResumeCarriesResumedEntries(t *testing.T) {
+	c := Campaign{
+		Resolution: cesm.Res1Deg,
+		Layout:     cesm.Layout1,
+		NodeCounts: []int{128, 256, 512, 1024},
+		Seed:       11,
+		Workers:    1,
+	}
+	entries := gatheredEntries(t, c)
+	rs := openResults(t)
+	c.Results, c.CampaignID = rs, "cam"
+	commitIncomplete(t, c, entries[1:3])
+
+	_, report, err := c.RunContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Resumed != 2 || report.Completed != 2 {
+		t.Fatalf("resumed %d / completed %d, want 2 / 2", report.Resumed, report.Completed)
+	}
+	log, err := rs.Log(GatherKey("cam"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Newest first: final, two intermediate, the resumed document.
+	if len(log) != 4 {
+		t.Fatalf("history has %d commits, want 4", len(log))
+	}
+	b, err := rs.Value(log[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var next GatherDoc
+	if err := json.Unmarshal(b, &next); err != nil {
+		t.Fatal(err)
+	}
+	// One worker runs the plan in order, so the first fresh run is at 128.
+	if next.Complete || !reflect.DeepEqual(next.Entries, entries[:3]) {
+		t.Fatalf("first commit after resume: complete=%v entries %s, want %s",
+			next.Complete, mustJSON(t, next.Entries), mustJSON(t, entries[:3]))
+	}
 }
 
 func TestCampaignCommitsGatherHistory(t *testing.T) {

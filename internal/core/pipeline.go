@@ -89,12 +89,12 @@ func RunPipeline(po PipelineOptions) (*PipelineResult, error) {
 }
 
 // RunPipelineContext is RunPipeline under a context, with fault tolerance
-// at every step: the gather step retries and checkpoints (see
-// bench.Campaign), low-quality fits are regated onto a simpler family, and
-// the solve step walks a degradation ladder — the configured solver, then
-// NLP-based branch-and-bound, then exhaustive enumeration on small
-// instances — so one failing stage downgrades the answer instead of
-// killing the pipeline.
+// at every step: the gather step retries and, with a result store,
+// resumes a crashed campaign (see bench.Campaign), low-quality fits are
+// regated onto a simpler family, and the solve step walks a degradation
+// ladder — the configured solver, then NLP-based branch-and-bound, then
+// exhaustive enumeration on small instances — so one failing stage
+// downgrades the answer instead of killing the pipeline.
 func RunPipelineContext(ctx context.Context, po PipelineOptions) (*PipelineResult, error) {
 	out := &PipelineResult{Quality: &Quality{
 		FitR2:  map[cesm.Component]float64{},

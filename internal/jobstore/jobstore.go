@@ -12,7 +12,6 @@
 package jobstore
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -23,6 +22,7 @@ import (
 	"time"
 
 	"hslb/internal/backoff"
+	"hslb/internal/jsonl"
 )
 
 // Status is the lifecycle state of a job.
@@ -99,22 +99,14 @@ type Options struct {
 // Store is a durable FIFO job queue. All methods are safe for concurrent
 // use.
 type Store struct {
-	mu      sync.Mutex
-	dir     string
-	f       *os.File
-	w       *bufio.Writer
+	mu sync.Mutex
+	// wal is nil for a memory-only store.
+	wal     *jsonl.Log
 	opts    Options
 	jobs    map[int64]*Job
 	nextID  int64
 	appends int
-	// records counts WAL records on disk (live + dead) and walBytes their
-	// size; dead records exceeding half the file trigger auto-compaction.
-	records  int
-	walBytes int64
-	// torn is set when replay found trailing bytes it could not parse (a
-	// crash mid-append); Open compacts to clear them.
-	torn   bool
-	closed bool
+	closed  bool
 	// ready is a capacity-1 signal that a job may be available to Dequeue.
 	ready chan struct{}
 	// recovered counts running→queued transitions performed at Open.
@@ -163,7 +155,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		opts.now = time.Now
 	}
 	s := &Store{
-		dir:   dir,
 		opts:  opts,
 		jobs:  map[int64]*Job{},
 		ready: make(chan struct{}, 1),
@@ -174,100 +165,11 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("jobstore: %w", err)
 	}
-	path := filepath.Join(dir, walName)
-	if err := s.replay(path); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	wal, err := jsonl.Open(filepath.Join(dir, walName), opts.Sync, s.replay)
 	if err != nil {
 		return nil, fmt.Errorf("jobstore: %w", err)
 	}
-	s.f = f
-	s.w = bufio.NewWriter(f)
-	// Compact when the log needs it: crash-recovery transitions
-	// (running → queued) must be persisted, a torn tail must not precede
-	// fresh appends (replay stops at the first bad line), and a log more
-	// than half dead records is rewritten so restarts bound WAL growth
-	// instead of inheriting it.
-	if dead := s.records - len(s.jobs); s.recovered > 0 || s.torn || dead > s.records/2 {
-		if err := s.compactLocked(); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	for _, j := range s.jobs {
-		if j.Status == Queued {
-			s.signal()
-			break
-		}
-	}
-	return s, nil
-}
-
-// replay loads the WAL into memory. A torn final line (crash mid-append)
-// is tolerated and dropped.
-func (s *Store) replay(path string) error {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("jobstore: %w", err)
-	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return fmt.Errorf("jobstore: replay: %w", err)
-	}
-	var validBytes int64
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			validBytes++ // the bare newline
-			continue
-		}
-		var rec record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			// Torn tail from a crash mid-write; everything before it is
-			// intact, so stop here and let Open compact the tail away.
-			s.torn = true
-			break
-		}
-		validBytes += int64(len(line)) + 1
-		s.records++
-		switch rec.Op {
-		case "put", "lease":
-			if rec.Job != nil {
-				j := *rec.Job
-				s.jobs[j.ID] = &j
-				if j.ID > s.nextID {
-					s.nextID = j.ID
-				}
-			}
-		case "del":
-			delete(s.jobs, rec.ID)
-		case "renew":
-			if j, ok := s.jobs[rec.ID]; ok && j.Status == Running && j.Fence == rec.Fence {
-				j.LeaseExpiry = rec.Exp
-			}
-		case "expire":
-			if j, ok := s.jobs[rec.ID]; ok && j.Status == Running && j.Fence == rec.Fence {
-				j.Status = Queued
-				j.StartedAt = time.Time{}
-				j.Worker = ""
-				j.LeaseExpiry = time.Time{}
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("jobstore: replay: %w", err)
-	}
-	if validBytes != info.Size() {
-		s.torn = true
-	}
-	s.walBytes = validBytes
+	s.wal = wal
 	// Leases do not survive restart: whoever held them may be gone, and a
 	// still-alive holder's completion is fenced off by the token it kept —
 	// the next lease issues a higher one. The fence itself is preserved so
@@ -281,7 +183,57 @@ func (s *Store) replay(path string) error {
 			s.recovered++
 		}
 	}
-	return nil
+	// Compact when the log needs it: crash-recovery transitions
+	// (running → queued) must be persisted, and a log more than half dead
+	// records is rewritten so restarts bound WAL growth instead of
+	// inheriting it.
+	if s.recovered > 0 || s.mostlyDeadLocked() {
+		if err := s.compactLocked(); err != nil {
+			wal.Close()
+			return nil, err
+		}
+	}
+	for _, j := range s.jobs {
+		if j.Status == Queued {
+			s.signal()
+			break
+		}
+	}
+	return s, nil
+}
+
+// replay applies one WAL record. An unparseable line is a torn tail
+// from a crash mid-write; everything before it is intact, so replay stops
+// there and the log is cut back to it.
+func (s *Store) replay(line []byte) bool {
+	var rec record
+	if err := json.Unmarshal(line, &rec); err != nil {
+		return false
+	}
+	switch rec.Op {
+	case "put", "lease":
+		if rec.Job != nil {
+			j := *rec.Job
+			s.jobs[j.ID] = &j
+			if j.ID > s.nextID {
+				s.nextID = j.ID
+			}
+		}
+	case "del":
+		delete(s.jobs, rec.ID)
+	case "renew":
+		if j, ok := s.jobs[rec.ID]; ok && j.Status == Running && j.Fence == rec.Fence {
+			j.LeaseExpiry = rec.Exp
+		}
+	case "expire":
+		if j, ok := s.jobs[rec.ID]; ok && j.Status == Running && j.Fence == rec.Fence {
+			j.Status = Queued
+			j.StartedAt = time.Time{}
+			j.Worker = ""
+			j.LeaseExpiry = time.Time{}
+		}
+	}
+	return true
 }
 
 // Recovered returns how many in-flight jobs were re-queued at Open.
@@ -299,15 +251,10 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	if s.f == nil {
+	if s.wal == nil {
 		return nil
 	}
-	err := s.w.Flush()
-	if cerr := s.f.Close(); err == nil {
-		err = cerr
-	}
-	s.f = nil
-	return err
+	return s.wal.Close()
 }
 
 // Enqueue appends a new queued job and returns a snapshot of it. When the
@@ -715,14 +662,18 @@ func (s *Store) EvictCompleted(ttl time.Duration) (int, error) {
 	}
 	// Eviction writes tombstones but reclaims nothing; rewrite the log
 	// when it is now more than half dead records.
-	if n > 0 {
-		if dead := s.records - len(s.jobs); dead > s.records/2 {
-			if err := s.compactLocked(); err != nil {
-				return n, err
-			}
+	if n > 0 && s.mostlyDeadLocked() {
+		if err := s.compactLocked(); err != nil {
+			return n, err
 		}
 	}
 	return n, nil
+}
+
+// mostlyDeadLocked reports whether more than half the WAL's records are
+// superseded or tombstoned.
+func (s *Store) mostlyDeadLocked() bool {
+	return s.wal != nil && s.wal.Records()-len(s.jobs) > s.wal.Records()/2
 }
 
 // Compact rewrites the WAL to one snapshot per live job.
@@ -733,56 +684,21 @@ func (s *Store) Compact() error {
 }
 
 func (s *Store) compactLocked() error {
-	if s.f == nil {
+	if s.wal == nil {
 		return nil
 	}
-	if err := s.w.Flush(); err != nil {
-		return err
-	}
-	path := filepath.Join(s.dir, walName)
-	tmp := path + ".tmp"
-	tf, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("jobstore: compact: %w", err)
-	}
-	bw := bufio.NewWriter(tf)
-	enc := json.NewEncoder(bw)
-	for _, j := range s.sortedJobsLocked() {
-		if err := enc.Encode(record{Op: "put", Job: j}); err != nil {
-			tf.Close()
-			return fmt.Errorf("jobstore: compact: %w", err)
+	err := s.wal.Rewrite(func(enc *json.Encoder) error {
+		for _, j := range s.sortedJobsLocked() {
+			if err := enc.Encode(record{Op: "put", Job: j}); err != nil {
+				return err
+			}
 		}
-	}
-	if err := bw.Flush(); err != nil {
-		tf.Close()
-		return fmt.Errorf("jobstore: compact: %w", err)
-	}
-	if err := tf.Sync(); err != nil {
-		tf.Close()
-		return fmt.Errorf("jobstore: compact: %w", err)
-	}
-	if err := tf.Close(); err != nil {
-		return fmt.Errorf("jobstore: compact: %w", err)
-	}
-	size := int64(0)
-	if info, err := os.Stat(tmp); err == nil {
-		size = info.Size()
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("jobstore: compact: %w", err)
-	}
-	// Reopen the live log handle on the compacted file.
-	s.f.Close()
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+		return nil
+	})
 	if err != nil {
 		return fmt.Errorf("jobstore: compact: %w", err)
 	}
-	s.f = f
-	s.w = bufio.NewWriter(f)
 	s.appends = 0
-	s.records = len(s.jobs)
-	s.walBytes = size
-	s.torn = false
 	return nil
 }
 
@@ -791,14 +707,20 @@ func (s *Store) compactLocked() error {
 func (s *Store) WALSize() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.walBytes
+	if s.wal == nil {
+		return 0
+	}
+	return s.wal.Size()
 }
 
 // Records returns the number of WAL records on disk, live and dead.
 func (s *Store) Records() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.records
+	if s.wal == nil {
+		return 0
+	}
+	return s.wal.Records()
 }
 
 func (s *Store) sortedJobsLocked() []*Job {
@@ -811,28 +733,13 @@ func (s *Store) sortedJobsLocked() []*Job {
 }
 
 func (s *Store) appendLocked(rec record) error {
-	if s.f == nil {
+	if s.wal == nil {
 		return nil
 	}
-	b, err := json.Marshal(rec)
-	if err != nil {
+	if err := s.wal.Append(rec); err != nil {
 		return fmt.Errorf("jobstore: %w", err)
 	}
-	b = append(b, '\n')
-	if _, err := s.w.Write(b); err != nil {
-		return fmt.Errorf("jobstore: append: %w", err)
-	}
-	if err := s.w.Flush(); err != nil {
-		return fmt.Errorf("jobstore: append: %w", err)
-	}
-	if s.opts.Sync {
-		if err := s.f.Sync(); err != nil {
-			return fmt.Errorf("jobstore: sync: %w", err)
-		}
-	}
 	s.appends++
-	s.records++
-	s.walBytes += int64(len(b))
 	if s.opts.CompactEvery > 0 && s.appends >= s.opts.CompactEvery && s.appends > 2*len(s.jobs) {
 		return s.compactLocked()
 	}

@@ -21,7 +21,6 @@
 package resultstore
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -33,6 +32,7 @@ import (
 	"time"
 
 	"hslb/internal/cas"
+	"hslb/internal/jsonl"
 )
 
 // Commit is one immutable history entry for a key.
@@ -82,15 +82,12 @@ type headRecord struct {
 // concurrent use.
 type Store struct {
 	mu    sync.Mutex
-	dir   string
 	chunk *cas.Store
 	opts  Options
 	heads map[string]string // key -> head commit hash
-	f     *os.File
-	w     *bufio.Writer
-	// records counts lines in the heads log (live + superseded); used to
-	// decide when to compact.
-	records int
+	// headLog is the heads log (live + superseded records); nil once
+	// closed.
+	headLog *jsonl.Log
 	commits int64 // commits written this process lifetime
 }
 
@@ -112,16 +109,11 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, chunk: chunk, opts: opts, heads: map[string]string{}}
-	if err := s.replayHeads(); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(filepath.Join(dir, headsName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	s := &Store{chunk: chunk, opts: opts, heads: map[string]string{}}
+	s.headLog, err = jsonl.Open(filepath.Join(dir, headsName), false, s.replayHead)
 	if err != nil {
 		return nil, fmt.Errorf("resultstore: %w", err)
 	}
-	s.f = f
-	s.w = bufio.NewWriter(f)
 	// Pin everything reachable. Heads whose chain no longer loads (a crash
 	// between chunk write and head write, or corruption) are dropped
 	// rather than left pointing into the void.
@@ -130,46 +122,25 @@ func Open(dir string, opts Options) (*Store, error) {
 			delete(s.heads, key)
 		}
 	}
-	if s.records > 2*len(s.heads) {
+	if s.headLog.Records() > 2*len(s.heads) {
 		if err := s.compactHeadsLocked(); err != nil {
-			f.Close()
+			s.headLog.Close()
 			return nil, err
 		}
 	}
 	return s, nil
 }
 
-// replayHeads loads the heads log; the last record per key wins, and a
-// torn trailing line is dropped.
-func (s *Store) replayHeads() error {
-	f, err := os.Open(filepath.Join(s.dir, headsName))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
+// replayHead applies one heads-log record; the last record per key wins.
+// A torn or corrupt line stops the replay, and the log is cut back to the
+// records before it.
+func (s *Store) replayHead(line []byte) bool {
+	var rec headRecord
+	if json.Unmarshal(line, &rec) != nil || rec.Key == "" {
+		return false
 	}
-	if err != nil {
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rec headRecord
-		if json.Unmarshal(line, &rec) != nil || rec.Key == "" {
-			// Torn or corrupt line: everything before it replayed fine;
-			// stop here like the jobstore WAL does.
-			break
-		}
-		s.heads[rec.Key] = rec.Head
-		s.records++
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("resultstore: replay heads: %w", err)
-	}
-	return nil
+	s.heads[rec.Key] = rec.Head
+	return true
 }
 
 // pinChain pins every commit and value from head back to the root. A
@@ -204,14 +175,11 @@ func (s *Store) pinChain(head string) error {
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.f == nil {
+	if s.headLog == nil {
 		return nil
 	}
-	err := s.w.Flush()
-	if cerr := s.f.Close(); err == nil {
-		err = cerr
-	}
-	s.f = nil
+	err := s.headLog.Close()
+	s.headLog = nil
 	return err
 }
 
@@ -280,22 +248,13 @@ func (s *Store) Commit(key string, value []byte, meta map[string]string) (Commit
 }
 
 func (s *Store) appendHeadLocked(rec headRecord) error {
-	if s.f == nil {
+	if s.headLog == nil {
 		return errors.New("resultstore: closed")
 	}
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	if _, err := s.w.Write(b); err != nil {
+	if err := s.headLog.Append(rec); err != nil {
 		return fmt.Errorf("resultstore: append head: %w", err)
 	}
-	if err := s.w.Flush(); err != nil {
-		return fmt.Errorf("resultstore: append head: %w", err)
-	}
-	s.records++
-	if s.records > 2*len(s.heads)+16 {
+	if s.headLog.Records() > 2*len(s.heads)+16 {
 		return s.compactHeadsLocked()
 	}
 	return nil
@@ -303,44 +262,17 @@ func (s *Store) appendHeadLocked(rec headRecord) error {
 
 // compactHeadsLocked rewrites the heads log to one record per key.
 func (s *Store) compactHeadsLocked() error {
-	path := filepath.Join(s.dir, headsName)
-	tmp := path + ".tmp"
-	tf, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("resultstore: compact heads: %w", err)
-	}
-	bw := bufio.NewWriter(tf)
-	enc := json.NewEncoder(bw)
-	for _, key := range s.keysLocked() {
-		if err := enc.Encode(headRecord{Key: key, Head: s.heads[key]}); err != nil {
-			tf.Close()
-			return fmt.Errorf("resultstore: compact heads: %w", err)
+	err := s.headLog.Rewrite(func(enc *json.Encoder) error {
+		for _, key := range s.keysLocked() {
+			if err := enc.Encode(headRecord{Key: key, Head: s.heads[key]}); err != nil {
+				return err
+			}
 		}
-	}
-	if err := bw.Flush(); err != nil {
-		tf.Close()
-		return fmt.Errorf("resultstore: compact heads: %w", err)
-	}
-	if err := tf.Sync(); err != nil {
-		tf.Close()
-		return fmt.Errorf("resultstore: compact heads: %w", err)
-	}
-	if err := tf.Close(); err != nil {
-		return fmt.Errorf("resultstore: compact heads: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("resultstore: compact heads: %w", err)
-	}
-	if s.f != nil {
-		s.f.Close()
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+		return nil
+	})
 	if err != nil {
 		return fmt.Errorf("resultstore: compact heads: %w", err)
 	}
-	s.f = f
-	s.w = bufio.NewWriter(f)
-	s.records = len(s.heads)
 	return nil
 }
 

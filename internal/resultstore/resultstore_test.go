@@ -185,6 +185,39 @@ func TestTornHeadsLogRecovers(t *testing.T) {
 	}
 }
 
+// TestCommitAfterTornHeadsLogSurvives: the commit made after recovering
+// from a torn heads-log tail must itself survive the next reopen, so the
+// torn bytes may not stay in front of it.
+func TestCommitAfterTornHeadsLogSurvives(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	if _, err := s.Commit("k", []byte("v1"), nil); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	f, err := os.OpenFile(filepath.Join(dir, headsName), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"key":"k","head":"012345`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	s2 := openStore(t, dir)
+	c2, err := s2.Commit("k2", []byte("v2"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2.Close()
+
+	s3 := openStore(t, dir)
+	head, ok := s3.Head("k2")
+	if !ok || head.Hash != c2.Hash {
+		t.Fatalf("head of k2 after reopen = %+v, %v; want commit %s", head, ok, c2.Hash)
+	}
+}
+
 func TestHeadPointingNowhereIsDropped(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir)
