@@ -35,7 +35,10 @@ race:
 # arrived) fails here instead of on the next multi-core host. The fleet
 # worker's lease loop is timing-sensitive, so it runs here with the retry
 # schedule it sleeps on; the gather runner's kill-and-resume tests run
-# here with the JSONL log and the result store they resume from.
+# here with the JSONL log and the result store they resume from. The neos
+# line sweeps the concurrency-sensitive /solve flight: coalescing before
+# admission, the peer consult outside the admission slot, and the overload
+# gates.
 STRESS_PKGS = ./internal/solvecache/ ./internal/expr/ ./internal/nlp/ ./internal/lp/ \
 	./internal/overload/ ./internal/router/ ./internal/jobstore/ ./internal/faultnet/ \
 	./internal/fleet/ ./internal/backoff/ ./internal/jsonl/ ./internal/resultstore/ \
@@ -43,6 +46,7 @@ STRESS_PKGS = ./internal/solvecache/ ./internal/expr/ ./internal/nlp/ ./internal
 
 stress:
 	$(GO) test -count=3 -cpu 1,2,4 $(STRESS_PKGS)
+	$(GO) test -count=3 -cpu 1,2,4 -run 'TestSingleflight|TestOverload|TestPeer|TestDeadlineUnmeetable' ./internal/neos/
 
 # Fault-injection suite: the chaos pipeline acceptance scenario plus the
 # resilient-gather, crash-resume (from the campaign's incomplete gather

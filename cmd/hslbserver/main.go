@@ -9,12 +9,12 @@
 // queue is persisted to a write-ahead log: jobs submitted before a crash or
 // restart are recovered and completed by the next process.
 //
-// Overload protection is on by default (-overload=false restores the
-// unprotected server): admission control sheds excess /solve load with 429
-// and a Retry-After hint, a circuit breaker short-circuits the solver after
-// consecutive failures, and saturated requests fall back to cached or
-// quick degraded answers before being shed. /health stays a pure liveness
-// probe; /ready reports 503 while draining, saturated, or broken open.
+// Overload protection is always on: identical concurrent /solve misses
+// coalesce into one flight, whose leader consults ring siblings, then the
+// circuit breaker and admission control; a refused leader walks the
+// brownout rung (a quick degraded answer) before the whole flight is shed
+// with 429 and a Retry-After hint. /health stays a pure liveness probe;
+// /ready reports 503 while draining, saturated, or broken open.
 //
 // Usage:
 //
@@ -56,7 +56,6 @@ func main() {
 	jobTTL := flag.Duration("job-ttl", time.Hour, "retention of completed jobs")
 	syncWAL := flag.Bool("fsync", false, "fsync the WAL on every job transition")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "how long shutdown waits for in-flight requests")
-	overloadOn := flag.Bool("overload", true, "enable overload protection: admission control, circuit breaker, brownout ladder")
 	maxQueue := flag.Int("max-queue", 0, "solve requests allowed to wait for a slot before shedding (0 = 4 × concurrency)")
 	maxPendingJobs := flag.Int("max-pending-jobs", 0, "async jobs allowed in queued+running state before /submit sheds with 429 (0 = unlimited)")
 	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive solver failures that trip the circuit breaker")
@@ -104,7 +103,6 @@ func main() {
 		Replicate:           *replicate,
 		AntiEntropyInterval: *antiEntropy,
 		Overload: neos.OverloadConfig{
-			Enabled:          *overloadOn,
 			MaxQueue:         *maxQueue,
 			BreakerThreshold: *breakerThreshold,
 			BreakerCooldown:  *breakerCooldown,

@@ -13,10 +13,11 @@ import (
 
 // OverloadConfig tunes the service-tier overload protection: admission
 // control in front of the sync solve path, a circuit breaker around the
-// solver, and the brownout degradation ladder. The zero value (Enabled
-// false) leaves the server byte-identical to the unprotected one.
+// solver, and the brownout degradation ladder. The protection is always
+// on; the zero value takes every default.
 type OverloadConfig struct {
-	// Enabled turns the protection stack on.
+	// Enabled is ignored: the protection is always on. The field stays so
+	// existing callers keep compiling.
 	Enabled bool
 	// MaxQueue bounds /solve requests waiting for a solver slot beyond
 	// MaxConcurrent; arrivals beyond it walk the brownout ladder and are
@@ -73,8 +74,8 @@ func (c OverloadConfig) withDefaults(maxConcurrent int) OverloadConfig {
 	return c
 }
 
-// guard is the assembled protection stack. A nil *guard (overload
-// disabled) leaves every hot path exactly as it was.
+// guard is the assembled protection stack. Its /solve counters count
+// ladder decisions, one per flight: a herd coalesced on one key is one.
 type guard struct {
 	cfg OverloadConfig
 	adm *overload.Admission
@@ -139,17 +140,22 @@ func (g *guard) recordSolve(resp *SolveResponse, elapsed, solveTimeout time.Dura
 	}
 }
 
+// shedError is a refused flight: every caller sharing it is shed with 429,
+// the error text as the reason.
+type shedError string
+
+func (e shedError) Error() string { return string(e) }
+
 // brownout walks the degraded rungs of the ladder once the full-quality
-// path is unavailable (breaker open or queue saturated). The cache was
-// already consulted by the caller; what remains is the cheap
-// rounding-answer rung, then shedding.
-func (s *Server) brownout(w http.ResponseWriter, key string, parsed *ampl.Result, req *SolveRequest, reason string, counter *atomic.Uint64) {
+// path is unavailable (breaker open or queue saturated). The cache and the
+// peers were already consulted; what remains is the cheap rounding-answer
+// rung, then shedding.
+func (s *Server) brownout(key string, parsed *ampl.Result, req *SolveRequest, reason string, counter *atomic.Uint64) (*SolveResponse, error) {
 	if resp := s.tryDegraded(key, parsed, req); resp != nil {
-		writeJSON(w, http.StatusOK, resp)
-		return
+		return resp, nil
 	}
 	counter.Add(1)
-	s.shed(w, reason)
+	return nil, shedError(reason)
 }
 
 // tryDegraded runs the brownout rung: a solve under DegradedTimeout whose
@@ -157,10 +163,10 @@ func (s *Server) brownout(w http.ResponseWriter, key string, parsed *ampl.Result
 // the tree search cannot finish) is served tagged "quality":"degraded".
 // Returns nil when the rung is disabled, busy, or produced nothing usable.
 // A solve that happens to reach a terminal status inside the budget is a
-// full-quality answer and is cached like any other.
+// full-quality answer and is filled like any other.
 func (s *Server) tryDegraded(key string, parsed *ampl.Result, req *SolveRequest) *SolveResponse {
 	g := s.guard
-	if g == nil || g.cfg.DegradedTimeout < 0 {
+	if g.cfg.DegradedTimeout < 0 {
 		return nil
 	}
 	select {
@@ -184,7 +190,7 @@ func (s *Server) tryDegraded(key string, parsed *ampl.Result, req *SolveRequest)
 	case "error":
 		return nil
 	default:
-		s.cache.Put(key, resp)
+		s.fill(key, resp)
 		return resp
 	}
 }
@@ -192,10 +198,7 @@ func (s *Server) tryDegraded(key string, parsed *ampl.Result, req *SolveRequest)
 // shed rejects a request with 429 and a Retry-After hint derived from the
 // observed solve latency and current queue depth.
 func (s *Server) shed(w http.ResponseWriter, reason string) {
-	retry := time.Second
-	if s.guard != nil {
-		retry = s.guard.adm.RetryAfter()
-	}
+	retry := s.guard.adm.RetryAfter()
 	// The header has whole-second resolution (round up); the body carries
 	// the raw estimate for clients that can back off in milliseconds.
 	secs := int((retry + time.Second - 1) / time.Second)
@@ -210,14 +213,15 @@ func (s *Server) shed(w http.ResponseWriter, reason string) {
 type OverloadMetrics struct {
 	Breaker   overload.BreakerStats   `json:"breaker"`
 	Admission overload.AdmissionStats `json:"admission"`
-	// ShedBreaker counts 429s issued while the breaker short-circuited the
-	// solver and the brownout rung could not help; ShedQueue counts the
-	// same for a saturated admission queue.
+	// ShedBreaker counts flights refused with 429 while the breaker
+	// short-circuited the solver and the brownout rung could not help;
+	// ShedQueue counts the same for a saturated admission queue.
 	ShedBreaker uint64 `json:"shed_breaker"`
 	ShedQueue   uint64 `json:"shed_queue"`
 	// ShedJobs counts /submit rejections from a full job queue.
 	ShedJobs uint64 `json:"shed_jobs"`
-	// Degraded counts brownout answers served with "quality":"degraded".
+	// Degraded counts flights answered "quality":"degraded" by the brownout
+	// rung.
 	Degraded uint64 `json:"degraded_served"`
 	// EWMASolveMs is the latency estimate behind Retry-After hints and
 	// deadline-feasibility rejections.
@@ -229,9 +233,6 @@ type OverloadMetrics struct {
 
 func (s *Server) overloadMetrics() *OverloadMetrics {
 	g := s.guard
-	if g == nil {
-		return nil
-	}
 	return &OverloadMetrics{
 		Breaker:        g.brk.Stats(),
 		Admission:      g.adm.Stats(),

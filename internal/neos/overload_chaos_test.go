@@ -33,7 +33,6 @@ func TestChaosOverload4x(t *testing.T) {
 		JobTimeout:     2 * time.Second,
 		MaxPendingJobs: 3,
 		Overload: OverloadConfig{
-			Enabled:          true,
 			MaxQueue:         2,
 			BreakerThreshold: 3,
 			BreakerCooldown:  300 * time.Millisecond,
@@ -163,41 +162,33 @@ func TestChaosOverload4x(t *testing.T) {
 // exactly solver capacity, then storm the protected server at 4× capacity
 // with a propagated client deadline of 3× the peak mean latency. The test
 // fails unless the storm keeps at least half the peak goodput and no
-// request fails. The same storm against an unprotected server is
-// logged for contrast (EXPERIMENTS.md "Overload protection"), not gated.
+// request fails.
 func TestOverloadGoodputUnder4xStorm(t *testing.T) {
 	const slots, factor = 2, 4
-	start := func(protected bool) string {
-		_, hs, _ := newServerWith(t, Config{
-			MaxConcurrent: slots,
-			SolveTimeout:  5 * time.Second,
-			Overload:      OverloadConfig{Enabled: protected},
-		})
-		return hs.URL
-	}
+	_, hs, _ := newServerWith(t, Config{
+		MaxConcurrent: slots,
+		SolveTimeout:  5 * time.Second,
+	})
 	var ids atomic.Uint64 // one unique model per request: no cache hits
-	protected := start(true)
 
 	// Size the phases in solve times, so that the race detector's slowdown
 	// does not shrink them to a handful of answers.
 	sent := time.Now()
-	if _, err := NewClient(protected).Solve(context.Background(), &SolveRequest{Model: goodputModel(ids.Add(1))}); err != nil {
+	if _, err := NewClient(hs.URL).Solve(context.Background(), &SolveRequest{Model: goodputModel(ids.Add(1))}); err != nil {
 		t.Fatal(err)
 	}
 	phase := max(time.Second, 12*time.Since(sent))
 
-	peak := runGoodputPhase(protected, slots, phase, 0, &ids)
+	peak := runGoodputPhase(hs.URL, slots, phase, 0, &ids)
 	if peak.full == 0 {
 		t.Fatal("peak phase produced no full-quality answers; cannot calibrate")
 	}
 	budget := min(max(3*peak.meanLatency(), 80*time.Millisecond), 2*time.Second)
-	storm := runGoodputPhase(protected, factor*slots, 3*phase/2, budget, &ids)
-	unprotected := runGoodputPhase(start(false), factor*slots, 3*phase/2, budget, &ids)
+	storm := runGoodputPhase(hs.URL, factor*slots, 3*phase/2, budget, &ids)
 
 	t.Logf("client deadline %v (3x peak mean latency %v)", budget, peak.meanLatency())
 	t.Logf("peak, protected, at capacity: %v", peak)
 	t.Logf("%dx storm, protected:          %v", factor, storm)
-	t.Logf("%dx storm, unprotected:        %v", factor, unprotected)
 	if storm.errors > 0 {
 		t.Errorf("%d storm requests failed: transport error, unexpected status or solver error", storm.errors)
 	}

@@ -65,8 +65,8 @@ func postSolve(t *testing.T, url string, req *SolveRequest, hdr map[string]strin
 }
 
 func TestRequestDeadlineHeaderBoundsSolve(t *testing.T) {
-	// Unprotected server, generous server-wide budget: the client's own
-	// 100ms deadline must stop the pathological solve, not the 30s default.
+	// Generous server-wide budget: the client's own 100ms deadline must stop
+	// the pathological solve, not the 30s default.
 	_, hs, _ := newServerWith(t, Config{MaxConcurrent: 2, SolveTimeout: 30 * time.Second})
 	start := time.Now()
 	resp, out := postSolve(t, hs.URL, &SolveRequest{Model: pathologicalModel},
@@ -108,7 +108,6 @@ func TestOverloadShedsWith429AndRetryAfter(t *testing.T) {
 		MaxConcurrent: 1,
 		SolveTimeout:  2 * time.Second,
 		Overload: OverloadConfig{
-			Enabled:         true,
 			MaxQueue:        1,
 			DegradedTimeout: -1, // disable the brownout rung: saturation must shed
 		},
@@ -153,7 +152,6 @@ func TestBrownoutServesDegradedAnswer(t *testing.T) {
 		MaxConcurrent: 2,
 		SolveTimeout:  30 * time.Second,
 		Overload: OverloadConfig{
-			Enabled:         true,
 			DegradedTimeout: 100 * time.Millisecond,
 		},
 	})
@@ -199,7 +197,6 @@ func TestBreakerTripsOnPathologicalModelClass(t *testing.T) {
 		MaxConcurrent: 2,
 		SolveTimeout:  100 * time.Millisecond,
 		Overload: OverloadConfig{
-			Enabled:          true,
 			BreakerThreshold: 2,
 			BreakerCooldown:  time.Minute,
 			DegradedTimeout:  -1,
@@ -236,7 +233,6 @@ func TestBreakerIgnoresClientBudgetDeadlines(t *testing.T) {
 		MaxConcurrent: 2,
 		SolveTimeout:  30 * time.Second,
 		Overload: OverloadConfig{
-			Enabled:          true,
 			BreakerThreshold: 2,
 		},
 	})
@@ -255,7 +251,7 @@ func TestBreakerIgnoresClientBudgetDeadlines(t *testing.T) {
 func TestCacheHitsServedWhileBreakerOpen(t *testing.T) {
 	s, hs, c := newServerWith(t, Config{
 		MaxConcurrent: 2,
-		Overload:      OverloadConfig{Enabled: true, DegradedTimeout: -1},
+		Overload:      OverloadConfig{DegradedTimeout: -1},
 	})
 	if _, err := c.Solve(context.Background(), &SolveRequest{Model: miniModel}); err != nil {
 		t.Fatal(err)
@@ -275,7 +271,6 @@ func TestSubmitShedsWhenJobQueueFull(t *testing.T) {
 		MaxConcurrent:  1,
 		MaxPendingJobs: 1,
 		SolveTimeout:   time.Second,
-		Overload:       OverloadConfig{Enabled: true},
 	})
 	// First submission fills the only pending slot (the worker may claim
 	// it, but running still counts as pending).
@@ -303,7 +298,6 @@ func TestSubmitShedsWhenJobQueueFull(t *testing.T) {
 func TestReadinessProbe(t *testing.T) {
 	s, hs, _ := newServerWith(t, Config{
 		MaxConcurrent: 2,
-		Overload:      OverloadConfig{Enabled: true},
 	})
 	get := func(path string) int {
 		resp, err := http.Get(hs.URL + path)
@@ -344,7 +338,7 @@ func TestDeadlineUnmeetableShedsUpFront(t *testing.T) {
 	s, hs, _ := newServerWith(t, Config{
 		MaxConcurrent: 1,
 		SolveTimeout:  2 * time.Second,
-		Overload:      OverloadConfig{Enabled: true, MaxQueue: 8},
+		Overload:      OverloadConfig{MaxQueue: 8},
 	})
 	// Teach the wait model that solves take ~1s, and occupy the slot.
 	s.guard.adm.Observe(time.Second)

@@ -2,17 +2,16 @@ package neos
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"hslb/internal/rendezvous"
 )
 
 // Cache peering. A shard behind the fleet router normally sees every
@@ -28,10 +27,10 @@ import (
 // The consult is strictly bounded (PeerBudget across all peers) and
 // strictly validating: transport errors, 404s (peer never solved it),
 // integrity failures (the peer's /blob refuses corrupt chunks with a 500),
-// unparseable bytes, and best-effort answers ("error"/"deadline" status or
-// degraded quality) all fall through to the local solver. Peering runs
-// inside the solve singleflight, so a thundering herd on one digest costs
-// one consult, not one per request.
+// unparseable bytes, and answers that fail the persistence bar all fall
+// through to the local solver. Peering runs inside the solve singleflight,
+// before admission, so a thundering herd on one digest costs one consult,
+// not one per request, and the consult holds no solve slot.
 //
 // The peer set is mutable: POST /admin/peers (and the replication layer's
 // membership plumbing) swap it on a live server via setPeers.
@@ -105,36 +104,11 @@ func (p *peering) setPeers(urls []string) {
 	p.mu.Unlock()
 }
 
-// rendezvousOrder sorts members into key's deterministic preference order:
-// descending first-8-bytes-of-SHA-256(member || 0x00 || key), member string
-// as the (practically unreachable) tie-break. This is byte-identical to the
-// router's shard placement, so when members are the fleet's shard base URLs
-// a key's replica owners are exactly the router's failover order.
+// rendezvousOrder sorts members (shard base URLs) into key's preference
+// order — the router's shard placement, so a key's replica owners are
+// exactly the router's failover order.
 func rendezvousOrder(members []string, key string) []string {
-	type ranked struct {
-		member string
-		score  uint64
-	}
-	rs := make([]ranked, len(members))
-	for i, m := range members {
-		h := sha256.New()
-		io.WriteString(h, m)
-		h.Write([]byte{0})
-		io.WriteString(h, key)
-		var sum [sha256.Size]byte
-		rs[i] = ranked{m, binary.BigEndian.Uint64(h.Sum(sum[:0]))}
-	}
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].score != rs[j].score {
-			return rs[i].score > rs[j].score
-		}
-		return rs[i].member < rs[j].member
-	})
-	out := make([]string, len(rs))
-	for i, r := range rs {
-		out[i] = r.member
-	}
-	return out
+	return rendezvous.Order(members, func(m string) string { return m }, key)
 }
 
 // order returns the peers in the key's rendezvous order — the same
@@ -150,9 +124,13 @@ func (p *peering) order(key string) []string {
 // bounds the whole walk: a slow peer eats the remaining peers' time, which
 // is the deliberate trade — peering may only ever delay a solve by budget.
 func (p *peering) fetch(ctx context.Context, key string) *SolveResponse {
+	peers := p.order(key)
+	if len(peers) == 0 {
+		return nil // never peered: no consult, no counters
+	}
 	ctx, cancel := context.WithTimeout(ctx, p.budget)
 	defer cancel()
-	for _, peer := range p.order(key) {
+	for _, peer := range peers {
 		if ctx.Err() != nil {
 			// The budget died before this sibling was even asked.
 			p.budgetExhausted.Add(1)
@@ -214,7 +192,7 @@ func fetchPersisted(ctx context.Context, hc *http.Client, peer, key string) (*So
 	if _, err := getJSON(ctx, hc, peer+"/blob/"+history[0].Value, &resp); err != nil {
 		return nil, false
 	}
-	if !peerWarmable(&resp) {
+	if !persistable(&resp) {
 		return nil, false
 	}
 	return &resp, true
@@ -244,19 +222,6 @@ func getJSON(ctx context.Context, hc *http.Client, url string, out interface{}) 
 		return resp.StatusCode, fmt.Errorf("peer: %s: %v", url, err)
 	}
 	return resp.StatusCode, nil
-}
-
-// peerWarmable applies the same bar cacheBackend.Save applies locally: only
-// certified full-quality answers may warm a cache. A peer is trusted for
-// bytes, not for judgement — re-validate here even though well-behaved
-// peers never persist best-effort results in the first place. Replication
-// ingest (POST /replicate/{key}) applies this same bar.
-func peerWarmable(resp *SolveResponse) bool {
-	switch resp.Status {
-	case "", "error", "deadline":
-		return false
-	}
-	return resp.Quality == ""
 }
 
 // PeerMetrics is the /metrics section describing cache peering.

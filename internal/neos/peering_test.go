@@ -3,11 +3,15 @@ package neos
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 // TestPeerWarmServesWithoutSolver is the peering acceptance scenario: shard
@@ -226,5 +230,75 @@ func TestPeerRejectsBestEffortAnswers(t *testing.T) {
 				bad.Status, m.Solves.Count, m.Peer)
 		}
 		evil.Close()
+	}
+}
+
+// TestPeerConsultHoldsNoAdmissionSlot: the peer consult runs inside the
+// flight before admission, so a consult stuck on a slow sibling does not
+// hold a one-slot server's only admission slot — a concurrent distinct cold
+// /solve is admitted at once instead of queueing behind it.
+func TestPeerConsultHoldsNoAdmissionSlot(t *testing.T) {
+	ctx := context.Background()
+	slowKey, err := RequestKey(&SolveRequest{Model: miniModel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	asked := make(chan struct{}, 1)
+	release := make(chan struct{})
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.Contains(r.URL.Path, slowKey) {
+			asked <- struct{}{}
+			select {
+			case <-release:
+			case <-r.Context().Done():
+			}
+		}
+		http.NotFound(w, r)
+	}))
+	t.Cleanup(slow.Close)
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock()
+
+	s, _, c := newServerWith(t, Config{
+		MaxConcurrent: 1, Peers: []string{slow.URL}, PeerBudget: time.Minute,
+	})
+	slowDone := make(chan error, 1)
+	go func() {
+		_, err := c.Solve(ctx, &SolveRequest{Model: miniModel})
+		slowDone <- err
+	}()
+	select {
+	case <-asked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the slow sibling was never consulted")
+	}
+
+	cold := make(chan error, 1)
+	go func() {
+		out, err := c.Solve(ctx, &SolveRequest{Model: uniqueEasyModel(1)})
+		if err == nil && out.Status != "optimal" {
+			err = fmt.Errorf("status %q", out.Status)
+		}
+		cold <- err
+	}()
+	select {
+	case err := <-cold:
+		if err != nil {
+			t.Fatalf("cold solve: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a distinct cold /solve queued behind a peer consult")
+	}
+	if st := s.guard.adm.Stats(); st.Admitted != 1 || st.QueueLen != 0 || st.ShedSaturated != 0 {
+		t.Fatalf("admission stats = %+v while the consult is stuck, want the cold solve admitted alone", st)
+	}
+
+	unblock()
+	if err := <-slowDone; err != nil {
+		t.Fatalf("slow-consult solve: %v", err)
+	}
+	if st := s.guard.adm.Stats(); st.Admitted != 2 {
+		t.Fatalf("admission stats = %+v, want 2 admissions", st)
 	}
 }

@@ -23,6 +23,24 @@ import (
 // solveKeyPrefix namespaces persisted solve results in the store.
 const solveKeyPrefix = "solve/"
 
+// persistable is the one bar an answer must clear to be cached, persisted,
+// replicated, or warmed from a peer or a remote worker: a terminal status
+// at full quality. "error" is transient, "deadline" depends on the
+// wall-clock budget, an empty status is junk, and any quality tag (a
+// degraded brownout incumbent) marks an answer that is not certified. A
+// peer or replica is trusted for bytes, not judgement, so its answers are
+// re-checked here too.
+func persistable(resp *SolveResponse) bool {
+	if resp == nil || resp.Quality != "" {
+		return false
+	}
+	switch resp.Status {
+	case "", "error", "deadline":
+		return false
+	}
+	return true
+}
+
 // cacheBackend adapts the result store to solvecache.Backend.
 type cacheBackend struct {
 	rs *resultstore.Store
@@ -32,7 +50,7 @@ type cacheBackend struct {
 // Identical re-solves commit identical bytes, which the store records as
 // a no-op.
 func (b *cacheBackend) Save(key string, resp *SolveResponse) error {
-	if resp == nil || resp.Status == "deadline" || resp.Status == "error" || resp.Quality == "degraded" {
+	if !persistable(resp) {
 		return nil
 	}
 	data, err := json.Marshal(resp)

@@ -3,8 +3,12 @@ package neos
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -76,6 +80,92 @@ func TestDeadlineAndDegradedNeverPersist(t *testing.T) {
 	}
 	if keys := s.Results().KeysWithPrefix(solveKeyPrefix); len(keys) != 1 {
 		t.Fatalf("persisted keys = %v", keys)
+	}
+}
+
+// TestPersistenceBarAtEveryCallSite drives one status × quality table
+// through every place the persistence bar guards: the cache backend's Save,
+// a solver fill, a remote worker's /work/complete warm, a peer consult's
+// fetch, and replication ingest. Only a terminal status at full quality may
+// pass anywhere.
+func TestPersistenceBarAtEveryCallSite(t *testing.T) {
+	ctx := context.Background()
+	shard, shardURL, _ := newFleetShard(t, replCfg(t))
+	backend := &cacheBackend{rs: shard.Results()}
+	pull, _, pullClient := newServerWith(t, pullOnlyConfig())
+
+	var blob atomic.Pointer[[]byte]
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/history/") {
+			writeJSON(w, http.StatusOK, []HistoryEntry{{Value: "deadbeef", Seq: 1}})
+			return
+		}
+		w.Write(*blob.Load())
+	}))
+	t.Cleanup(peer.Close)
+
+	i := 0
+	for _, status := range []string{"", "optimal", "infeasible", "error", "deadline"} {
+		for _, quality := range []string{"", "degraded", "heuristic"} {
+			i++
+			resp := &SolveResponse{Status: status, Quality: quality, Objective: float64(i)}
+			if status == "error" {
+				resp.Error = "boom"
+			}
+			want := quality == "" && (status == "optimal" || status == "infeasible")
+			name := fmt.Sprintf("status %q quality %q", status, quality)
+			if persistable(resp) != want {
+				t.Errorf("%s: persistable = %v, want %v", name, !want, want)
+			}
+			key := fmt.Sprintf("%064x", i)
+
+			if err := backend.Save("save-"+key, resp); err != nil {
+				t.Fatal(err)
+			}
+			if _, got := shard.results.Head(solveKeyPrefix + "save-" + key); got != want {
+				t.Errorf("%s: cache backend persisted = %v, want %v", name, got, want)
+			}
+
+			shard.fill("fill-"+key, resp)
+			if _, got := shard.cache.Get("fill-" + key); got != want {
+				t.Errorf("%s: solver fill cached = %v, want %v", name, got, want)
+			}
+
+			model := uniqueEasyModel(i)
+			submitJob(t, pullClient, model)
+			grant, _, err := pullClient.LeaseWork(ctx, "node-a", 0)
+			if err != nil || grant == nil {
+				t.Fatalf("lease: %v", err)
+			}
+			if _, err := pullClient.CompleteWork(ctx, grant.JobID, grant.Fence, resp); err != nil {
+				t.Fatal(err)
+			}
+			jobKey, err := RequestKey(&SolveRequest{Model: model})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, got := pull.cache.Get(jobKey); got != want {
+				t.Errorf("%s: remote completion warmed = %v, want %v", name, got, want)
+			}
+
+			data, err := json.Marshal(resp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob.Store(&data)
+			if got, _ := fetchPersisted(ctx, http.DefaultClient, peer.URL, key); (got != nil) != want {
+				t.Errorf("%s: peer fetch warmed = %v, want %v", name, got != nil, want)
+			}
+
+			hr, err := http.Post(shardURL.URL+"/replicate/"+key, "application/json", strings.NewReader(string(data)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			hr.Body.Close()
+			if got := hr.StatusCode == http.StatusNoContent; got != want {
+				t.Errorf("%s: replication ingest status %d, accepted = %v, want %v", name, hr.StatusCode, got, want)
+			}
+		}
 	}
 }
 

@@ -29,7 +29,7 @@ import (
 //     queue. Peer-warm fills and replication ingests never push, so a
 //     result cannot circulate forever.
 //   - Ingest: POST /replicate/{key} re-validates the persistence bar
-//     (peerWarmable: never "error"/"deadline"/degraded) before warming the
+//     (persistable: never "error"/"deadline"/degraded) before warming the
 //     cache, which writes through to the result store. A replica is
 //     trusted for bytes, not judgement.
 //   - Anti-entropy: a background sweeper (kicked early on membership
@@ -111,11 +111,11 @@ func (s *Server) replicaOwners(key string) []string {
 }
 
 // replicateFill enqueues pushes of a fresh solver fill to the key's other
-// replica owners. Only solver fills (local or remote-worker) call this —
-// never peer warms or replication ingests, so pushes cannot loop.
+// replica owners. Only fill calls this, after the persistence bar — never
+// peer warms or replication ingests, so pushes cannot loop.
 func (s *Server) replicateFill(key string, resp *SolveResponse) {
 	r := s.repl
-	if r == nil || !peerWarmable(resp) {
+	if r == nil {
 		return
 	}
 	payload, err := json.Marshal(resp)
@@ -275,7 +275,7 @@ func (s *Server) sweepOnce() {
 				continue // local corruption surfaces in fsck, never replicates
 			}
 			var resp SolveResponse
-			if json.Unmarshal(data, &resp) != nil || !peerWarmable(&resp) {
+			if json.Unmarshal(data, &resp) != nil || !persistable(&resp) {
 				continue
 			}
 			if r.push(ctx, repPush{key: key, target: peer, payload: data}) == nil {
@@ -341,7 +341,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if !peerWarmable(&resp) {
+	if !persistable(&resp) {
 		s.repl.rejects.Add(1)
 		http.Error(w, "replica fails the persistence bar (error/deadline/degraded)",
 			http.StatusUnprocessableEntity)

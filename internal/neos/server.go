@@ -62,9 +62,8 @@ type Config struct {
 	// rejected with 429 instead of growing the WAL without bound
 	// (0 = unlimited, the historical behavior).
 	MaxPendingJobs int
-	// Overload configures admission control, the solver circuit breaker
-	// and the brownout ladder. Disabled (the zero value) the serving
-	// paths are byte-identical to the unprotected server.
+	// Overload tunes admission control, the solver circuit breaker and the
+	// brownout ladder; the protection is always on.
 	Overload OverloadConfig
 	// StoreDir is the directory of the content-addressed result store;
 	// empty disables it (and the /blob, /history endpoints).
@@ -118,7 +117,7 @@ type Config struct {
 	// hslbworker nodes on the /work endpoints).
 	AsyncWorkers int
 	// solveHook overrides the solve path of async jobs in tests (fault
-	// injection: panics, hangs, wrong answers). nil uses solveCached.
+	// injection: panics, hangs, wrong answers). nil uses solveJob.
 	solveHook func(ctx context.Context, req *SolveRequest) *SolveResponse
 }
 
@@ -186,8 +185,7 @@ type Server struct {
 	// cannot fork an unbounded number of solver goroutines.
 	sem  chan struct{}
 	hist *histogram
-	// guard is the overload-protection stack; nil when Overload.Enabled is
-	// false, leaving every path exactly as the unprotected server.
+	// guard is the overload-protection stack.
 	guard    *guard
 	draining atomic.Bool
 	// results is the versioned result store; nil without Config.StoreDir.
@@ -200,7 +198,7 @@ type Server struct {
 	peering *peering
 	// repl is the R-way replication state; nil unless Config.Replicate > 1.
 	repl *replicator
-	// solveFn executes one request on the async path; solveCached unless a
+	// solveFn executes one request on the async path; solveJob unless a
 	// test injected a fault hook via Config.
 	solveFn func(ctx context.Context, req *SolveRequest) *SolveResponse
 	// dupCompletes counts idempotent duplicate /work/complete no-ops;
@@ -251,10 +249,8 @@ func NewServerWith(cfg Config) (*Server, error) {
 		store: store,
 		sem:   make(chan struct{}, cfg.MaxConcurrent),
 		hist:  newHistogram(),
+		guard: newGuard(cfg.Overload, cfg.MaxConcurrent),
 		quit:  make(chan struct{}),
-	}
-	if cfg.Overload.Enabled {
-		s.guard = newGuard(cfg.Overload, cfg.MaxConcurrent)
 	}
 	warmed, err := s.openResults()
 	if err != nil {
@@ -269,7 +265,7 @@ func NewServerWith(cfg Config) (*Server, error) {
 		go s.pusher()
 		go s.sweeper()
 	}
-	s.solveFn = s.solveCached
+	s.solveFn = s.solveJob
 	if cfg.solveHook != nil {
 		s.solveFn = cfg.solveHook
 	}
@@ -374,67 +370,95 @@ func RequestKey(req *SolveRequest) (string, error) {
 	return key, err
 }
 
-// solveCached is the solve path for async jobs and the unprotected sync
-// path: cache lookup, then singleflight-coalesced solver invocation, then
-// cache fill. Parse errors are returned uncached (status "error"). ctx may
-// carry the client's propagated deadline; the server-wide SolveTimeout is
-// applied on top inside solveFlight.
-func (s *Server) solveCached(ctx context.Context, req *SolveRequest) *SolveResponse {
+// solve is the one solve path, for /solve and async jobs alike: a cache
+// hit, else join the key's in-flight solve or lead it (see lead), so a herd
+// of identical requests gets one answer — full quality, degraded, or one
+// refusal (a shedError). Parse errors are answered uncached with status
+// "error". ctx may carry the client's propagated deadline; coalesced
+// followers share the leader's budget, which is safe because deadline
+// results are never cached.
+func (s *Server) solve(ctx context.Context, req *SolveRequest, admit bool) (*SolveResponse, error) {
 	key, parsed, err := requestKey(req)
 	if err != nil {
-		return &SolveResponse{Status: "error", Error: err.Error()}
+		return &SolveResponse{Status: "error", Error: err.Error()}, nil
 	}
+	// Cache hits are free and always served, whatever the overload state.
 	if resp, ok := s.cache.Get(key); ok {
-		return resp
+		return resp, nil
 	}
-	return s.solveFlight(ctx, key, parsed, req)
+	resp, err, _ := s.flight.Do(key, func() (*SolveResponse, error) {
+		return s.lead(ctx, key, parsed, req, admit)
+	})
+	return resp, err
 }
 
-// solveFlight runs the singleflight-coalesced solver invocation and fills
-// the cache. Coalesced followers share the leader's budget: a follower
-// with a longer deadline may receive a "deadline" answer early, which is
-// safe because deadline results are never cached.
-func (s *Server) solveFlight(ctx context.Context, key string, parsed *ampl.Result, req *SolveRequest) *SolveResponse {
-	resp, _, _ := s.flight.Do(key, func() (*SolveResponse, error) {
-		// Cache peering: a ring sibling may hold this key's persisted
-		// answer (the digest migrated here via resize, failover or a
-		// bounded-load spill). The consult runs inside the singleflight —
-		// one consult per herd — and before the solver semaphore, so it
-		// never occupies a solve slot. A warm fill writes through the
-		// cache backend, persisting the result locally too — but never
-		// replicates onward: only fresh solver fills push, so replicas
-		// cannot circulate.
-		if len(s.peering.peerList()) > 0 {
-			if resp := s.peering.fetch(ctx, key); resp != nil {
-				s.cache.Put(key, resp)
-				return resp, nil
-			}
-		}
-		s.sem <- struct{}{}
-		defer func() { <-s.sem }()
-		sctx := ctx
-		if s.cfg.SolveTimeout > 0 {
-			var cancel context.CancelFunc
-			sctx, cancel = context.WithTimeout(sctx, s.cfg.SolveTimeout)
-			defer cancel()
-		}
-		start := time.Now()
-		resp := solveParsedContext(sctx, parsed, req)
-		elapsed := time.Since(start)
-		s.hist.observe(elapsed.Seconds())
-		if s.guard != nil {
-			s.guard.recordSolve(resp, elapsed, s.cfg.SolveTimeout)
-		}
-		// Solves are deterministic, so every terminal status (optimal,
-		// infeasible, node-limit) is cacheable; "error" is not, to keep
-		// transient conditions from sticking, and "deadline" is not,
-		// because it depends on wall-clock budget rather than the model.
-		if resp.Status != "error" && resp.Status != "deadline" {
-			s.cache.Put(key, resp)
-			s.replicateFill(key, resp)
-		}
+// lead is the flight leader's ladder. It asks the ring siblings first —
+// before the breaker, so a sibling's full-quality answer beats a degraded
+// one even while the breaker is open, and before admission, so the consult
+// never occupies a solve slot. A peer-warm fill persists locally through
+// the cache backend but never replicates onward: only fresh solver fills
+// push, so replicas cannot circulate. Then, for /solve (admit), the breaker
+// and admission control; refused, the leader walks the brownout rung
+// inside the flight. Async attempts skip both (their workers gate on the
+// breaker before leasing). Last the solver semaphore, shared by both
+// paths, and the solve.
+func (s *Server) lead(ctx context.Context, key string, parsed *ampl.Result, req *SolveRequest, admit bool) (*SolveResponse, error) {
+	if resp := s.peering.fetch(ctx, key); resp != nil {
+		s.cache.Put(key, resp)
 		return resp, nil
-	})
+	}
+	if admit {
+		g := s.guard
+		if !g.brk.Allow() {
+			return s.brownout(key, parsed, req, "circuit breaker open", &g.shedBreaker)
+		}
+		release, err := g.adm.Acquire(ctx)
+		switch {
+		case errors.Is(err, overload.ErrSaturated):
+			return s.brownout(key, parsed, req, "solve queue full", &g.shedQueue)
+		case err != nil:
+			// The propagated deadline cannot be met given the observed solve
+			// latency and queue depth: shed now, before burning a core.
+			return nil, shedError("deadline cannot be met")
+		}
+		defer release()
+	}
+	s.sem <- struct{}{}
+	defer func() { <-s.sem }()
+	sctx := ctx
+	if s.cfg.SolveTimeout > 0 {
+		var cancel context.CancelFunc
+		sctx, cancel = context.WithTimeout(sctx, s.cfg.SolveTimeout)
+		defer cancel()
+	}
+	start := time.Now()
+	resp := solveParsedContext(sctx, parsed, req)
+	elapsed := time.Since(start)
+	s.hist.observe(elapsed.Seconds())
+	s.guard.recordSolve(resp, elapsed, s.cfg.SolveTimeout)
+	s.fill(key, resp)
+	return resp, nil
+}
+
+// fill caches a fresh solver answer that clears the persistence bar and
+// replicates it to the key's other owners.
+func (s *Server) fill(key string, resp *SolveResponse) {
+	if persistable(resp) {
+		s.cache.Put(key, resp)
+		s.replicateFill(key, resp)
+	}
+}
+
+// solveJob is an async attempt's solve. It never takes an admission slot
+// (admit false), so it can only be refused by joining a /solve flight
+// whose leader was refused; it then returns nil and runJob hands the job
+// back without using up the attempt, so a job never finishes with a
+// degraded or shed answer.
+func (s *Server) solveJob(ctx context.Context, req *SolveRequest) *SolveResponse {
+	resp, err := s.solve(ctx, req, false)
+	if err != nil || resp.Quality != "" {
+		return nil
+	}
 	return resp
 }
 
@@ -474,38 +498,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, budget)
 		defer cancel()
 	}
-	g := s.guard
-	if g == nil {
-		writeJSON(w, http.StatusOK, s.solveCached(ctx, req))
-		return
-	}
-	key, parsed, err := requestKey(req)
+	resp, err := s.solve(ctx, req, true)
 	if err != nil {
-		writeJSON(w, http.StatusOK, &SolveResponse{Status: "error", Error: err.Error()})
+		s.shed(w, err.Error())
 		return
 	}
-	// Cache hits are free and always served, whatever the overload state.
-	if resp, ok := s.cache.Get(key); ok {
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	if !g.brk.Allow() {
-		s.brownout(w, key, parsed, req, "circuit breaker open", &g.shedBreaker)
-		return
-	}
-	release, err := g.adm.Acquire(ctx)
-	switch {
-	case errors.Is(err, overload.ErrSaturated):
-		s.brownout(w, key, parsed, req, "solve queue full", &g.shedQueue)
-		return
-	case err != nil:
-		// The propagated deadline cannot be met given the observed solve
-		// latency and queue depth: shed now, before burning a core.
-		s.shed(w, "deadline cannot be met")
-		return
-	}
-	defer release()
-	writeJSON(w, http.StatusOK, s.solveFlight(ctx, key, parsed, req))
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleReady is the readiness probe: 503 while draining, while the
@@ -517,15 +515,13 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}
-	if g := s.guard; g != nil {
-		if g.brk.State() == overload.Open {
-			http.Error(w, "circuit breaker open", http.StatusServiceUnavailable)
-			return
-		}
-		if g.adm.Saturated() {
-			http.Error(w, "solve queue saturated", http.StatusServiceUnavailable)
-			return
-		}
+	if s.guard.brk.State() == overload.Open {
+		http.Error(w, "circuit breaker open", http.StatusServiceUnavailable)
+		return
+	}
+	if s.guard.adm.Saturated() {
+		http.Error(w, "solve queue saturated", http.StatusServiceUnavailable)
+		return
 	}
 	fmt.Fprintln(w, "ready")
 }
@@ -542,9 +538,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	job, err := s.store.Enqueue(payload, s.cfg.MaxAttempts)
 	if errors.Is(err, jobstore.ErrQueueFull) {
-		if g := s.guard; g != nil {
-			g.shedJobs.Add(1)
-		}
+		s.guard.shedJobs.Add(1)
 		s.shed(w, "job queue full")
 		return
 	}
@@ -672,11 +666,11 @@ func (s *Server) worker(id string) {
 			return
 		default:
 		}
-		if g := s.guard; g != nil && !g.brk.Allow() {
+		if !s.guard.brk.Allow() {
 			select {
 			case <-s.quit:
 				return
-			case <-time.After(g.breakerPoll()):
+			case <-time.After(s.guard.breakerPoll()):
 			}
 			continue
 		}
@@ -795,19 +789,31 @@ func (s *Server) runJob(job *jobstore.Job) {
 	}
 }
 
+// recordAttempt finishes a local attempt. The solve already filled the
+// cache, so unlike a remote completion it does not warm it again. A nil
+// resp is an attempt that joined a refused /solve flight: the job goes
+// back to the queue without using up the attempt.
 func (s *Server) recordAttempt(job *jobstore.Job, resp *SolveResponse) {
-	if resp.Status == "error" {
-		// Parse and solver errors are deterministic: retrying cannot
-		// help, so fail permanently.
-		_ = s.store.MarkFailed(job.ID, job.Fence, resp.Error)
+	if resp == nil {
+		_ = s.store.Release(job.ID, job.Fence)
 		return
+	}
+	_ = s.finishJob(job.ID, job.Fence, resp)
+}
+
+// finishJob is the one job-completion step, for local and remote attempts
+// under the fencing token: parse and solver errors are deterministic —
+// retrying cannot help — so they fail the job permanently; anything else
+// marks it done with the canonically marshaled result.
+func (s *Server) finishJob(id, fence int64, resp *SolveResponse) error {
+	if resp.Status == "error" {
+		return s.store.MarkFailed(id, fence, resp.Error)
 	}
 	payload, err := json.Marshal(resp)
 	if err != nil {
-		_ = s.store.MarkFailed(job.ID, job.Fence, "encode result: "+err.Error())
-		return
+		return s.store.MarkFailed(id, fence, "encode result: "+err.Error())
 	}
-	_ = s.store.MarkDone(job.ID, job.Fence, payload)
+	return s.store.MarkDone(id, fence, payload)
 }
 
 // janitor evicts completed jobs past their TTL.

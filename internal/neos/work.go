@@ -140,7 +140,7 @@ func (s *Server) handleWorkLease(w http.ResponseWriter, r *http.Request) {
 	// An open breaker means the solver tier is sick on a model class; remote
 	// workers run their own solvers, but handing out attempts while failures
 	// cascade just burns them — shed with Retry-After like the sync path.
-	if g := s.guard; g != nil && !g.brk.Allow() {
+	if !s.guard.brk.Allow() {
 		s.shed(w, "circuit breaker open")
 		return
 	}
@@ -248,19 +248,11 @@ func (s *Server) handleWorkFail(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// completeJob applies a worker-reported result under the fencing token:
-// deterministic solver errors fail the job permanently (mirroring the local
-// recordAttempt path), everything else marks it done with the canonically
-// re-marshaled result and warms the solve cache.
+// completeJob applies a worker-reported result under the fencing token
+// through finishJob, then warms the solve cache: a remote answer, unlike a
+// local solve, has not filled it yet.
 func (s *Server) completeJob(id, fence int64, resp *SolveResponse) error {
-	if resp.Status == "error" {
-		return s.store.MarkFailed(id, fence, resp.Error)
-	}
-	payload, err := json.Marshal(resp)
-	if err != nil {
-		return s.store.MarkFailed(id, fence, "encode result: "+err.Error())
-	}
-	if err := s.store.MarkDone(id, fence, payload); err != nil {
+	if err := s.finishJob(id, fence, resp); err != nil {
 		return err
 	}
 	s.warmFromJob(id, resp)
@@ -292,10 +284,10 @@ func (s *Server) isDuplicateComplete(id int64, resp *SolveResponse) bool {
 
 // warmFromJob fills the solve cache from a remotely computed result, so the
 // fleet's work benefits the server's sync path (and, with CachePersist, the
-// result store) exactly like a local solve. Budget-dependent ("deadline")
-// and degraded answers are never cached, matching solveFlight.
+// result store) exactly like a local solve — a remote worker's answer is a
+// fresh solver fill, so it replicates too.
 func (s *Server) warmFromJob(id int64, resp *SolveResponse) {
-	if resp.Status == "error" || resp.Status == "deadline" || resp.Quality != "" {
+	if !persistable(resp) {
 		return
 	}
 	job, ok := s.store.Get(id)
@@ -306,12 +298,7 @@ func (s *Server) warmFromJob(id int64, resp *SolveResponse) {
 	if err := json.Unmarshal(job.Request, &req); err != nil {
 		return
 	}
-	key, _, err := requestKey(&req)
-	if err != nil {
-		return
+	if key, err := RequestKey(&req); err == nil {
+		s.fill(key, resp)
 	}
-	s.cache.Put(key, resp)
-	// A remote worker's answer is a fresh solver fill: replicate it to the
-	// key's other owners just like a local solve.
-	s.replicateFill(key, resp)
 }

@@ -358,7 +358,7 @@ func TestWorkLeaseBreakerOpenSheds(t *testing.T) {
 		MaxConcurrent: 2,
 		AsyncWorkers:  -1,
 		LeaseTTL:      200 * time.Millisecond,
-		Overload:      OverloadConfig{Enabled: true, BreakerThreshold: 1},
+		Overload:      OverloadConfig{BreakerThreshold: 1},
 	})
 	// Trip the breaker directly.
 	s.guard.brk.Record(false)
@@ -370,5 +370,70 @@ func TestWorkLeaseBreakerOpenSheds(t *testing.T) {
 	}
 	if se.RetryAfter <= 0 {
 		t.Fatalf("429 carries no Retry-After: %+v", se)
+	}
+}
+
+// TestAsyncAttemptJoiningRefusedFlightIsReleased: an async attempt that
+// joins a /solve flight whose leader was refused — answered degraded, or
+// shed — never finishes with that answer. The job goes back to the queue
+// without using up the attempt (MaxAttempts 1 would fail it otherwise),
+// re-runs as its own flight's leader, and ends done at full quality. No
+// async attempt takes an admission slot.
+func TestAsyncAttemptJoiningRefusedFlightIsReleased(t *testing.T) {
+	for _, refusal := range []struct {
+		name string
+		resp *SolveResponse
+		err  error
+	}{
+		{"degraded", &SolveResponse{Status: "deadline", Quality: "degraded", Objective: 99}, nil},
+		{"shed", nil, shedError("solve queue full")},
+	} {
+		t.Run(refusal.name, func(t *testing.T) {
+			var (
+				srv   *Server
+				calls atomic.Int64
+			)
+			s, _, c := newServerWith(t, Config{
+				MaxConcurrent: 1,
+				MaxAttempts:   1,
+				solveHook: func(ctx context.Context, req *SolveRequest) *SolveResponse {
+					calls.Add(1)
+					return srv.solveJob(ctx, req)
+				},
+			})
+			srv = s
+			key, err := RequestKey(&SolveRequest{Model: miniModel})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// Lead the key's flight as a refused /solve leader would, and hold
+			// it until the job's first attempt has joined.
+			leading := make(chan struct{})
+			proceed := make(chan struct{})
+			go s.flight.Do(key, func() (*SolveResponse, error) {
+				close(leading)
+				<-proceed
+				return refusal.resp, refusal.err
+			})
+			<-leading
+			id := submitJob(t, c, miniModel)
+			waitUntil(t, func() bool { return s.flight.Joined(key) == 1 })
+			close(proceed)
+
+			jr := waitForStatus(t, c, id, JobDone)
+			if jr.Result == nil || jr.Result.Status != "optimal" || jr.Result.Quality != "" {
+				t.Fatalf("job finished with %+v, want a full-quality answer", jr.Result)
+			}
+			if jr.Attempts != 1 {
+				t.Fatalf("attempts = %d, want 1: the refused flight used up an attempt", jr.Attempts)
+			}
+			if n := calls.Load(); n != 2 {
+				t.Fatalf("solve attempts = %d, want 2 (one handed back, one solved)", n)
+			}
+			if st := s.guard.adm.Stats(); st.Admitted != 0 {
+				t.Fatalf("admission stats = %+v: an async attempt took an admission slot", st)
+			}
+		})
 	}
 }

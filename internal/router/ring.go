@@ -8,11 +8,10 @@
 package router
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"sort"
 	"sync"
 	"sync/atomic"
+
+	"hslb/internal/rendezvous"
 )
 
 // Shard is one hslbserver behind the router.
@@ -97,43 +96,11 @@ func (r *Ring) Shards() []*Shard {
 	return append([]*Shard(nil), r.shards...)
 }
 
-// score is the rendezvous weight of digest on shard: the first 8 bytes of
-// SHA-256(shardID || 0x00 || digest). SHA-256 keeps the placement
-// identical across processes and architectures.
-func score(shardID, digest string) uint64 {
-	h := sha256.New()
-	h.Write([]byte(shardID))
-	h.Write([]byte{0})
-	h.Write([]byte(digest))
-	var sum [sha256.Size]byte
-	return binary.BigEndian.Uint64(h.Sum(sum[:0]))
-}
-
 // Order returns every shard in the digest's deterministic preference
-// order: descending rendezvous score, shard ID as the (practically
-// unreachable) tie-break. Health and load are not consulted — this is the
-// pure placement; Pick applies both.
+// order (rendezvous.Order over shard IDs). Health and load are not
+// consulted — this is the pure placement; Pick applies both.
 func (r *Ring) Order(digest string) []*Shard {
-	shards := r.Shards()
-	type ranked struct {
-		s     *Shard
-		score uint64
-	}
-	rs := make([]ranked, len(shards))
-	for i, s := range shards {
-		rs[i] = ranked{s, score(s.ID, digest)}
-	}
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].score != rs[j].score {
-			return rs[i].score > rs[j].score
-		}
-		return rs[i].s.ID < rs[j].s.ID
-	})
-	out := make([]*Shard, len(rs))
-	for i, x := range rs {
-		out[i] = x.s
-	}
-	return out
+	return rendezvous.Order(r.Shards(), func(s *Shard) string { return s.ID }, digest)
 }
 
 // Pick returns the digest's shards in attempt order: healthy shards in

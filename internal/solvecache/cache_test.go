@@ -94,7 +94,7 @@ func TestSingleflightCoalesces(t *testing.T) {
 	// Release the leader only once every other caller has joined its flight:
 	// a caller that has not reached Do yet when fn returns legitimately
 	// starts a flight of its own.
-	for g.joined("key") != n-1 {
+	for g.Joined("key") != n-1 {
 		runtime.Gosched()
 	}
 	close(release)
@@ -111,16 +111,6 @@ func TestSingleflightCoalesces(t *testing.T) {
 			t.Fatalf("results[%d] = %d", i, v)
 		}
 	}
-}
-
-// joined returns how many callers have joined key's in-flight call.
-func (g *Group[V]) joined(key string) int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if c := g.calls[key]; c != nil {
-		return c.dups
-	}
-	return 0
 }
 
 func TestSingleflightDistinctKeys(t *testing.T) {

@@ -21,7 +21,7 @@ type call[V any] struct {
 	val V
 	err error
 	// dups counts the callers that joined this flight instead of running
-	// fn; it is written under Group.mu.
+	// fn (see Joined); it is written under Group.mu.
 	dups int
 	// panicked carries the panic value (wrapped with its stack) when fn
 	// panicked; goexit records that fn called runtime.Goexit. Either way
@@ -96,4 +96,16 @@ func (g *Group[V]) Do(key string, fn func() (V, error)) (v V, err error, shared 
 	c.val, c.err = fn()
 	normalReturn = true
 	return c.val, c.err, false
+}
+
+// Joined returns how many callers have joined key's in-flight call: 0 when
+// none is in flight. A test holding a flight open waits on it for the
+// callers it expects to coalesce.
+func (g *Group[V]) Joined(key string) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if c := g.calls[key]; c != nil {
+		return c.dups
+	}
+	return 0
 }
