@@ -48,7 +48,9 @@ stress:
 	$(GO) test -count=3 -cpu 1,2,4 $(STRESS_PKGS)
 	$(GO) test -count=3 -cpu 1,2,4 -run 'TestSingleflight|TestOverload|TestPeer|TestDeadlineUnmeetable' ./internal/neos/
 
-# Fault-injection suite: the chaos pipeline acceptance scenario plus the
+# Fault-injection suite: the chaos pipeline acceptance scenario, the 1 ns
+# solve-deadline ladder at 1° and at 1/8° 32768 nodes, and the brute-force
+# table that holds the exact search the ladder falls to, plus the
 # resilient-gather, crash-resume (from the campaign's incomplete gather
 # document in the result store) and fault-plan tests, with the worker-pool
 # gather variants, the lease-fenced fleet (every job exactly one terminal state,
@@ -59,7 +61,7 @@ stress:
 # Seeds are fixed inside the tests, so every run injects the identical
 # fault ledger.
 chaos:
-	$(GO) test -v -run 'TestChaosPipelineAcceptance|TestPipelineSolveDeadlineLadder' ./internal/core/
+	$(GO) test -v -run 'TestChaosPipelineAcceptance|TestPipelineSolveDeadlineLadder|TestExhaustiveMatchesBruteForce' ./internal/core/
 	$(GO) test -v -run 'TestResilientRun|TestInsufficientSamples|TestCheckpoint|TestCampaignCommitsGatherHistory|TestRejectOutliers' ./internal/bench/
 	$(GO) test -v -run 'TestFaultPlan|TestInjected' ./internal/cesm/
 	$(GO) test -v -race -run 'TestChaosPipelineWorkersInvariant' ./internal/core/

@@ -14,6 +14,16 @@ import (
 // scaling is reduced to a predefined limit or it could be the shortest time
 // to solution."
 
+// sweepSolve answers one what-if solve of a sweep: exactly, by
+// ExhaustiveSearch, for the min-max objective, and by the Table I MINLP
+// under opt for the others.
+func sweepSolve(s Spec, opt minlp.Options) (*Decision, error) {
+	if s.Objective == MinMax {
+		return ExhaustiveSearch(s)
+	}
+	return SolveAllocation(s, opt)
+}
+
 // AdvisorPoint is one machine size in a node-count sweep.
 type AdvisorPoint struct {
 	TotalNodes int
@@ -57,7 +67,7 @@ func AdviseNodeCount(spec Spec, candidates []int, effThreshold float64, opt minl
 	for _, n := range sizes {
 		s := spec
 		s.TotalNodes = n
-		dec, err := SolveAllocation(s, opt)
+		dec, err := sweepSolve(s, opt)
 		if err != nil {
 			return nil, err
 		}

@@ -88,7 +88,7 @@ func WriteAMPL(s Spec) (string, error) {
 
 	// Discrete allowed sets (Table I lines 5-6, 29-31).
 	if s.ConstrainOcean {
-		vals := filterSet(cesm.OceanSet(s.Resolution), capOcn)
+		vals := floats(candidateCounts(s, cesm.OCN, capOcn))
 		if len(vals) == 0 {
 			return "", fmt.Errorf("core: no allowed ocean count fits in %d nodes", capOcn)
 		}
@@ -98,7 +98,7 @@ func WriteAMPL(s Spec) (string, error) {
 	}
 	if s.Resolution == cesm.Res1Deg {
 		if s.ConstrainAtm {
-			vals := filterSet(cesm.AtmSet(s.Resolution, capAtm), capAtm)
+			vals := floats(candidateCounts(s, cesm.ATM, capAtm))
 			if len(vals) == 0 {
 				return "", fmt.Errorf("core: no allowed atmosphere count fits in %d nodes", capAtm)
 			}

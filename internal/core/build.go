@@ -139,7 +139,7 @@ func addTemporal(m *model.Model, s Spec, vars *Vars, nv map[cesm.Component]expr.
 func addAllowedSets(m *model.Model, s Spec, nv map[cesm.Component]expr.Var, capAtm, capOcn int) error {
 	// Ocean.
 	if s.ConstrainOcean {
-		vals := filterSet(cesm.OceanSet(s.Resolution), capOcn)
+		vals := floats(candidateCounts(s, cesm.OCN, capOcn))
 		if len(vals) == 0 {
 			return fmt.Errorf("core: no allowed ocean count fits in %d nodes", capOcn)
 		}
@@ -150,7 +150,7 @@ func addAllowedSets(m *model.Model, s Spec, nv map[cesm.Component]expr.Var, capA
 	// Atmosphere.
 	if s.Resolution == cesm.Res1Deg {
 		if s.ConstrainAtm {
-			vals := filterSet(cesm.AtmSet(s.Resolution, capAtm), capAtm)
+			vals := floats(candidateCounts(s, cesm.ATM, capAtm))
 			if len(vals) == 0 {
 				return fmt.Errorf("core: no allowed atmosphere count fits in %d nodes", capAtm)
 			}
@@ -173,12 +173,10 @@ func addMultipleOf(m *model.Model, v expr.Var, mult, upper int) {
 		expr.Sub(v, expr.Scale(float64(mult), k)), model.EQ, 0)
 }
 
-func filterSet(set []int, maxVal int) []float64 {
-	out := make([]float64, 0, len(set))
-	for _, v := range set {
-		if v >= 1 && v <= maxVal {
-			out = append(out, float64(v))
-		}
+func floats(ns []int) []float64 {
+	out := make([]float64, len(ns))
+	for i, n := range ns {
+		out[i] = float64(n)
 	}
 	return out
 }

@@ -165,59 +165,108 @@ func TestChaosPipelineAcceptance(t *testing.T) {
 }
 
 // TestPipelineSolveDeadlineLadder: an absurdly small solve timeout must not
-// kill the pipeline — the decision degrades to a deadline incumbent or the
-// exhaustive fallback, and the quality report says so.
+// kill the pipeline at any Table III scale — the decision degrades to a
+// deadline incumbent or to the exact search, and the quality report says so.
 func TestPipelineSolveDeadlineLadder(t *testing.T) {
-	camp := bench.Campaign{
-		Resolution: cesm.Res1Deg, Layout: cesm.Layout1,
-		NodeCounts: perf.SamplingPlan(64, 1024, 5), Seed: 2,
-	}
-	data, err := camp.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	po := PipelineOptions{
-		Data: data,
-		Spec: Spec{
-			Resolution: cesm.Res1Deg, Layout: cesm.Layout1, TotalNodes: 128,
-			ConstrainOcean: true, ConstrainAtm: true,
-		},
-		SolveTimeout: time.Nanosecond,
-	}
-	res, err := RunPipeline(po)
-	if err != nil {
-		t.Fatalf("pipeline died on a tiny solve timeout: %v", err)
-	}
-	q := res.Quality
-	if !q.SolveDeadline && q.SolvePath != "exhaustive" {
-		t.Fatalf("no degradation recorded: path=%q deadline=%v notes=%v", q.SolvePath, q.SolveDeadline, q.Notes)
-	}
-	if res.Decision == nil || res.Execution == nil {
-		t.Fatal("degraded pipeline lost its artifacts")
-	}
-	if err := cesm.ValidateConfig(cesm.Config{
-		Resolution: cesm.Res1Deg, Layout: cesm.Layout1, TotalNodes: 128,
-		Alloc: res.Decision.Alloc,
-	}); err != nil {
-		t.Fatalf("degraded decision infeasible: %v", err)
+	for _, tc := range []struct {
+		name        string
+		res         cesm.Resolution
+		plan        []int
+		total       int
+		constrained bool
+	}{
+		{"1deg/128", cesm.Res1Deg, perf.SamplingPlan(64, 1024, 5), 128, true},
+		{"8th/32768", cesm.Res8thDeg, perf.SamplingPlan(1024, 32768, 5), 32768, true},
+		{"8th/32768-uncon", cesm.Res8thDeg, perf.SamplingPlan(1024, 32768, 5), 32768, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			camp := bench.Campaign{
+				Resolution: tc.res, Layout: cesm.Layout1, NodeCounts: tc.plan, Seed: 2,
+			}
+			data, err := camp.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			po := PipelineOptions{
+				Data: data,
+				Spec: Spec{
+					Resolution: tc.res, Layout: cesm.Layout1, TotalNodes: tc.total,
+					ConstrainOcean: tc.constrained, ConstrainAtm: true,
+				},
+				SolveTimeout: time.Nanosecond,
+			}
+			res, err := RunPipeline(po)
+			if err != nil {
+				t.Fatalf("pipeline died on a tiny solve timeout: %v", err)
+			}
+			q := res.Quality
+			switch {
+			case q.SolvePath == "exhaustive":
+				spec := po.Spec
+				spec.Perf = bench.Models(res.Fits)
+				want, err := ExhaustiveSearch(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Decision.PredictedTime != want.PredictedTime {
+					t.Fatalf("ladder answered %v, exhaustive search %v", res.Decision.PredictedTime, want.PredictedTime)
+				}
+			case !q.SolveDeadline:
+				t.Fatalf("no degradation recorded: path=%q deadline=%v notes=%v", q.SolvePath, q.SolveDeadline, q.Notes)
+			}
+			if res.Decision == nil || res.Execution == nil {
+				t.Fatal("degraded pipeline lost its artifacts")
+			}
+			if err := cesm.ValidateConfig(cesm.Config{
+				Resolution: tc.res, Layout: cesm.Layout1, TotalNodes: tc.total,
+				Alloc: res.Decision.Alloc,
+			}); err != nil {
+				t.Fatalf("degraded decision infeasible: %v", err)
+			}
+		})
 	}
 }
 
-// TestExhaustiveMatchesSolver: on a small instance the exhaustive fallback
-// must agree with the branch-and-bound solver.
+// TestExhaustiveMatchesSolver: the exact search must agree with the
+// branch-and-bound solver on the pipeline's instance and on one instance of
+// each §IV-C sweep that now runs on the exact search — and, being exact,
+// never lose to the solver's allocation.
 func TestExhaustiveMatchesSolver(t *testing.T) {
-	s := truthSpec(cesm.Res1Deg, cesm.Layout1, 128)
-	want, err := SolveAllocation(s, SolverOptions())
-	if err != nil {
-		t.Fatal(err)
+	oneDeg512 := truthSpec(cesm.Res1Deg, cesm.Layout1, 512)
+	replaced := truthSpec(cesm.Res1Deg, cesm.Layout1, 512)
+	replaced.Perf = map[cesm.Component]perf.Model{}
+	for c, m := range oneDeg512.Perf {
+		replaced.Perf[c] = m
 	}
-	got, err := ExhaustiveSearch(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got.PredictedTime-want.PredictedTime) > 0.01*want.PredictedTime {
-		t.Fatalf("exhaustive %v (alloc %v) vs solver %v (alloc %v)",
-			got.PredictedTime, got.Alloc, want.PredictedTime, want.Alloc)
+	replaced.Perf[cesm.OCN] = ScaledModel(oneDeg512.Perf[cesm.OCN], 2)
+	for _, tc := range []struct {
+		name string
+		s    Spec
+	}{
+		{"1deg/128", truthSpec(cesm.Res1Deg, cesm.Layout1, 128)},
+		{"advise/1deg/256", truthSpec(cesm.Res1Deg, cesm.Layout1, 256)},
+		{"ocean-constraint/8th/8192", truthSpec(cesm.Res8thDeg, cesm.Layout1, 8192)},
+		{"replacement/1deg/512", replaced},
+		{"port/1deg/512", PortSpec(oneDeg512, Hardware{ParallelSpeedup: 4, SerialSpeedup: 1, CommSpeedup: 1})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := SolveAllocation(tc.s, SolverOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ExhaustiveSearch(tc.s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(got.PredictedTime-want.PredictedTime) > 0.01*want.PredictedTime {
+				t.Fatalf("exhaustive %v (alloc %v) vs solver %v (alloc %v)",
+					got.PredictedTime, got.Alloc, want.PredictedTime, want.Alloc)
+			}
+			if got.PredictedTime > want.PredictedTime*(1+1e-12) {
+				t.Fatalf("exact search %v (alloc %v) beaten by the solver's %v (alloc %v)",
+					got.PredictedTime, got.Alloc, want.PredictedTime, want.Alloc)
+			}
+		})
 	}
 }
 

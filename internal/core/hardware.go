@@ -10,8 +10,8 @@ import (
 // of CESM scaling on new hardware (e.g., exascale supercomputers)". Given
 // models fitted on the current machine and a hardware hypothesis — how much
 // faster the parallel work runs, how much faster the serial/communication
-// parts run — the fitted curves transform term-by-term and the same MINLP
-// machinery predicts layouts and totals on the hypothetical machine. The
+// parts run — the fitted curves transform term-by-term and the same
+// allocation search predicts layouts and totals on the hypothetical machine. The
 // paper calls this "exotic and less reliable"; it is a transform of fitted
 // coefficients, not a validated hardware model.
 
@@ -70,11 +70,11 @@ type HardwareForecast struct {
 
 // ForecastHardware optimizes the same allocation problem on both machines.
 func ForecastHardware(s Spec, hw Hardware, opt minlp.Options) (*HardwareForecast, error) {
-	base, err := SolveAllocation(s, opt)
+	base, err := sweepSolve(s, opt)
 	if err != nil {
 		return nil, err
 	}
-	ported, err := SolveAllocation(PortSpec(s, hw), opt)
+	ported, err := sweepSolve(PortSpec(s, hw), opt)
 	if err != nil {
 		return nil, err
 	}

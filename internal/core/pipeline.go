@@ -29,8 +29,8 @@ type PipelineOptions struct {
 	// the paper notes gathering "can be avoided altogether if reliable
 	// benchmarks are already available".
 	Data *bench.Data
-	// SolveTimeout bounds each rung of the step-3 degradation ladder
-	// (primary solve, NLP-BB fallback) separately. 0 means no deadline.
+	// SolveTimeout bounds the configured solver's step-3 solve. The exact
+	// search it falls back to runs without a deadline. 0 means no deadline.
 	SolveTimeout time.Duration
 	// FitR2Gate, if > 0, is the fit-quality gate: any component whose
 	// Table II fit has R² below the gate is refitted with the simpler
@@ -50,8 +50,8 @@ type Quality struct {
 	// Refits maps components whose low-R² paper fit was replaced to the
 	// substitute family name.
 	Refits map[cesm.Component]string
-	// SolvePath names the ladder rung that produced the decision:
-	// "lp/nlp-bb", "nlp-bb", or "exhaustive".
+	// SolvePath names the ladder rung that produced the decision: the
+	// configured algorithm's name (e.g. "lp/nlp-bb") or "exhaustive".
 	SolvePath string
 	// SolveDeadline is true when the decision is a deadline incumbent
 	// rather than a certified optimum.
@@ -91,10 +91,10 @@ func RunPipeline(po PipelineOptions) (*PipelineResult, error) {
 // RunPipelineContext is RunPipeline under a context, with fault tolerance
 // at every step: the gather step retries and, with a result store,
 // resumes a crashed campaign (see bench.Campaign), low-quality fits are
-// regated onto a simpler family, and the solve step walks a degradation
-// ladder — the configured solver, then NLP-based branch-and-bound, then
-// exhaustive enumeration on small instances — so one failing stage
-// downgrades the answer instead of killing the pipeline.
+// regated onto a simpler family, and the solve step falls back from the
+// configured solver to the exact ExhaustiveSearch (min-max only, any
+// size) — so one failing stage downgrades the answer instead of killing
+// the pipeline.
 func RunPipelineContext(ctx context.Context, po PipelineOptions) (*PipelineResult, error) {
 	out := &PipelineResult{Quality: &Quality{
 		FitR2:  map[cesm.Component]float64{},
@@ -158,25 +158,13 @@ func RunPipelineContext(ctx context.Context, po PipelineOptions) (*PipelineResul
 	if solver.Algorithm == 0 && !solver.BranchSOS && solver.MaxNodes == 0 {
 		solver = SolverOptions()
 	}
-	try := func(o minlp.Options) (*Decision, error) {
-		sctx := ctx
-		if po.SolveTimeout > 0 {
-			var cancel context.CancelFunc
-			sctx, cancel = context.WithTimeout(ctx, po.SolveTimeout)
-			defer cancel()
-		}
-		return SolveAllocationContext(sctx, spec, o)
+	sctx, cancel := ctx, context.CancelFunc(func() {})
+	if po.SolveTimeout > 0 {
+		sctx, cancel = context.WithTimeout(ctx, po.SolveTimeout)
 	}
-
-	dec, err := try(solver)
+	dec, err := SolveAllocationContext(sctx, spec, solver)
+	cancel()
 	q.SolvePath = solver.Algorithm.String()
-	if err != nil && solver.Algorithm != minlp.NLPBB {
-		q.note("solve: %v failed (%v), falling back to %v", solver.Algorithm, err, minlp.NLPBB)
-		fb := solver
-		fb.Algorithm = minlp.NLPBB
-		dec, err = try(fb)
-		q.SolvePath = minlp.NLPBB.String()
-	}
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, cerr
@@ -185,9 +173,8 @@ func RunPipelineContext(ctx context.Context, po PipelineOptions) (*PipelineResul
 		if exErr != nil {
 			return nil, fmt.Errorf("core: solve step: %w (exhaustive fallback: %v)", err, exErr)
 		}
-		q.note("solve: branch-and-bound failed (%v), answered by exhaustive search", err)
-		dec, err = exDec, nil
-		q.SolvePath = "exhaustive"
+		q.note("solve: %v failed (%v), answered by exhaustive search", solver.Algorithm, err)
+		dec, q.SolvePath = exDec, "exhaustive"
 	}
 	if dec.Status == minlp.Deadline {
 		q.SolveDeadline = true

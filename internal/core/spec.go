@@ -109,8 +109,8 @@ type Decision struct {
 	PredictedTime float64
 	// Status is the solver's exit status: Optimal for a certified optimum,
 	// Deadline when a solve timeout fired and the allocation is the best
-	// incumbent found (good but uncertified). Exhaustive-search decisions
-	// report Optimal.
+	// incumbent found (good but uncertified). ExhaustiveSearch is exact, so
+	// its decisions report Optimal.
 	Status minlp.Status
 	// Solver diagnostics.
 	Nodes     int

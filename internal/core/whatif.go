@@ -31,12 +31,12 @@ func EffectOfOceanConstraint(spec Spec, sizes []int, opt minlp.Options) ([]Const
 		s := spec
 		s.TotalNodes = n
 		s.ConstrainOcean = true
-		con, err := SolveAllocation(s, opt)
+		con, err := sweepSolve(s, opt)
 		if err != nil {
 			return nil, err
 		}
 		s.ConstrainOcean = false
-		unc, err := SolveAllocation(s, opt)
+		unc, err := sweepSolve(s, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -75,7 +75,7 @@ func EffectOfReplacement(spec Spec, comp cesm.Component, newModel perf.Model, si
 	for _, n := range sizes {
 		before := spec
 		before.TotalNodes = n
-		db, err := SolveAllocation(before, opt)
+		db, err := sweepSolve(before, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -86,7 +86,7 @@ func EffectOfReplacement(spec Spec, comp cesm.Component, newModel perf.Model, si
 			after.Perf[c] = m
 		}
 		after.Perf[comp] = newModel
-		da, err := SolveAllocation(after, opt)
+		da, err := sweepSolve(after, opt)
 		if err != nil {
 			return nil, err
 		}
