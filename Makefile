@@ -32,21 +32,21 @@ race:
 # Multi-core sweep: the packages whose single run takes seconds, three
 # times at 1, 2 and 4 CPUs, so a test that only holds under a 1-CPU
 # scheduler (a goroutine assumed to have run, a caller assumed to have
-# arrived) fails here instead of on the next multi-core host. The fleet
-# worker's lease loop is timing-sensitive, so it runs here with the retry
-# schedule it sleeps on; the gather runner's kill-and-resume tests run
-# here with the JSONL log and the result store they resume from. The neos
-# line sweeps the concurrency-sensitive /solve flight: coalescing before
-# admission, the peer consult outside the admission slot, and the overload
-# gates.
+# arrived) fails here instead of on the next multi-core host. The gather
+# runner's kill-and-resume tests run here with the JSONL log and the result
+# store they resume from. The neos line sweeps the concurrency-sensitive
+# /solve flight (coalescing before admission, the peer consult outside the
+# admission slot, the overload gates) and the one job executor's lease
+# loop, remote and in-process, which is timing-sensitive: heartbeats,
+# drains, panics and the retry schedule it sleeps on.
 STRESS_PKGS = ./internal/solvecache/ ./internal/expr/ ./internal/nlp/ ./internal/lp/ \
 	./internal/overload/ ./internal/router/ ./internal/jobstore/ ./internal/faultnet/ \
-	./internal/fleet/ ./internal/backoff/ ./internal/jsonl/ ./internal/resultstore/ \
+	./internal/backoff/ ./internal/jsonl/ ./internal/resultstore/ \
 	./internal/bench/
 
 stress:
 	$(GO) test -count=3 -cpu 1,2,4 $(STRESS_PKGS)
-	$(GO) test -count=3 -cpu 1,2,4 -run 'TestSingleflight|TestOverload|TestPeer|TestDeadlineUnmeetable' ./internal/neos/
+	$(GO) test -count=3 -cpu 1,2,4 -run 'TestSingleflight|TestOverload|TestPeer|TestDeadlineUnmeetable|TestWorker|TestChaosFleet|TestLocalWorker|TestLocalAttempt' ./internal/neos/
 
 # Fault-injection suite: the chaos pipeline acceptance scenario, the 1 ns
 # solve-deadline ladder at 1° and at 1/8° 32768 nodes, and the brute-force
@@ -66,7 +66,7 @@ chaos:
 	$(GO) test -v -run 'TestFaultPlan|TestInjected' ./internal/cesm/
 	$(GO) test -v -race -run 'TestChaosPipelineWorkersInvariant' ./internal/core/
 	$(GO) test -v -race -run 'TestParallelGather|TestRunLatency' ./internal/bench/
-	$(GO) test -v -race -run 'TestChaosFleet' ./internal/fleet/
+	$(GO) test -v -race -run 'TestChaosFleet' ./internal/neos/
 	$(GO) test -v -race -run 'TestWorkLeaseExpiryReclaim|TestWorkIdempotentComplete|TestLocalWorkerPanicReclaimed|TestChaosOverload4x|TestOverloadGoodputUnder4xStorm' ./internal/neos/
 	$(GO) test -v -race -run 'TestLeaseConcurrentChaos|TestTornTailMidLeaseRecord' ./internal/jobstore/
 

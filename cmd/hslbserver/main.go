@@ -49,7 +49,7 @@ func main() {
 	concurrency := flag.Int("concurrency", 4, "maximum simultaneous solves")
 	dataDir := flag.String("data-dir", "", "directory for the durable job WAL (empty = in-memory only)")
 	cacheSize := flag.Int("cache-size", 256, "solve-cache capacity in entries")
-	jobTimeout := flag.Duration("job-timeout", 60*time.Second, "per-attempt timeout for async jobs")
+	jobTimeout := flag.Duration("job-timeout", 60*time.Second, "per-attempt timeout for async jobs run by the in-process workers (<0 disables; hslbworker attempts have none)")
 	solveTimeout := flag.Duration("solve-timeout", 120*time.Second, "wall-clock budget per solver invocation; on expiry the best incumbent is returned with status \"deadline\" (<0 disables)")
 	pprofAddr := flag.String("pprof-addr", "", "listen address for net/http/pprof (e.g. localhost:6060; empty = profiling off)")
 	maxAttempts := flag.Int("max-attempts", 3, "executions per async job before it is marked failed")

@@ -3,13 +3,17 @@
 // (POST /work/lease), solves them with the local MINLP pipeline, and
 // reports results under the lease's fencing token (POST /work/complete).
 //
-// Crash safety comes from the lease, not the worker: a heartbeat goroutine
-// renews the lease at a third of its TTL, and if the worker crashes, hangs,
-// or partitions, the server's reaper requeues the job after the TTL — the
+// Each -procs loop is a neos.Worker, the same lease → solve → report loop
+// the server's in-process pool runs, here over neos.Client. Crash safety
+// comes from the lease, not the worker: a heartbeat goroutine renews the
+// lease at a third of its TTL, and if the worker crashes, hangs, or
+// partitions, the server's reaper requeues the job after the TTL — the
 // dead worker's now-stale fencing token can never overwrite the retry. A
-// worker that kept computing through an expired lease (a zombie) has its
-// complete rejected with 409 unless the result is byte-identical to the
-// recorded one, in which case it is absorbed as an idempotent no-op.
+// panicking model is recovered inside its loop: the process and its other
+// loops keep running, and the job's lease lapses to the reaper the same
+// way. A worker that kept computing through an expired lease (a zombie)
+// has its complete rejected with 409 unless the result is byte-identical
+// to the recorded one, in which case it is absorbed as an idempotent no-op.
 //
 // Usage:
 //
@@ -33,7 +37,6 @@ import (
 	"syscall"
 	"time"
 
-	"hslb/internal/fleet"
 	"hslb/internal/neos"
 )
 
@@ -68,14 +71,14 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	workers := make([]*fleet.Worker, *procs)
+	workers := make([]*neos.Worker, *procs)
 	var wg sync.WaitGroup
 	for i := range workers {
 		wid := *id
 		if *procs > 1 {
 			wid = fmt.Sprintf("%s-%d", *id, i)
 		}
-		w, err := fleet.New(client, fleet.Config{
+		w, err := neos.NewWorker(client, neos.WorkerConfig{
 			ID:          wid,
 			LeaseTTL:    *leaseTTL,
 			BaseBackoff: *baseBackoff,
@@ -100,7 +103,7 @@ func main() {
 	<-ctx.Done()
 	log.Printf("signal received; draining (grace %v)", *drainGrace)
 	wg.Wait()
-	var total fleet.Stats
+	var total neos.WorkerStats
 	for _, w := range workers {
 		st := w.Stats()
 		total.Completed += st.Completed
@@ -108,7 +111,8 @@ func main() {
 		total.Failed += st.Failed
 		total.Released += st.Released
 		total.LeasesLost += st.LeasesLost
+		total.Panics += st.Panics
 	}
-	log.Printf("drained: %d completed (%d duplicate), %d failed, %d released, %d leases lost",
-		total.Completed, total.Duplicates, total.Failed, total.Released, total.LeasesLost)
+	log.Printf("drained: %d completed (%d duplicate), %d failed, %d released, %d leases lost, %d panics",
+		total.Completed, total.Duplicates, total.Failed, total.Released, total.LeasesLost, total.Panics)
 }

@@ -46,11 +46,6 @@ func TruthModel(res Resolution, c Component) perf.Model {
 	return groundTruth[res][c].model
 }
 
-// NoiseLevel returns the relative run-to-run noise of a component.
-func NoiseLevel(res Resolution, c Component) float64 {
-	return groundTruth[res][c].noise
-}
-
 // hashFrac maps arbitrary integers deterministically to [0,1), used to give
 // every (component, nodes, seed, ...) combination a reproducible noise draw.
 func hashFrac(parts ...int64) float64 {

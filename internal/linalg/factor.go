@@ -15,9 +15,8 @@ var ErrNotPositiveDefinite = errors.New("linalg: matrix not positive definite")
 
 // LU holds an LU factorization with partial pivoting: P*A = L*U.
 type LU struct {
-	lu   *Matrix // combined L (unit lower) and U storage
-	piv  []int   // row permutation
-	sign int     // permutation parity, for determinants
+	lu  *Matrix // combined L (unit lower) and U storage
+	piv []int   // row permutation
 }
 
 // FactorLU computes the LU factorization of the square matrix a with partial
@@ -32,7 +31,6 @@ func FactorLU(a *Matrix) (*LU, error) {
 	for i := range piv {
 		piv[i] = i
 	}
-	sign := 1
 	for k := 0; k < n; k++ {
 		// Partial pivot: largest |entry| in column k at or below the diagonal.
 		p := k
@@ -53,7 +51,6 @@ func FactorLU(a *Matrix) (*LU, error) {
 				rk[j], rp[j] = rp[j], rk[j]
 			}
 			piv[k], piv[p] = piv[p], piv[k]
-			sign = -sign
 		}
 		pivVal := lu.At(k, k)
 		for i := k + 1; i < n; i++ {
@@ -69,7 +66,7 @@ func FactorLU(a *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, piv: piv, sign: sign}, nil
+	return &LU{lu: lu, piv: piv}, nil
 }
 
 // Solve solves A*x = b using the factorization.
@@ -104,16 +101,6 @@ func (f *LU) Solve(b Vector) (Vector, error) {
 		x[i] = s / row[i]
 	}
 	return x, nil
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	n := f.lu.Rows
-	d := float64(f.sign)
-	for i := 0; i < n; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
 }
 
 // SolveLU is a convenience wrapper: factor a and solve a*x = b.

@@ -1,10 +1,5 @@
 package linalg
 
-import (
-	"fmt"
-	"strings"
-)
-
 // Matrix is a dense row-major matrix.
 type Matrix struct {
 	Rows, Cols int
@@ -19,40 +14,11 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
-// FromRows builds a matrix from row slices. All rows must have equal length.
-func FromRows(rows [][]float64) *Matrix {
-	r := len(rows)
-	if r == 0 {
-		return NewMatrix(0, 0)
-	}
-	c := len(rows[0])
-	m := NewMatrix(r, c)
-	for i, row := range rows {
-		if len(row) != c {
-			panic(ErrDimension)
-		}
-		copy(m.Data[i*c:(i+1)*c], row)
-	}
-	return m
-}
-
 // At returns element (i,j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
 // Set assigns element (i,j).
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
-// Row returns row i as a slice aliasing the matrix storage.
-func (m *Matrix) Row(i int) Vector { return Vector(m.Data[i*m.Cols : (i+1)*m.Cols]) }
 
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
@@ -94,18 +60,6 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 	return out
 }
 
-// MulVec returns m*v as a new vector.
-func (m *Matrix) MulVec(v Vector) Vector {
-	if m.Cols != len(v) {
-		panic(ErrDimension)
-	}
-	out := make(Vector, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = Vector(m.Data[i*m.Cols : (i+1)*m.Cols]).Dot(v)
-	}
-	return out
-}
-
 // MulVecT returns mᵀ*v as a new vector without forming the transpose.
 func (m *Matrix) MulVecT(v Vector) Vector {
 	if m.Rows != len(v) {
@@ -123,34 +77,4 @@ func (m *Matrix) MulVecT(v Vector) Vector {
 		}
 	}
 	return out
-}
-
-// Add returns m + b as a new matrix.
-func (m *Matrix) Add(b *Matrix) *Matrix {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		panic(ErrDimension)
-	}
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] += b.Data[i]
-	}
-	return out
-}
-
-// Scale returns c*m as a new matrix.
-func (m *Matrix) Scale(c float64) *Matrix {
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] *= c
-	}
-	return out
-}
-
-// String renders the matrix for debugging.
-func (m *Matrix) String() string {
-	var b strings.Builder
-	for i := 0; i < m.Rows; i++ {
-		fmt.Fprintf(&b, "%v\n", []float64(m.Row(i)))
-	}
-	return b.String()
 }

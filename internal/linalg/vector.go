@@ -1,16 +1,15 @@
-// Package linalg provides small dense linear-algebra primitives used by the
-// optimization solvers in this repository: vectors, matrices, factorizations
-// (LU, Cholesky, QR) and triangular solves.
+// Package linalg provides the small dense linear algebra behind the
+// Levenberg–Marquardt step of internal/nls: a row-major matrix, the few
+// vector helpers that step uses, and the symmetric positive-definite solve
+// (Cholesky, with an LU fallback) of its normal equations.
 //
 // Everything is dense and written for the modest problem sizes that arise in
-// HSLB models (tens to a few hundred variables). The implementations favour
-// clarity and numerical robustness (partial pivoting, Householder
-// reflections) over blocking or SIMD tricks.
+// HSLB models (a few fit parameters). The implementations favour clarity and
+// numerical robustness (partial pivoting) over blocking or SIMD tricks.
 package linalg
 
 import (
 	"errors"
-	"fmt"
 	"math"
 )
 
@@ -19,49 +18,6 @@ var ErrDimension = errors.New("linalg: dimension mismatch")
 
 // Vector is a dense column vector.
 type Vector []float64
-
-// NewVector returns a zero vector of length n.
-func NewVector(n int) Vector { return make(Vector, n) }
-
-// Clone returns a copy of v.
-func (v Vector) Clone() Vector {
-	w := make(Vector, len(v))
-	copy(w, v)
-	return w
-}
-
-// Dot returns the inner product of v and w.
-// It panics if the lengths differ.
-func (v Vector) Dot(w Vector) float64 {
-	if len(v) != len(w) {
-		panic(ErrDimension)
-	}
-	s := 0.0
-	for i, x := range v {
-		s += x * w[i]
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm of v, guarding against overflow by
-// scaling with the largest absolute entry.
-func (v Vector) Norm2() float64 {
-	maxAbs := 0.0
-	for _, x := range v {
-		if a := math.Abs(x); a > maxAbs {
-			maxAbs = a
-		}
-	}
-	if maxAbs == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range v {
-		r := x / maxAbs
-		s += r * r
-	}
-	return maxAbs * math.Sqrt(s)
-}
 
 // NormInf returns the max-absolute-value norm of v.
 func (v Vector) NormInf() float64 {
@@ -74,39 +30,6 @@ func (v Vector) NormInf() float64 {
 	return m
 }
 
-// Norm1 returns the sum of absolute values of v.
-func (v Vector) Norm1() float64 {
-	s := 0.0
-	for _, x := range v {
-		s += math.Abs(x)
-	}
-	return s
-}
-
-// Add returns v + w as a new vector.
-func (v Vector) Add(w Vector) Vector {
-	if len(v) != len(w) {
-		panic(ErrDimension)
-	}
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = v[i] + w[i]
-	}
-	return out
-}
-
-// Sub returns v - w as a new vector.
-func (v Vector) Sub(w Vector) Vector {
-	if len(v) != len(w) {
-		panic(ErrDimension)
-	}
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = v[i] - w[i]
-	}
-	return out
-}
-
 // Scale returns c*v as a new vector.
 func (v Vector) Scale(c float64) Vector {
 	out := make(Vector, len(v))
@@ -114,23 +37,6 @@ func (v Vector) Scale(c float64) Vector {
 		out[i] = c * v[i]
 	}
 	return out
-}
-
-// AXPY performs v += a*w in place.
-func (v Vector) AXPY(a float64, w Vector) {
-	if len(v) != len(w) {
-		panic(ErrDimension)
-	}
-	for i := range v {
-		v[i] += a * w[i]
-	}
-}
-
-// Fill sets every entry of v to c.
-func (v Vector) Fill(c float64) {
-	for i := range v {
-		v[i] = c
-	}
 }
 
 // AllFinite reports whether every entry of v is finite (no NaN or Inf).
@@ -141,9 +47,4 @@ func (v Vector) AllFinite() bool {
 		}
 	}
 	return true
-}
-
-// String renders v for debugging.
-func (v Vector) String() string {
-	return fmt.Sprintf("%v", []float64(v))
 }

@@ -173,7 +173,7 @@ func retryAfterHint(err error) time.Duration {
 // failed), backing off between polls from BaseBackoff up to MaxBackoff.
 // A shedding server (429, or a retried-out 503) does not abort the wait —
 // the job is still queued server-side — it keeps polling with the server's
-// Retry-After hint as the poll-delay floor, mirroring fleet.Worker, so a
+// Retry-After hint as the poll-delay floor, mirroring Worker, so a
 // browning-out server is not hammered by its own waiters. Any other error
 // is terminal. The context bounds the total wait.
 func (c *Client) Wait(ctx context.Context, id int64) (*JobResult, error) {

@@ -205,7 +205,7 @@ func TestWaitSurfacesFailedJob(t *testing.T) {
 // hammering a shedding server: a 429 from /result used to abort Wait with
 // an error and ignored the server's Retry-After hint entirely. Wait must
 // instead keep polling — the job is still queued — with the hint as the
-// poll-delay floor, like fleet.Worker's lease loop.
+// poll-delay floor, like Worker's lease loop.
 func TestWaitHonorsRetryAfterOnShed(t *testing.T) {
 	const hint = 250 * time.Millisecond
 	var calls int32

@@ -39,8 +39,8 @@ type Config struct {
 	DataDir string
 	// SyncWAL fsyncs the WAL on every job transition.
 	SyncWAL bool
-	// JobTimeout bounds one execution attempt of an async job
-	// (default 60s; <0 disables).
+	// JobTimeout bounds one in-process execution attempt of an async job
+	// (default 60s; <0 disables); remote hslbworker attempts have none.
 	JobTimeout time.Duration
 	// MaxAttempts bounds executions per async job, including the first
 	// (default 3).
@@ -107,16 +107,17 @@ type Config struct {
 	Logf func(format string, args ...interface{})
 	// LeaseTTL is the default lease duration granted to pull workers on
 	// /work/lease (default 30s). A worker may request its own TTL, clamped
-	// to [1s, 10×LeaseTTL]. It is also the floor of the lease in-process
-	// workers take, so a panicking local worker's job is reclaimed by the
-	// reaper instead of running forever.
+	// to [1s, 10×LeaseTTL]. In-process workers take it as is; like remote
+	// ones they renew it at a third of its length while they solve, so only
+	// a dead attempt (a panicking solve) lets it lapse for the reaper.
 	LeaseTTL time.Duration
 	// AsyncWorkers is the number of in-process workers pulling /submit
 	// jobs off the durable queue (0 = MaxConcurrent, the historical
 	// behavior; < 0 runs none, leaving the queue entirely to remote
-	// hslbworker nodes on the /work endpoints).
+	// hslbworker nodes on the /work endpoints). Each runs the Worker loop
+	// hslbworker runs, straight against this server's queue.
 	AsyncWorkers int
-	// solveHook overrides the solve path of async jobs in tests (fault
+	// solveHook overrides the in-process workers' solve in tests (fault
 	// injection: panics, hangs, wrong answers). nil uses solveJob.
 	solveHook func(ctx context.Context, req *SolveRequest) *SolveResponse
 }
@@ -143,34 +144,10 @@ func (c Config) withDefaults() Config {
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = 30 * time.Second
 	}
+	if c.AsyncWorkers == 0 {
+		c.AsyncWorkers = c.MaxConcurrent
+	}
 	return c
-}
-
-// asyncWorkers resolves the in-process worker count (see AsyncWorkers).
-func (c Config) asyncWorkers() int {
-	switch {
-	case c.AsyncWorkers < 0:
-		return 0
-	case c.AsyncWorkers == 0:
-		return c.MaxConcurrent
-	default:
-		return c.AsyncWorkers
-	}
-}
-
-// localLeaseTTL is the lease in-process workers take. It comfortably
-// exceeds the per-attempt JobTimeout, so on the healthy path the worker
-// always reports (done, failed, or requeue) before the lease lapses; the
-// TTL only fires when the worker itself died mid-attempt (a panic in the
-// solve), at which point the reaper requeues the job.
-func (c Config) localLeaseTTL() time.Duration {
-	ttl := c.LeaseTTL
-	if c.JobTimeout > 0 {
-		if t := c.JobTimeout + c.JobTimeout/2; t > ttl {
-			ttl = t
-		}
-	}
-	return ttl
 }
 
 // Server is the solve service: a solve cache plus a durable job queue in
@@ -198,18 +175,18 @@ type Server struct {
 	peering *peering
 	// repl is the R-way replication state; nil unless Config.Replicate > 1.
 	repl *replicator
-	// solveFn executes one request on the async path; solveJob unless a
-	// test injected a fault hook via Config.
-	solveFn func(ctx context.Context, req *SolveRequest) *SolveResponse
-	// dupCompletes counts idempotent duplicate /work/complete no-ops;
-	// workerPanics counts recovered panics in in-process workers (each one
-	// leaves a leased job for the reaper to reclaim).
+	// dupCompletes counts idempotent duplicate completes; workerPanics
+	// counts recovered panics in in-process workers (each one leaves a
+	// leased job for the reaper to reclaim).
 	dupCompletes atomic.Uint64
 	workerPanics atomic.Uint64
 
-	quit      chan struct{}
-	wg        sync.WaitGroup
-	closeOnce sync.Once
+	// stopWorkers cancels the in-process workers' Run; quit stops the
+	// other background loops.
+	stopWorkers context.CancelFunc
+	quit        chan struct{}
+	wg          sync.WaitGroup
+	closeOnce   sync.Once
 }
 
 // NewServer returns a memory-only service allowing up to maxConcurrent
@@ -265,14 +242,7 @@ func NewServerWith(cfg Config) (*Server, error) {
 		go s.pusher()
 		go s.sweeper()
 	}
-	s.solveFn = s.solveJob
-	if cfg.solveHook != nil {
-		s.solveFn = cfg.solveHook
-	}
-	for i := 0; i < cfg.asyncWorkers(); i++ {
-		s.wg.Add(1)
-		go s.worker(fmt.Sprintf("local-%d", i))
-	}
+	s.startWorkers()
 	if cfg.JobTTL > 0 {
 		s.wg.Add(1)
 		go s.janitor()
@@ -298,12 +268,14 @@ func (s *Server) logf(format string, args ...interface{}) {
 // the HTTP listener down.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Close drains the worker pool (in-flight solves finish; queued jobs stay
-// in the store for the next start) and closes the WAL.
+// Close drains the worker pool (an in-flight solve gets the worker's drain
+// grace to finish, then its job is released; queued jobs stay in the store
+// for the next start) and closes the WAL.
 func (s *Server) Close() error {
 	s.BeginDrain()
 	var err error
 	s.closeOnce.Do(func() {
+		s.stopWorkers()
 		close(s.quit)
 		s.wg.Wait()
 		err = s.store.Close()
@@ -449,10 +421,10 @@ func (s *Server) fill(key string, resp *SolveResponse) {
 	}
 }
 
-// solveJob is an async attempt's solve. It never takes an admission slot
-// (admit false), so it can only be refused by joining a /solve flight
-// whose leader was refused; it then returns nil and runJob hands the job
-// back without using up the attempt, so a job never finishes with a
+// solveJob is an in-process attempt's solve. It never takes an admission
+// slot (admit false), so it can only be refused by joining a /solve flight
+// whose leader was refused; it then returns nil and the worker hands the
+// job back without using up the attempt, so a job never finishes with a
 // degraded or shed answer.
 func (s *Server) solveJob(ctx context.Context, req *SolveRequest) *SolveResponse {
 	resp, err := s.solve(ctx, req, false)
@@ -651,44 +623,35 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, m)
 }
 
-// worker pulls jobs off the durable queue and executes them until Close.
-// Jobs are claimed through the same lease/fencing mechanism remote
-// workers use: each claim issues a fencing token and a TTL, so if the
-// worker dies mid-attempt (a recovered panic) the reaper requeues the job
-// after the TTL instead of letting it run forever. With the breaker open
-// the worker idles instead of leasing, so a pathological model class
-// stops consuming attempts and cores on the async path too.
-func (s *Server) worker(id string) {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.quit:
-			return
-		default:
-		}
-		if !s.guard.brk.Allow() {
-			select {
-			case <-s.quit:
-				return
-			case <-time.After(s.guard.breakerPoll()):
-			}
-			continue
-		}
-		job, wait, err := s.store.Lease(id, s.cfg.localLeaseTTL())
-		if err != nil || job == nil {
-			var backoff <-chan time.Time
-			if wait > 0 {
-				backoff = time.After(wait)
-			}
-			select {
-			case <-s.quit:
-				return
-			case <-s.store.Ready():
-			case <-backoff:
-			}
-			continue
-		}
-		s.runJob(job)
+// startWorkers starts the in-process pool: AsyncWorkers copies of the one
+// Worker loop, pulling straight from this server's queue. They solve
+// through solveJob (cache, flight and peers, no admission slot), abandon
+// an attempt at JobTimeout, wake on the queue's ready signal instead of
+// polling, and while the breaker is open re-check it every breakerPoll
+// instead of leasing.
+func (s *Server) startWorkers() {
+	ctx, stop := context.WithCancel(context.Background())
+	s.stopWorkers = stop
+	solve := s.solveJob
+	if s.cfg.solveHook != nil {
+		solve = s.cfg.solveHook
+	}
+	poll := s.guard.breakerPoll()
+	for i := 0; i < s.cfg.AsyncWorkers; i++ {
+		w, _ := newWorker(s, WorkerConfig{
+			ID:             fmt.Sprintf("local-%d", i),
+			BaseBackoff:    poll,
+			MaxBackoff:     poll,
+			SolveFn:        solve,
+			attemptTimeout: s.cfg.JobTimeout,
+			ready:          s.store.Ready(),
+			panics:         &s.workerPanics,
+		})
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
+			_ = w.Run(ctx)
+		}()
 	}
 }
 
@@ -715,105 +678,6 @@ func (s *Server) reaper() {
 			_, _ = s.store.ReapExpired()
 		}
 	}
-}
-
-// runJob executes one attempt of a claimed job. JobTimeout does not cancel
-// the solve mid-flight, it abandons the attempt — the solver goroutine
-// keeps running (bounded by SolveTimeout) and at most warms the cache —
-// and the fence-guarded store transitions keep the abandoned result from
-// clobbering a retry. A panic anywhere in the attempt is recovered: the
-// worker survives, the job stays leased, and the reaper requeues it when
-// the lease lapses.
-func (s *Server) runJob(job *jobstore.Job) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.workerPanics.Add(1)
-		}
-	}()
-	var req SolveRequest
-	if err := json.Unmarshal(job.Request, &req); err != nil {
-		_ = s.store.MarkFailed(job.ID, job.Fence, "corrupt request: "+err.Error())
-		return
-	}
-	// Propagate the job's own deadline, capped by SolveTimeout inside the
-	// flight. cancel fires when the (possibly abandoned) solve finishes,
-	// not when runJob returns — an abandoned attempt may still warm the
-	// cache for the retry.
-	ctx := context.Background()
-	cancel := context.CancelFunc(func() {})
-	if req.TimeoutMs > 0 {
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMs)*time.Millisecond)
-	}
-	done := make(chan *SolveResponse, 1)
-	go func() {
-		defer cancel()
-		defer func() {
-			if r := recover(); r != nil {
-				// The attempt dies silently: no send on done, so the lease
-				// lapses and the reaper requeues the job for a retry.
-				s.workerPanics.Add(1)
-			}
-		}()
-		done <- s.solveFn(ctx, &req)
-	}()
-	var timeout <-chan time.Time
-	if s.cfg.JobTimeout > 0 {
-		timeout = time.After(s.cfg.JobTimeout)
-	}
-	// The lease backstop frees this worker if the attempt outlives its
-	// lease with JobTimeout disabled (or the solve goroutine panicked);
-	// by then the token may already be stale, and that is fine — every
-	// transition below tolerates ErrStaleLease.
-	leaseLapsed := time.After(s.cfg.localLeaseTTL())
-	select {
-	case resp := <-done:
-		s.recordAttempt(job, resp)
-	case <-timeout:
-		// Prefer a result that raced in just as the deadline fired over
-		// discarding completed work.
-		select {
-		case resp := <-done:
-			s.recordAttempt(job, resp)
-		default:
-			_, _ = s.store.Requeue(job.ID, job.Fence,
-				fmt.Sprintf("attempt %d timed out after %v", job.Attempts, s.cfg.JobTimeout),
-				s.cfg.RetryBackoff)
-		}
-	case <-leaseLapsed:
-		select {
-		case resp := <-done:
-			s.recordAttempt(job, resp)
-		default:
-			// Abandon: the reaper owns the job now.
-		}
-	}
-}
-
-// recordAttempt finishes a local attempt. The solve already filled the
-// cache, so unlike a remote completion it does not warm it again. A nil
-// resp is an attempt that joined a refused /solve flight: the job goes
-// back to the queue without using up the attempt.
-func (s *Server) recordAttempt(job *jobstore.Job, resp *SolveResponse) {
-	if resp == nil {
-		_ = s.store.Release(job.ID, job.Fence)
-		return
-	}
-	_ = s.finishJob(job.ID, job.Fence, resp)
-}
-
-// finishJob is the one job-completion step, for local and remote attempts
-// under the fencing token: parse and solver errors are deterministic —
-// retrying cannot help — so they fail the job permanently; anything else
-// marks it done with the canonically marshaled result.
-func (s *Server) finishJob(id, fence int64, resp *SolveResponse) error {
-	if resp.Status == "error" {
-		return s.store.MarkFailed(id, fence, resp.Error)
-	}
-	payload, err := json.Marshal(resp)
-	if err != nil {
-		return s.store.MarkFailed(id, fence, "encode result: "+err.Error())
-	}
-	return s.store.MarkDone(id, fence, payload)
 }
 
 // janitor evicts completed jobs past their TTL.

@@ -1,6 +1,7 @@
 package neos
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
@@ -87,29 +88,125 @@ type WorkFailRequest struct {
 	Release bool `json:"release,omitempty"`
 }
 
-// ttlClampMax bounds worker-requested lease TTLs to this multiple of the
-// configured LeaseTTL, so a buggy worker cannot park a job for an hour.
-const ttlClampMax = 10
-
-// grantTTL resolves a requested lease duration against the server clamp.
-// The floor is 1s, or the configured LeaseTTL when the operator set one
-// shorter (tests and latency-sensitive fleets).
-func (s *Server) grantTTL(requestedMs int64) time.Duration {
+// grantTTL resolves a requested lease duration (0 = LeaseTTL) against the
+// server clamp: at most 10×LeaseTTL, so a buggy worker cannot park a job
+// for an hour, and at least 1s, or the configured LeaseTTL when the
+// operator set one shorter (tests and latency-sensitive fleets).
+func (s *Server) grantTTL(requested time.Duration) time.Duration {
 	ttl := s.cfg.LeaseTTL
-	if requestedMs > 0 {
-		ttl = time.Duration(requestedMs) * time.Millisecond
+	if requested > 0 {
+		ttl = requested
 	}
-	floor := time.Second
-	if s.cfg.LeaseTTL < floor {
-		floor = s.cfg.LeaseTTL
+	return min(max(ttl, min(time.Second, s.cfg.LeaseTTL)), 10*s.cfg.LeaseTTL)
+}
+
+// The lease operations below are the work protocol's server side, one copy
+// shared by the /work handlers and the in-process workers, which call them
+// directly. They have *Client's signatures, so one Worker loop runs over
+// either; a stale fencing token surfaces as ErrLeaseLost, wrapping
+// jobstore.ErrStaleLease.
+
+// LeaseWork claims the oldest runnable job for workerID under a lease of
+// ttl, clamped by the server (0 = LeaseTTL). With no runnable job it
+// returns (nil, wait, nil): wait is the time until the next backoff or
+// lease expiry, 0 when nothing is pending at all. An open breaker refuses
+// with a shedError: the solver tier is sick on a model class, and handing
+// out attempts while failures cascade just burns them.
+func (s *Server) LeaseWork(_ context.Context, workerID string, ttl time.Duration) (*WorkGrant, time.Duration, error) {
+	if !s.guard.brk.Allow() {
+		return nil, 0, shedError("circuit breaker open")
 	}
-	if ttl < floor {
-		ttl = floor
+	ttl = s.grantTTL(ttl)
+	job, wait, err := s.store.Lease(workerID, ttl)
+	if err != nil || job == nil {
+		return nil, wait, err
 	}
-	if max := ttlClampMax * s.cfg.LeaseTTL; ttl > max {
-		ttl = max
+	return &WorkGrant{
+		JobID:       job.ID,
+		Fence:       job.Fence,
+		Attempt:     job.Attempts,
+		MaxAttempts: job.MaxAttempts,
+		TTLMs:       ttl.Milliseconds(),
+		Request:     job.Request,
+	}, 0, nil
+}
+
+// RenewWork extends the lease on a held job and returns the granted TTL.
+func (s *Server) RenewWork(_ context.Context, jobID, fence int64, ttl time.Duration) (time.Duration, error) {
+	ttl, err := s.store.Renew(jobID, fence, s.grantTTL(ttl))
+	return ttl, leaseErr(err)
+}
+
+// CompleteWork records a finished solve under the fencing token: parse and
+// solver errors are deterministic — retrying cannot help — so they fail the
+// job permanently; anything else marks it done with the canonically
+// marshaled result. It does not touch the solve cache: an in-process
+// attempt already filled it through its solve, and /work/complete warms it
+// for remote ones.
+//
+// Idempotency escape hatch: a worker that crashed after the server recorded
+// its complete (but before it saw the reply) replays the report with a
+// now-stale token. If the job is already finished with a byte-identical
+// result this is that replay — absorbed, duplicate true. Anything else is a
+// zombie trying to overwrite a newer execution: rejected, never served.
+func (s *Server) CompleteWork(_ context.Context, jobID, fence int64, resp *SolveResponse) (bool, error) {
+	err := s.finishJob(jobID, fence, resp)
+	if errors.Is(err, jobstore.ErrStaleLease) && s.isDuplicateComplete(jobID, resp) {
+		s.dupCompletes.Add(1)
+		return true, nil
 	}
-	return ttl
+	return false, leaseErr(err)
+}
+
+func (s *Server) finishJob(id, fence int64, resp *SolveResponse) error {
+	if resp.Status == "error" {
+		return s.store.MarkFailed(id, fence, resp.Error)
+	}
+	payload, err := json.Marshal(resp)
+	if err != nil {
+		return s.store.MarkFailed(id, fence, "encode result: "+err.Error())
+	}
+	return s.store.MarkDone(id, fence, payload)
+}
+
+// FailWork reports a failed attempt: retryable requeues the job with
+// RetryBackoff (the attempt is consumed), otherwise it fails permanently.
+func (s *Server) FailWork(_ context.Context, jobID, fence int64, errMsg string, retryable bool) error {
+	if retryable {
+		_, err := s.store.Requeue(jobID, fence, errMsg, s.cfg.RetryBackoff)
+		return leaseErr(err)
+	}
+	return leaseErr(s.store.MarkFailed(jobID, fence, errMsg))
+}
+
+// ReleaseWork hands a held job back to the queue without consuming its
+// attempt.
+func (s *Server) ReleaseWork(_ context.Context, jobID, fence int64) error {
+	return leaseErr(s.store.Release(jobID, fence))
+}
+
+// leaseErr maps the store's stale-token rejection to ErrLeaseLost.
+func leaseErr(err error) error {
+	if errors.Is(err, jobstore.ErrStaleLease) {
+		return fmt.Errorf("%w: %w", ErrLeaseLost, err)
+	}
+	return err
+}
+
+// writeLeaseErr answers a failed lease operation (404 unknown job, 409
+// stale lease, 500 otherwise) and reports whether there was one.
+func writeLeaseErr(w http.ResponseWriter, err error) bool {
+	switch {
+	case err == nil:
+		return false
+	case errors.Is(err, jobstore.ErrNotFound):
+		http.Error(w, "unknown job", http.StatusNotFound)
+	case errors.Is(err, ErrLeaseLost):
+		http.Error(w, "stale lease", http.StatusConflict)
+	default:
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
+	return true
 }
 
 func decodeWorkBody(w http.ResponseWriter, r *http.Request, out interface{}) bool {
@@ -137,20 +234,14 @@ func (s *Server) handleWorkLease(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}
-	// An open breaker means the solver tier is sick on a model class; remote
-	// workers run their own solvers, but handing out attempts while failures
-	// cascade just burns them — shed with Retry-After like the sync path.
-	if !s.guard.brk.Allow() {
-		s.shed(w, "circuit breaker open")
-		return
-	}
-	ttl := s.grantTTL(req.TTLMs)
-	job, wait, err := s.store.Lease(req.WorkerID, ttl)
-	if err != nil {
+	grant, wait, err := s.LeaseWork(r.Context(), req.WorkerID, time.Duration(req.TTLMs)*time.Millisecond)
+	var shed shedError
+	switch {
+	case errors.As(err, &shed):
+		s.shed(w, string(shed))
+	case err != nil:
 		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	if job == nil {
+	case grant == nil:
 		// No runnable work. The wait hint covers both backoff delays and the
 		// next lease expiry, so pollers return in time to pick up reclaims.
 		if wait <= 0 {
@@ -159,16 +250,9 @@ func (s *Server) handleWorkLease(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Wait-Ms", fmt.Sprintf("%d", wait.Milliseconds()))
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", int((wait+time.Second-1)/time.Second)))
 		w.WriteHeader(http.StatusNoContent)
-		return
+	default:
+		writeJSON(w, http.StatusOK, grant)
 	}
-	writeJSON(w, http.StatusOK, WorkGrant{
-		JobID:       job.ID,
-		Fence:       job.Fence,
-		Attempt:     job.Attempts,
-		MaxAttempts: job.MaxAttempts,
-		TTLMs:       ttl.Milliseconds(),
-		Request:     job.Request,
-	})
 }
 
 func (s *Server) handleWorkRenew(w http.ResponseWriter, r *http.Request) {
@@ -176,15 +260,8 @@ func (s *Server) handleWorkRenew(w http.ResponseWriter, r *http.Request) {
 	if !decodeWorkBody(w, r, &req) {
 		return
 	}
-	ttl, err := s.store.Renew(req.JobID, req.Fence, s.grantTTL(req.TTLMs))
-	switch {
-	case errors.Is(err, jobstore.ErrNotFound):
-		http.Error(w, "unknown job", http.StatusNotFound)
-	case errors.Is(err, jobstore.ErrStaleLease):
-		http.Error(w, "stale lease", http.StatusConflict)
-	case err != nil:
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	default:
+	ttl, err := s.RenewWork(r.Context(), req.JobID, req.Fence, time.Duration(req.TTLMs)*time.Millisecond)
+	if !writeLeaseErr(w, err) {
 		writeJSON(w, http.StatusOK, WorkRenewResponse{TTLMs: ttl.Milliseconds()})
 	}
 }
@@ -198,28 +275,16 @@ func (s *Server) handleWorkComplete(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "result required", http.StatusBadRequest)
 		return
 	}
-	err := s.completeJob(req.JobID, req.Fence, req.Result)
-	switch {
-	case errors.Is(err, jobstore.ErrNotFound):
-		http.Error(w, "unknown job", http.StatusNotFound)
-	case errors.Is(err, jobstore.ErrStaleLease):
-		// Idempotency escape hatch: a worker that crashed after the server
-		// recorded its complete (but before it saw the 200) will replay the
-		// report with a now-stale token. If the job is already finished with
-		// a byte-identical result this is that replay — absorb it. Anything
-		// else is a zombie trying to overwrite a newer execution: reject,
-		// and never serve its result.
-		if s.isDuplicateComplete(req.JobID, req.Result) {
-			s.dupCompletes.Add(1)
-			writeJSON(w, http.StatusOK, WorkCompleteResponse{Duplicate: true})
-			return
-		}
-		http.Error(w, "stale lease", http.StatusConflict)
-	case err != nil:
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	default:
-		writeJSON(w, http.StatusOK, WorkCompleteResponse{})
+	dup, err := s.CompleteWork(r.Context(), req.JobID, req.Fence, req.Result)
+	if writeLeaseErr(w, err) {
+		return
 	}
+	if !dup {
+		// A remote answer, unlike an in-process solve, has not filled the
+		// solve cache yet.
+		s.warmFromJob(req.JobID, req.Result)
+	}
+	writeJSON(w, http.StatusOK, WorkCompleteResponse{Duplicate: dup})
 }
 
 func (s *Server) handleWorkFail(w http.ResponseWriter, r *http.Request) {
@@ -228,35 +293,14 @@ func (s *Server) handleWorkFail(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var err error
-	switch {
-	case req.Release:
-		err = s.store.Release(req.JobID, req.Fence)
-	case req.Retryable:
-		_, err = s.store.Requeue(req.JobID, req.Fence, req.Error, s.cfg.RetryBackoff)
-	default:
-		err = s.store.MarkFailed(req.JobID, req.Fence, req.Error)
+	if req.Release {
+		err = s.ReleaseWork(r.Context(), req.JobID, req.Fence)
+	} else {
+		err = s.FailWork(r.Context(), req.JobID, req.Fence, req.Error, req.Retryable)
 	}
-	switch {
-	case errors.Is(err, jobstore.ErrNotFound):
-		http.Error(w, "unknown job", http.StatusNotFound)
-	case errors.Is(err, jobstore.ErrStaleLease):
-		http.Error(w, "stale lease", http.StatusConflict)
-	case err != nil:
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	default:
+	if !writeLeaseErr(w, err) {
 		writeJSON(w, http.StatusOK, struct{}{})
 	}
-}
-
-// completeJob applies a worker-reported result under the fencing token
-// through finishJob, then warms the solve cache: a remote answer, unlike a
-// local solve, has not filled it yet.
-func (s *Server) completeJob(id, fence int64, resp *SolveResponse) error {
-	if err := s.finishJob(id, fence, resp); err != nil {
-		return err
-	}
-	s.warmFromJob(id, resp)
-	return nil
 }
 
 // isDuplicateComplete reports whether the job already reached the terminal

@@ -351,6 +351,39 @@ func TestLocalWorkerPanicReclaimed(t *testing.T) {
 	}
 }
 
+// TestLocalAttemptOutlivesLeaseTTL: an in-process attempt that runs four
+// lease TTLs, with JobTimeout disabled, keeps its lease by heartbeat and
+// finishes on its first attempt. Without renewal the lease lapses mid-solve,
+// the reaper re-runs the job, and every attempt meets the same fate until
+// the job fails.
+func TestLocalAttemptOutlivesLeaseTTL(t *testing.T) {
+	var calls atomic.Int64
+	_, _, c := newServerWith(t, Config{
+		MaxConcurrent: 2,
+		AsyncWorkers:  1,
+		LeaseTTL:      100 * time.Millisecond,
+		JobTimeout:    -1,
+		RetryBackoff:  time.Millisecond,
+		solveHook: func(ctx context.Context, req *SolveRequest) *SolveResponse {
+			calls.Add(1)
+			time.Sleep(400 * time.Millisecond)
+			return &SolveResponse{Status: "optimal", Objective: 3}
+		},
+	})
+	id := submitJob(t, c, miniModel)
+	jr := waitForStatus(t, c, id, JobDone)
+	if jr.Attempts != 1 || calls.Load() != 1 {
+		t.Fatalf("attempts = %d, solves = %d; want 1 and 1", jr.Attempts, calls.Load())
+	}
+	m, err := c.Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Jobs.LeaseReclaims != 0 {
+		t.Fatalf("lease reclaims = %d, want 0: the lease lapsed mid-solve", m.Jobs.LeaseReclaims)
+	}
+}
+
 // TestWorkLeaseBreakerOpenSheds verifies a tripped breaker sheds lease
 // polls with 429 + Retry-After instead of handing out attempts.
 func TestWorkLeaseBreakerOpenSheds(t *testing.T) {
