@@ -485,9 +485,20 @@ func (t *tableau) step(j int, dir float64) Status {
 	limit := t.upper[j] - t.lower[j] // both finite or +Inf
 	leaving := -1
 	leavingToUpper := false
+	// Pivot elements are screened relative to the column's largest entry:
+	// a degenerate step that pivots on 1.5e-9 beside an entry of 216 (seen
+	// on an outer-approximation node LP) multiplies the column by 1e11, and
+	// the tableau then no longer represents the LP: it calls a feasible LP
+	// infeasible or reports as optimal a point that misses its rows by tens
+	// of units. A basic variable whose entry is screened out moves by a
+	// negligible amount instead.
+	tol := pivTol
+	for i := 0; i < t.m; i++ {
+		tol = math.Max(tol, pivTol*math.Abs(t.a[i][j]))
+	}
 	for i := 0; i < t.m; i++ {
 		alpha := t.a[i][j] * dir // xB_i decreases at rate alpha
-		if math.Abs(alpha) < pivTol {
+		if math.Abs(alpha) < tol {
 			continue
 		}
 		b := t.basis[i]

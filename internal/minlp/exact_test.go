@@ -101,3 +101,57 @@ func TestSolveMatchesExactOptimum(t *testing.T) {
 		})
 	}
 }
+
+// TestFixedLPFallsBackOnRejectedPoint forces the exact-subproblem path onto
+// a model that fails the structural test (9/y with y continuous), so the
+// fixed LP linearizes 9/y at y = 1 and its optimum (y = 2, T = 9) misses
+// the true row 36/4 + 9/2 ≤ T by 4.5. fixedLP must refuse that point and
+// solveFixed must answer through the NLP, counting one fallback; on a model
+// that passes the test the LP decides and nothing falls back.
+func TestFixedLPFallsBackOnRejectedPoint(t *testing.T) {
+	m := model.New()
+	n := m.AddVar("n", model.Integer, 1, 6)
+	y := m.AddVar("y", model.Continuous, 0.5, 6)
+	T := m.AddVar("T", model.Continuous, 0, 1000)
+	m.AddConstraint("time", expr.Sub(expr.Sum(expr.Div{Num: expr.C(36), Den: n}, expr.Div{Num: expr.C(9), Den: y}), T), model.LE, 0)
+	m.AddConstraint("cap", expr.Sum(n, y), model.LE, 6)
+	m.SetObjective(T, model.Minimize)
+	w, err := prepare(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.exact {
+		t.Fatal("structural test passed a continuous variable under a division")
+	}
+	w.exact = true
+	opt := Options{}.withDefaults()
+	z := make([]float64, w.m.NumVars())
+	z[n.Index], z[y.Index] = 4, 1
+	if fs, decided := w.fixedLP(opt, z); decided {
+		t.Fatalf("fixedLP decided %+v; its point violates the time row", fs)
+	}
+	fs, err := w.solveFixed(opt, z, nil, 0)
+	if err != nil || fs == nil {
+		t.Fatalf("NLP fallback: %v, %v", fs, err)
+	}
+	if math.Abs(fs.obj-13.5) > 1e-4 || w.nlpFallbacks != 1 {
+		t.Fatalf("obj %v after %d fallbacks; want 13.5 after 1", fs.obj, w.nlpFallbacks)
+	}
+
+	w, err = prepare(tableIModel(64, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	z = make([]float64, w.m.NumVars())
+	for _, j := range w.m.IntegerVars() {
+		z[j] = 16
+	}
+	fs, err = w.solveFixed(opt, z, nil, 0)
+	if err != nil || fs == nil || !w.exact || w.nlpFallbacks != 0 {
+		t.Fatalf("exact model: %+v, %v, exact %v, %d fallbacks", fs, err, w.exact, w.nlpFallbacks)
+	}
+	// Slowest component at 16 nodes: 8464.1/16 + 4.9.
+	if want := 8464.1/16 + 4.9; math.Abs(fs.obj-want) > 1e-12*want {
+		t.Fatalf("obj %v, want %v", fs.obj, want)
+	}
+}

@@ -12,9 +12,11 @@
 //     the algorithm the paper uses. A single search tree solves MILP/LP
 //     relaxations built from outer-approximation cuts
 //     ∇f(xᵏ)ᵀ(x−xᵏ) + f(xᵏ) ≤ 0 (paper eq. 4); when an integer-feasible LP
-//     point violates a nonlinear constraint, an NLP with fixed integers is
-//     solved and new cuts are added, tightening the relaxation everywhere in
-//     the tree.
+//     point violates a nonlinear constraint, the subproblem with fixed
+//     integers is solved and new cuts are added, tightening the relaxation
+//     everywhere in the tree. That subproblem is one exact LP when every
+//     variable under a nonlinear operator is integer (true of every HSLB
+//     model, see Result.ExactSubproblems) and an NLP otherwise.
 //
 // Positivity of the fitted coefficients makes the HSLB constraints convex
 // (paper §III-E), so both algorithms certify global optimality.
@@ -118,13 +120,28 @@ func (s Status) String() string {
 
 // Result is the outcome of Solve.
 type Result struct {
-	Status    Status
-	X         []float64 // length = original model variable count
-	Obj       float64   // objective in the model's own sense
-	Nodes     int       // branch-and-bound nodes processed
-	NLPSolves int       // NLP subproblem count (OuterApprox) or node count (NLPBB)
-	Cuts      int       // outer-approximation cuts added (OuterApprox only)
-	Presolve  PresolveStats
+	Status Status
+	X      []float64 // length = original model variable count
+	Obj    float64   // objective in the model's own sense
+	Nodes  int       // branch-and-bound nodes processed
+	// NLPSolves counts subproblem solves: the continuous relaxations
+	// (OuterApprox's root and unbounded-LP recoveries, every NLPBB node)
+	// plus each OuterApprox fixed-integer subproblem and one for a
+	// canonical finish that took, whichever solver answered them — one LP
+	// when ExactSubproblems holds, the NLP solver otherwise.
+	NLPSolves int
+	Cuts      int // outer-approximation cuts added (OuterApprox only)
+	// ExactSubproblems reports that every variable under a nonlinear
+	// operator in a nonlinear constraint is integer, so fixing the integers
+	// leaves an LP and each fixed-integer subproblem is solved exactly by
+	// one simplex solve instead of the augmented-Lagrangian NLP.
+	ExactSubproblems bool
+	// NLPFallbacks counts the fixed-integer subproblems the NLP solver
+	// answered: all of them when ExactSubproblems is false, otherwise those
+	// whose LP did not decide (a row that does not linearize, an unfinished
+	// simplex, or an LP point the model's rows reject).
+	NLPFallbacks int
+	Presolve     PresolveStats
 	// LPWarm reports warm-start activity of the outer-approximation node
 	// LPs (zero for NLPBB, which solves no LPs).
 	LPWarm lp.WarmStats
@@ -145,8 +162,8 @@ func Solve(m *model.Model, opt Options) (*Result, error) {
 // incumbent found so far — it never returns the context error itself, so a
 // timed-out solve still yields a usable (if uncertified) allocation. If no
 // incumbent exists yet, a bounded rescue dive fixes the integer variables
-// from the most recent relaxation point and solves one NLP to manufacture
-// a feasible point before giving up.
+// from the most recent relaxation point and solves one fixed-integer
+// subproblem to manufacture a feasible point before giving up.
 func SolveContext(ctx context.Context, m *model.Model, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	if err := m.Validate(); err != nil {
@@ -159,7 +176,7 @@ func SolveContext(ctx context.Context, m *model.Model, opt Options) (*Result, er
 	// Root presolve: tighten the work model's box before the tree search.
 	ps := Presolve(w.m, opt.FeasTol)
 	if ps.Infeasible {
-		return &Result{Status: Infeasible, Presolve: ps}, nil
+		return &Result{Status: Infeasible, Presolve: ps, ExactSubproblems: w.exact}, nil
 	}
 	var res *Result
 	switch {
@@ -172,7 +189,7 @@ func SolveContext(ctx context.Context, m *model.Model, opt Options) (*Result, er
 		return nil, err
 	}
 	// Canonical finish: descend to one representative of the tied integer
-	// assignments and re-solve its NLP from a deterministic start.
+	// assignments and re-solve its fixed-integer subproblem.
 	if res.Status == Optimal && res.X != nil {
 		if cx, cobj, ok := canonicalFinish(w, opt, res.X); ok {
 			res.X, res.Obj = cx, cobj
@@ -180,6 +197,8 @@ func SolveContext(ctx context.Context, m *model.Model, opt Options) (*Result, er
 		}
 	}
 	res.Presolve = ps
+	res.ExactSubproblems = w.exact
+	res.NLPFallbacks = w.nlpFallbacks
 	return w.restore(res), nil
 }
 
@@ -190,11 +209,12 @@ func SolveContext(ctx context.Context, m *model.Model, opt Options) (*Result, er
 // approximation (or one algorithm under different pruning gaps) can land on
 // different ones. The integer variables are fixed to the incumbent's
 // (rounded) assignment, walked down to the component-wise smallest tied
-// assignment, and the continuous variables re-solved from the
-// deterministic nil start, so any two solves that agree on the tie class
-// return bit-identical X and Obj — the continuous part is a function of
-// the assignment, not of the warm-start chain that reached it.
-// Best-effort: if the polish NLP stalls, the raw incumbent stands.
+// assignment, and the continuous variables re-solved, so any two solves
+// that agree on the tie class return bit-identical X and Obj — the
+// continuous part is a function of the assignment, not of the warm-start
+// chain that reached it. When ExactSubproblems holds each re-solve is one
+// exact LP; otherwise it is an NLP from the deterministic nil start, and
+// if that polish stalls the raw incumbent stands.
 func canonicalFinish(w *work, opt Options, raw []float64) ([]float64, float64, bool) {
 	m := w.m
 	intVars := m.IntegerVars()
@@ -213,12 +233,13 @@ func canonicalFinish(w *work, opt Options, raw []float64) ([]float64, float64, b
 	if best == nil {
 		return nil, 0, false
 	}
-	// The polish must never worsen the answer: the augmented-Lagrangian
-	// solver can stall feasible but far from stationary on badly scaled
-	// fixed models, reporting "optimal" at a wildly pessimistic objective.
-	// A polished objective materially above the incumbent's is such a
-	// stall — keep the raw incumbent (the representative is then
-	// best-effort, but a correct answer beats a canonical wrong one).
+	// The polish must never worsen the answer: on the NLP fallback the
+	// augmented-Lagrangian solver can stall feasible but far from
+	// stationary on badly scaled fixed models, reporting "optimal" at a
+	// wildly pessimistic objective. A polished objective materially above
+	// the incumbent's is such a stall — keep the raw incumbent (the
+	// representative is then best-effort, but a correct answer beats a
+	// canonical wrong one). An exact LP re-solve never trips this.
 	rawObj := dotObj(w.objCoef, raw)
 	if best.obj > rawObj+1e-6*(1+math.Abs(rawObj)) {
 		return nil, 0, false
@@ -229,7 +250,7 @@ func canonicalFinish(w *work, opt Options, raw []float64) ([]float64, float64, b
 	// representative: the component-wise smallest tied assignment reachable
 	// by single steps. Candidates are screened against the constraints that
 	// involve only integer variables (selection-set pick1/link rows and the
-	// like) before paying for an NLP probe, and the probe budget is far
+	// like) before paying for a re-solve probe, and the probe budget is far
 	// above what the corpus needs; it only guards against pathological tie
 	// plateaus.
 	intOnly := intOnlyCons(m, intVars)
@@ -256,7 +277,7 @@ func canonicalFinish(w *work, opt Options, raw []float64) ([]float64, float64, b
 			// Free accept: when the candidate assignment keeps the whole
 			// current point feasible at the reference objective, the
 			// re-solved objective can only tie or improve, so the step is
-			// proven without an NLP. This is the common case on a tie
+			// proven without a re-solve. This is the common case on a tie
 			// plateau — a component off the critical path sheds spare
 			// capacity without moving the makespan.
 			if satisfiesCons(m, allCons, xc) && math.Abs(dotObj(w.objCoef, xc)-objRef) <= tieTol {
@@ -339,55 +360,177 @@ func satisfiesCons(m *model.Model, cons []int, x []float64) bool {
 	return true
 }
 
-// fixedSolve is one canonicalFinish probe: the NLP over the continuous
-// variables with every integer variable fixed to the given assignment.
+// fixedSolve is the answer to one fixed-integer subproblem: the best
+// continuous completion of an integer assignment.
 type fixedSolve struct {
 	x   []float64
 	obj float64
 }
 
-func solveAssignment(w *work, opt Options, intVars []int, z []float64, start []float64) *fixedSolve {
-	fixed := w.m.Clone()
-	for k, j := range intVars {
-		fixed.FixVar(j, z[k])
+// cutAt linearizes nonlinear row i at x, ∇g(x)ᵀ(y−x) + g(x) ≤ 0, as one
+// unitRow. ok=false when the gradient vanishes or a coefficient is not
+// finite (a component time evaluated at a pole).
+func (w *work) cutAt(i int, x []float64) (lp.Constraint, bool) {
+	aff := expr.LinearizeAt(w.nlCons[i].Body, x)
+	coef := make([]float64, w.m.NumVars())
+	scale := 0.0
+	for j, c := range aff.Coef {
+		coef[j] = c
+		scale = math.Max(scale, math.Abs(c))
 	}
-	// The augmented-Lagrangian solver can stall feasible but short of
-	// stationarity when started cold on badly scaled boxes (classify's
-	// feasible exit still reads "optimal"), which would make this probe
-	// report a wildly pessimistic objective. Restarting from the previous
-	// answer resets the multipliers and penalty with a far better starting
-	// point; the restart sequence is a pure function of the fixed model and
-	// the given start (nil = the deterministic midpoint start), so the
-	// answer stays the function of the assignment canonicalFinish needs.
-	// Iterate to a fixpoint.
+	if scale == 0 || math.IsInf(scale, 0) || math.IsNaN(scale) ||
+		math.IsInf(aff.Constant, 0) || math.IsNaN(aff.Constant) {
+		return lp.Constraint{}, false
+	}
+	return unitRow(lp.Constraint{Coef: coef, Sense: lp.LE, RHS: -aff.Constant}), true
+}
+
+// unitRow scales an LP row to unit max-norm. Every row the search hands
+// the dense simplex goes through it: Table I rows span slopes near 1e6 per
+// node (a cut where a component curve is steep, at n = 1) and selection-set
+// weights in the thousands beside unit coefficients, and against the
+// simplex's absolute pivot and feasibility tolerances such rows make it
+// return optima that a feasible point of the same LP beats.
+func unitRow(c lp.Constraint) lp.Constraint {
+	scale := 0.0
+	for _, v := range c.Coef {
+		scale = math.Max(scale, math.Abs(v))
+	}
+	if scale == 0 {
+		return c
+	}
+	for j := range c.Coef {
+		c.Coef[j] /= scale
+	}
+	c.RHS /= scale
+	return c
+}
+
+// fixedLP solves the fixed-integer subproblem at the assignment held in the
+// integer entries of z as one LP. When w.exact holds, fixing the integers
+// leaves every nonlinear row affine in the variables still free, so its
+// linearization at z is the row itself, whatever z's continuous entries
+// hold, and the LP optimum is the subproblem's exact optimum.
+// decided=false sends the caller to its NLP path: the structural test
+// failed, a row does not linearize (see cutAt), the simplex did not finish,
+// or its point misses a row or bound of the model by more than FeasTol.
+// decided=true with a nil result proves the assignment infeasible.
+func (w *work) fixedLP(opt Options, z []float64) (fs *fixedSolve, decided bool) {
+	if !w.exact {
+		return nil, false
+	}
+	m := w.m
+	n := m.NumVars()
+	p := &lp.Problem{
+		NumVars: n,
+		Obj:     w.objCoef,
+		Cons:    append(make([]lp.Constraint, 0, len(w.linCons)+len(w.nlCons)), w.linCons...),
+		Lower:   make([]float64, n),
+		Upper:   make([]float64, n),
+	}
+	for j, v := range m.Vars {
+		p.Lower[j], p.Upper[j] = v.Lower, v.Upper
+		if v.Type != model.Continuous {
+			p.Lower[j], p.Upper[j] = z[j], z[j]
+		}
+	}
+	for i := range w.nlCons {
+		c, ok := w.cutAt(i, z)
+		if !ok {
+			return nil, false
+		}
+		p.Cons = append(p.Cons, c)
+	}
+	sol, err := lp.Solve(p)
+	if err != nil {
+		return nil, false
+	}
+	switch sol.Status {
+	case lp.Infeasible:
+		return nil, true
+	case lp.Optimal:
+	default:
+		return nil, false
+	}
+	for _, j := range m.IntegerVars() {
+		sol.X[j] = z[j]
+	}
+	// The point becomes an incumbent: hold it to the model itself, as the
+	// NLP path holds its answers, rather than trust the simplex.
+	if m.FeasibilityError(sol.X) > opt.FeasTol {
+		return nil, false
+	}
+	return &fixedSolve{x: sol.X, obj: dotObj(w.objCoef, sol.X)}, true
+}
+
+// solveFixed solves the fixed-integer subproblem at the assignment held in
+// the integer entries of z: one exact LP when fixedLP decides it, else the
+// NLP warm-started from start, counted in w.nlpFallbacks. restarts > 0
+// re-solves the NLP from each answer until the objective stops improving,
+// at most restarts more times. nil means the assignment is infeasible or
+// the NLP did not converge to a feasible point.
+func (w *work) solveFixed(opt Options, z, start []float64, restarts int) (*fixedSolve, error) {
+	if fs, decided := w.fixedLP(opt, z); decided {
+		return fs, nil
+	}
+	w.nlpFallbacks++
+	fixed := w.m.Clone()
+	for _, j := range w.m.IntegerVars() {
+		fixed.FixVar(j, z[j])
+	}
 	x0 := start
 	var best *fixedSolve
-	for round := 0; round < 8; round++ {
+	for round := 0; round <= restarts; round++ {
 		res, err := nlp.Solve(fixed, x0, opt.NLP)
 		if err != nil || res.Status != nlp.Optimal || res.FeasErr > opt.FeasTol {
-			return best // nil when the very first solve fails
+			return best, err // best is nil when the very first solve fails
 		}
 		obj := dotObj(w.objCoef, res.X)
 		if best != nil && obj >= best.obj-1e-10*(1+math.Abs(best.obj)) {
-			return best
+			break
 		}
 		best = &fixedSolve{x: res.X, obj: obj}
 		x0 = res.X
 	}
-	return best
+	return best, nil
+}
+
+// solveAssignment is one canonicalFinish probe: the fixed-integer
+// subproblem at assignment z (one value per intVars entry), nil when the
+// assignment is infeasible or the NLP fallback fails. start supplies the
+// continuous entries of the point the subproblem is posed at and
+// warm-starts the NLP fallback; nil is the deterministic midpoint start.
+//
+// On the fallback the augmented-Lagrangian solver can stall feasible but
+// short of stationarity when started cold on badly scaled boxes
+// (classify's feasible exit still reads "optimal"), which would make this
+// probe report a wildly pessimistic objective. Restarting from the previous
+// answer resets the multipliers and penalty with a far better starting
+// point; the restart sequence is a pure function of the fixed model and the
+// given start, so the answer stays the function of the assignment
+// canonicalFinish needs.
+func solveAssignment(w *work, opt Options, intVars []int, z []float64, start []float64) *fixedSolve {
+	pt := make([]float64, w.m.NumVars())
+	copy(pt, start)
+	for k, j := range intVars {
+		pt[j] = z[k]
+	}
+	fs, _ := w.solveFixed(opt, pt, start, 7)
+	return fs
 }
 
 // rescueDive manufactures a feasible incumbent after a deadline fires with
 // none found: integer variables are fixed from the given relaxation point
 // (SOS-1 sets pick their largest selector so the set stays consistent) and a
-// single NLP is solved over the remaining continuous variables. Best-effort:
-// returns ok=false when the dive is infeasible or the NLP stalls.
+// single fixed-integer subproblem is solved over the remaining continuous
+// variables. Best-effort: returns ok=false when the dive is infeasible or
+// the NLP fallback stalls.
 func rescueDive(w *work, opt Options, lastX []float64) (x []float64, obj float64, ok bool) {
 	if lastX == nil {
 		return nil, 0, false
 	}
 	m := w.m
-	fixed := m.Clone()
+	z := append([]float64(nil), lastX...)
 	inSOS := map[int]bool{}
 	for _, s := range m.SOS {
 		// Snap the target to the largest allowed weight not above its
@@ -401,14 +544,13 @@ func rescueDive(w *work, opt Options, lastX []float64) (x []float64, obj float64
 		}
 		for k, sel := range s.Selectors {
 			inSOS[sel] = true
+			z[sel] = 0
 			if k == best {
-				fixed.FixVar(sel, 1)
-			} else {
-				fixed.FixVar(sel, 0)
+				z[sel] = 1
 			}
 		}
 		inSOS[s.Target] = true
-		fixed.FixVar(s.Target, s.Weights[best])
+		z[s.Target] = s.Weights[best]
 	}
 	for _, j := range m.IntegerVars() {
 		if inSOS[j] {
@@ -424,13 +566,53 @@ func rescueDive(w *work, opt Options, lastX []float64) (x []float64, obj float64
 		if hi := m.Vars[j].Upper; v > hi {
 			v = math.Floor(hi + 1e-9)
 		}
-		fixed.FixVar(j, v)
+		z[j] = v
 	}
-	fres, err := nlp.Solve(fixed, lastX, opt.NLP)
-	if err != nil || fres.Status != nlp.Optimal || fres.FeasErr > opt.FeasTol {
+	fs, err := w.solveFixed(opt, z, lastX, 0)
+	if err != nil || fs == nil {
 		return nil, 0, false
 	}
-	return fres.X, dotObj(w.objCoef, fres.X), true
+	return fs.x, fs.obj, true
+}
+
+// exactSubproblems is the structural test behind Result.ExactSubproblems:
+// it reports whether every variable that appears under a nonlinear
+// operator in the rows is integer. Add, Neg, Const, Var and a Mul with at
+// most one variable-carrying factor pass linearity through to their
+// children; every other node puts all of its variables under a nonlinear
+// operator.
+func exactSubproblems(m *model.Model, rows []model.Constraint) bool {
+	ok := true
+	var walk func(e expr.Expr, nonlinear bool)
+	walk = func(e expr.Expr, nonlinear bool) {
+		switch t := e.(type) {
+		case expr.Const:
+			return
+		case expr.Var:
+			if nonlinear && m.Vars[t.Index].Type == model.Continuous {
+				ok = false
+			}
+			return
+		case expr.Add, expr.Neg:
+		case expr.Mul:
+			carriers := 0
+			for _, f := range t.Factors {
+				if expr.MaxVarIndex(f) >= 0 {
+					carriers++
+				}
+			}
+			nonlinear = nonlinear || carriers > 1
+		default:
+			nonlinear = true
+		}
+		for _, c := range expr.Children(e) {
+			walk(c, nonlinear)
+		}
+	}
+	for i := range rows {
+		walk(rows[i].Body, false)
+	}
+	return ok
 }
 
 // work is the internal minimization-form model.
@@ -443,6 +625,9 @@ type work struct {
 	objCoef  []float64 // linear objective over work vars
 	linCons  []lp.Constraint
 	nlCons   []model.Constraint // nonlinear inequality constraints, body ≤ rhs form
+	exact    bool               // fixed-integer subproblems are LPs (exactSubproblems)
+
+	nlpFallbacks int // fixed-integer subproblems fixedLP left to the NLP
 }
 
 // prepare normalizes the model: minimization sense, linear objective via an
@@ -491,7 +676,7 @@ func prepare(m *model.Model) (*work, error) {
 			default:
 				sense = lp.EQ
 			}
-			w.linCons = append(w.linCons, lp.Constraint{Coef: coef, Sense: sense, RHS: c.RHS - a.Constant})
+			w.linCons = append(w.linCons, unitRow(lp.Constraint{Coef: coef, Sense: sense, RHS: c.RHS - a.Constant}))
 			continue
 		}
 		switch c.Sense {
@@ -507,6 +692,7 @@ func prepare(m *model.Model) (*work, error) {
 			})
 		}
 	}
+	w.exact = exactSubproblems(wm, w.nlCons)
 	return w, nil
 }
 

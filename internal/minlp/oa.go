@@ -5,7 +5,6 @@ import (
 	"context"
 	"math"
 
-	"hslb/internal/expr"
 	"hslb/internal/lp"
 	"hslb/internal/nlp"
 )
@@ -17,8 +16,8 @@ const maxCutRoundsPerNode = 200
 
 // solveOA is the LP/NLP-based branch-and-bound of Quesada and Grossmann as
 // described in paper §III-E: a single tree of LP relaxations built from
-// outer-approximation cuts, with NLP subproblems solved only when an
-// integer-feasible LP point violates a nonlinear constraint.
+// outer-approximation cuts, with fixed-integer subproblems solved only when
+// an integer-feasible LP point violates a nonlinear constraint.
 func solveOA(ctx context.Context, w *work, opt Options) (*Result, error) {
 	m := w.m
 	n := m.NumVars()
@@ -32,24 +31,13 @@ func solveOA(ctx context.Context, w *work, opt Options) (*Result, error) {
 	addCutsAt := func(x []float64, onlyViolated bool) int {
 		added := 0
 		for i := range w.nlCons {
-			g := w.nlCons[i].Body.Eval(x)
-			if onlyViolated && g <= opt.FeasTol {
+			if onlyViolated && w.nlCons[i].Body.Eval(x) <= opt.FeasTol {
 				continue
 			}
-			aff := expr.LinearizeAt(w.nlCons[i].Body, x)
-			coef := make([]float64, n)
-			allZero := true
-			for j, c := range aff.Coef {
-				coef[j] = c
-				if c != 0 {
-					allZero = false
-				}
+			if c, ok := w.cutAt(i, x); ok {
+				cuts = append(cuts, c)
+				added++
 			}
-			if allZero {
-				continue
-			}
-			cuts = append(cuts, lp.Constraint{Coef: coef, Sense: lp.LE, RHS: -aff.Constant})
-			added++
 		}
 		cutsAdded += added
 		return added
@@ -201,24 +189,20 @@ func solveOA(ctx context.Context, w *work, opt Options) (*Result, error) {
 				break nodeLoop
 			}
 
-			// Solve the NLP with integers fixed to this assignment
-			// (continuous variables keep their global bounds).
-			fixed := m.Clone()
-			for _, j := range intVars {
-				fixed.FixVar(j, math.Round(sol.X[j]))
-			}
-			fres, ferr := nlp.Solve(fixed, sol.X, opt.NLP)
+			// Solve the subproblem with integers fixed to this assignment
+			// (continuous variables keep their global bounds): one exact
+			// LP when the model's structure allows it, the NLP otherwise.
+			fs, ferr := w.solveFixed(opt, snapInts(sol.X, intVars), sol.X, 0)
 			if ferr != nil {
 				return nil, ferr
 			}
 			nlpSolves++
-			if fres.Status == nlp.Optimal && fres.FeasErr <= opt.FeasTol {
-				obj := dotObj(w.objCoef, fres.X)
-				if obj < incumbent {
-					incumbent = obj
-					bestX = snapInts(fres.X, intVars)
+			if fs != nil {
+				if fs.obj < incumbent {
+					incumbent = fs.obj
+					bestX = snapInts(fs.x, intVars)
 				}
-				addCutsAt(fres.X, false)
+				addCutsAt(fs.x, false)
 			}
 			// Separate the current LP point so the resolve makes progress.
 			if addCutsAt(sol.X, true) == 0 {
