@@ -18,8 +18,10 @@ import (
 // leaves the form unchanged.
 //
 // The form is line-oriented: variables (sorted by name), the objective,
-// constraints (sorted by name, then body), and SOS-1 sets (sorted by name).
-// Expressions render in a prefix notation with Add/Mul operands sorted.
+// and constraints (sorted by name, then body). Expressions render in a
+// prefix notation with Add/Mul operands sorted. SOS-1 sets are left out:
+// the parser derives each from rows the form already holds, and a set
+// changes how the solver branches, not the model.
 func (r *Result) CanonicalForm() string {
 	m := r.Model
 	var b strings.Builder
@@ -53,30 +55,6 @@ func (r *Result) CanonicalForm() string {
 	})
 	for _, c := range cons {
 		b.WriteString(c.line)
-		b.WriteByte('\n')
-	}
-
-	type sosLine struct{ name, line string }
-	soss := make([]sosLine, len(m.SOS))
-	for i, s := range m.SOS {
-		sels := make([]string, len(s.Selectors))
-		for k, idx := range s.Selectors {
-			sels[k] = m.Vars[idx].Name + "=" + canonNum(s.Weights[k])
-		}
-		sort.Strings(sels)
-		soss[i] = sosLine{
-			name: s.Name,
-			line: fmt.Sprintf("sos %s: target=%s {%s}", s.Name, m.Vars[s.Target].Name, strings.Join(sels, ",")),
-		}
-	}
-	sort.Slice(soss, func(i, j int) bool {
-		if soss[i].name != soss[j].name {
-			return soss[i].name < soss[j].name
-		}
-		return soss[i].line < soss[j].line
-	})
-	for _, s := range soss {
-		b.WriteString(s.line)
 		b.WriteByte('\n')
 	}
 	return b.String()

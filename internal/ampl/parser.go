@@ -28,6 +28,16 @@ type parser struct {
 	res  *Result
 	// scope holds sum-index bindings during expression parsing.
 	scope map[string]float64
+	// families lists the indexed variable declarations in order.
+	families []family
+}
+
+// family is one indexed declaration; its members are the model variables
+// base, base+1, … in the order of set.
+type family struct {
+	name string
+	set  []float64
+	base int
 }
 
 // Parse builds an optimization model from AMPL source text.
@@ -50,6 +60,7 @@ func Parse(src string) (*Result, error) {
 	if err := p.parseStatements(); err != nil {
 		return nil, err
 	}
+	p.registerSelectionSets()
 	if err := p.res.Model.Validate(); err != nil {
 		return nil, fmt.Errorf("ampl: parsed model invalid: %w", err)
 	}
@@ -214,6 +225,7 @@ func (p *parser) parseVar() error {
 		p.res.VarIndex[name] = v.Index
 	} else {
 		fam := map[float64]int{}
+		p.families = append(p.families, family{name, p.res.Sets[setName], len(p.res.Model.Vars)})
 		for _, elem := range p.res.Sets[setName] {
 			v := p.res.Model.AddVar(fmt.Sprintf("%s[%g]", name, elem), vtype, lower, upper)
 			fam[elem] = v.Index

@@ -28,11 +28,14 @@ func TestWriteAMPLParses(t *testing.T) {
 }
 
 func TestWriteAMPLSolvesToSameOptimum(t *testing.T) {
-	// The AMPL path (generate → parse → solve) must agree with the direct
-	// BuildModel path. Small N keeps the set sizes manageable without SOS
-	// branching metadata (lost in the AMPL round trip).
+	// The AMPL path (generate → parse → solve) is the BuildModel path, so
+	// it must walk the same tree to the same objective bits.
 	s := truthSpec(cesm.Res1Deg, cesm.Layout1, 64)
-	direct, err := SolveAllocation(s, SolverOptions())
+	m, _, err := BuildModel(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := minlp.Solve(m, SolverOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,18 +47,16 @@ func TestWriteAMPLSolvesToSameOptimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := SolverOptions()
-	opt.BranchSOS = false // no SOS metadata survives the text round trip
-	res, err := minlp.Solve(parsed.Model, opt)
+	res, err := minlp.Solve(parsed.Model, SolverOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Status != minlp.Optimal {
 		t.Fatalf("AMPL-path status %v", res.Status)
 	}
-	tVal := res.X[parsed.VarIndex["T"]]
-	if math.Abs(tVal-direct.PredictedTime) > 0.001*direct.PredictedTime+0.05 {
-		t.Fatalf("AMPL path T = %v, direct path %v", tVal, direct.PredictedTime)
+	if res.Nodes != direct.Nodes || math.Float64bits(res.Obj) != math.Float64bits(direct.Obj) {
+		t.Fatalf("AMPL path %d nodes, obj %v; direct path %d nodes, obj %v",
+			res.Nodes, res.Obj, direct.Nodes, direct.Obj)
 	}
 }
 

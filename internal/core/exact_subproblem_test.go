@@ -79,9 +79,7 @@ func TestExactSubproblemsDetected(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			o := opt
-			o.BranchSOS = false // no SOS metadata survives the text round trip
-			flag(t, parsed.Model, o)
+			flag(t, parsed.Model, opt)
 		})
 	}
 }
@@ -184,9 +182,7 @@ func TestExactSubproblemObjective(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				o := core.SolverOptions()
-				o.BranchSOS = false // no SOS metadata survives the text round trip
-				r, err = minlp.Solve(parsed.Model, o)
+				r, err = minlp.Solve(parsed.Model, core.SolverOptions())
 				if err != nil {
 					t.Fatal(err)
 				}

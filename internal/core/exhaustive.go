@@ -23,7 +23,8 @@ var ErrExhaustiveObjective = errors.New("core: exhaustive search supports only t
 // candidateCounts enumerates the allowed node counts for one component up
 // to max (Table I lines 5-6, 29-31): hard-coded sets where constrained,
 // decomposition multiples at 1/8°, and the full 1..max range otherwise.
-// BuildModel and WriteAMPL take their selection sets from it.
+// The Table I writer behind BuildModel and WriteAMPL takes its selection
+// sets from it.
 func candidateCounts(s Spec, c cesm.Component, max int) []int {
 	var set []int
 	step := 1
@@ -90,8 +91,8 @@ func ExhaustiveSearch(s Spec) (*Decision, error) {
 		return nil, ErrExhaustiveObjective
 	}
 	N := s.TotalNodes
-	capAtm := minInt(N, cesm.AtmMaxNodes(s.Resolution))
-	capOcn := minInt(N, cesm.OceanMaxNodes(s.Resolution))
+	capAtm := min(N, cesm.AtmMaxNodes(s.Resolution))
+	capOcn := min(N, cesm.OceanMaxNodes(s.Resolution))
 	ocnC := candidateCounts(s, cesm.OCN, capOcn)
 	atmC := candidateCounts(s, cesm.ATM, capAtm)
 	all := candidateCounts(s, cesm.ICE, N)
@@ -114,7 +115,7 @@ func ExhaustiveSearch(s Spec) (*Decision, error) {
 			return t + ta(na)
 		})
 		for _, no := range ocnC {
-			k := minInt(N-no, capAtm)
+			k := min(N-no, capAtm)
 			if total := math.Max(seq.at[k], to(no)); total < best {
 				best, bestAlloc = total, cesm.Allocation{Atm: seq.arg[k], Ocn: no}
 			}
@@ -129,7 +130,7 @@ func ExhaustiveSearch(s Spec) (*Decision, error) {
 		lnd := newPrefixMin(N, all, timeOf(s.Perf[cesm.LND]))
 		for _, no := range ocnC {
 			rem := N - no
-			ka := minInt(rem, capAtm)
+			ka := min(rem, capAtm)
 			if total := math.Max(ice.at[rem]+lnd.at[rem]+atm.at[ka], to(no)); total < best {
 				best = total
 				bestAlloc = cesm.Allocation{Atm: atm.arg[ka], Ocn: no, Ice: ice.arg[rem], Lnd: lnd.arg[rem]}

@@ -21,8 +21,8 @@ import (
 // feasible.
 func bruteForce(s Spec) float64 {
 	N := s.TotalNodes
-	capAtm := minInt(N, cesm.AtmMaxNodes(s.Resolution))
-	capOcn := minInt(N, cesm.OceanMaxNodes(s.Resolution))
+	capAtm := min(N, cesm.AtmMaxNodes(s.Resolution))
+	capOcn := min(N, cesm.OceanMaxNodes(s.Resolution))
 	in := func(v int, set []int) bool {
 		for _, x := range set {
 			if x == v {

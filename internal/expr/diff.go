@@ -67,28 +67,34 @@ func Simplify(e Expr) Expr {
 	case Const, Var:
 		return e
 	case Add:
+		// The folded constant takes the slot of the first constant, so a
+		// sum holding one constant keeps its evaluation order bit for bit.
 		terms := make([]Expr, 0, len(t.Terms))
-		constSum := 0.0
+		constSum, constAt := 0.0, -1
 		for _, term := range t.Terms {
 			s := Simplify(term)
+			inner := []Expr{s}
 			if a, ok := s.(Add); ok {
-				for _, inner := range a.Terms {
-					if c, ok := inner.(Const); ok {
-						constSum += float64(c)
-					} else {
-						terms = append(terms, inner)
+				inner = a.Terms
+			}
+			for _, e := range inner {
+				if c, ok := e.(Const); ok {
+					if constAt < 0 {
+						constAt = len(terms)
+						terms = append(terms, nil)
 					}
+					constSum += float64(c)
+				} else {
+					terms = append(terms, e)
 				}
-				continue
 			}
-			if c, ok := s.(Const); ok {
-				constSum += float64(c)
-				continue
-			}
-			terms = append(terms, s)
 		}
-		if constSum != 0 || len(terms) == 0 {
-			terms = append(terms, Const(constSum))
+		switch {
+		case constAt < 0:
+		case constSum != 0 || len(terms) == 1:
+			terms[constAt] = Const(constSum)
+		default:
+			terms = append(terms[:constAt], terms[constAt+1:]...)
 		}
 		return Sum(terms...)
 	case Mul:

@@ -192,6 +192,25 @@ func TestSimplifyPreservesValueProperty(t *testing.T) {
 	}
 }
 
+// TestSimplifyKeepsSingleConstantInPlace checks that a sum holding one
+// constant keeps it in its slot, so the simplified tree of a Table I row
+// (a/n + b·n^c + d − T) evaluates in the original order, bit for bit.
+func TestSimplifyKeepsSingleConstantInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		a, b, c, d := 1+rng.Float64()*1e4, 2+rng.Float64()*10, 1.1+rng.Float64(), rng.Float64()*100
+		row := Sum(Div{Num: C(a), Den: X(0)}, Prod(C(b), Pow{Base: X(0), Exponent: C(c)}), C(d), Neg{Arg: X(1)})
+		s, ok := Simplify(row).(Add)
+		if !ok || len(s.Terms) != 4 || s.Terms[2] != Const(d) {
+			t.Fatalf("Simplify(%v) = %v, want the constant %v third", row, Simplify(row), d)
+		}
+		x := []float64{1 + rng.Float64()*1e4, rng.Float64() * 1e3}
+		if got, want := s.Eval(x), row.Eval(x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Simplify(%v) at %v = %v, unsimplified %v", row, x, got, want)
+		}
+	}
+}
+
 // randomExpr builds a random expression over nv variables, positive-safe
 // (log/exp arguments kept to variables so x>0 keeps everything defined).
 func randomExpr(rng *rand.Rand, nv, depth int) Expr {

@@ -165,6 +165,8 @@ func reduceSelectionSets(nm *model.Model) bool {
 			}
 		}
 		nm.Cons = kept
+		// The sets' row indices no longer hold; the NLP ignores SOS anyway.
+		nm.SOS = nil
 	}
 	return false
 }

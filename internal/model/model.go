@@ -116,11 +116,11 @@ type SOS1 struct {
 	Selectors []int     // binary variable indices z_k
 	Weights   []float64 // allowed values O_k / A_k, ascending
 	// Pick1Con and LinkCon locate the set's encoding constraints in Cons
-	// (Σz = 1 and Σw·z − target = 0 respectively). Solvers that treat the
-	// set structurally can substitute both with the interval hull of the
-	// still-allowed weights (see internal/minlp). Both are 0 on an SOS1
-	// not built by AddSelectionSet, which never stores its pick1
-	// constraint at index 0 — LinkCon == Pick1Con marks them unset.
+	// (Σz = 1 and Σw·z − target = 0 respectively), as AddSelectionSet and
+	// the AMPL parser's selection-set recognizer record them. Solvers that
+	// treat the set structurally can substitute both with the interval hull
+	// of the still-allowed weights (see internal/minlp). LinkCon ==
+	// Pick1Con marks them unset, as on a hand-assembled SOS1.
 	Pick1Con int
 	LinkCon  int
 }
@@ -325,6 +325,11 @@ func (m *Model) Validate() error {
 		for _, idx := range append([]int{s.Target}, s.Selectors...) {
 			if idx < 0 || idx >= len(m.Vars) {
 				return fmt.Errorf("model: SOS %q references invalid variable %d", s.Name, idx)
+			}
+		}
+		for _, ci := range [2]int{s.Pick1Con, s.LinkCon} {
+			if s.Pick1Con != s.LinkCon && (ci < 0 || ci >= len(m.Cons) || m.Cons[ci].Sense != EQ) {
+				return fmt.Errorf("model: SOS %q encoding row %d is not an equality constraint", s.Name, ci)
 			}
 		}
 		for _, idx := range s.Selectors {

@@ -185,6 +185,34 @@ func TestValidateCatchesErrors(t *testing.T) {
 	}
 }
 
+func TestValidateChecksSOSRows(t *testing.T) {
+	build := func() *Model {
+		m := New()
+		n := m.AddVar("n", Integer, 1, 4)
+		m.AddSelectionSet("s", n, []float64{1, 4})
+		m.AddConstraint("cap", n, LE, 3)
+		return m
+	}
+	if err := build().Validate(); err != nil {
+		t.Fatalf("AddSelectionSet model invalid: %v", err)
+	}
+	m := build()
+	m.SOS[0].LinkCon = len(m.Cons)
+	if err := m.Validate(); err == nil {
+		t.Error("out-of-range link row not caught")
+	}
+	m = build()
+	m.SOS[0].Pick1Con = len(m.Cons) - 1 // the LE capacity row
+	if err := m.Validate(); err == nil {
+		t.Error("inequality pick row not caught")
+	}
+	m = build()
+	m.SOS[0].Pick1Con, m.SOS[0].LinkCon = 0, 0
+	if err := m.Validate(); err != nil {
+		t.Errorf("unset rows rejected: %v", err)
+	}
+}
+
 func TestObjValue(t *testing.T) {
 	m, _, _ := buildSmall(t)
 	if got := m.ObjValue([]float64{3, 2}); got != 7 {
