@@ -75,7 +75,8 @@ chaos:
 # cut), R-way replication with anti-entropy repair (including a replica
 # push retried across a partition), peer-budget exhaustion against a
 # partitioned peer, a converged sweep costing one key listing per peer,
-# a peer-warmed answer with zero solves, the router's
+# a peer-warmed answer with zero solves, a peer warm costing one
+# GET /replicate/{key} per sibling, the router's
 # live-membership surface (resize under real traffic, in-flight completion
 # on shard removal, flap damping, SetShards racing Pick/Order), and the
 # shard-kill scenario: three replicated shards behind faultnet proxies, one
@@ -84,7 +85,7 @@ chaos:
 # loopback listener is usable, with the reason in the test log.
 chaos-fleet:
 	$(GO) test -v -race -run 'TestProxy' ./internal/faultnet/
-	$(GO) test -v -race -timeout 10m -run 'TestReplicate|TestAntiEntropy|TestPartitionedPeerDegradesWithinBudget|TestReplicationPushRetriesAcrossPartition|TestPeerWarmServesWithoutSolver' ./internal/neos/
+	$(GO) test -v -race -timeout 10m -run 'TestReplicate|TestAntiEntropy|TestPartitionedPeerDegradesWithinBudget|TestReplicationPushRetriesAcrossPartition|TestPeerWarmServesWithoutSolver|TestPeerConsultOneRequestPerPeer' ./internal/neos/
 	$(GO) test -v -race -run 'TestRouterLiveResizeUnderTraffic|TestRouterRemovedShardInflightCompletes|TestAdminShardsRejectsBadSets|TestRouterFlapDamping|TestRingSetShardsConcurrentWithPick|TestRouterShardKillReplicaFailover' ./internal/router/
 
 # Result-store integrity: run a small fixed-seed campaign into a scratch

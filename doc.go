@@ -9,9 +9,8 @@
 // solve service.
 //
 // See DESIGN.md for the system inventory and per-experiment index, and
-// EXPERIMENTS.md for paper-vs-measured results. The benchmark harness in
-// bench_test.go regenerates every table and figure of the paper's
-// evaluation section; run it with
+// EXPERIMENTS.md for paper-vs-measured results. cmd/experiments
+// regenerates every table and figure of the paper's evaluation section:
 //
-//	go test -bench=. -benchtime=1x -benchmem .
+//	go run ./cmd/experiments -exp all
 package hslb

@@ -12,14 +12,6 @@ func Gradient(e Expr, x []float64, grad []float64) float64 {
 	return backprop(e, x, 1, grad)
 }
 
-// GradientAt is like Gradient but allocates the gradient slice, sized to
-// len(x).
-func GradientAt(e Expr, x []float64) (float64, []float64) {
-	grad := make([]float64, len(x))
-	v := Gradient(e, x, grad)
-	return v, grad
-}
-
 // backprop evaluates e at x while pushing the adjoint (∂output/∂e = adj)
 // down the tree, accumulating into grad. It returns the value of e.
 func backprop(e Expr, x []float64, adj float64, grad []float64) float64 {

@@ -158,35 +158,44 @@ func TestChaosOverload4x(t *testing.T) {
 }
 
 // TestOverloadGoodputUnder4xStorm is the overload goodput gate. Closed-loop
-// clients first measure peak goodput — full-quality answers per second — at
-// exactly solver capacity, then storm the protected server at 4× capacity
-// with a propagated client deadline of 3× the peak mean latency. The test
+// clients measure peak goodput — full-quality answers per second — at
+// exactly solver capacity, and storm the protected server at 4× capacity
+// with a propagated client deadline of 3× the peak mean latency. The two
+// run as short alternating segments on one server, each storm segment
+// right after the peak segment that sets its deadline, so that both see
+// the same host contention (other test binaries sharing the CPUs); the
+// gate compares goodput summed over all segments of each kind. The test
 // fails unless the storm keeps at least half the peak goodput and no
 // request fails.
 func TestOverloadGoodputUnder4xStorm(t *testing.T) {
-	const slots, factor = 2, 4
+	const slots, factor, rounds = 2, 4, 4
 	_, hs, _ := newServerWith(t, Config{
 		MaxConcurrent: slots,
 		SolveTimeout:  5 * time.Second,
 	})
 	var ids atomic.Uint64 // one unique model per request: no cache hits
 
-	// Size the phases in solve times, so that the race detector's slowdown
-	// does not shrink them to a handful of answers.
+	// Size the segments in solve times, so that the race detector's
+	// slowdown does not shrink them to a handful of answers.
 	sent := time.Now()
 	if _, err := NewClient(hs.URL).Solve(context.Background(), &SolveRequest{Model: goodputModel(ids.Add(1))}); err != nil {
 		t.Fatal(err)
 	}
-	phase := max(time.Second, 12*time.Since(sent))
+	segment := max(300*time.Millisecond, 3*time.Since(sent))
 
-	peak := runGoodputPhase(hs.URL, slots, phase, 0, &ids)
-	if peak.full == 0 {
-		t.Fatal("peak phase produced no full-quality answers; cannot calibrate")
+	var peak, storm goodputPhase
+	for r := 0; r < rounds; r++ {
+		p := runGoodputPhase(hs.URL, slots, segment, 0, &ids)
+		budget := min(max(3*p.meanLatency(), 80*time.Millisecond), 2*time.Second)
+		s := runGoodputPhase(hs.URL, factor*slots, 3*segment/2, budget, &ids)
+		t.Logf("round %d: client deadline %v (3x peak mean latency %v)\n  peak:  %v\n  storm: %v",
+			r, budget, p.meanLatency().Round(time.Millisecond), p, s)
+		peak.add(p)
+		storm.add(s)
 	}
-	budget := min(max(3*peak.meanLatency(), 80*time.Millisecond), 2*time.Second)
-	storm := runGoodputPhase(hs.URL, factor*slots, 3*phase/2, budget, &ids)
-
-	t.Logf("client deadline %v (3x peak mean latency %v)", budget, peak.meanLatency())
+	if peak.full == 0 {
+		t.Fatal("peak segments produced no full-quality answers; cannot calibrate")
+	}
 	t.Logf("peak, protected, at capacity: %v", peak)
 	t.Logf("%dx storm, protected:          %v", factor, storm)
 	if storm.errors > 0 {
@@ -231,6 +240,18 @@ type goodputPhase struct {
 
 func (p goodputPhase) goodput() float64 { return float64(p.full) / p.elapsed.Seconds() }
 
+// add sums segment q into p.
+func (p *goodputPhase) add(q goodputPhase) {
+	p.clients = q.clients
+	p.elapsed += q.elapsed
+	p.full += q.full
+	p.degraded += q.degraded
+	p.late += q.late
+	p.shed += q.shed
+	p.errors += q.errors
+	p.fullLatency += q.fullLatency
+}
+
 func (p goodputPhase) meanLatency() time.Duration {
 	if p.full == 0 {
 		return 0
@@ -247,8 +268,9 @@ func (p goodputPhase) String() string {
 // runGoodputPhase drives clients closed-loop workers against url's /solve
 // for dur, each sending one request at a time with budget (if non-zero) as
 // the propagated deadline. A shed worker honors retry_after_ms, capped at
-// one second, before its next request. Goodput counts only full-quality
-// answers: a 200 that is neither degraded nor past its deadline.
+// one second and at the end of the phase, before its next request. Goodput
+// counts only full-quality answers: a 200 that is neither degraded nor past
+// its deadline.
 func runGoodputPhase(url string, clients int, dur, budget time.Duration, ids *atomic.Uint64) goodputPhase {
 	p := goodputPhase{clients: clients}
 	var mu sync.Mutex
@@ -299,7 +321,7 @@ func runGoodputPhase(url string, clients int, dur, budget time.Duration, ids *at
 				}
 				mu.Unlock()
 				if code == http.StatusTooManyRequests && out.RetryAfterMs > 0 {
-					time.Sleep(min(time.Duration(out.RetryAfterMs)*time.Millisecond, time.Second))
+					time.Sleep(min(time.Duration(out.RetryAfterMs)*time.Millisecond, time.Second, time.Until(end)))
 				}
 			}
 		}()

@@ -1,8 +1,10 @@
 package neos
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,41 +14,61 @@ import (
 	"time"
 
 	"hslb/internal/rendezvous"
+	"hslb/internal/resultstore"
 )
 
-// Cache peering. A shard behind the fleet router normally sees every
-// request for its digests, but ring resizes, failovers and bounded-load
-// spills hand digests to shards that never solved them. Before paying for
-// a solver invocation on a cache miss, a shard with Config.Peers consults
-// its ring siblings: GET /history/solve/{key}?limit=1 names the peer's
-// newest persisted result for the model, GET /blob/{hash} fetches the
-// bytes, and a full-quality response warms the local cache — so a digest
-// migrating across the ring carries its answer with it instead of being
-// re-solved.
+// Shard-to-shard transfer. A persisted result moves between shards by one
+// route: GET /replicate/{key} reads the head bytes of solve/<key>, POST
+// delivers them. The peer consult, the replication push and anti-entropy
+// (replicate.go) share it, one peering value and one client, and every
+// byte another shard sends enters through intake, which re-checks the
+// persistence bar (a peer is trusted for bytes, not judgement) and never
+// calls fill, so nothing received is replicated onward.
 //
-// The consult is strictly bounded (PeerBudget across all peers) and
-// strictly validating: transport errors, 404s (peer never solved it),
-// integrity failures (the peer's /blob refuses corrupt chunks with a 500),
-// unparseable bytes, and answers that fail the persistence bar all fall
-// through to the local solver. Peering runs inside the solve singleflight,
-// before admission, so a thundering herd on one digest costs one consult,
-// not one per request, and the consult holds no solve slot.
-//
-// The peer set is mutable: POST /admin/peers (and the replication layer's
-// membership plumbing) swap it on a live server via setPeers.
+// Peer consult: ring resizes, failovers and bounded-load spills hand
+// digests to shards that never solved them. On a cache miss a shard with
+// Config.Peers asks its siblings in the key's rendezvous order, one GET
+// each, and warms its cache from the first full-quality answer, so a
+// digest migrating across the ring carries its answer with it. The consult
+// is bounded by PeerBudget across all peers and strictly validating: a 404
+// is a clean miss; transport errors, other statuses (a corrupt chunk is
+// the peer's 500, a sibling too old to serve GET answers 405), junk and
+// best-effort answers fall through to the local solver. It runs inside the
+// solve singleflight, before admission, so a herd on one digest costs one
+// consult and the consult holds no solve slot.
 
 // defaultPeerBudget bounds one solve's whole peer consult when
-// Config.PeerBudget is unset. Peer fetches are two small local-network
-// round-trips; a solver invocation costs milliseconds to minutes.
+// Config.PeerBudget is unset. Asking a sibling is one small local-network
+// round trip; a solver invocation costs milliseconds to minutes.
 const defaultPeerBudget = 150 * time.Millisecond
 
-// peering is the sibling-consult state hung off a Server.
+// transferTimeout bounds each background transfer call (see transfer).
+const transferTimeout = 5 * time.Second
+
+var (
+	// errNotFound is a peer's 404: the consult's and the sweep's clean miss.
+	errNotFound = errors.New("status 404")
+	// errNotPersistable rejects received bytes below the persistence bar.
+	errNotPersistable = errors.New("replica fails the persistence bar (error/deadline/degraded)")
+)
+
+// peering is the shard-to-shard state hung off a Server: the membership
+// (SelfURL plus the mutable peer set) and its rendezvous order, the one
+// transfer client, the replication push queue, and the counters of all
+// three flows.
 type peering struct {
-	mu     sync.RWMutex
-	peers  []string
+	mu      sync.RWMutex
+	peers   []string
+	selfURL string
+	// factor is the replication factor R; replication runs when it is > 1.
+	factor int
 	budget time.Duration
-	http   *http.Client
-	logf   func(format string, args ...interface{})
+	// http is dedicated and has no Timeout: every call runs under a context
+	// deadline, PeerBudget for the consult and transferTimeout for the rest.
+	http *http.Client
+
+	queue chan repPush  // replication push retry queue; nil without replication
+	kick  chan struct{} // wakes the sweeper early (membership change)
 
 	hits   atomic.Uint64 // cache fills served by a sibling
 	misses atomic.Uint64 // consults where no sibling had the key
@@ -55,6 +77,16 @@ type peering struct {
 	// before every sibling was asked — the signature of a partitioned or
 	// slow peer eating the walk, distinct from errors and clean misses.
 	budgetExhausted atomic.Uint64
+
+	pushes      atomic.Uint64 // successful pushes to replica owners
+	pushErrors  atomic.Uint64 // failed push attempts (before any retry)
+	pushRetries atomic.Uint64 // re-enqueued pushes
+	dropped     atomic.Uint64 // pushes abandoned (queue full or attempts exhausted)
+	ingested    atomic.Uint64 // replicas accepted on POST /replicate
+	rejects     atomic.Uint64 // replicas refused (validation bar, bad key)
+	sweeps      atomic.Uint64 // completed anti-entropy sweeps
+	sweepPushed atomic.Uint64 // results pushed to under-replicated owners by sweeps
+	sweepPulled atomic.Uint64 // results fetched for newly owned keys by sweeps
 }
 
 // normalizePeers trims, deduplicates and canonicalizes a peer URL list.
@@ -72,22 +104,30 @@ func normalizePeers(urls []string) []string {
 	return peers
 }
 
-// newPeering builds the consult state. The peer set may be empty (and grown
-// later through setPeers); with no peers the consult is skipped entirely.
-func newPeering(cfg Config, logf func(format string, args ...interface{})) *peering {
+// newPeering builds the shard-to-shard state. The peer set may be empty
+// (and grown later through setPeers); with no peers the consult is skipped
+// entirely.
+func newPeering(cfg Config) *peering {
 	budget := cfg.PeerBudget
 	if budget <= 0 {
 		budget = defaultPeerBudget
 	}
-	return &peering{
-		peers:  normalizePeers(cfg.Peers),
-		budget: budget,
-		logf:   logf,
-		// A dedicated client: the consult must never inherit a proxied
-		// default transport's cookie jar or an unbounded timeout.
-		http: &http.Client{Timeout: budget},
+	p := &peering{
+		peers:   normalizePeers(cfg.Peers),
+		selfURL: strings.TrimRight(strings.TrimSpace(cfg.SelfURL), "/"),
+		factor:  cfg.Replicate,
+		budget:  budget,
+		http:    &http.Client{},
 	}
+	if p.replicating() {
+		p.queue = make(chan repPush, replQueueCap)
+		p.kick = make(chan struct{}, 1)
+	}
+	return p
 }
+
+// replicating reports whether R-way replication is on.
+func (p *peering) replicating() bool { return p.factor > 1 }
 
 // peerList snapshots the current peer set.
 func (p *peering) peerList() []string {
@@ -106,122 +146,150 @@ func (p *peering) setPeers(urls []string) {
 
 // rendezvousOrder sorts members (shard base URLs) into key's preference
 // order — the router's shard placement, so a key's replica owners are
-// exactly the router's failover order.
+// exactly the router's failover order, and every shard consulting for one
+// digest walks its siblings in the same sequence, likeliest holders first.
 func rendezvousOrder(members []string, key string) []string {
 	return rendezvous.Order(members, func(m string) string { return m }, key)
 }
 
-// order returns the peers in the key's rendezvous order — the same
-// highest-random-weight rule the router uses — so every shard consulting
-// for one digest walks its siblings in the same sequence and the digest's
-// likeliest holders are asked first.
-func (p *peering) order(key string) []string {
-	return rendezvousOrder(p.peerList(), key)
+// call makes one shard-to-shard request under ctx and returns the body of
+// a 2xx answer. A 404 wraps errNotFound; any other status is an error.
+func (p *peering) call(ctx context.Context, method, url string, body []byte) ([]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := p.http.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxRequestBody))
+	switch {
+	case err != nil:
+		return nil, err
+	case resp.StatusCode == http.StatusNotFound:
+		return nil, fmt.Errorf("%s %s: %w", method, url, errNotFound)
+	case resp.StatusCode/100 != 2:
+		return nil, fmt.Errorf("%s %s: status %d", method, url, resp.StatusCode)
+	}
+	return data, nil
 }
 
-// fetch asks the siblings for the key's persisted result, returning the
-// first full-quality response or nil (local solve). The shared budget
-// bounds the whole walk: a slow peer eats the remaining peers' time, which
-// is the deliberate trade — peering may only ever delay a solve by budget.
-func (p *peering) fetch(ctx context.Context, key string) *SolveResponse {
-	peers := p.order(key)
+// transfer makes one background call — a replication push, a key listing
+// or a sweep pull — under transferTimeout.
+func (p *peering) transfer(method, url string, body []byte) ([]byte, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), transferTimeout)
+	defer cancel()
+	return p.call(ctx, method, url, body)
+}
+
+// pull fetches peer's persisted result bytes for key in one request:
+// GET {peer}/replicate/{key}.
+func (p *peering) pull(ctx context.Context, peer, key string) ([]byte, error) {
+	return p.call(ctx, http.MethodGet, peer+"/replicate/"+key, nil)
+}
+
+// decodeReplica decodes result bytes and checks the persistence bar.
+func decodeReplica(data []byte) (*SolveResponse, error) {
+	var resp SolveResponse
+	if err := json.Unmarshal(data, &resp); err != nil {
+		return nil, err
+	}
+	if !persistable(&resp) {
+		return nil, errNotPersistable
+	}
+	return &resp, nil
+}
+
+// intake is the one way bytes from another shard enter this one: decode,
+// check the persistence bar, and put into the cache, whose backend
+// persists it. It never calls fill, so nothing received is pushed onward.
+func (s *Server) intake(key string, data []byte) (*SolveResponse, error) {
+	resp, err := decodeReplica(data)
+	if err != nil {
+		return nil, err
+	}
+	s.cache.Put(key, resp)
+	return resp, nil
+}
+
+// consult asks the siblings for the key's persisted result and takes the
+// first full-quality answer in through intake, returning it, or nil (local
+// solve). The shared budget bounds the whole walk: a slow peer eats the
+// remaining peers' time, which is the deliberate trade — peering may only
+// ever delay a solve by budget.
+func (s *Server) consult(ctx context.Context, key string) *SolveResponse {
+	p := s.peering
+	peers := rendezvousOrder(p.peerList(), key)
 	if len(peers) == 0 {
 		return nil // never peered: no consult, no counters
 	}
 	ctx, cancel := context.WithTimeout(ctx, p.budget)
 	defer cancel()
+	exhausted := func(how, peer string) *SolveResponse {
+		p.budgetExhausted.Add(1)
+		p.misses.Add(1)
+		s.logf("peer consult for %.12s…: budget %v exhausted %s %s", key, p.budget, how, peer)
+		return nil
+	}
 	for _, peer := range peers {
 		if ctx.Err() != nil {
 			// The budget died before this sibling was even asked.
-			p.budgetExhausted.Add(1)
-			p.misses.Add(1)
-			if p.logf != nil {
-				p.logf("peer consult for %.12s…: budget %v exhausted before asking %s", key, p.budget, peer)
-			}
-			return nil
+			return exhausted("before asking", peer)
 		}
-		resp, ok := fetchPersisted(ctx, p.http, peer, key)
-		if resp != nil {
-			p.hits.Add(1)
-			if p.logf != nil {
-				p.logf("peer consult for %.12s…: warmed from %s", key, peer)
-			}
-			return resp
+		data, err := p.pull(ctx, peer, key)
+		if errors.Is(err, errNotFound) {
+			continue // the sibling never solved it
 		}
-		if !ok {
-			if ctx.Err() != nil {
-				// The failure is the budget firing mid-fetch, not the peer
-				// misbehaving: count exhaustion, not a peer error.
-				p.budgetExhausted.Add(1)
-				p.misses.Add(1)
-				if p.logf != nil {
-					p.logf("peer consult for %.12s…: budget %v exhausted talking to %s", key, p.budget, peer)
-				}
-				return nil
-			}
-			p.errs.Add(1)
-			if p.logf != nil {
-				p.logf("peer consult for %.12s…: rejected response from %s", key, peer)
+		if err != nil && ctx.Err() != nil {
+			// The failure is the budget firing mid-request, not the peer
+			// misbehaving: count exhaustion, not a peer error.
+			return exhausted("talking to", peer)
+		}
+		if err == nil {
+			var resp *SolveResponse
+			if resp, err = s.intake(key, data); err == nil {
+				p.hits.Add(1)
+				s.logf("peer consult for %.12s…: warmed from %s", key, peer)
+				return resp
 			}
 		}
+		p.errs.Add(1)
+		s.logf("peer consult for %.12s…: rejected response from %s: %v", key, peer, err)
 	}
 	p.misses.Add(1)
 	return nil
 }
 
-// fetchPersisted asks one fleet member for its persisted result of key:
-// GET /history/solve/{key}?limit=1 names the newest commit, GET /blob/{hash}
-// fetches the bytes. It returns (response, true) on a usable full-quality
-// hit, (nil, true) on a clean miss (the member simply never solved it), and
-// (nil, false) when the member misbehaved — transport failure, corrupt blob,
-// undecodable or best-effort payload. Shared by the miss-path peer consult
-// and the anti-entropy sweeper's pull side.
-func fetchPersisted(ctx context.Context, hc *http.Client, peer, key string) (*SolveResponse, bool) {
-	var history []HistoryEntry
-	status, err := getJSON(ctx, hc, fmt.Sprintf("%s/history/%s%s?limit=1", peer, solveKeyPrefix, key), &history)
-	if err != nil {
-		return nil, status == http.StatusNotFound // 404: peer never solved it
+// handleReplicaRead serves the head bytes of solve/<key>: GET
+// /replicate/{key}. The store's chunk read re-verifies the bytes, so a
+// corrupt chunk is a 500, never altered bytes; a missing key — or no store
+// at all — is the clean-miss 404.
+func (s *Server) handleReplicaRead(w http.ResponseWriter, r *http.Request) {
+	key := r.PathValue("key")
+	if !isHexKey(key) {
+		http.Error(w, "bad key: want a 64-hex solve fingerprint", http.StatusBadRequest)
+		return
 	}
-	if len(history) == 0 || history[0].Value == "" {
-		return nil, true
+	var data []byte
+	err := resultstore.ErrNoKey // no store: nothing persisted
+	if s.results != nil {
+		data, _, err = s.results.HeadValue(solveKeyPrefix + key)
 	}
-	var resp SolveResponse
-	// A corrupt chunk surfaces here as the peer's 500 ("blob failed
-	// integrity verification") and is treated exactly like junk bytes:
-	// rejected, never warmed.
-	if _, err := getJSON(ctx, hc, peer+"/blob/"+history[0].Value, &resp); err != nil {
-		return nil, false
+	switch {
+	case errors.Is(err, resultstore.ErrNoKey):
+		http.Error(w, "no such key", http.StatusNotFound)
+		return
+	case err != nil:
+		http.Error(w, "result failed to load: "+err.Error(), http.StatusInternalServerError)
+		return
 	}
-	if !persistable(&resp) {
-		return nil, false
-	}
-	return &resp, true
-}
-
-// getJSON GETs url and decodes the body into out, returning the HTTP
-// status (0 on transport failure) and an error for any non-200 or
-// undecodable response.
-func getJSON(ctx context.Context, hc *http.Client, url string, out interface{}) (int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxRequestBody))
-	if err != nil {
-		return resp.StatusCode, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return resp.StatusCode, fmt.Errorf("peer: %s: status %d", url, resp.StatusCode)
-	}
-	if err := json.Unmarshal(body, out); err != nil {
-		return resp.StatusCode, fmt.Errorf("peer: %s: %v", url, err)
-	}
-	return resp.StatusCode, nil
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(data)
 }
 
 // PeerMetrics is the /metrics section describing cache peering.
@@ -231,7 +299,7 @@ type PeerMetrics struct {
 	// Hits counts solves answered from a sibling's persisted result with
 	// zero local solver invocations; Misses counts consults where no
 	// sibling had the key; Errors counts rejected peer responses
-	// (transport failures, corrupt blobs, junk or best-effort payloads).
+	// (transport failures, corrupt results, junk or best-effort payloads).
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
 	Errors uint64 `json:"errors"`
@@ -244,9 +312,6 @@ type PeerMetrics struct {
 
 func (s *Server) peerMetrics() *PeerMetrics {
 	p := s.peering
-	if p == nil {
-		return nil
-	}
 	m := &PeerMetrics{
 		Peers:           len(p.peerList()),
 		Hits:            p.hits.Load(),
@@ -254,7 +319,7 @@ func (s *Server) peerMetrics() *PeerMetrics {
 		Errors:          p.errs.Load(),
 		BudgetExhausted: p.budgetExhausted.Load(),
 	}
-	if m.Peers == 0 && m.Hits == 0 && m.Misses == 0 && m.Errors == 0 && m.BudgetExhausted == 0 {
+	if *m == (PeerMetrics{}) {
 		// A never-peered server keeps its /metrics document unchanged.
 		return nil
 	}

@@ -6,8 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -122,14 +121,14 @@ func TestPeerWithoutKeyIsCleanMiss(t *testing.T) {
 	}
 }
 
-// TestPeerCorruptBlobNotWarmed: a sibling whose persisted blob fails
-// integrity verification (its /blob returns 500, never the altered bytes)
-// must not warm the consulting shard's cache; the model is re-solved
-// locally and the correct answer wins.
+// TestPeerCorruptBlobNotWarmed: a sibling whose persisted result fails
+// integrity verification (its GET /replicate/{key} returns 500, never the
+// altered bytes) must not warm the consulting shard's cache; the model is
+// re-solved locally and the correct answer wins.
 func TestPeerCorruptBlobNotWarmed(t *testing.T) {
 	ctx := context.Background()
 	aDir := t.TempDir()
-	_, aSrv, aClient := newServerWith(t, Config{
+	a, aSrv, aClient := newServerWith(t, Config{
 		MaxConcurrent: 2, StoreDir: aDir, CachePersist: true,
 	})
 	first, err := aClient.Solve(ctx, &SolveRequest{Model: miniModel})
@@ -137,38 +136,18 @@ func TestPeerCorruptBlobNotWarmed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Flip one bit in the persisted blob's chunk file on A's disk. The
-	// value hash comes from A's own history endpoint — the same lookup a
-	// peer performs.
+	// Flip one bit in the chunk file of A's persisted head. A's next read
+	// of the key fails integrity verification, so it answers the peer's
+	// GET /replicate/{key} with a 500.
 	key, err := RequestKey(&SolveRequest{Model: miniModel})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Get(aSrv.URL + "/history/solve/" + key + "?limit=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var history []HistoryEntry
-	if err := json.NewDecoder(resp.Body).Decode(&history); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(history) == 0 {
+	head, ok := a.results.Head(solveKeyPrefix + key)
+	if !ok {
 		t.Fatal("shard A persisted nothing")
 	}
-	h := history[0].Value
-	chunk := filepath.Join(aDir, "chunks", h[:2], h[2:])
-	raw, err := os.ReadFile(chunk)
-	if err != nil {
-		t.Fatalf("chunk file for %s: %v", h, err)
-	}
-	// The chunk store reads and re-verifies every Get from disk, so the
-	// flipped bit is visible to A's /blob immediately: it responds 500
-	// rather than serve bytes that fail integrity verification.
-	raw[len(raw)/2] ^= 0x40
-	if err := os.WriteFile(chunk, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	corruptChunk(t, aDir, head.Value)
 
 	_, _, bClient := newServerWith(t, Config{
 		MaxConcurrent: 2, Peers: []string{aSrv.URL},
@@ -185,10 +164,10 @@ func TestPeerCorruptBlobNotWarmed(t *testing.T) {
 		t.Fatal(err)
 	}
 	if m.Solves.Count != 1 {
-		t.Fatalf("solver ran %d times, want exactly 1 local solve after rejecting the corrupt blob", m.Solves.Count)
+		t.Fatalf("solver ran %d times, want exactly 1 local solve after rejecting the corrupt result", m.Solves.Count)
 	}
 	if m.Peer == nil || m.Peer.Hits != 0 || m.Peer.Errors == 0 {
-		t.Fatalf("peer metrics = %+v: a corrupt blob must count as an error, never a hit", m.Peer)
+		t.Fatalf("peer metrics = %+v: a corrupt result must count as an error, never a hit", m.Peer)
 	}
 }
 
@@ -205,10 +184,7 @@ func TestPeerRejectsBestEffortAnswers(t *testing.T) {
 			t.Fatal(err)
 		}
 		mux := http.NewServeMux()
-		mux.HandleFunc("/history/", func(w http.ResponseWriter, r *http.Request) {
-			writeJSON(w, http.StatusOK, []HistoryEntry{{Value: "deadbeef", Seq: 1}})
-		})
-		mux.HandleFunc("/blob/", func(w http.ResponseWriter, r *http.Request) {
+		mux.HandleFunc("GET /replicate/{key}", func(w http.ResponseWriter, r *http.Request) {
 			w.Write(blob)
 		})
 		evil := httptest.NewServer(mux)
@@ -300,5 +276,56 @@ func TestPeerConsultHoldsNoAdmissionSlot(t *testing.T) {
 	}
 	if st := s.guard.adm.Stats(); st.Admitted != 2 {
 		t.Fatalf("admission stats = %+v, want 2 admissions", st)
+	}
+}
+
+// TestPeerConsultOneRequestPerPeer: warming from a sibling costs exactly
+// one request to it, GET /replicate/{key}, and a sibling the walk passes
+// on the way (it never solved the model) costs one too.
+func TestPeerConsultOneRequestPerPeer(t *testing.T) {
+	ctx := context.Background()
+	var logA, logC requestLog
+	_, aSrv, aClient := newFleetShard(t, Config{
+		MaxConcurrent: 2, StoreDir: t.TempDir(), CachePersist: true,
+	}, logA.wrap)
+	_, cSrv, _ := newFleetShard(t, Config{
+		MaxConcurrent: 2, StoreDir: t.TempDir(), CachePersist: true,
+	}, logC.wrap)
+	first, err := aClient.Solve(ctx, &SolveRequest{Model: miniModel})
+	if err != nil || first.Status != "optimal" {
+		t.Fatalf("solve on A: %+v, %v", first, err)
+	}
+	key, err := RequestKey(&SolveRequest{Model: miniModel})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	peers := []string{aSrv.URL, cSrv.URL}
+	_, _, bClient := newServerWith(t, Config{MaxConcurrent: 2, Peers: peers})
+	logA.take()
+	logC.take()
+	out, err := bClient.Solve(ctx, &SolveRequest{Model: miniModel})
+	if err != nil || out.Status != "optimal" || out.Objective != first.Objective {
+		t.Fatalf("peer-warmed answer = %+v, %v; want %+v", out, err, first)
+	}
+	m, err := bClient.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Solves.Count != 0 || m.Peer == nil || m.Peer.Hits != 1 {
+		t.Fatalf("solves=%d peer=%+v, want a peer warm and no solve", m.Solves.Count, m.Peer)
+	}
+
+	read := "GET /replicate/" + key
+	if got := logA.take(); len(got) != 1 || got[0] != read {
+		t.Errorf("the warming sibling served %q, want exactly [%q]", got, read)
+	}
+	// C is asked only when the key's rendezvous order puts it before A.
+	var wantC []string
+	if rendezvousOrder(peers, key)[0] == cSrv.URL {
+		wantC = []string{read}
+	}
+	if got := logC.take(); !slices.Equal(got, wantC) {
+		t.Errorf("the sibling without the key served %q, want %q", got, wantC)
 	}
 }

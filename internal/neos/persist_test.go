@@ -1,12 +1,15 @@
 package neos
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -86,7 +89,7 @@ func TestDeadlineAndDegradedNeverPersist(t *testing.T) {
 // TestPersistenceBarAtEveryCallSite drives one status × quality table
 // through every place the persistence bar guards: the cache backend's Save,
 // a solver fill, a remote worker's /work/complete warm, a peer consult's
-// fetch, and replication ingest. Only a terminal status at full quality may
+// pull, and replication ingest. Only a terminal status at full quality may
 // pass anywhere.
 func TestPersistenceBarAtEveryCallSite(t *testing.T) {
 	ctx := context.Background()
@@ -96,13 +99,14 @@ func TestPersistenceBarAtEveryCallSite(t *testing.T) {
 
 	var blob atomic.Pointer[[]byte]
 	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, "/history/") {
-			writeJSON(w, http.StatusOK, []HistoryEntry{{Value: "deadbeef", Seq: 1}})
+		if r.Method != http.MethodGet || !strings.HasPrefix(r.URL.Path, "/replicate/") {
+			http.NotFound(w, r)
 			return
 		}
 		w.Write(*blob.Load())
 	}))
 	t.Cleanup(peer.Close)
+	consulter, _, _ := newServerWith(t, Config{MaxConcurrent: 2, Peers: []string{peer.URL}})
 
 	i := 0
 	for _, status := range []string{"", "optimal", "infeasible", "error", "deadline"} {
@@ -153,8 +157,11 @@ func TestPersistenceBarAtEveryCallSite(t *testing.T) {
 				t.Fatal(err)
 			}
 			blob.Store(&data)
-			if got, _ := fetchPersisted(ctx, http.DefaultClient, peer.URL, key); (got != nil) != want {
-				t.Errorf("%s: peer fetch warmed = %v, want %v", name, got != nil, want)
+			if got := consulter.consult(ctx, key); (got != nil) != want {
+				t.Errorf("%s: peer consult answered = %v, want %v", name, got != nil, want)
+			}
+			if _, got := consulter.cache.Get(key); got != want {
+				t.Errorf("%s: peer consult warmed = %v, want %v", name, got, want)
 			}
 
 			hr, err := http.Post(shardURL.URL+"/replicate/"+key, "application/json", strings.NewReader(string(data)))
@@ -211,11 +218,29 @@ func TestBlobAndHistoryEndpoints(t *testing.T) {
 		t.Fatalf("blob payload = %q, %v", body, err)
 	}
 
-	// Unknown blob and key 404; a malformed hash is a 400.
+	// The shard-to-shard read serves exactly the persisted head bytes.
+	head, _, err := s.Results().HeadValue(keys[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Get(hs.URL + "/replicate/" + strings.TrimPrefix(keys[0], solveKeyPrefix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, head) {
+		t.Fatalf("GET /replicate = %d %q, want 200 with the head bytes %q", resp.StatusCode, body, head)
+	}
+
+	// Unknown blob and key 404; a malformed hash or key is a 400.
 	for path, want := range map[string]int{
 		"/blob/" + string(make([]byte, 0)) + "0000000000000000000000000000000000000000000000000000000000000000": http.StatusNotFound,
-		"/history/no/such/key": http.StatusNotFound,
-		"/blob/zz":             http.StatusBadRequest,
+		"/history/no/such/key":                   http.StatusNotFound,
+		"/blob/zz":                               http.StatusBadRequest,
+		"/replicate/" + strings.Repeat("0", 64):  http.StatusNotFound,
+		"/replicate/zz":                          http.StatusBadRequest,
+		"/replicate/" + strings.Repeat("AB", 32): http.StatusBadRequest,
 	} {
 		resp, err := http.Get(hs.URL + path)
 		if err != nil {
@@ -226,6 +251,35 @@ func TestBlobAndHistoryEndpoints(t *testing.T) {
 			t.Fatalf("GET %s = %d, want %d", path, resp.StatusCode, want)
 		}
 	}
+
+	// A flipped bit in the head's chunk is a 500 from the shard-to-shard
+	// read, never the altered bytes.
+	corruptChunk(t, dir, hist[0].Value)
+	resp, err = http.Get(hs.URL + "/replicate/" + strings.TrimPrefix(keys[0], solveKeyPrefix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || bytes.Equal(body, head) {
+		t.Fatalf("GET /replicate of a corrupt chunk = %d %q, want 500", resp.StatusCode, body)
+	}
+}
+
+// corruptChunk flips one bit in the chunk file of content hash h in the
+// result store under dir. The chunk store re-verifies every read from disk,
+// so the flip is visible at once.
+func corruptChunk(t *testing.T, dir, h string) {
+	t.Helper()
+	chunk := filepath.Join(dir, "chunks", h[:2], h[2:])
+	raw, err := os.ReadFile(chunk)
+	if err != nil {
+		t.Fatalf("chunk file for %s: %v", h, err)
+	}
+	raw[len(raw)/2] ^= 0x40
+	if err := os.WriteFile(chunk, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestStoreEndpointsWithoutStore(t *testing.T) {
@@ -233,6 +287,7 @@ func TestStoreEndpointsWithoutStore(t *testing.T) {
 	for _, path := range []string{
 		"/blob/0000000000000000000000000000000000000000000000000000000000000000",
 		"/history/solve/x",
+		"/replicate/" + strings.Repeat("0", 64),
 	} {
 		resp, err := http.Get(hs.URL + path)
 		if err != nil {

@@ -1,46 +1,36 @@
 package neos
 
 import (
-	"bytes"
 	"context"
+	"encoding/hex"
 	"encoding/json"
-	"fmt"
+	"errors"
+	"io"
 	"net/http"
 	"slices"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"hslb/internal/backoff"
 )
 
 // R-way result replication with anti-entropy repair. With Config.Replicate
-// R > 1 every full-quality solve result is owned by the top R members of
-// its key's rendezvous order over the fleet membership (this server's
-// SelfURL plus its Peers) — exactly the router's failover order, so when a
-// shard dies the router's next choice for a digest is precisely the shard
-// holding its replica.
+// R > 1 every full-quality result is owned by the top R members of its
+// key's rendezvous order over SelfURL plus Peers — the router's failover
+// order, so when a shard dies the router's next choice for a digest holds
+// its replica.
 //
-// Replication is layered, eventually consistent, and always validating:
+//   - Write path: a solver fill (local or a remote worker's /work/complete)
+//     enqueues a push to the other R−1 owners, POST /replicate/{key},
+//     through a bounded retry queue; the owner takes it in through intake.
+//   - Anti-entropy: a sweeper (kicked early on membership changes) lists
+//     each peer's keys once, pushes local results the peer owns but lacks,
+//     and pulls listed keys this server owns but lacks, so a ring resize
+//     converges the replica sets without request traffic.
 //
-//   - Write path: a solver fill (local or via a remote worker's
-//     /work/complete) enqueues a best-effort push of the result to the
-//     other R−1 owners — POST /replicate/{key} — through a bounded retry
-//     queue. Peer-warm fills and replication ingests never push, so a
-//     result cannot circulate forever.
-//   - Ingest: POST /replicate/{key} re-validates the persistence bar
-//     (persistable: never "error"/"deadline"/degraded) before warming the
-//     cache, which writes through to the result store. A replica is
-//     trusted for bytes, not judgement.
-//   - Anti-entropy: a background sweeper (kicked early on membership
-//     changes) lists each peer's persisted keys once, re-derives each
-//     key's owners, pushes local results the peer owns but lacks, and
-//     pulls listed keys this server owns but lacks — so a ring resize
-//     converges the replica sets without any request traffic.
-//
-// Consistency contract: results are immutable for a given key (solves are
-// deterministic), so replicas can only be missing, never conflicting;
-// convergence is therefore set union under the validation bar.
+// Results are immutable for a given key (solves are deterministic), so
+// replicas can only be missing, never conflicting: convergence is set
+// union under the persistence bar.
 
 // maxPushAttempts bounds retries of one replication push before the
 // sweeper inherits the repair.
@@ -62,50 +52,13 @@ type repPush struct {
 	attempts int
 }
 
-// replicator is the replication state hung off a Server.
-type replicator struct {
-	selfURL string
-	factor  int
-	http    *http.Client
-
-	queue chan repPush
-	kick  chan struct{} // wakes the sweeper early (membership change)
-
-	pushes      atomic.Uint64 // successful pushes to replica owners
-	pushErrors  atomic.Uint64 // failed push attempts (before any retry)
-	pushRetries atomic.Uint64 // re-enqueued pushes
-	dropped     atomic.Uint64 // pushes abandoned (queue full or attempts exhausted)
-	ingested    atomic.Uint64 // replicas accepted on POST /replicate
-	rejects     atomic.Uint64 // replicas refused (validation bar, bad key)
-	sweeps      atomic.Uint64 // completed anti-entropy sweeps
-	sweepPushed atomic.Uint64 // results pushed to under-replicated owners by sweeps
-	sweepPulled atomic.Uint64 // results fetched for newly owned keys by sweeps
-}
-
-func newReplicator(cfg Config) *replicator {
-	return &replicator{
-		selfURL: strings.TrimRight(strings.TrimSpace(cfg.SelfURL), "/"),
-		factor:  cfg.Replicate,
-		// Replication is background traffic: a generous per-call timeout,
-		// independent of the latency-critical PeerBudget.
-		http:  &http.Client{Timeout: 5 * time.Second},
-		queue: make(chan repPush, replQueueCap),
-		kick:  make(chan struct{}, 1),
-	}
-}
-
-// members returns the fleet membership (self + peers) as the replication
-// scoring universe.
-func (s *Server) members() []string {
-	return append(s.peering.peerList(), s.repl.selfURL)
-}
-
-// replicaOwners returns the key's owner set: the top Replicate members of
-// its rendezvous order. With fewer members than R, everyone owns everything.
-func (s *Server) replicaOwners(key string) []string {
-	order := rendezvousOrder(s.members(), key)
-	if len(order) > s.repl.factor {
-		order = order[:s.repl.factor]
+// replicaOwners returns the key's owner set: the top R members (self plus
+// peers) of its rendezvous order. With fewer members than R, everyone owns
+// everything.
+func (p *peering) replicaOwners(key string) []string {
+	order := rendezvousOrder(append(p.peerList(), p.selfURL), key)
+	if len(order) > p.factor {
+		order = order[:p.factor]
 	}
 	return order
 }
@@ -113,50 +66,37 @@ func (s *Server) replicaOwners(key string) []string {
 // replicateFill enqueues pushes of a fresh solver fill to the key's other
 // replica owners. Only fill calls this, after the persistence bar — never
 // peer warms or replication ingests, so pushes cannot loop.
-func (s *Server) replicateFill(key string, resp *SolveResponse) {
-	r := s.repl
-	if r == nil {
+func (p *peering) replicateFill(key string, resp *SolveResponse) {
+	if !p.replicating() {
 		return
 	}
 	payload, err := json.Marshal(resp)
 	if err != nil {
 		return
 	}
-	for _, owner := range s.replicaOwners(key) {
-		if owner == r.selfURL {
+	for _, owner := range p.replicaOwners(key) {
+		if owner == p.selfURL {
 			continue
 		}
-		r.enqueue(repPush{key: key, target: owner, payload: payload, attempts: 0})
+		p.enqueue(repPush{key: key, target: owner, payload: payload})
 	}
 }
 
 // enqueue adds a push to the bounded retry queue, dropping (counted) when
 // full — anti-entropy repairs dropped pushes on the next sweep.
-func (r *replicator) enqueue(p repPush) {
+func (p *peering) enqueue(item repPush) {
 	select {
-	case r.queue <- p:
+	case p.queue <- item:
 	default:
-		r.dropped.Add(1)
+		p.dropped.Add(1)
 	}
 }
 
-// push delivers one replica: POST {target}/replicate/{key}.
-func (r *replicator) push(ctx context.Context, p repPush) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		p.target+"/replicate/"+p.key, bytes.NewReader(p.payload))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := r.http.Do(req)
-	if err != nil {
-		return err
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("replicate: %s: status %d", p.target, resp.StatusCode)
-	}
-	return nil
+// push delivers one replica under transferTimeout: POST
+// {target}/replicate/{key}.
+func (p *peering) push(item repPush) error {
+	_, err := p.transfer(http.MethodPost, item.target+"/replicate/"+item.key, item.payload)
+	return err
 }
 
 // pusher drains the replication queue, retrying failed pushes with
@@ -164,35 +104,35 @@ func (r *replicator) push(ctx context.Context, p repPush) error {
 // the sweeper.
 func (s *Server) pusher() {
 	defer s.wg.Done()
-	r := s.repl
+	p := s.peering
 	for {
-		var p repPush
+		var item repPush
 		select {
 		case <-s.quit:
 			return
-		case p = <-r.queue:
+		case item = <-p.queue:
 		}
-		err := r.push(context.Background(), p)
+		err := p.push(item)
 		if err == nil {
-			r.pushes.Add(1)
+			p.pushes.Add(1)
 			continue
 		}
-		r.pushErrors.Add(1)
-		p.attempts++
-		if p.attempts >= maxPushAttempts {
-			r.dropped.Add(1)
+		p.pushErrors.Add(1)
+		item.attempts++
+		if item.attempts >= maxPushAttempts {
+			p.dropped.Add(1)
 			s.logf("replication push of %.12s… to %s abandoned after %d attempts: %v",
-				p.key, p.target, p.attempts, err)
+				item.key, item.target, item.attempts, err)
 			continue
 		}
 		// Back off before the retry; a dead owner must not spin the queue.
 		select {
 		case <-s.quit:
 			return
-		case <-time.After(backoff.Delay(100*time.Millisecond, 2*time.Second, p.attempts-1)):
+		case <-time.After(backoff.Delay(100*time.Millisecond, 2*time.Second, item.attempts-1)):
 		}
-		r.pushRetries.Add(1)
-		r.enqueue(p)
+		p.pushRetries.Add(1)
+		p.enqueue(item)
 	}
 }
 
@@ -218,7 +158,7 @@ func (s *Server) sweeper() {
 			return
 		case <-tick:
 			s.sweepOnce()
-		case <-s.repl.kick:
+		case <-s.peering.kick:
 			s.sweepOnce()
 		}
 	}
@@ -226,11 +166,11 @@ func (s *Server) sweeper() {
 
 // kickSweep schedules an immediate anti-entropy sweep (member change).
 func (s *Server) kickSweep() {
-	if s.repl == nil {
+	if !s.peering.replicating() {
 		return
 	}
 	select {
-	case s.repl.kick <- struct{}{}:
+	case s.peering.kick <- struct{}{}:
 	default:
 	}
 }
@@ -244,20 +184,20 @@ func (s *Server) kickSweep() {
 // cached "confirmed" set — so a sweep after a resize converges the
 // replica sets even if earlier sweeps ran against older rings.
 func (s *Server) sweepOnce() {
-	r := s.repl
-	if r == nil || s.results == nil {
+	p := s.peering
+	if !p.replicating() || s.results == nil {
 		return
 	}
-	ctx := context.Background()
 	local := s.results.KeysWithPrefix(solveKeyPrefix)
-	for _, peer := range s.peering.peerList() {
+	for _, peer := range p.peerList() {
 		select {
 		case <-s.quit:
 			return
 		default:
 		}
 		var listed []string
-		if _, err := getJSON(ctx, r.http, peer+"/keys?prefix="+solveKeyPrefix, &listed); err != nil {
+		data, err := p.transfer(http.MethodGet, peer+"/keys?prefix="+solveKeyPrefix, nil)
+		if err != nil || json.Unmarshal(data, &listed) != nil {
 			continue // peer unreachable or misbehaving; next sweep retries
 		}
 		held := make(map[string]bool, len(listed))
@@ -267,88 +207,78 @@ func (s *Server) sweepOnce() {
 
 		for _, full := range local {
 			key := strings.TrimPrefix(full, solveKeyPrefix)
-			if held[full] || !slices.Contains(s.replicaOwners(key), peer) {
+			if held[full] || !slices.Contains(p.replicaOwners(key), peer) {
 				continue
 			}
 			data, _, err := s.results.HeadValue(full)
 			if err != nil {
 				continue // local corruption surfaces in fsck, never replicates
 			}
-			var resp SolveResponse
-			if json.Unmarshal(data, &resp) != nil || !persistable(&resp) {
+			if _, err := decodeReplica(data); err != nil {
 				continue
 			}
-			if r.push(ctx, repPush{key: key, target: peer, payload: data}) == nil {
-				r.sweepPushed.Add(1)
+			if p.push(repPush{key: key, target: peer, payload: data}) == nil {
+				p.sweepPushed.Add(1)
 			}
 		}
 
 		for _, full := range listed {
 			key := strings.TrimPrefix(full, solveKeyPrefix)
-			if !slices.Contains(s.replicaOwners(key), r.selfURL) {
+			if !slices.Contains(p.replicaOwners(key), p.selfURL) {
 				continue
 			}
 			if _, ok := s.results.Head(solveKeyPrefix + key); ok {
 				continue // already replicated here
 			}
-			resp, _ := fetchPersisted(ctx, r.http, peer, key)
-			if resp == nil {
+			ctx, cancel := context.WithTimeout(context.Background(), transferTimeout)
+			data, err := p.pull(ctx, peer, key)
+			cancel()
+			if err != nil {
 				continue
 			}
 			// The cache write-through persists the pulled replica locally.
-			s.cache.Put(key, resp)
-			r.sweepPulled.Add(1)
+			if _, err := s.intake(key, data); err == nil {
+				p.sweepPulled.Add(1)
+			}
 		}
 	}
-	r.sweeps.Add(1)
+	p.sweeps.Add(1)
 }
 
 // isHexKey reports whether key looks like a content-addressed solve
 // fingerprint: 64 lowercase hex digits.
 func isHexKey(key string) bool {
-	if len(key) != 64 {
-		return false
-	}
-	for i := 0; i < len(key); i++ {
-		c := key[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
+	_, err := hex.DecodeString(key)
+	return len(key) == 64 && err == nil && strings.ToLower(key) == key
 }
 
 // handleReplicate ingests one pushed replica: POST /replicate/{key}. The
-// persistence bar is re-validated — "error", "deadline" and degraded
-// answers are refused with 422 whatever the sender claims — and an
-// accepted replica warms the cache, persisting through the write-through
-// backend.
+// bytes enter through intake, so "error", "deadline" and degraded answers
+// are refused with 422 whatever the sender claims, and an accepted replica
+// warms the cache, persisting through the write-through backend.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	if s.repl == nil {
+	p := s.peering
+	if !p.replicating() {
 		http.Error(w, "replication not enabled", http.StatusNotFound)
 		return
 	}
 	key := r.PathValue("key")
-	if !isHexKey(key) {
-		s.repl.rejects.Add(1)
-		http.Error(w, "bad key: want a 64-hex solve fingerprint", http.StatusBadRequest)
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	code := http.StatusBadRequest
+	switch {
+	case !isHexKey(key):
+		err = errors.New("bad key: want a 64-hex solve fingerprint")
+	case err == nil:
+		if _, err = s.intake(key, data); errors.Is(err, errNotPersistable) {
+			code = http.StatusUnprocessableEntity
+		}
+	}
+	if err != nil {
+		p.rejects.Add(1)
+		http.Error(w, err.Error(), code)
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
-	var resp SolveResponse
-	if err := json.NewDecoder(r.Body).Decode(&resp); err != nil {
-		s.repl.rejects.Add(1)
-		http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if !persistable(&resp) {
-		s.repl.rejects.Add(1)
-		http.Error(w, "replica fails the persistence bar (error/deadline/degraded)",
-			http.StatusUnprocessableEntity)
-		return
-	}
-	s.cache.Put(key, &resp)
-	s.repl.ingested.Add(1)
+	p.ingested.Add(1)
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -399,9 +329,9 @@ func (s *Server) handleAdminPeers(w http.ResponseWriter, r *http.Request) {
 	if out.Peers == nil {
 		out.Peers = []string{}
 	}
-	if s.repl != nil {
-		out.Self = s.repl.selfURL
-		out.Replicate = s.repl.factor
+	if s.peering.replicating() {
+		out.Self = s.peering.selfURL
+		out.Replicate = s.peering.factor
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -432,8 +362,8 @@ type ReplicationMetrics struct {
 }
 
 func (s *Server) replicationMetrics() *ReplicationMetrics {
-	r := s.repl
-	if r == nil {
+	r := s.peering
+	if !r.replicating() {
 		return nil
 	}
 	return &ReplicationMetrics{

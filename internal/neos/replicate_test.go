@@ -94,7 +94,11 @@ func TestReplicateOnFill(t *testing.T) {
 	if !hasPersisted(sbA, key) {
 		t.Fatal("A did not persist its own fill")
 	}
-	waitFor(t, "replica to land on B", func() bool { return hasPersisted(sbB, key) })
+	// B persists the replica before it counts the ingest and answers the
+	// push, and A counts the push after the answer: wait for all three.
+	waitFor(t, "replica to land on B", func() bool {
+		return hasPersisted(sbB, key) && sbB.peering.ingested.Load() > 0 && sbA.peering.pushes.Load() > 0
+	})
 
 	mB, err := cB.Metrics(ctx)
 	if err != nil {
@@ -229,10 +233,12 @@ func TestAntiEntropyAfterMembershipChange(t *testing.T) {
 	if m, _ := cB.Metrics(ctx); m.Solves.Count != 0 {
 		t.Fatalf("anti-entropy cost B %d solver invocations", m.Solves.Count)
 	}
-	mA, _ := cA.Metrics(ctx)
-	if mA.Replication.SweepPushed == 0 {
-		t.Fatalf("A sweep metrics = %+v, want sweep pushes", mA.Replication)
-	}
+	// A counts a sweep push once B has answered it, a moment after B
+	// persisted the replica.
+	waitFor(t, "A's sweep pushes", func() bool {
+		mA, _ := cA.Metrics(ctx)
+		return mA.Replication.SweepPushed > 0
+	})
 
 	// Pull repair is equivalent and idempotent: wipe nothing, just run B's
 	// sweep — everything already present, so it pulls nothing new; then
@@ -298,7 +304,7 @@ func (l *requestLog) take() []string {
 
 // TestAntiEntropyConvergedSweepListsOnce: once the replica sets have
 // converged, a sweep costs each peer exactly one GET /keys listing — no
-// per-key /history probes, no pushes, no pulls.
+// per-key reads, no pushes, no pulls.
 func TestAntiEntropyConvergedSweepListsOnce(t *testing.T) {
 	var logA, logB requestLog
 	sbA, hsA, cA := newFleetShard(t, replCfg(t), logA.wrap)
@@ -448,7 +454,7 @@ func TestReplicationPushRetriesAcrossPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "push attempts against the dead owner", func() bool {
-		return sbA.repl.pushErrors.Load() > 0
+		return sbA.peering.pushErrors.Load() > 0
 	})
 	if hasPersisted(sbB, key) {
 		t.Fatal("replica crossed a refusing proxy")
@@ -456,7 +462,7 @@ func TestReplicationPushRetriesAcrossPartition(t *testing.T) {
 
 	proxy.SetRefuse(false)
 	waitFor(t, "replica delivery after heal", func() bool { return hasPersisted(sbB, key) })
-	waitFor(t, "push counter after heal", func() bool { return sbA.repl.pushes.Load() == 1 })
+	waitFor(t, "push counter after heal", func() bool { return sbA.peering.pushes.Load() == 1 })
 	if m := sbA.replicationMetrics(); m.PushRetries == 0 {
 		t.Fatalf("push metrics after heal = %+v, want retries counted", m)
 	}

@@ -78,10 +78,10 @@ type Config struct {
 	// Peers are ring-sibling shard base URLs (this server's own URL
 	// excluded) consulted on a solve-cache miss: before invoking a solver
 	// the server asks each sibling, in the key's deterministic rendezvous
-	// order, for a persisted full-quality result — GET /history/solve/{key}
-	// then GET /blob/{hash} — and warms its local cache from the first hit.
-	// Corrupt blobs, junk payloads and best-effort answers never warm;
-	// they fall through to a local solve.
+	// order, for a persisted full-quality result — one GET /replicate/{key}
+	// per sibling — and warms its local cache from the first hit. Corrupt
+	// results, junk payloads and best-effort answers never warm; they fall
+	// through to a local solve.
 	Peers []string
 	// PeerBudget bounds one solve's whole peer consult, across all peers
 	// (default 150ms). Past it the server stops asking and solves locally.
@@ -169,12 +169,10 @@ type Server struct {
 	// warmed is how many cache entries Warm loaded from it at startup.
 	results *resultstore.Store
 	warmed  int
-	// peering consults ring siblings for persisted results on cache
-	// misses; always non-nil (the peer set may be empty, and may change
-	// live via /admin/peers).
+	// peering is the shard-to-shard state: membership, the peer consult
+	// on cache misses and R-way replication. Always non-nil (the peer set
+	// may be empty, and may change live via /admin/peers).
 	peering *peering
-	// repl is the R-way replication state; nil unless Config.Replicate > 1.
-	repl *replicator
 	// dupCompletes counts idempotent duplicate completes; workerPanics
 	// counts recovered panics in in-process workers (each one leaves a
 	// leased job for the reaper to reclaim).
@@ -235,9 +233,8 @@ func NewServerWith(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.warmed = warmed
-	s.peering = newPeering(cfg, cfg.Logf)
-	if cfg.Replicate > 1 {
-		s.repl = newReplicator(cfg)
+	s.peering = newPeering(cfg)
+	if s.peering.replicating() {
 		s.wg.Add(2)
 		go s.pusher()
 		go s.sweeper()
@@ -305,6 +302,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /blob/{hash}", s.handleBlob)
 	mux.HandleFunc("GET /history/{key...}", s.handleHistory)
 	mux.HandleFunc("GET /keys", s.handleKeys)
+	mux.HandleFunc("GET /replicate/{key}", s.handleReplicaRead)
 	mux.HandleFunc("POST /replicate/{key}", s.handleReplicate)
 	mux.HandleFunc("/admin/peers", s.handleAdminPeers)
 	mux.HandleFunc("POST /work/lease", s.handleWorkLease)
@@ -375,8 +373,7 @@ func (s *Server) solve(ctx context.Context, req *SolveRequest, admit bool) (*Sol
 // breaker before leasing). Last the solver semaphore, shared by both
 // paths, and the solve.
 func (s *Server) lead(ctx context.Context, key string, parsed *ampl.Result, req *SolveRequest, admit bool) (*SolveResponse, error) {
-	if resp := s.peering.fetch(ctx, key); resp != nil {
-		s.cache.Put(key, resp)
+	if resp := s.consult(ctx, key); resp != nil {
 		return resp, nil
 	}
 	if admit {
@@ -417,7 +414,7 @@ func (s *Server) lead(ctx context.Context, key string, parsed *ampl.Result, req 
 func (s *Server) fill(key string, resp *SolveResponse) {
 	if persistable(resp) {
 		s.cache.Put(key, resp)
-		s.replicateFill(key, resp)
+		s.peering.replicateFill(key, resp)
 	}
 }
 
