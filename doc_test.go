@@ -68,23 +68,9 @@ func TestDocReferencesResolve(t *testing.T) {
 func moduleDecls(t *testing.T) map[string]map[string]bool {
 	t.Helper()
 	decls := map[string]map[string]bool{}
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
-			return filepath.SkipDir
-		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		if f.Name.Name == "main" {
-			return nil
+	parseModule(t, func(path string, f *ast.File) {
+		if strings.HasSuffix(path, "_test.go") || f.Name.Name == "main" {
+			return
 		}
 		names := decls[f.Name.Name]
 		if names == nil {
@@ -123,12 +109,35 @@ func moduleDecls(t *testing.T) map[string]map[string]bool {
 				}
 			}
 		}
+	})
+	return decls
+}
+
+// parseModule parses every Go file of the module, tests included, and
+// hands each to fn with its slash-separated path.
+func parseModule(t *testing.T, fn func(path string, f *ast.File)) {
+	t.Helper()
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		fn(filepath.ToSlash(path), f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return decls
 }
 
 // receiverName returns the type name of a method receiver: T, *T, T[P] and
@@ -176,4 +185,166 @@ func typeMembers(expr ast.Expr) []string {
 		}
 	}
 	return out
+}
+
+// optionType matches the names of the configuration types
+// TestEveryOptionFieldIsSet covers: Options, Config or Policy, or a name
+// ending in one of them.
+var optionType = regexp.MustCompile(`(Options|Config|Policy)$`)
+
+// unsetOptionFields are option fields that keep no setter on purpose, each
+// with the reason it stays.
+var unsetOptionFields = map[string]string{
+	"cas.Options.Sync": "durability code: it fsyncs each chunk before the rename links it in, and such a flush stays even while nothing turns it on",
+}
+
+// TestEveryOptionFieldIsSet: every exported field of an exported option
+// struct in internal/ (see optionSuffixes) has a setter somewhere in the
+// module, tests included: a key in a composite literal of that type, an
+// assignment x.Field = … outside the file that declares the type (that file
+// fills the defaults), or &x.Field handed to a flag. A field nothing sets is
+// a configuration nobody runs; make it a constant instead.
+func TestEveryOptionFieldIsSet(t *testing.T) {
+	type file struct {
+		path, dir string
+		ast       *ast.File
+	}
+	var files []file
+	parseModule(t, func(path string, f *ast.File) {
+		files = append(files, file{path, filepath.ToSlash(filepath.Dir(path)), f})
+	})
+
+	// The option types, keyed by "dir.Type", with the file declaring each
+	// and its exported fields.
+	type option struct {
+		name, declFile string
+		fields         []string
+	}
+	types := map[string]*option{}
+	for _, f := range files {
+		if !strings.HasPrefix(f.dir, "internal/") || strings.HasSuffix(f.path, "_test.go") {
+			continue
+		}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			s, ok := n.(*ast.TypeSpec)
+			if !ok || !ast.IsExported(s.Name.Name) {
+				return true
+			}
+			st, ok := s.Type.(*ast.StructType)
+			if !ok || !optionType.MatchString(s.Name.Name) {
+				return true
+			}
+			ot := &option{name: f.ast.Name.Name + "." + s.Name.Name, declFile: f.path}
+			for _, m := range typeMembers(st) {
+				if ast.IsExported(m) {
+					ot.fields = append(ot.fields, m)
+				}
+			}
+			types[f.dir+"."+s.Name.Name] = ot
+			return true
+		})
+	}
+
+	set := map[string]bool{}          // "dir.Type.Field" keyed in a literal
+	assigned := map[string][]string{} // field name -> files assigning x.Field
+	for _, f := range files {
+		imports := map[string]string{} // local name -> module directory
+		for _, imp := range f.ast.Imports {
+			p := strings.Trim(imp.Path.Value, `"`)
+			dir, ok := strings.CutPrefix(p, "hslb/")
+			if !ok {
+				continue
+			}
+			name := filepath.Base(dir)
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = dir
+		}
+		// typeKey resolves T, *T, pkg.T or *pkg.T to its "dir.Type" key.
+		var typeKey func(e ast.Expr) string
+		typeKey = func(e ast.Expr) string {
+			switch e := e.(type) {
+			case *ast.Ident:
+				return f.dir + "." + e.Name
+			case *ast.SelectorExpr:
+				if x, ok := e.X.(*ast.Ident); ok {
+					return imports[x.Name] + "." + e.Sel.Name
+				}
+			case *ast.StarExpr:
+				return typeKey(e.X)
+			}
+			return ""
+		}
+		// visit records the keys of a literal of type typ, descending into
+		// the elided-type elements of slice, array and map literals.
+		var visit func(cl *ast.CompositeLit, typ ast.Expr)
+		visit = func(cl *ast.CompositeLit, typ ast.Expr) {
+			var elem ast.Expr
+			switch tt := typ.(type) {
+			case *ast.ArrayType:
+				elem = tt.Elt
+			case *ast.MapType:
+				elem = tt.Value
+			}
+			key := typeKey(typ)
+			for _, el := range cl.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok && elem == nil {
+						set[key+"."+id.Name] = true
+					}
+					el = kv.Value
+				} else if elem == nil {
+					set[key+".*"] = true // a positional literal sets every field
+				}
+				if inner, ok := el.(*ast.CompositeLit); ok && inner.Type == nil && elem != nil {
+					visit(inner, elem)
+				}
+			}
+		}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				if n.Type != nil {
+					visit(n, n.Type)
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						assigned[sel.Sel.Name] = append(assigned[sel.Sel.Name], f.path)
+					}
+				}
+			case *ast.UnaryExpr:
+				if sel, ok := n.X.(*ast.SelectorExpr); ok && n.Op == token.AND {
+					assigned[sel.Sel.Name] = append(assigned[sel.Sel.Name], f.path)
+				}
+			}
+			return true
+		})
+	}
+
+	// An assignment in a file that declares an option type with a field of
+	// that name fills a default; the name alone cannot tell which type's.
+	fills := map[string]bool{} // "file.Field"
+	for _, ot := range types {
+		for _, field := range ot.fields {
+			fills[ot.declFile+"."+field] = true
+		}
+	}
+	for key, ot := range types {
+		for _, field := range ot.fields {
+			if set[key+"."+field] || set[key+".*"] || unsetOptionFields[ot.name+"."+field] != "" {
+				continue
+			}
+			setter := false
+			for _, path := range assigned[field] {
+				if !fills[path+"."+field] {
+					setter = true
+				}
+			}
+			if !setter {
+				t.Errorf("%s.%s (%s) has no setter in the module: make it a constant", ot.name, field, ot.declFile)
+			}
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package ampl
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -15,6 +16,17 @@ func approxEq(a, b, eps float64) bool {
 		return true
 	}
 	return d <= eps*math.Max(math.Abs(a), math.Abs(b))
+}
+
+// TestIndexedNameMatchesPercentG: IndexedName prints an element exactly as
+// %g does, so variable names, canonical forms and request keys stay as
+// they were when names were built with fmt.
+func TestIndexedNameMatchesPercentG(t *testing.T) {
+	for _, v := range []float64{0, math.Copysign(0, -1), 1, -3, 0.5, 128, 1e-7, 123456, 1e20, 1e21, 2.5e-300, 1.0 / 3, math.Inf(1), math.NaN()} {
+		if got, want := IndexedName("x", v), fmt.Sprintf("%s[%g]", "x", v); got != want {
+			t.Errorf("IndexedName(x, %v) = %q, want %q", v, got, want)
+		}
+	}
 }
 
 func TestParseParamAndVar(t *testing.T) {

@@ -40,6 +40,13 @@ type family struct {
 	base int
 }
 
+// IndexedName names member elem of the indexed family name, as in x[3] or
+// n_ocn[0.5]. The element is printed as fmt's %g prints it, so the name is
+// the same in the model, its canonical form and a solve response.
+func IndexedName(name string, elem float64) string {
+	return name + "[" + strconv.FormatFloat(elem, 'g', -1, 64) + "]"
+}
+
 // Parse builds an optimization model from AMPL source text.
 func Parse(src string) (*Result, error) {
 	toks, err := lex(src)
@@ -227,7 +234,7 @@ func (p *parser) parseVar() error {
 		fam := map[float64]int{}
 		p.families = append(p.families, family{name, p.res.Sets[setName], len(p.res.Model.Vars)})
 		for _, elem := range p.res.Sets[setName] {
-			v := p.res.Model.AddVar(fmt.Sprintf("%s[%g]", name, elem), vtype, lower, upper)
+			v := p.res.Model.AddVar(IndexedName(name, elem), vtype, lower, upper)
 			fam[elem] = v.Index
 		}
 		p.res.IndexedVarIndex[name] = fam
@@ -426,9 +433,9 @@ func (p *parser) parseAtom() (expr.Expr, error) {
 			}
 			vi, ok := fam[idx]
 			if !ok {
-				return nil, p.errf("%s[%g] not in its index set", name, idx)
+				return nil, p.errf("%s not in its index set", IndexedName(name, idx))
 			}
-			return expr.NamedVar(vi, fmt.Sprintf("%s[%g]", name, idx)), nil
+			return expr.NamedVar(vi, IndexedName(name, idx)), nil
 		}
 		if v, ok := p.scope[name]; ok {
 			return expr.C(v), nil

@@ -125,7 +125,7 @@ func RunPipelineContext(ctx context.Context, po PipelineOptions) (*PipelineResul
 			if f.R2 >= po.FitR2Gate {
 				continue
 			}
-			ff, ferr := perf.FitFamily(out.Data.Samples[c], perf.AmdahlFamily, po.Fit.MaxIter)
+			ff, ferr := perf.FitFamily(out.Data.Samples[c], perf.AmdahlFamily)
 			if ferr != nil || ff.R2 <= f.R2 {
 				q.note("fit gate: %v R²=%.4f below gate %.4f and the Amdahl refit was no better", c, f.R2, po.FitR2Gate)
 				continue
@@ -133,10 +133,9 @@ func RunPipelineContext(ctx context.Context, po PipelineOptions) (*PipelineResul
 			// a/n + d maps onto the Table II model with B = C = 0, which
 			// keeps the downstream MINLP convex.
 			fits[c] = &perf.FitResult{
-				Model:     perf.Model{A: ff.Params[0], D: ff.Params[1]},
-				R2:        ff.R2,
-				SSR:       ff.SSR,
-				Converged: true,
+				Model: perf.Model{A: ff.Params[0], D: ff.Params[1]},
+				R2:    ff.R2,
+				SSR:   ff.SSR,
 			}
 			q.Refits[c] = ff.Family.Name
 			q.note("fit gate: %v R²=%.4f below gate %.4f, refit with %s family (R²=%.4f)", c, f.R2, po.FitR2Gate, ff.Family.Name, ff.R2)

@@ -67,16 +67,18 @@ type Job struct {
 }
 
 // record is one WAL line. "put" and "lease" carry a full job snapshot
-// (last record per ID wins), "del" a tombstone, "renew" a lease-expiry
-// extension, and "expire" a reaper reclaim — the two small lease records
-// apply only when the stored fence still matches. Compaction folds every
-// record type back into one "put" snapshot per live job.
+// (last record per ID wins), "del" a tombstone, and "expire" a reaper
+// reclaim that applies only when the stored fence still matches. A lease
+// renewal writes no record: its expiry only matters while the process
+// lives, and Open clears the lease of every running job anyway. Replay
+// skips ops it does not know, such as the "renew" lines older logs hold.
+// Compaction folds every record type back into one "put" snapshot per
+// live job.
 type record struct {
-	Op    string    `json:"op"`
-	Job   *Job      `json:"job,omitempty"`
-	ID    int64     `json:"id,omitempty"`
-	Fence int64     `json:"fence,omitempty"`
-	Exp   time.Time `json:"exp,omitempty"`
+	Op    string `json:"op"`
+	Job   *Job   `json:"job,omitempty"`
+	ID    int64  `json:"id,omitempty"`
+	Fence int64  `json:"fence,omitempty"`
 }
 
 // Options configures a Store.
@@ -221,10 +223,6 @@ func (s *Store) replay(line []byte) bool {
 		}
 	case "del":
 		delete(s.jobs, rec.ID)
-	case "renew":
-		if j, ok := s.jobs[rec.ID]; ok && j.Status == Running && j.Fence == rec.Fence {
-			j.LeaseExpiry = rec.Exp
-		}
 	case "expire":
 		if j, ok := s.jobs[rec.ID]; ok && j.Status == Running && j.Fence == rec.Fence {
 			j.Status = Queued
@@ -369,7 +367,8 @@ func (s *Store) Lease(workerID string, ttl time.Duration) (*Job, time.Duration, 
 // Renew extends the lease on job id by ttl from now. The caller must
 // present the fencing token its Lease returned; a token that no longer
 // matches (expired and re-leased, released, or finished) is rejected with
-// ErrStaleLease — the signal to stop computing.
+// ErrStaleLease — the signal to stop computing. The new expiry is held in
+// memory only: a heartbeat appends nothing to the WAL.
 func (s *Store) Renew(id, fence int64, ttl time.Duration) (time.Duration, error) {
 	if ttl <= 0 {
 		return 0, errors.New("jobstore: non-positive lease ttl")
@@ -385,9 +384,6 @@ func (s *Store) Renew(id, fence int64, ttl time.Duration) (time.Duration, error)
 		return 0, ErrStaleLease
 	}
 	j.LeaseExpiry = s.opts.now().Add(ttl)
-	if err := s.appendLocked(record{Op: "renew", ID: id, Fence: fence, Exp: j.LeaseExpiry}); err != nil {
-		return 0, err
-	}
 	return ttl, nil
 }
 

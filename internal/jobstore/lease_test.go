@@ -185,8 +185,8 @@ func TestReleaseReturnsAttempt(t *testing.T) {
 	}
 }
 
-// TestLeaseRecordsSurviveRestart exercises the lease/renew/expire WAL
-// record types end to end: a crash replays them, recovered running jobs
+// TestLeaseRecordsSurviveRestart exercises the lease and expire WAL
+// record types, with a renewal between them, end to end: a crash replays them, recovered running jobs
 // requeue with their lease cleared, and the fencing token stays monotonic
 // across the restart so a pre-crash holder can never complete.
 func TestLeaseRecordsSurviveRestart(t *testing.T) {
@@ -299,9 +299,9 @@ func TestTornTailMidLeaseRecord(t *testing.T) {
 	}
 }
 
-// TestCompactionFoldsLeaseRecords drives heavy renewal traffic and checks
-// both explicit and automatic compaction rewrite the log to one snapshot
-// per live job that still replays with the lease state folded in.
+// TestCompactionFoldsLeaseRecords drives heavy renewal traffic (which
+// writes no records) and checks compaction rewrites the log to one
+// snapshot per live job that still replays with the lease state folded in.
 func TestCompactionFoldsLeaseRecords(t *testing.T) {
 	dir := t.TempDir()
 	now := time.Unix(7000, 0)
@@ -314,7 +314,7 @@ func TestCompactionFoldsLeaseRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := s.Records(); got != 52 {
+	if got := s.Records(); got != 2 {
 		t.Fatalf("records before compact = %d", got)
 	}
 	if err := s.Compact(); err != nil {
@@ -337,6 +337,54 @@ func TestCompactionFoldsLeaseRecords(t *testing.T) {
 	final, _ := s2.Get(j.ID)
 	if final.Status != Done || string(final.Result) != `"r"` {
 		t.Fatalf("after restart = %+v", final)
+	}
+}
+
+// TestRenewWritesNoRecord: a heartbeat moves the lease expiry in memory
+// and appends nothing, and a "renew" line an older binary wrote still
+// replays harmlessly.
+func TestRenewWritesNoRecord(t *testing.T) {
+	dir := t.TempDir()
+	now := time.Unix(8000, 0)
+	s := open(t, dir, Options{now: func() time.Time { return now }, CompactEvery: -1})
+	j, _ := s.Enqueue(json.RawMessage(`{}`), 3)
+	l, _, _ := s.Lease("w", time.Minute)
+	path := filepath.Join(dir, walName)
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := s.Records()
+	for i := 0; i < 50; i++ {
+		now = now.Add(time.Second)
+		if _, err := s.Renew(j.ID, l.Fence, time.Minute); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Records() != records || after.Size() != before.Size() {
+		t.Fatalf("50 renews: records %d -> %d, WAL %d -> %d bytes", records, s.Records(), before.Size(), after.Size())
+	}
+	if cur, _ := s.Get(j.ID); !cur.LeaseExpiry.Equal(now.Add(time.Minute)) {
+		t.Fatalf("expiry = %v, want %v", cur.LeaseExpiry, now.Add(time.Minute))
+	}
+	s.Close()
+
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"op":"renew","id":1,"fence":1,"exp":"2026-01-01T00:00:00Z"}` + "\n"); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	s2 := open(t, dir, Options{CompactEvery: -1})
+	got, ok := s2.Get(j.ID)
+	if !ok || got.Status != Queued || got.Fence != l.Fence || !got.LeaseExpiry.IsZero() {
+		t.Fatalf("after an old renew line: %+v, %v", got, ok)
 	}
 }
 

@@ -17,17 +17,20 @@ import (
 
 // Options configures the expert emulation.
 type Options struct {
-	// MaxIters bounds the tuning loop (default 8, the paper's "five to ten
-	// iterations").
-	MaxIters int
 	// Seed drives run-to-run noise; each iteration is a separate queue
 	// submission with its own noise draw.
 	Seed int64
-	// ImbalanceTol is the relative imbalance between the atmosphere branch
-	// and the ocean branch the expert tolerates before shifting nodes
-	// (default 0.04).
-	ImbalanceTol float64
 }
+
+const (
+	// maxIters bounds the tuning loop: the paper's "five to ten
+	// iterations".
+	maxIters = 8
+	// imbalanceTol is the relative imbalance the expert tolerates before
+	// shifting nodes, between the atmosphere branch and the ocean branch
+	// and between ice and land.
+	imbalanceTol = 0.04
+)
 
 // Step is one iteration of the expert loop.
 type Step struct {
@@ -52,18 +55,12 @@ func Optimize(res cesm.Resolution, layout cesm.Layout, total int, opt Options) (
 	if layout != cesm.Layout1 {
 		return nil, ErrLayoutUnsupported
 	}
-	if opt.MaxIters == 0 {
-		opt.MaxIters = 8
-	}
-	if opt.ImbalanceTol == 0 {
-		opt.ImbalanceTol = 0.04
-	}
 
 	alloc := initialGuess(res, total)
 	best := Result{Alloc: alloc}
 	bestTotal := math.Inf(1)
 
-	for iter := 0; iter < opt.MaxIters; iter++ {
+	for iter := 0; iter < maxIters; iter++ {
 		tm, err := cesm.Run(cesm.Config{
 			Resolution: res, Layout: layout, TotalNodes: total,
 			Alloc: alloc, Seed: opt.Seed + int64(iter)*7919,
@@ -78,7 +75,7 @@ func Optimize(res cesm.Resolution, layout cesm.Layout, total int, opt Options) (
 			best.Timing = tm
 			best.Iterations = iter + 1
 		}
-		next, changed := adjust(res, total, alloc, tm, opt.ImbalanceTol)
+		next, changed := adjust(res, total, alloc, tm)
 		if !changed {
 			break
 		}
@@ -109,7 +106,7 @@ func initialGuess(res cesm.Resolution, total int) cesm.Allocation {
 // adjust is one expert tuning move: balance the two concurrent branches
 // (sequential atm+max(ice,lnd) vs ocean) by shifting ~10% of the smaller
 // side's nodes, then rebalance ice vs land inside the shared pool.
-func adjust(res cesm.Resolution, total int, a cesm.Allocation, tm *cesm.Timing, tol float64) (cesm.Allocation, bool) {
+func adjust(res cesm.Resolution, total int, a cesm.Allocation, tm *cesm.Timing) (cesm.Allocation, bool) {
 	seq := math.Max(tm.Comp[cesm.ICE], tm.Comp[cesm.LND]) + tm.Comp[cesm.ATM]
 	ocn := tm.Comp[cesm.OCN]
 	out := a
@@ -118,7 +115,7 @@ func adjust(res cesm.Resolution, total int, a cesm.Allocation, tm *cesm.Timing, 
 	imbalance := (seq - ocn) / math.Max(seq, ocn)
 	shift := maxInt(total/20, 2)
 	switch {
-	case imbalance > tol:
+	case imbalance > imbalanceTol:
 		// Atmosphere branch is the bottleneck: take nodes from the ocean.
 		newOcn := snapOcean(res, a.Ocn-shift, total)
 		if newOcn >= a.Ocn {
@@ -129,7 +126,7 @@ func adjust(res cesm.Resolution, total int, a cesm.Allocation, tm *cesm.Timing, 
 			out.Atm = snapAtm(res, total-newOcn, total-newOcn)
 			changed = true
 		}
-	case imbalance < -tol:
+	case imbalance < -imbalanceTol:
 		// Ocean is the bottleneck: give it more nodes. When the allowed set
 		// is sparse (the hard-coded 1/8° counts), a proportional shift may
 		// land between set values, so step to the next allowed count.
@@ -155,7 +152,7 @@ func adjust(res cesm.Resolution, total int, a cesm.Allocation, tm *cesm.Timing, 
 	}
 	// Rebalance ice vs land if one is clearly slower.
 	ti, tl := tm.Comp[cesm.ICE], tm.Comp[cesm.LND]
-	if math.Abs(ti-tl)/math.Max(ti, tl) > tol {
+	if math.Abs(ti-tl)/math.Max(ti, tl) > imbalanceTol {
 		move := maxInt(out.Atm/20, 1)
 		if ti > tl && out.Lnd > move {
 			out.Ice += move

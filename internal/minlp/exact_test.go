@@ -124,13 +124,12 @@ func TestFixedLPFallsBackOnRejectedPoint(t *testing.T) {
 		t.Fatal("structural test passed a continuous variable under a division")
 	}
 	w.exact = true
-	opt := Options{}.withDefaults()
 	z := make([]float64, w.m.NumVars())
 	z[n.Index], z[y.Index] = 4, 1
-	if fs, decided := w.fixedLP(opt, z); decided {
+	if fs, decided := w.fixedLP(z); decided {
 		t.Fatalf("fixedLP decided %+v; its point violates the time row", fs)
 	}
-	fs, err := w.solveFixed(opt, z, nil, 0)
+	fs, err := w.solveFixed(z, nil, 0)
 	if err != nil || fs == nil {
 		t.Fatalf("NLP fallback: %v, %v", fs, err)
 	}
@@ -146,7 +145,7 @@ func TestFixedLPFallsBackOnRejectedPoint(t *testing.T) {
 	for _, j := range w.m.IntegerVars() {
 		z[j] = 16
 	}
-	fs, err = w.solveFixed(opt, z, nil, 0)
+	fs, err = w.solveFixed(z, nil, 0)
 	if err != nil || fs == nil || !w.exact || w.nlpFallbacks != 0 {
 		t.Fatalf("exact model: %+v, %v, exact %v, %d fallbacks", fs, err, w.exact, w.nlpFallbacks)
 	}

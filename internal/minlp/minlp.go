@@ -57,32 +57,26 @@ func (a Algorithm) String() string {
 // Options configures the solver.
 type Options struct {
 	Algorithm Algorithm
-	IntTol    float64 // integrality tolerance (default 1e-6)
-	GapTol    float64 // absolute pruning gap (default 1e-6)
 	// RelGap is an additional relative pruning gap: subtrees whose bound is
-	// within GapTol + RelGap·|incumbent| of the incumbent are pruned.
+	// within gapTol + RelGap·|incumbent| of the incumbent are pruned.
 	// Essential when the integer domain is huge and many allocations are
 	// near-ties (e.g. 32768-node HSLB instances where sub-millisecond
 	// differences are meaningless).
 	RelGap   float64
-	FeasTol  float64 // nonlinear feasibility tolerance (default 1e-5)
-	MaxNodes int     // node budget (default 100000)
+	MaxNodes int // node budget (default 100000)
 	// BranchSOS branches on whole SOS-1 sets before individual variables.
 	// The paper reports two orders of magnitude speedup from this rule.
 	BranchSOS bool
-	NLP       nlp.Options
 }
 
+// The solver's fixed tolerances.
+const (
+	intTol  = 1e-6 // integrality tolerance
+	gapTol  = 1e-6 // absolute pruning gap
+	feasTol = 1e-5 // nonlinear feasibility tolerance
+)
+
 func (o Options) withDefaults() Options {
-	if o.IntTol == 0 {
-		o.IntTol = 1e-6
-	}
-	if o.GapTol == 0 {
-		o.GapTol = 1e-6
-	}
-	if o.FeasTol == 0 {
-		o.FeasTol = 1e-5
-	}
 	if o.MaxNodes == 0 {
 		o.MaxNodes = 100000
 	}
@@ -174,7 +168,7 @@ func SolveContext(ctx context.Context, m *model.Model, opt Options) (*Result, er
 		return nil, err
 	}
 	// Root presolve: tighten the work model's box before the tree search.
-	ps := Presolve(w.m, opt.FeasTol)
+	ps := Presolve(w.m, feasTol)
 	if ps.Infeasible {
 		return &Result{Status: Infeasible, Presolve: ps, ExactSubproblems: w.exact}, nil
 	}
@@ -191,7 +185,7 @@ func SolveContext(ctx context.Context, m *model.Model, opt Options) (*Result, er
 	// Canonical finish: descend to one representative of the tied integer
 	// assignments and re-solve its fixed-integer subproblem.
 	if res.Status == Optimal && res.X != nil {
-		if cx, cobj, ok := canonicalFinish(w, opt, res.X); ok {
+		if cx, cobj, ok := canonicalFinish(w, res.X); ok {
 			res.X, res.Obj = cx, cobj
 			res.NLPSolves++
 		}
@@ -215,7 +209,7 @@ func SolveContext(ctx context.Context, m *model.Model, opt Options) (*Result, er
 // chain that reached it. When ExactSubproblems holds each re-solve is one
 // exact LP; otherwise it is an NLP from the deterministic nil start, and
 // if that polish stalls the raw incumbent stands.
-func canonicalFinish(w *work, opt Options, raw []float64) ([]float64, float64, bool) {
+func canonicalFinish(w *work, raw []float64) ([]float64, float64, bool) {
 	m := w.m
 	intVars := m.IntegerVars()
 	z := make([]float64, len(intVars))
@@ -229,7 +223,7 @@ func canonicalFinish(w *work, opt Options, raw []float64) ([]float64, float64, b
 		}
 		z[k] = v
 	}
-	best := solveAssignment(w, opt, intVars, z, nil)
+	best := solveAssignment(w, intVars, z, nil)
 	if best == nil {
 		return nil, 0, false
 	}
@@ -288,7 +282,7 @@ func canonicalFinish(w *work, opt Options, raw []float64) ([]float64, float64, b
 			// Warm-starting the probe from the screened point keeps it a
 			// pure function of the walk state (itself a pure function of
 			// the starting assignment), so the representative stays canonical.
-			r := solveAssignment(w, opt, intVars, z, xc)
+			r := solveAssignment(w, intVars, z, xc)
 			if r == nil || r.obj > objRef+tieTol {
 				z[k]++
 				xc[j] = z[k]
@@ -302,7 +296,7 @@ func canonicalFinish(w *work, opt Options, raw []float64) ([]float64, float64, b
 		// assignment so the continuous part is a function of the assignment
 		// alone, falling back to the screened point (feasible at the
 		// reference objective by construction) if the solver stalls.
-		if r := solveAssignment(w, opt, intVars, z, xc); r != nil && r.obj <= objRef+tieTol {
+		if r := solveAssignment(w, intVars, z, xc); r != nil && r.obj <= objRef+tieTol {
 			best = r
 		} else {
 			best = &fixedSolve{x: append([]float64(nil), xc...), obj: dotObj(w.objCoef, xc)}
@@ -413,9 +407,9 @@ func unitRow(c lp.Constraint) lp.Constraint {
 // hold, and the LP optimum is the subproblem's exact optimum.
 // decided=false sends the caller to its NLP path: the structural test
 // failed, a row does not linearize (see cutAt), the simplex did not finish,
-// or its point misses a row or bound of the model by more than FeasTol.
+// or its point misses a row or bound of the model by more than feasTol.
 // decided=true with a nil result proves the assignment infeasible.
-func (w *work) fixedLP(opt Options, z []float64) (fs *fixedSolve, decided bool) {
+func (w *work) fixedLP(z []float64) (fs *fixedSolve, decided bool) {
 	if !w.exact {
 		return nil, false
 	}
@@ -457,7 +451,7 @@ func (w *work) fixedLP(opt Options, z []float64) (fs *fixedSolve, decided bool) 
 	}
 	// The point becomes an incumbent: hold it to the model itself, as the
 	// NLP path holds its answers, rather than trust the simplex.
-	if m.FeasibilityError(sol.X) > opt.FeasTol {
+	if m.FeasibilityError(sol.X) > feasTol {
 		return nil, false
 	}
 	return &fixedSolve{x: sol.X, obj: dotObj(w.objCoef, sol.X)}, true
@@ -469,8 +463,8 @@ func (w *work) fixedLP(opt Options, z []float64) (fs *fixedSolve, decided bool) 
 // re-solves the NLP from each answer until the objective stops improving,
 // at most restarts more times. nil means the assignment is infeasible or
 // the NLP did not converge to a feasible point.
-func (w *work) solveFixed(opt Options, z, start []float64, restarts int) (*fixedSolve, error) {
-	if fs, decided := w.fixedLP(opt, z); decided {
+func (w *work) solveFixed(z, start []float64, restarts int) (*fixedSolve, error) {
+	if fs, decided := w.fixedLP(z); decided {
 		return fs, nil
 	}
 	w.nlpFallbacks++
@@ -481,8 +475,8 @@ func (w *work) solveFixed(opt Options, z, start []float64, restarts int) (*fixed
 	x0 := start
 	var best *fixedSolve
 	for round := 0; round <= restarts; round++ {
-		res, err := nlp.Solve(fixed, x0, opt.NLP)
-		if err != nil || res.Status != nlp.Optimal || res.FeasErr > opt.FeasTol {
+		res, err := nlp.Solve(fixed, x0, nlp.Options{})
+		if err != nil || res.Status != nlp.Optimal || res.FeasErr > feasTol {
 			return best, err // best is nil when the very first solve fails
 		}
 		obj := dotObj(w.objCoef, res.X)
@@ -509,13 +503,13 @@ func (w *work) solveFixed(opt Options, z, start []float64, restarts int) (*fixed
 // point; the restart sequence is a pure function of the fixed model and the
 // given start, so the answer stays the function of the assignment
 // canonicalFinish needs.
-func solveAssignment(w *work, opt Options, intVars []int, z []float64, start []float64) *fixedSolve {
+func solveAssignment(w *work, intVars []int, z []float64, start []float64) *fixedSolve {
 	pt := make([]float64, w.m.NumVars())
 	copy(pt, start)
 	for k, j := range intVars {
 		pt[j] = z[k]
 	}
-	fs, _ := w.solveFixed(opt, pt, start, 7)
+	fs, _ := w.solveFixed(pt, start, 7)
 	return fs
 }
 
@@ -525,7 +519,7 @@ func solveAssignment(w *work, opt Options, intVars []int, z []float64, start []f
 // single fixed-integer subproblem is solved over the remaining continuous
 // variables. Best-effort: returns ok=false when the dive is infeasible or
 // the NLP fallback stalls.
-func rescueDive(w *work, opt Options, lastX []float64) (x []float64, obj float64, ok bool) {
+func rescueDive(w *work, lastX []float64) (x []float64, obj float64, ok bool) {
 	if lastX == nil {
 		return nil, 0, false
 	}
@@ -568,7 +562,7 @@ func rescueDive(w *work, opt Options, lastX []float64) (x []float64, obj float64
 		}
 		z[j] = v
 	}
-	fs, err := w.solveFixed(opt, z, lastX, 0)
+	fs, err := w.solveFixed(z, lastX, 0)
 	if err != nil || fs == nil {
 		return nil, 0, false
 	}
@@ -764,7 +758,7 @@ func (h *nodeHeap) Pop() interface{} {
 
 // pruneGap returns the effective pruning threshold below the incumbent.
 func pruneGap(opt Options, incumbent float64) float64 {
-	g := opt.GapTol
+	g := gapTol
 	if opt.RelGap > 0 && !math.IsInf(incumbent, 0) {
 		g += opt.RelGap * math.Abs(incumbent)
 	}

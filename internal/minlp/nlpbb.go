@@ -28,7 +28,7 @@ func solveNLPBB(ctx context.Context, w *work, opt Options) (*Result, error) {
 	for open.Len() > 0 {
 		if ctx.Err() != nil {
 			if bestX == nil {
-				if x, obj, ok := rescueDive(w, opt, lastX); ok {
+				if x, obj, ok := rescueDive(w, lastX); ok {
 					incumbent = obj
 					bestX = snapInts(x, intVars)
 				}
@@ -44,7 +44,7 @@ func solveNLPBB(ctx context.Context, w *work, opt Options) (*Result, error) {
 		}
 		nodes++
 
-		res, err := evalNode(w, opt, nd)
+		res, err := evalNode(w, nd)
 		if err != nil {
 			return nil, err
 		}
@@ -62,8 +62,8 @@ func solveNLPBB(ctx context.Context, w *work, opt Options) (*Result, error) {
 		clampToNode(res.X, nd)
 		lastX = res.X
 
-		frac := pickFractional(res.X, intVars, opt.IntTol)
-		if frac < 0 && res.FeasErr <= opt.FeasTol {
+		frac := pickFractional(res.X, intVars, intTol)
+		if frac < 0 && res.FeasErr <= feasTol {
 			incumbent = obj
 			bestX = snapInts(res.X, intVars)
 			continue
@@ -74,7 +74,7 @@ func solveNLPBB(ctx context.Context, w *work, opt Options) (*Result, error) {
 			continue
 		}
 		if opt.BranchSOS {
-			if left, right, ok := branchSOS(m, nd, res.X, opt.IntTol); ok {
+			if left, right, ok := branchSOS(m, nd, res.X, intTol); ok {
 				pushChildren(open, &heapSeq, left, right, obj, res.X)
 				continue
 			}
@@ -87,7 +87,7 @@ func solveNLPBB(ctx context.Context, w *work, opt Options) (*Result, error) {
 
 // evalNode restricts the model to the node's box and solves the continuous
 // relaxation. It returns a nil result, unsolved, when the box is empty.
-func evalNode(w *work, opt Options, nd *node) (*nlp.Result, error) {
+func evalNode(w *work, nd *node) (*nlp.Result, error) {
 	nm := w.m.Clone()
 	for i := range nm.Vars {
 		if nd.lower[i] > nd.upper[i] {
@@ -99,7 +99,7 @@ func evalNode(w *work, opt Options, nd *node) (*nlp.Result, error) {
 	if reduceSelectionSets(nm) {
 		return nil, nil
 	}
-	res, err := nlp.Solve(nm, nd.start, opt.NLP)
+	res, err := nlp.Solve(nm, nd.start, nlp.Options{})
 	if err != nil {
 		return nil, err
 	}

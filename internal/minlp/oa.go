@@ -31,7 +31,7 @@ func solveOA(ctx context.Context, w *work, opt Options) (*Result, error) {
 	addCutsAt := func(x []float64, onlyViolated bool) int {
 		added := 0
 		for i := range w.nlCons {
-			if onlyViolated && w.nlCons[i].Body.Eval(x) <= opt.FeasTol {
+			if onlyViolated && w.nlCons[i].Body.Eval(x) <= feasTol {
 				continue
 			}
 			if c, ok := w.cutAt(i, x); ok {
@@ -47,7 +47,7 @@ func solveOA(ctx context.Context, w *work, opt Options) (*Result, error) {
 	// paper adds linearization constraints "derived from only a single
 	// point ... the solution of the continuous NLP relaxation").
 	relax := m.Relax()
-	rres, err := nlp.Solve(relax, nil, opt.NLP)
+	rres, err := nlp.Solve(relax, nil, nlp.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +99,7 @@ func solveOA(ctx context.Context, w *work, opt Options) (*Result, error) {
 
 	deadline := func() (*Result, error) {
 		if bestX == nil {
-			if x, obj, ok := rescueDive(w, opt, lastX); ok {
+			if x, obj, ok := rescueDive(w, lastX); ok {
 				incumbent = obj
 				bestX = snapInts(x, intVars)
 			}
@@ -146,7 +146,7 @@ func solveOA(ctx context.Context, w *work, opt Options) (*Result, error) {
 				for i := range nm.Vars {
 					nm.Vars[i].Lower, nm.Vars[i].Upper = nd.lower[i], nd.upper[i]
 				}
-				nres, nerr := nlp.Solve(nm, nil, opt.NLP)
+				nres, nerr := nlp.Solve(nm, nil, nlp.Options{})
 				if nerr != nil {
 					return nil, nerr
 				}
@@ -164,11 +164,11 @@ func solveOA(ctx context.Context, w *work, opt Options) (*Result, error) {
 			clampToNode(sol.X, nd)
 			lastX = sol.X
 
-			frac := pickFractional(sol.X, intVars, opt.IntTol)
+			frac := pickFractional(sol.X, intVars, intTol)
 			if frac >= 0 {
 				// Fractional: branch, children inherit the (global) cuts.
 				if opt.BranchSOS {
-					if left, right, ok := branchSOS(m, nd, sol.X, opt.IntTol); ok {
+					if left, right, ok := branchSOS(m, nd, sol.X, intTol); ok {
 						left.bound, right.bound = sol.Obj, sol.Obj
 						heap.Push(open, left)
 						heap.Push(open, right)
@@ -183,7 +183,7 @@ func solveOA(ctx context.Context, w *work, opt Options) (*Result, error) {
 			}
 
 			// Integer feasible. Check the true nonlinear constraints.
-			if w.nlViolation(sol.X) <= opt.FeasTol {
+			if w.nlViolation(sol.X) <= feasTol {
 				incumbent = sol.Obj
 				bestX = snapInts(sol.X, intVars)
 				break nodeLoop
@@ -192,7 +192,7 @@ func solveOA(ctx context.Context, w *work, opt Options) (*Result, error) {
 			// Solve the subproblem with integers fixed to this assignment
 			// (continuous variables keep their global bounds): one exact
 			// LP when the model's structure allows it, the NLP otherwise.
-			fs, ferr := w.solveFixed(opt, snapInts(sol.X, intVars), sol.X, 0)
+			fs, ferr := w.solveFixed(snapInts(sol.X, intVars), sol.X, 0)
 			if ferr != nil {
 				return nil, ferr
 			}

@@ -87,15 +87,6 @@ type JobResult struct {
 	Error    string         `json:"error,omitempty"`
 }
 
-// solve parses and optimizes one request with no time budget.
-func solve(req *SolveRequest) *SolveResponse {
-	parsed, err := ampl.Parse(req.Model)
-	if err != nil {
-		return &SolveResponse{Status: "error", Error: err.Error()}
-	}
-	return solveParsedContext(context.Background(), parsed, req)
-}
-
 // ExecuteRequest parses and solves one request with the same pipeline the
 // server's solve paths use: ctx bounds the solve (expiry yields status
 // "deadline" with the best incumbent). It exists for fleet nodes
@@ -141,7 +132,7 @@ func solveParsedContext(ctx context.Context, parsed *ampl.Result, req *SolveRequ
 		}
 		for fam, m := range parsed.IndexedVarIndex {
 			for elem, idx := range m {
-				out.Variables[fmt.Sprintf("%s[%g]", fam, elem)] = round9(res.X[idx])
+				out.Variables[ampl.IndexedName(fam, elem)] = round9(res.X[idx])
 			}
 		}
 	}

@@ -32,18 +32,12 @@ type OverloadConfig struct {
 	// BreakerProbe is the fraction of half-open requests allowed through
 	// as probes (default 0.25).
 	BreakerProbe float64
-	// BreakerRecovery closes a half-open breaker after this many probe
-	// successes (default 2).
-	BreakerRecovery int
 	// DegradedTimeout is the wall-clock budget of the brownout rung: a
 	// short solve whose rounding/rescue-dive incumbent is served tagged
 	// "quality":"degraded" when the full-quality path is unavailable —
 	// the service-tier analogue of the pipeline's exhaustive-search rung
 	// (default 250ms; <0 disables the rung, shedding directly).
 	DegradedTimeout time.Duration
-	// DegradedConcurrent bounds simultaneous brownout solves so the cheap
-	// rung cannot itself saturate the cores (default max(1, MaxConcurrent/2)).
-	DegradedConcurrent int
 }
 
 func (c OverloadConfig) withDefaults(maxConcurrent int) OverloadConfig {
@@ -59,17 +53,8 @@ func (c OverloadConfig) withDefaults(maxConcurrent int) OverloadConfig {
 	if c.BreakerProbe <= 0 || c.BreakerProbe > 1 {
 		c.BreakerProbe = 0.25
 	}
-	if c.BreakerRecovery <= 0 {
-		c.BreakerRecovery = 2
-	}
 	if c.DegradedTimeout == 0 {
 		c.DegradedTimeout = 250 * time.Millisecond
-	}
-	if c.DegradedConcurrent <= 0 {
-		c.DegradedConcurrent = maxConcurrent / 2
-		if c.DegradedConcurrent < 1 {
-			c.DegradedConcurrent = 1
-		}
 	}
 	return c
 }
@@ -80,8 +65,10 @@ type guard struct {
 	cfg OverloadConfig
 	adm *overload.Admission
 	brk *overload.Breaker
-	// degradedSem bounds concurrent brownout solves; acquisition is
-	// non-blocking — when the cheap rung is busy too, the request is shed.
+	// degradedSem bounds concurrent brownout solves to max(1,
+	// maxConcurrent/2), so the cheap rung cannot itself saturate the cores;
+	// acquisition is non-blocking — when the cheap rung is busy too, the
+	// request is shed.
 	degradedSem chan struct{}
 
 	degraded    atomic.Uint64 // brownout answers served
@@ -102,9 +89,8 @@ func newGuard(cfg OverloadConfig, maxConcurrent int) *guard {
 			Threshold:     cfg.BreakerThreshold,
 			Cooldown:      cfg.BreakerCooldown,
 			ProbeFraction: cfg.BreakerProbe,
-			Recovery:      cfg.BreakerRecovery,
 		}),
-		degradedSem: make(chan struct{}, cfg.DegradedConcurrent),
+		degradedSem: make(chan struct{}, max(1, maxConcurrent/2)),
 	}
 }
 

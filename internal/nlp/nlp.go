@@ -18,33 +18,18 @@ import (
 	"hslb/internal/model"
 )
 
-// Options configures the solver.
-type Options struct {
-	FeasTol   float64 // constraint violation tolerance (default 1e-6)
-	OptTol    float64 // projected-gradient tolerance (default 1e-6)
-	MaxOuter  int     // augmented-Lagrangian iterations (default 50)
-	MaxInner  int     // SPG iterations per outer step (default 400)
-	InitialMu float64 // initial penalty (default 10)
-}
+// Options is empty: the solver runs one configuration, the constants
+// below. The type stays so existing callers keep compiling.
+type Options struct{}
 
-func (o Options) withDefaults() Options {
-	if o.FeasTol == 0 {
-		o.FeasTol = 1e-6
-	}
-	if o.OptTol == 0 {
-		o.OptTol = 1e-6
-	}
-	if o.MaxOuter == 0 {
-		o.MaxOuter = 50
-	}
-	if o.MaxInner == 0 {
-		o.MaxInner = 400
-	}
-	if o.InitialMu == 0 {
-		o.InitialMu = 10
-	}
-	return o
-}
+// The solver's tolerances and iteration budgets.
+const (
+	feasTol   = 1e-6 // constraint violation tolerance
+	optTol    = 1e-6 // projected-gradient tolerance
+	maxOuter  = 50   // augmented-Lagrangian iterations
+	maxInner  = 400  // SPG iterations per outer step
+	initialMu = 10   // initial penalty
+)
 
 // Status is the outcome of a solve.
 type Status int
@@ -172,8 +157,7 @@ func sameBits(a, b []float64) bool {
 // continuous box treating every variable as continuous. Integrality is the
 // caller's concern: fix integer variables via bounds before calling.
 // x0 may be nil, in which case a midpoint start is used.
-func Solve(m *model.Model, x0 []float64, opt Options) (*Result, error) {
-	opt = opt.withDefaults()
+func Solve(m *model.Model, x0 []float64, _ Options) (*Result, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
@@ -202,7 +186,7 @@ func Solve(m *model.Model, x0 []float64, opt Options) (*Result, error) {
 	cons := p.cons
 
 	lam := make([]float64, len(cons)) // multipliers (eq and ineq share storage)
-	mu := opt.InitialMu
+	mu := float64(initialMu)
 
 	// Augmented Lagrangian value and gradient at x.
 	alValue := func(x []float64) float64 {
@@ -265,14 +249,14 @@ func Solve(m *model.Model, x0 []float64, opt Options) (*Result, error) {
 	}
 
 	prevViol := math.Inf(1)
-	for outer := 0; outer < opt.MaxOuter; outer++ {
-		spg(alValue, alGrad, x, lower, upper, opt.MaxInner, opt.OptTol)
+	for outer := 0; outer < maxOuter; outer++ {
+		spg(alValue, alGrad, x, lower, upper, maxInner, optTol)
 		viol := feasErr(x)
-		if viol <= opt.FeasTol {
+		if viol <= feasTol {
 			// Check stationarity of the AL (≈ Lagrangian at convergence).
 			g := make([]float64, n)
 			alGrad(x, g)
-			if projGradNorm(x, g, lower, upper) <= opt.OptTol*10 {
+			if projGradNorm(x, g, lower, upper) <= optTol*10 {
 				return makeResult(m, x, Optimal, viol), nil
 			}
 		}
@@ -292,18 +276,18 @@ func Solve(m *model.Model, x0 []float64, opt Options) (*Result, error) {
 		}
 		prevViol = viol
 		if mu > 1e12 {
-			return makeResult(m, x, classify(viol, opt.FeasTol), viol), nil
+			return makeResult(m, x, classify(viol), viol), nil
 		}
 	}
 	viol := feasErr(x)
-	return makeResult(m, x, classify(viol, opt.FeasTol), viol), nil
+	return makeResult(m, x, classify(viol), viol), nil
 }
 
 // classify maps a final violation to a status: clean convergence is
 // Optimal, a clearly unreachable constraint set is Infeasible, and the
 // ambiguous band in between is reported as IterLimit so callers do not
 // treat a solver stall as a proof of infeasibility.
-func classify(viol, feasTol float64) Status {
+func classify(viol float64) Status {
 	switch {
 	case viol <= feasTol:
 		return Optimal

@@ -33,35 +33,21 @@ type Problem struct {
 
 // Options configures the LM iteration.
 type Options struct {
-	MaxIter   int     // default 200
-	Tol       float64 // gradient/step tolerance, default 1e-10
-	InitDamp  float64 // initial damping, default 1e-3
-	DiffStep  float64 // relative finite-difference step, default 1e-7
-	KeepGoing bool    // do not stop at first convergence plateau
+	MaxIter int // default 200
 }
 
-func (o Options) withDefaults() Options {
-	if o.MaxIter == 0 {
-		o.MaxIter = 200
-	}
-	if o.Tol == 0 {
-		o.Tol = 1e-10
-	}
-	if o.InitDamp == 0 {
-		o.InitDamp = 1e-3
-	}
-	if o.DiffStep == 0 {
-		o.DiffStep = 1e-7
-	}
-	return o
-}
+// The iteration's fixed constants.
+const (
+	tol      = 1e-10 // gradient/step tolerance
+	initDamp = 1e-3  // initial damping
+	diffStep = 1e-7  // relative finite-difference step
+)
 
 // Result is the outcome of a fit.
 type Result struct {
 	Params     []float64
 	SSR        float64 // sum of squared residuals
 	Iterations int
-	Converged  bool
 }
 
 // ErrBadProblem reports an inconsistent problem definition.
@@ -69,7 +55,10 @@ var ErrBadProblem = errors.New("nls: malformed problem")
 
 // Solve runs projected Levenberg–Marquardt from p0.
 func Solve(prob *Problem, p0 []float64, opt Options) (*Result, error) {
-	opt = opt.withDefaults()
+	maxIter := opt.MaxIter
+	if maxIter == 0 {
+		maxIter = 200
+	}
 	if err := check(prob, p0); err != nil {
 		return nil, err
 	}
@@ -82,17 +71,17 @@ func Solve(prob *Problem, p0 []float64, opt Options) (*Result, error) {
 	prob.F(p, r)
 	ssr := dot(r, r)
 
-	lambda := opt.InitDamp
+	lambda := initDamp
 	jac := linalg.NewMatrix(m, n)
 	iter := 0
 	converged := false
 
-	for ; iter < opt.MaxIter; iter++ {
-		numJacobian(prob, p, r, jac, opt.DiffStep)
+	for ; iter < maxIter; iter++ {
+		numJacobian(prob, p, r, jac, diffStep)
 		// Normal equations: (JᵀJ + λ·diag(JᵀJ))·δ = −Jᵀr.
 		jtj := jac.T().Mul(jac)
 		g := jac.MulVecT(linalg.Vector(r)) // Jᵀr
-		if linalg.Vector(g).NormInf() < opt.Tol {
+		if linalg.Vector(g).NormInf() < tol {
 			converged = true
 			break
 		}
@@ -125,7 +114,7 @@ func Solve(prob *Problem, p0 []float64, opt Options) (*Result, error) {
 				}
 				copy(p, pTrial)
 				copy(r, rTrial)
-				if ssr-ssrTrial < opt.Tol*(1+ssr) && stepNorm < math.Sqrt(opt.Tol) {
+				if ssr-ssrTrial < tol*(1+ssr) && stepNorm < math.Sqrt(tol) {
 					converged = true
 				}
 				ssr = ssrTrial
@@ -146,7 +135,7 @@ func Solve(prob *Problem, p0 []float64, opt Options) (*Result, error) {
 			break
 		}
 	}
-	return &Result{Params: p, SSR: ssr, Iterations: iter, Converged: converged}, nil
+	return &Result{Params: p, SSR: ssr, Iterations: iter}, nil
 }
 
 // MultiStart runs Solve from each starting point and returns the best fit.

@@ -26,9 +26,6 @@ type AdmissionConfig struct {
 	// MaxQueue bounds how many requests may wait for a slot beyond
 	// MaxConcurrent (default 4 × MaxConcurrent).
 	MaxQueue int
-	// Alpha is the EWMA smoothing factor for observed solve latency
-	// (default DefaultEWMAAlpha).
-	Alpha float64
 	// Now overrides the clock, for deterministic tests (default time.Now).
 	Now func() time.Time
 }
@@ -77,7 +74,7 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 	a := &Admission{
 		cfg:   cfg,
 		slots: make(chan struct{}, cfg.MaxConcurrent),
-		lat:   NewEWMA(cfg.Alpha),
+		lat:   NewEWMA(DefaultEWMAAlpha),
 	}
 	for i := 0; i < cfg.MaxConcurrent; i++ {
 		a.slots <- struct{}{}

@@ -100,12 +100,9 @@ var Families = []Family{PaperFamily, AmdahlFamily, LogPFamily, PowerFamily}
 var ErrFamilyFit = errors.New("perf: family fit failed")
 
 // FitFamily fits one family by multistart Levenberg–Marquardt.
-func FitFamily(samples []Sample, fam Family, maxIter int) (*FamilyFit, error) {
+func FitFamily(samples []Sample, fam Family) (*FamilyFit, error) {
 	if len(samples) < fam.NumParams {
 		return nil, ErrTooFewSamples
-	}
-	if maxIter == 0 {
-		maxIter = 400
 	}
 	xs := make([]float64, len(samples))
 	ys := make([]float64, len(samples))
@@ -114,7 +111,7 @@ func FitFamily(samples []Sample, fam Family, maxIter int) (*FamilyFit, error) {
 		ys[i] = s.Time
 	}
 	prob := nls.CurveProblem(fam.Eval, xs, ys, fam.NumParams, fam.Lower, nil)
-	res, err := nls.MultiStart(prob, fam.Starts(xs, ys), nls.Options{MaxIter: maxIter})
+	res, err := nls.MultiStart(prob, fam.Starts(xs, ys), nls.Options{MaxIter: fitMaxIter})
 	if err != nil {
 		return nil, err
 	}
@@ -133,11 +130,11 @@ func FitFamily(samples []Sample, fam Family, maxIter int) (*FamilyFit, error) {
 
 // SelectFamily fits every candidate and returns the lowest-AICc fit. Fits
 // that fail are skipped; an error is returned only when none succeed.
-func SelectFamily(samples []Sample, fams []Family, maxIter int) (*FamilyFit, error) {
+func SelectFamily(samples []Sample, fams []Family) (*FamilyFit, error) {
 	var best *FamilyFit
 	var firstErr error
 	for _, fam := range fams {
-		fit, err := FitFamily(samples, fam, maxIter)
+		fit, err := FitFamily(samples, fam)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err

@@ -22,7 +22,7 @@ func samplesFrom(f func(n float64) float64, ns []int, noise float64, seed int64)
 func TestFitFamilyAmdahlExact(t *testing.T) {
 	truth := func(n float64) float64 { return 5000/n + 12 }
 	s := samplesFrom(truth, []int{8, 32, 128, 512, 2048}, 0, 1)
-	fit, err := FitFamily(s, AmdahlFamily, 0)
+	fit, err := FitFamily(s, AmdahlFamily)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestFitFamilyAmdahlExact(t *testing.T) {
 func TestFitFamilyLogP(t *testing.T) {
 	truth := func(n float64) float64 { return 2000/n + 3*math.Log(n) + 5 }
 	s := samplesFrom(truth, []int{4, 16, 64, 256, 1024, 4096}, 0, 1)
-	fit, err := FitFamily(s, LogPFamily, 0)
+	fit, err := FitFamily(s, LogPFamily)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestSelectFamilyPrefersSimplerOnAmdahlData(t *testing.T) {
 	// within noise.
 	truth := func(n float64) float64 { return 27180/n + 45.6 }
 	s := samplesFrom(truth, []int{16, 48, 104, 256, 512, 1024, 1664}, 0.01, 7)
-	best, err := SelectFamily(s, Families, 0)
+	best, err := SelectFamily(s, Families)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestSelectFamilyDetectsLogTerm(t *testing.T) {
 	// forms cannot).
 	truth := func(n float64) float64 { return 100/n + 20*math.Log(n) + 1 }
 	s := samplesFrom(truth, []int{4, 16, 64, 256, 1024, 8192, 32768}, 0.005, 3)
-	best, err := SelectFamily(s, Families, 0)
+	best, err := SelectFamily(s, Families)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestSelectFamilyDetectsLogTerm(t *testing.T) {
 
 func TestFitFamilyTooFewSamples(t *testing.T) {
 	s := samplesFrom(func(n float64) float64 { return 1 / n }, []int{2, 4, 8}, 0, 1)
-	if _, err := FitFamily(s, PaperFamily, 0); err == nil {
+	if _, err := FitFamily(s, PaperFamily); err == nil {
 		t.Fatal("3 samples accepted for a 4-parameter family")
 	}
 }
@@ -104,7 +104,7 @@ func TestAICcPenalizesParameters(t *testing.T) {
 func TestSelectFamilyAllFail(t *testing.T) {
 	s := samplesFrom(func(n float64) float64 { return 1 / n }, []int{2, 4, 8}, 0, 1)
 	bigOnly := []Family{PaperFamily} // needs 4 samples
-	if _, err := SelectFamily(s, bigOnly, 0); err == nil {
+	if _, err := SelectFamily(s, bigOnly); err == nil {
 		t.Fatal("expected failure when every family is unfittable")
 	}
 }

@@ -74,20 +74,17 @@ type FitOptions struct {
 	// the downstream MINLP solve retains its global-optimality guarantee.
 	// Without it C >= 0 as in the paper (§III-C chooses positive c).
 	ConvexExponent bool
-	// Starts is the number of multistart seeds (default 6). The paper notes
-	// distinct local optima of similar prediction quality; multistart picks
-	// the best.
-	Starts int
-	// MaxIter per start (default 400).
-	MaxIter int
 }
+
+// fitMaxIter bounds the Levenberg–Marquardt iterations of each multistart
+// seed, in Fit and FitFamily alike.
+const fitMaxIter = 400
 
 // FitResult carries fit diagnostics alongside the model.
 type FitResult struct {
-	Model     Model
-	R2        float64
-	SSR       float64
-	Converged bool
+	Model Model
+	R2    float64
+	SSR   float64
 }
 
 // ErrTooFewSamples is returned when fewer than four observations are
@@ -100,12 +97,6 @@ var ErrTooFewSamples = errors.New("perf: need at least 4 samples to fit the 4-pa
 func Fit(samples []Sample, opt FitOptions) (*FitResult, error) {
 	if len(samples) < 4 {
 		return nil, ErrTooFewSamples
-	}
-	if opt.Starts == 0 {
-		opt.Starts = 6
-	}
-	if opt.MaxIter == 0 {
-		opt.MaxIter = 400
 	}
 	xs := make([]float64, len(samples))
 	ys := make([]float64, len(samples))
@@ -135,6 +126,8 @@ func Fit(samples []Sample, opt FitOptions) (*FitResult, error) {
 	}, xs, ys, 4, lower, upper)
 
 	// Heuristic starts spanning serial-dominated to scaling-dominated fits.
+	// The paper notes distinct local optima of similar prediction quality;
+	// multistart picks the best.
 	aGuess := ys[0] * xs[0] // assume mostly scalable at the smallest count
 	starts := [][]float64{
 		{aGuess, 1e-6, math.Max(1, cMin), 0.5 * minTime(ys)},
@@ -144,10 +137,7 @@ func Fit(samples []Sample, opt FitOptions) (*FitResult, error) {
 		{maxY * maxN / 4, 1e-3, math.Max(1, cMin), minTime(ys)},
 		{aGuess, 0, math.Max(1, cMin), 0},
 	}
-	if opt.Starts < len(starts) {
-		starts = starts[:opt.Starts]
-	}
-	res, err := nls.MultiStart(prob, starts, nls.Options{MaxIter: opt.MaxIter})
+	res, err := nls.MultiStart(prob, starts, nls.Options{MaxIter: fitMaxIter})
 	if err != nil {
 		return nil, err
 	}
@@ -157,10 +147,9 @@ func Fit(samples []Sample, opt FitOptions) (*FitResult, error) {
 		preds[i] = m.Eval(n)
 	}
 	return &FitResult{
-		Model:     m,
-		R2:        nls.RSquared(ys, preds),
-		SSR:       res.SSR,
-		Converged: res.Converged,
+		Model: m,
+		R2:    nls.RSquared(ys, preds),
+		SSR:   res.SSR,
 	}, nil
 }
 

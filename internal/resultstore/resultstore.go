@@ -58,8 +58,6 @@ type Commit struct {
 
 // Options configures a Store.
 type Options struct {
-	// CAS tunes the underlying chunk store.
-	CAS cas.Options
 	// now overrides the commit clock in tests.
 	now func() time.Time
 }
@@ -105,7 +103,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("resultstore: %w", err)
 	}
-	chunk, err := cas.Open(filepath.Join(dir, "chunks"), opts.CAS)
+	chunk, err := cas.Open(filepath.Join(dir, "chunks"), cas.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -292,11 +290,6 @@ func (s *Store) loadCommit(hash string) (Commit, error) {
 	}
 	c.Hash = hash
 	return c, nil
-}
-
-// GetCommit returns the commit with the given hash.
-func (s *Store) GetCommit(hash string) (Commit, error) {
-	return s.loadCommit(hash)
 }
 
 // ResolveCommit finds a commit by full hash, unique hash prefix (≥ 4
