@@ -90,9 +90,15 @@ chaos-fleet:
 
 # Result-store integrity: run a small fixed-seed campaign into a scratch
 # store, then fsck it — an end-to-end walk of the content-addressed chunk
-# tree that fails on any hash mismatch or missing chunk.
+# tree that fails on any hash mismatch or missing chunk. The max-min and
+# sync-tolerance runs drive the real binary through the exact search that
+# answers nonconvex specs.
 fsck:
 	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) run ./cmd/hslb -nodes 64 -points 4 -repeats 1 \
 		-store-dir "$$dir" -campaign verify >/dev/null && \
+	$(GO) run ./cmd/hslb -nodes 64 -points 4 -repeats 1 -objective max-min \
+		-store-dir "$$dir" -campaign verify-max-min >/dev/null && \
+	$(GO) run ./cmd/hslb -nodes 64 -points 4 -repeats 1 -sync-tol 2 \
+		-store-dir "$$dir" -campaign verify-sync >/dev/null && \
 	$(GO) run ./cmd/hslb fsck -store-dir "$$dir"

@@ -178,8 +178,8 @@ func run() error {
 		fitT.Render(os.Stdout)
 		fmt.Println()
 		decT.Render(os.Stdout)
-		fmt.Printf("\nsolver: %d B&B nodes, %d NLP solves, %d OA cuts\n",
-			dec.Nodes, dec.NLPSolves, dec.Cuts)
+		fmt.Printf("\nsolver: %s, %d B&B nodes, %d NLP solves, %d OA cuts\n",
+			pr.Quality.SolvePath, dec.Nodes, dec.NLPSolves, dec.Cuts)
 	}
 	if *pelayout {
 		pl, err := cesm.NewPELayout(layout, *nodes, dec.Alloc)
@@ -225,7 +225,7 @@ func runAdvise(po core.PipelineOptions, effThreshold float64) error {
 	if len(sizes) == 0 || sizes[len(sizes)-1] != spec.TotalNodes {
 		sizes = append(sizes, spec.TotalNodes)
 	}
-	adv, err := core.AdviseNodeCount(spec, sizes, effThreshold, core.SolverOptions())
+	adv, err := core.AdviseNodeCount(spec, sizes, effThreshold)
 	if err != nil {
 		return err
 	}

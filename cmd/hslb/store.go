@@ -66,9 +66,9 @@ func parseTruthScale(s string) (map[cesm.Component]float64, error) {
 
 // modelDigest is the ampl.Canonical SHA-256 of the pipeline's generated
 // MINLP model — the fingerprint recorded in the campaign record, matching
-// the solve service's cache keying.
+// the solve service's cache keying — for every objective.
 func modelDigest(spec core.Spec) (string, error) {
-	text, err := core.WriteAMPL(spec)
+	text, err := core.TableI(spec)
 	if err != nil {
 		return "", err
 	}

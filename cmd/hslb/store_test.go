@@ -168,34 +168,38 @@ func TestParseTruthScale(t *testing.T) {
 	}
 }
 
-// TestModelDigestStability: identical specs share a digest, a changed
-// node budget changes it.
+// TestModelDigestStability: identical specs share a digest and a changed
+// node budget changes it, under every objective, so `hslb diff` reports
+// the model of two such campaigns as changed.
 func TestModelDigestStability(t *testing.T) {
-	spec := core.Spec{
-		Resolution: cesm.Res1Deg, Layout: cesm.Layout1, TotalNodes: 128,
-		Objective: core.MinMax, ConstrainOcean: true, ConstrainAtm: true,
-		Perf: map[cesm.Component]perf.Model{},
-	}
-	for _, c := range cesm.OptimizedComponents {
-		spec.Perf[c] = perf.Model{A: 100, B: 0.5, C: 1.2, D: 0.1}
-	}
-	d1, err := modelDigest(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := modelDigest(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d1 != d2 || len(d1) != 64 {
-		t.Fatalf("digest unstable: %q vs %q", d1, d2)
-	}
-	spec.TotalNodes = 256
-	d3, err := modelDigest(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d3 == d1 {
-		t.Fatal("digest ignored a node-budget change")
+	for _, obj := range []core.Objective{core.MinMax, core.MaxMin, core.MinSum} {
+		spec := core.Spec{
+			Resolution: cesm.Res1Deg, Layout: cesm.Layout1, TotalNodes: 128,
+			Objective: obj, ConstrainOcean: true, ConstrainAtm: true,
+			Perf: map[cesm.Component]perf.Model{},
+		}
+		for _, c := range cesm.OptimizedComponents {
+			spec.Perf[c] = perf.Model{A: 100, B: 0.5, C: 1.2, D: 0.1}
+		}
+		d1, err := modelDigest(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d2, err := modelDigest(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d1 != d2 || len(d1) != 64 {
+			t.Fatalf("%v: digest unstable: %q vs %q", obj, d1, d2)
+		}
+		spec.TotalNodes = 256
+		d3, err := modelDigest(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diff := resultstore.DiffCampaigns(resultstore.CampaignRecord{ModelDigest: d1}, resultstore.CampaignRecord{ModelDigest: d3})
+		if !diff.ModelChanged {
+			t.Fatalf("%v: digest ignored a node-budget change", obj)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"hslb/internal/cesm"
-	"hslb/internal/minlp"
 )
 
 // This file implements the §IV-C application of HSLB: "the prediction of
@@ -13,16 +12,6 @@ import (
 // goal; it could be a cost-efficient goal where nodes are increased until
 // scaling is reduced to a predefined limit or it could be the shortest time
 // to solution."
-
-// sweepSolve answers one what-if solve of a sweep: exactly, by
-// ExhaustiveSearch, for the min-max objective, and by the Table I MINLP
-// under opt for the others.
-func sweepSolve(s Spec, opt minlp.Options) (*Decision, error) {
-	if s.Objective == MinMax {
-		return ExhaustiveSearch(s)
-	}
-	return SolveAllocation(s, opt)
-}
 
 // AdvisorPoint is one machine size in a node-count sweep.
 type AdvisorPoint struct {
@@ -53,10 +42,10 @@ type Advice struct {
 var ErrNoCandidates = errors.New("core: no candidate node counts")
 
 // AdviseNodeCount sweeps candidate machine sizes, solving the allocation
-// problem at each, and reports both notions of the optimal job size.
+// problem exactly at each, and reports both notions of the optimal job size.
 // effThreshold is the minimum acceptable parallel efficiency for the
 // cost-efficient recommendation (e.g. 0.7).
-func AdviseNodeCount(spec Spec, candidates []int, effThreshold float64, opt minlp.Options) (*Advice, error) {
+func AdviseNodeCount(spec Spec, candidates []int, effThreshold float64) (*Advice, error) {
 	if len(candidates) == 0 {
 		return nil, ErrNoCandidates
 	}
@@ -67,7 +56,7 @@ func AdviseNodeCount(spec Spec, candidates []int, effThreshold float64, opt minl
 	for _, n := range sizes {
 		s := spec
 		s.TotalNodes = n
-		dec, err := sweepSolve(s, opt)
+		dec, err := ExhaustiveSearch(s)
 		if err != nil {
 			return nil, err
 		}

@@ -10,7 +10,7 @@ func TestAdviseNodeCount(t *testing.T) {
 	spec := truthSpec(cesm.Res1Deg, cesm.Layout1, 0 /* overwritten per size */)
 	spec.TotalNodes = 128 // placeholder for Validate inside SolveAllocation
 	sizes := []int{64, 128, 256, 512, 1024}
-	adv, err := AdviseNodeCount(spec, sizes, 0.7, SolverOptions())
+	adv, err := AdviseNodeCount(spec, sizes, 0.7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestAdviseNodeCount(t *testing.T) {
 
 func TestAdviseNodeCountEmpty(t *testing.T) {
 	spec := truthSpec(cesm.Res1Deg, cesm.Layout1, 128)
-	if _, err := AdviseNodeCount(spec, nil, 0.7, SolverOptions()); err != ErrNoCandidates {
+	if _, err := AdviseNodeCount(spec, nil, 0.7); err != ErrNoCandidates {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -55,11 +55,11 @@ func TestAdviseNodeCountEmpty(t *testing.T) {
 func TestAdviseThresholdMonotone(t *testing.T) {
 	spec := truthSpec(cesm.Res1Deg, cesm.Layout1, 128)
 	sizes := []int{64, 256, 1024}
-	strict, err := AdviseNodeCount(spec, sizes, 0.95, SolverOptions())
+	strict, err := AdviseNodeCount(spec, sizes, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lax, err := AdviseNodeCount(spec, sizes, 0.3, SolverOptions())
+	lax, err := AdviseNodeCount(spec, sizes, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}

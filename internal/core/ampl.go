@@ -21,14 +21,14 @@ func WriteAMPL(s Spec) (string, error) {
 	if s.Objective != MinMax {
 		return "", fmt.Errorf("core: AMPL export supports the min-max objective only, got %v", s.Objective)
 	}
-	return writeTableI(s)
+	return TableI(s)
 }
 
-// writeTableI renders Table I for any spec BuildModel accepts: all three
-// objectives, layouts 1-3, the sync tolerance, the allowed sets and the
-// 1/8° decomposition granularity. Numbers print in their shortest exact
-// form, so the parsed model carries the spec's coefficients bit for bit.
-func writeTableI(s Spec) (string, error) {
+// TableI renders Table I, the text BuildModel parses and campaign records
+// digest, for all three objectives, layouts 1-3, the sync tolerance, the
+// allowed sets and the 1/8° granularity. Numbers print in their shortest
+// exact form, so the parsed model carries the coefficients bit for bit.
+func TableI(s Spec) (string, error) {
 	if err := s.Validate(); err != nil {
 		return "", err
 	}
@@ -88,7 +88,7 @@ func writeTableI(s Spec) (string, error) {
 	case MinSum:
 		fmt.Fprintf(&b, "\nminimize total_time: %s + %s + %s + %s;\n\n", lnd, ice, atm, ocn)
 	case MaxMin:
-		// S <= T_j(n_j) ⇔ S − T_j ≤ 0 (nonconvex; NLPBB territory).
+		// S <= T_j(n_j) ⇔ S − T_j ≤ 0 (nonconvex; see exactRoute).
 		fmt.Fprintf(&b, "var S >= 0 <= %s;\n", num(timeUB))
 		b.WriteString("\nmaximize min_time: S;\n\n")
 		for _, c := range cesm.OptimizedComponents {

@@ -9,12 +9,12 @@ import (
 )
 
 // BuildModel constructs the Table I MINLP for the spec by parsing the AMPL
-// text writeTableI renders for it — the text WriteAMPL ships — so the
+// text TableI renders for it — the text WriteAMPL ships — so the
 // library and the served path solve one model, SOS-1 selection sets
 // included. The returned Vars locates the decision variables inside the
 // model.
 func BuildModel(s Spec) (*model.Model, *Vars, error) {
-	src, err := writeTableI(s)
+	src, err := TableI(s)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -28,7 +28,7 @@ func BuildModel(s Spec) (*model.Model, *Vars, error) {
 		}
 		return -1
 	}
-	vars := &Vars{T: index("T"), Ticelnd: index("T_icelnd"), S: index("S"), N: map[cesm.Component]int{}}
+	vars := &Vars{T: index("T"), Ticelnd: index("T_icelnd"), N: map[cesm.Component]int{}}
 	for _, c := range cesm.OptimizedComponents {
 		vars.N[c] = index("n_" + c.String())
 	}

@@ -7,13 +7,12 @@ import (
 
 	"hslb/internal/bench"
 	"hslb/internal/cesm"
-	"hslb/internal/minlp"
 	"hslb/internal/perf"
 )
 
 // TestChaosPipelineWorkersInvariant is the end-to-end determinism gate for
 // the parallel gather: the full chaotic pipeline — faulty gather with
-// retries and outlier rejection, fit, NLP-BB solve, execute — must produce
+// retries and outlier rejection, fit, OA solve, execute — must produce
 // byte-identical benchmark data, failure report, and allocation whether the
 // gather runs sequentially or on a worker pool.
 func TestChaosPipelineWorkersInvariant(t *testing.T) {
@@ -55,7 +54,6 @@ func TestChaosPipelineWorkersInvariant(t *testing.T) {
 			SolveTimeout: solveTimeout,
 		}
 		po.Solver = SolverOptions()
-		po.Solver.Algorithm = minlp.NLPBB
 		return po
 	}
 

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -326,6 +329,46 @@ func TestPipelineEndToEnd(t *testing.T) {
 	}
 }
 
+// TestPipelineRoutesNonconvexSpecs: max-min and layout-1 sync-tolerance
+// specs skip outer approximation for the exact search, and the quality
+// report says so.
+func TestPipelineRoutesNonconvexSpecs(t *testing.T) {
+	data, err := bench.Campaign{
+		Resolution: cesm.Res1Deg, Layout: cesm.Layout1,
+		NodeCounts: perf.SamplingPlan(64, 1024, 5), Seed: 2,
+	}.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []Spec{
+		{Resolution: cesm.Res1Deg, Layout: cesm.Layout1, TotalNodes: 128, ConstrainOcean: true, ConstrainAtm: true, SyncTol: 2},
+		{Resolution: cesm.Res1Deg, Layout: cesm.Layout1, TotalNodes: 128, ConstrainOcean: true, ConstrainAtm: true, Objective: MaxMin},
+	} {
+		res, err := RunPipeline(PipelineOptions{Data: data, Spec: spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Perf = bench.Models(res.Fits)
+		want, err := ExhaustiveSearch(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q := res.Quality; q.SolvePath != "exhaustive" || res.Decision.Alloc != want.Alloc {
+			t.Fatalf("%v sync=%g: path %q, alloc %v; want exhaustive, %v", spec.Objective, spec.SyncTol, q.SolvePath, res.Decision.Alloc, want.Alloc)
+		}
+		for _, n := range res.Quality.Notes {
+			if strings.HasPrefix(n, "solve:") {
+				t.Fatalf("%v sync=%g: note %q", spec.Objective, spec.SyncTol, n)
+			}
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := SolveAllocationContext(ctx, spec, SolverOptions()); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%v sync=%g: a cancelled routed solve returned %v", spec.Objective, spec.SyncTol, err)
+		}
+	}
+}
+
 func TestPipelineReusesData(t *testing.T) {
 	camp := bench.Campaign{
 		Resolution: cesm.Res1Deg, Layout: cesm.Layout1,
@@ -378,18 +421,10 @@ func TestSolverDiagnosticsPopulated(t *testing.T) {
 
 func TestMaxMinObjectiveRuns(t *testing.T) {
 	s := truthSpec(cesm.Res1Deg, cesm.Layout1, 64)
-	s.ConstrainAtm = false // keep the heuristic NLPBB search small
+	s.ConstrainAtm = false
 	s.ConstrainOcean = false
 	s.Objective = MaxMin
-	opt := SolverOptions()
-	opt.MaxNodes = 3000
-	d, err := SolveAllocation(s, opt)
-	if err != nil {
-		t.Skipf("MaxMin heuristic did not converge: %v", err)
-	}
-	if d.Alloc.Atm < 1 || d.Alloc.Ocn < 1 {
-		t.Fatalf("bad alloc %v", d.Alloc)
-	}
+	checkExact(t, s, func(s Spec) (*Decision, error) { return SolveAllocation(s, SolverOptions()) })
 }
 
 func TestTuneToSweetSpotsPropertyValid(t *testing.T) {

@@ -61,11 +61,7 @@ func TestExactSubproblemsDetected(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			o := opt
-			if s.Objective == core.MaxMin {
-				o.Algorithm = minlp.NLPBB // as SolveAllocation runs it
-			}
-			flag(t, m, o)
+			flag(t, m, opt)
 		})
 		if s.Objective != core.MinMax {
 			continue

@@ -1,24 +1,12 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
 
 	"hslb/internal/cesm"
-	"hslb/internal/perf"
 )
-
-// Exhaustive search answers the min-max Table I model exactly by direct
-// search over the discrete allowed sets: the pipeline's last solve rung and
-// the engine of the min-max §IV-C sweeps. Each component curve is
-// tabulated once per node count and reduced to prefix minima, so layout 1
-// costs O(N log N) (O(N²) with a sync tolerance) and layouts 2 and 3 O(N),
-// and no Table III size needs a gate.
-
-// ErrExhaustiveObjective means the objective is not MinMax.
-var ErrExhaustiveObjective = errors.New("core: exhaustive search supports only the min-max objective")
 
 // candidateCounts enumerates the allowed node counts for one component up
 // to max (Table I lines 5-6, 29-31): hard-coded sets where constrained,
@@ -50,25 +38,29 @@ func candidateCounts(s Spec, c cesm.Component, max int) []int {
 	return out
 }
 
-// prefixMin holds, for each k, the smallest f(n) over allowed n ≤ k (at[k],
-// +Inf when there is none) and the smallest n attaining it (arg[k], else
-// 0). Minima over "n ≤ k" are what the Table I inequalities need: fitted
-// curves with B > 0 are U-shaped, so a component given room for k nodes
-// may run fastest on fewer.
-type prefixMin struct {
+// countTable holds one cost per node count k, at[k], attained at the count
+// arg[k]; +Inf and 0 where no allowed count gives one.
+type countTable struct {
 	at  []float64
 	arg []int
 }
 
-func newPrefixMin(max int, allowed []int, f func(n int) float64) prefixMin {
-	p := prefixMin{at: make([]float64, max+1), arg: make([]int, max+1)}
+func tabulate(max int, allowed []int, f func(n int) float64) countTable {
+	p := countTable{at: make([]float64, max+1), arg: make([]int, max+1)}
 	for k := range p.at {
 		p.at[k] = math.Inf(1)
 	}
 	for _, n := range allowed {
 		p.at[n], p.arg[n] = f(n), n
 	}
-	for k := 1; k <= max; k++ {
+	return p
+}
+
+// prefixMin reduces the table in place to prefix minima, the smallest cost
+// over allowed n ≤ k at the smallest such n: what the Table I inequalities
+// need, since a U-shaped curve (B > 0) given k nodes may run best on fewer.
+func (p countTable) prefixMin() countTable {
+	for k := 1; k < len(p.at); k++ {
 		if p.at[k-1] <= p.at[k] {
 			p.at[k], p.arg[k] = p.at[k-1], p.arg[k-1]
 		}
@@ -76,105 +68,119 @@ func newPrefixMin(max int, allowed []int, f func(n int) float64) prefixMin {
 	return p
 }
 
-func timeOf(m perf.Model) func(int) float64 {
-	return func(n int) float64 { return m.Eval(float64(n)) }
+// combine adds up the costs of two components: one after the other (sumOf)
+// or side by side (maxOf).
+type combine bool
+
+const sumOf, maxOf combine = false, true
+
+func (c combine) of(a, b float64) float64 {
+	if c == maxOf {
+		return max(a, b)
+	}
+	return a + b
 }
 
-// ExhaustiveSearch solves the MinMax allocation problem exactly by direct
-// search over the discrete candidate sets: derivative-free, immune to
-// solver numerics, and fast enough for every Table III size.
+// ExhaustiveSearch solves the Table I allocation problem exactly by direct
+// search over the allowed sets, for every spec BuildModel accepts: the
+// answer to the nonconvex specs, the pipeline's last solve rung and the
+// engine of the §IV-C sweeps. Each objective is a minimum of combined
+// costs, the component times (negated for max-min): min-max sums what runs
+// in sequence and takes the max of what runs side by side, min-sum sums
+// all four, max-min takes the max of all four. Each combination is
+// monotone in every cost, so each part of a layout is minimized on its
+// own, the ocean last. Layouts 2 and 3 cost O(N), min-max layout 1
+// O(N log N) and layout 1's other cases O(N²), at every Table III size.
 func ExhaustiveSearch(s Spec) (*Decision, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	if s.Objective != MinMax {
-		return nil, ErrExhaustiveObjective
+	sign, seq, par := 1.0, sumOf, maxOf
+	switch s.Objective {
+	case MinMax:
+	case MinSum:
+		par = sumOf
+	case MaxMin:
+		sign, seq = -1, maxOf
+	default:
+		return nil, fmt.Errorf("core: unknown objective %v", s.Objective)
+	}
+	cost := func(c cesm.Component) func(int) float64 {
+		m := s.Perf[c]
+		return func(n int) float64 { return sign * m.Eval(float64(n)) }
 	}
 	N := s.TotalNodes
 	capAtm := min(N, cesm.AtmMaxNodes(s.Resolution))
-	capOcn := min(N, cesm.OceanMaxNodes(s.Resolution))
-	ocnC := candidateCounts(s, cesm.OCN, capOcn)
 	atmC := candidateCounts(s, cesm.ATM, capAtm)
-	all := candidateCounts(s, cesm.ICE, N)
-	to := timeOf(s.Perf[cesm.OCN])
 
-	// A component or split with no feasible count is +Inf, which never
-	// wins a comparison, so empty candidate sets need no special case.
-	best := math.Inf(1)
-	var bestAlloc cesm.Allocation
+	// rest.at[k] is the best cost of atm, ice and lnd inside k nodes and
+	// place(k) their counts; the ocean joins rest by join, leaving room(no)
+	// nodes. An infeasible part costs +Inf, so empty sets need no care.
+	var rest countTable
+	var place func(k int) cesm.Allocation
+	join, room := par, func(no int) int { return N - no }
 	switch s.Layout {
 	case cesm.Layout1:
-		// T = max(max(t_ice, t_lnd) + t_atm, t_ocn) with atm + ocn ≤ N and
-		// ice + lnd ≤ atm. seq is the best split plus atmosphere over the
-		// atmosphere candidates up to each count, so each ocean candidate
-		// is one lookup at N − ocn.
-		split := iceLandSplit(s, capAtm)
-		ta := timeOf(s.Perf[cesm.ATM])
-		seq := newPrefixMin(capAtm, atmC, func(na int) float64 {
+		// par(seq(par(ice, lnd), atm), ocn) with atm + ocn ≤ N and
+		// ice + lnd ≤ atm, both equalities under max-min (TableI).
+		split, ca := iceLandSplit(s, cost), cost(cesm.ATM)
+		rest = tabulate(N, atmC, func(na int) float64 {
 			t, _, _ := split(na)
-			return t + ta(na)
+			return seq.of(t, ca(na))
 		})
-		for _, no := range ocnC {
-			k := min(N-no, capAtm)
-			if total := math.Max(seq.at[k], to(no)); total < best {
-				best, bestAlloc = total, cesm.Allocation{Atm: seq.arg[k], Ocn: no}
-			}
+		if s.Objective != MaxMin {
+			rest = rest.prefixMin()
 		}
-		_, bestAlloc.Ice, bestAlloc.Lnd = split(bestAlloc.Atm)
-	case cesm.Layout2:
-		// Each of atm/ice/lnd shares the machine with the ocean only, so
-		// for a fixed ocean count each picks its own best count in
-		// 1..N−ocn independently.
-		atm := newPrefixMin(capAtm, atmC, timeOf(s.Perf[cesm.ATM]))
-		ice := newPrefixMin(N, all, timeOf(s.Perf[cesm.ICE]))
-		lnd := newPrefixMin(N, all, timeOf(s.Perf[cesm.LND]))
-		for _, no := range ocnC {
-			rem := N - no
-			ka := min(rem, capAtm)
-			if total := math.Max(ice.at[rem]+lnd.at[rem]+atm.at[ka], to(no)); total < best {
-				best = total
-				bestAlloc = cesm.Allocation{Atm: atm.arg[ka], Ocn: no, Ice: ice.arg[rem], Lnd: lnd.arg[rem]}
-			}
+		place = func(k int) cesm.Allocation {
+			_, ni, nl := split(rest.arg[k])
+			return cesm.Allocation{Atm: rest.arg[k], Ice: ni, Lnd: nl}
 		}
-	case cesm.Layout3:
-		// Fully sequential: every component runs alone, so each minimizes
-		// its own time independently under its cap.
-		atm := newPrefixMin(capAtm, atmC, timeOf(s.Perf[cesm.ATM]))
-		ocn := newPrefixMin(capOcn, ocnC, to)
-		ice := newPrefixMin(N, all, timeOf(s.Perf[cesm.ICE]))
-		lnd := newPrefixMin(N, all, timeOf(s.Perf[cesm.LND]))
-		best = atm.at[capAtm] + ocn.at[capOcn] + ice.at[N] + lnd.at[N]
-		bestAlloc = cesm.Allocation{Atm: atm.arg[capAtm], Ocn: ocn.arg[capOcn], Ice: ice.arg[N], Lnd: lnd.arg[N]}
+	case cesm.Layout2, cesm.Layout3:
+		// atm, ice and lnd run in sequence, each on its best count inside
+		// what the ocean leaves (layout 2) or the machine (layout 3).
+		all := candidateCounts(s, cesm.ICE, N)
+		atm := tabulate(N, atmC, cost(cesm.ATM)).prefixMin()
+		ice, lnd := tabulate(N, all, cost(cesm.ICE)).prefixMin(), tabulate(N, all, cost(cesm.LND)).prefixMin()
+		rest = tabulate(N, all, func(k int) float64 { return seq.of(seq.of(ice.at[k], lnd.at[k]), atm.at[k]) })
+		place = func(k int) cesm.Allocation { return cesm.Allocation{Atm: atm.arg[k], Ice: ice.arg[k], Lnd: lnd.arg[k]} }
+		if s.Layout == cesm.Layout3 {
+			join, room = seq, func(int) int { return N }
+		}
 	default:
 		return nil, fmt.Errorf("core: unknown layout %v", s.Layout)
 	}
-
+	best, bestOcn, co := math.Inf(1), 0, cost(cesm.OCN)
+	for _, no := range candidateCounts(s, cesm.OCN, min(N, cesm.OceanMaxNodes(s.Resolution))) {
+		if total := join.of(rest.at[room(no)], co(no)); total < best {
+			best, bestOcn = total, no
+		}
+	}
 	if math.IsInf(best, 1) {
 		return nil, fmt.Errorf("core: exhaustive search found no feasible allocation at N=%d", N)
 	}
-	d := &Decision{
-		Alloc:         bestAlloc,
-		PredictedComp: map[cesm.Component]float64{},
-	}
-	for _, c := range cesm.OptimizedComponents {
-		d.PredictedComp[c] = s.Perf[c].Eval(float64(bestAlloc.Get(c)))
-	}
-	d.PredictedTime = cesm.ComposeTotal(s.Layout, d.PredictedComp)
-	return d, nil
+	alloc := place(room(bestOcn))
+	alloc.Ocn = bestOcn
+	total, comp := PredictTotal(s, alloc)
+	return &Decision{Alloc: alloc, PredictedComp: comp, PredictedTime: total}, nil
 }
 
-// iceLandSplit returns the best layout-1 ice/land placement inside na
-// atmosphere nodes, min over n_ice + n_lnd ≤ na of max(t_ice, t_lnd), as
-// (time, n_ice, n_lnd); the time is +Inf when no placement is feasible.
-func iceLandSplit(s Spec, capAtm int) func(na int) (float64, int, int) {
+// iceLandSplit returns the best layout-1 ice/land placement inside each
+// allowed atmosphere count na, the smallest par(cost_ice, cost_lnd) over
+// n_ice + n_lnd ≤ na (= na under max-min), as (cost, n_ice, n_lnd).
+func iceLandSplit(s Spec, cost func(cesm.Component) func(int) float64) func(na int) (float64, int, int) {
+	capAtm := min(s.TotalNodes, cesm.AtmMaxNodes(s.Resolution))
 	all := candidateCounts(s, cesm.ICE, capAtm)
-	ti, tl := timeOf(s.Perf[cesm.ICE]), timeOf(s.Perf[cesm.LND])
-	if s.SyncTol == 0 {
+	ice, lnd := tabulate(capAtm, all, cost(cesm.ICE)), tabulate(capAtm, all, cost(cesm.LND))
+	le := s.Objective != MaxMin // the capacity is n_ice + n_lnd ≤ na
+	if le && s.SyncTol == 0 {
+		// Prefix minima let a pair using exactly na nodes stand for fewer.
+		ice, lnd = ice.prefixMin(), lnd.prefixMin()
+	}
+	if s.Objective == MinMax && s.SyncTol == 0 {
 		// Giving land k nodes leaves ice the best count ≤ na − k: the ice
 		// time grows with k and the land time shrinks, so the optimum sits
 		// where they cross — at the first k with ice ≥ land, or just
 		// before it.
-		ice, lnd := newPrefixMin(capAtm, all, ti), newPrefixMin(capAtm, all, tl)
 		return func(na int) (float64, int, int) {
 			best, ni, nl := math.Inf(1), 0, 0
 			cross := 1 + sort.Search(na-1, func(j int) bool { return ice.at[na-1-j] >= lnd.at[1+j] })
@@ -186,27 +192,41 @@ func iceLandSplit(s Spec, capAtm int) func(na int) (float64, int, int) {
 			return best, ni, nl
 		}
 	}
-	// The sync tolerance |t_ice − t_lnd| ≤ SyncTol ties the two counts
-	// together and breaks the crossing argument: take the best pair for
-	// every exact sum in one pass over the tabulated curves, then a prefix
-	// minimum over the sums.
-	tIce, tLnd := make([]float64, capAtm+1), make([]float64, capAtm+1)
-	bySum, iceOf := make([]float64, capAtm+1), make([]int, capAtm+1)
-	for n := range bySum {
-		tIce[n], tLnd[n], bySum[n] = ti(n), tl(n), math.Inf(1)
-	}
-	for ni := 1; ni < capAtm; ni++ {
-		// sums[j] is bySum at land count j+1, so at the sum ni + j + 1.
-		a, sums := tIce[ni], bySum[ni+1:]
-		for j, b := range tLnd[1 : capAtm-ni+1] {
-			if math.Abs(a-b) <= s.SyncTol && max(a, b) < sums[j] {
-				sums[j], iceOf[ni+1+j] = max(a, b), ni
+	par := combine(s.Objective != MinSum) // maxOf, but sumOf under min-sum
+	pairs := tabulate(capAtm, nil, nil)   // best pair per sum n, arg[n] a position in ice
+	if s.SyncTol > 0 {
+		// |t_ice − t_lnd| ≤ SyncTol ties the raw counts together, so every
+		// sum counts: pair them row by row, as the tolerance rejects most
+		// pairs.
+		for ni := 1; ni < capAtm; ni++ {
+			a, at, arg := ice.at[ni], pairs.at[ni+1:], pairs.arg[ni+1:]
+			for j, b := range lnd.at[1 : capAtm-ni+1] {
+				if math.Abs(a-b) <= s.SyncTol && par.of(a, b) < at[j] {
+					at[j], arg[j] = par.of(a, b), ni
+				}
 			}
 		}
+	} else {
+		// Only the sums the atmosphere can hold, one column each: at 1/8°
+		// every AtmNodeMultiple-th, where pairing every sum takes about a
+		// second at 32 768 nodes.
+		for _, n := range candidateCounts(s, cesm.ATM, capAtm) {
+			best, arg := math.Inf(1), 0
+			for ni := 1; ni < n; ni++ {
+				if v := par.of(ice.at[ni], lnd.at[n-ni]); v < best {
+					best, arg = v, ni
+				}
+			}
+			pairs.at[n], pairs.arg[n] = best, arg
+		}
 	}
-	upTo := newPrefixMin(capAtm, all, func(n int) float64 { return bySum[n] })
+	upTo := tabulate(capAtm, all, func(n int) float64 { return pairs.at[n] })
+	if le {
+		upTo = upTo.prefixMin()
+	}
 	return func(na int) (float64, int, int) {
 		n := upTo.arg[na]
-		return upTo.at[na], iceOf[n], n - iceOf[n]
+		ni := pairs.arg[n]
+		return upTo.at[na], ice.arg[ni], lnd.arg[n-ni]
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -11,14 +10,15 @@ import (
 	"hslb/internal/perf"
 )
 
-// bruteForce enumerates the min-max Table I model literally: every count
-// each component's domain allows (the hard-coded sets where constrained,
-// multiples of four at 1/8°, the caps), every ice/land pair with
-// n_ice + n_lnd ≤ n_atm that passes the sync filter on layout 1, and every
-// count up to N − n_ocn for the components sharing the machine with the
-// ocean on layout 2. Inner minima are hoisted out of the loops they do not
-// depend on; nothing else is pruned. It returns +Inf when nothing is
-// feasible.
+// bruteForce enumerates the Table I model literally and returns its
+// optimal objective value: every count each component's domain allows (the
+// hard-coded sets where constrained, multiples of four at 1/8°, the caps),
+// every ice/land pair with n_ice + n_lnd ≤ n_atm that passes the sync
+// filter on layout 1, and every count up to N − n_ocn for the components
+// sharing the machine with the ocean on layout 2. Under max-min the layout-1
+// capacities are equalities, as TableI emits them. Inner optima are
+// hoisted out of the loops they do not depend on; nothing else is pruned.
+// It returns ±Inf, the objective's worst value, when nothing is feasible.
 func bruteForce(s Spec) float64 {
 	N := s.TotalNodes
 	capAtm := min(N, cesm.AtmMaxNodes(s.Resolution))
@@ -44,58 +44,100 @@ func bruteForce(s Spec) float64 {
 		}
 		return n <= N
 	}
-	t := map[cesm.Component][]float64{}
-	for _, c := range cesm.OptimizedComponents {
-		t[c] = make([]float64, N+1)
+	times := func(c cesm.Component) []float64 {
+		t := make([]float64, N+1)
 		for n := 1; n <= N; n++ {
-			t[c][n] = s.Perf[c].Eval(float64(n))
+			t[n] = s.Perf[c].Eval(float64(n))
 		}
+		return t
 	}
-	// fastest is the best time of c over its allowed counts in 1..max.
-	fastest := func(c cesm.Component, max int) float64 {
-		best := math.Inf(1)
+	ti, tl, ta, to := times(cesm.ICE), times(cesm.LND), times(cesm.ATM), times(cesm.OCN)
+
+	// The objective in its own terms: how times combine one after the
+	// other (seq) and side by side (par), and which value is better.
+	maxMin := s.Objective == MaxMin
+	seq := func(a, b float64) float64 { return a + b }
+	par := math.Max
+	switch s.Objective {
+	case MinSum:
+		par = seq
+	case MaxMin:
+		seq, par = math.Min, math.Min
+	}
+	better := func(a, b float64) bool { return a < b }
+	worst := math.Inf(1)
+	if maxMin {
+		better = func(a, b float64) bool { return a > b }
+		worst = math.Inf(-1)
+	}
+	// pick is the best time of c over its allowed counts in 1..max.
+	pick := func(c cesm.Component, t []float64, max int) float64 {
+		best := worst
 		for n := 1; n <= max; n++ {
-			if allowed(c, n) {
-				best = math.Min(best, t[c][n])
+			if allowed(c, n) && better(t[n], best) {
+				best = t[n]
 			}
 		}
 		return best
 	}
 
-	best := math.Inf(1)
+	best := worst
 	switch s.Layout {
 	case cesm.Layout1:
 		for na := 1; na <= N; na++ {
 			if !allowed(cesm.ATM, na) {
 				continue
 			}
-			split := math.Inf(1)
+			split := worst
 			for ni := 1; ni < na; ni++ {
 				for nl := 1; ni+nl <= na; nl++ {
-					ti, tl := t[cesm.ICE][ni], t[cesm.LND][nl]
-					if s.SyncTol > 0 && math.Abs(ti-tl) > s.SyncTol {
+					if maxMin && ni+nl != na {
 						continue
 					}
-					split = math.Min(split, math.Max(ti, tl))
+					if s.SyncTol > 0 && math.Abs(ti[ni]-tl[nl]) > s.SyncTol {
+						continue
+					}
+					if v := par(ti[ni], tl[nl]); better(v, split) {
+						split = v
+					}
 				}
 			}
 			for no := 1; na+no <= N; no++ {
-				if allowed(cesm.OCN, no) {
-					best = math.Min(best, math.Max(split+t[cesm.ATM][na], t[cesm.OCN][no]))
+				if maxMin && na+no != N || !allowed(cesm.OCN, no) {
+					continue
+				}
+				if v := par(seq(split, ta[na]), to[no]); better(v, best) {
+					best = v
 				}
 			}
 		}
 	case cesm.Layout2:
 		for no := 1; no < N; no++ {
 			if allowed(cesm.OCN, no) {
-				seq := fastest(cesm.ICE, N-no) + fastest(cesm.LND, N-no) + fastest(cesm.ATM, N-no)
-				best = math.Min(best, math.Max(seq, t[cesm.OCN][no]))
+				rest := seq(seq(pick(cesm.ICE, ti, N-no), pick(cesm.LND, tl, N-no)), pick(cesm.ATM, ta, N-no))
+				if v := par(rest, to[no]); better(v, best) {
+					best = v
+				}
 			}
 		}
 	case cesm.Layout3:
-		best = fastest(cesm.ICE, N) + fastest(cesm.LND, N) + fastest(cesm.ATM, N) + fastest(cesm.OCN, N)
+		best = seq(seq(seq(pick(cesm.ICE, ti, N), pick(cesm.LND, tl, N)), pick(cesm.ATM, ta, N)), pick(cesm.OCN, to, N))
 	}
 	return best
+}
+
+// objectiveOf is the spec's objective at a decision's component times: the
+// composed layout total for min-max, the sum for min-sum, the smallest
+// time for max-min.
+func objectiveOf(s Spec, d *Decision) float64 {
+	c := d.PredictedComp
+	switch s.Objective {
+	case MinSum:
+		return c[cesm.ICE] + c[cesm.LND] + c[cesm.ATM] + c[cesm.OCN]
+	case MaxMin:
+		return math.Min(math.Min(c[cesm.ICE], c[cesm.LND]), math.Min(c[cesm.ATM], c[cesm.OCN]))
+	}
+	return cesm.ComposeTotal(s.Layout, c)
 }
 
 // uShapedSpec gives every component a fitted curve with B > 0 and C > 1,
@@ -113,8 +155,9 @@ func uShapedSpec(res cesm.Resolution, layout cesm.Layout, total int) Spec {
 }
 
 // TestExhaustiveMatchesBruteForce holds ExhaustiveSearch to the literal
-// enumeration of Table I on every layout, with and without the sync
-// tolerance, on fitted-truth and U-shaped curves, constrained and free.
+// enumeration of Table I for every objective on every layout, with and
+// without the sync tolerance, on fitted-truth and U-shaped curves,
+// constrained and free.
 func TestExhaustiveMatchesBruteForce(t *testing.T) {
 	sizes := []struct {
 		res   cesm.Resolution
@@ -128,42 +171,57 @@ func TestExhaustiveMatchesBruteForce(t *testing.T) {
 						if syncTol > 0 && layout != cesm.Layout1 {
 							continue // Table I applies the tolerance to layout 1 only
 						}
-						s := truthSpec(sz.res, layout, sz.total)
-						if shape == "u-shaped" {
-							s = uShapedSpec(sz.res, layout, sz.total)
+						for _, obj := range []Objective{MinMax, MaxMin, MinSum} {
+							s := truthSpec(sz.res, layout, sz.total)
+							if shape == "u-shaped" {
+								s = uShapedSpec(sz.res, layout, sz.total)
+							}
+							s.ConstrainOcean, s.ConstrainAtm, s.SyncTol, s.Objective = constrained, constrained, syncTol, obj
+							name := fmt.Sprintf("%v/%d/%v/%s/constrained=%v/sync=%g/%v", sz.res, sz.total, layout, shape, constrained, syncTol, obj)
+							t.Run(name, func(t *testing.T) { checkExact(t, s, nil) })
 						}
-						s.ConstrainOcean, s.ConstrainAtm, s.SyncTol = constrained, constrained, syncTol
-						name := fmt.Sprintf("%v/%d/%v/%s/constrained=%v/sync=%g", sz.res, sz.total, layout, shape, constrained, syncTol)
-						t.Run(name, func(t *testing.T) {
-							want := bruteForce(s)
-							got, err := ExhaustiveSearch(s)
-							if math.IsInf(want, 1) {
-								if err == nil {
-									t.Fatalf("brute force finds nothing feasible, exhaustive search answered %v", got.Alloc)
-								}
-								return
-							}
-							if err != nil {
-								t.Fatalf("brute force %.9f, exhaustive search: %v", want, err)
-							}
-							if rel := math.Abs(got.PredictedTime-want) / want; rel > 1e-12 {
-								t.Fatalf("exhaustive search %.12f (alloc %v), brute force %.12f", got.PredictedTime, got.Alloc, want)
-							}
-							if err := cesm.ValidateConfig(cesm.Config{
-								Resolution: s.Resolution, Layout: s.Layout, TotalNodes: s.TotalNodes, Alloc: got.Alloc,
-							}); err != nil {
-								t.Fatalf("exhaustive allocation %v infeasible: %v", got.Alloc, err)
-							}
-							if s.SyncTol > 0 {
-								if d := math.Abs(got.PredictedComp[cesm.ICE] - got.PredictedComp[cesm.LND]); d > s.SyncTol {
-									t.Fatalf("ice/land times differ by %v, tolerance %v", d, s.SyncTol)
-								}
-							}
-						})
 					}
 				}
 			}
 		}
+	}
+}
+
+// checkExact holds the answer to s, from answer or else from
+// ExhaustiveSearch, to bruteForce: the same objective value at 1e-12
+// relative, an allocation the machine accepts, the sync tolerance met, and
+// max-min's equality capacities used in full.
+func checkExact(t *testing.T, s Spec, answer func(Spec) (*Decision, error)) {
+	t.Helper()
+	if answer == nil {
+		answer = ExhaustiveSearch
+	}
+	want := bruteForce(s)
+	got, err := answer(s)
+	if math.IsInf(want, 0) {
+		if err == nil {
+			t.Fatalf("brute force finds nothing feasible, the search answered %v", got.Alloc)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("brute force %.9f, the search: %v", want, err)
+	}
+	if rel := math.Abs(objectiveOf(s, got)-want) / math.Abs(want); rel > 1e-12 {
+		t.Fatalf("%v %.12f (alloc %v, status %v), brute force %.12f", s.Objective, objectiveOf(s, got), got.Alloc, got.Status, want)
+	}
+	if err := cesm.ValidateConfig(cesm.Config{
+		Resolution: s.Resolution, Layout: s.Layout, TotalNodes: s.TotalNodes, Alloc: got.Alloc,
+	}); err != nil {
+		t.Fatalf("allocation %v infeasible: %v", got.Alloc, err)
+	}
+	if s.SyncTol > 0 && s.Layout == cesm.Layout1 {
+		if d := math.Abs(got.PredictedComp[cesm.ICE] - got.PredictedComp[cesm.LND]); d > s.SyncTol {
+			t.Fatalf("ice/land times differ by %v, tolerance %v", d, s.SyncTol)
+		}
+	}
+	if a := got.Alloc; s.Objective == MaxMin && s.Layout == cesm.Layout1 && (a.Atm+a.Ocn != s.TotalNodes || a.Ice+a.Lnd != a.Atm) {
+		t.Fatalf("max-min allocation %v leaves layout-1 nodes idle", a)
 	}
 }
 
@@ -191,8 +249,8 @@ func TestExhaustiveFreesIceLandNodes(t *testing.T) {
 	}
 }
 
-// TestExhaustiveAnswersTableIII: no Table III size is refused, and none
-// costs more than a blink.
+// TestExhaustiveAnswersTableIII: no Table III size is refused under any
+// objective, and none costs more than a blink.
 func TestExhaustiveAnswersTableIII(t *testing.T) {
 	sizes := []struct {
 		res   cesm.Resolution
@@ -201,29 +259,27 @@ func TestExhaustiveAnswersTableIII(t *testing.T) {
 	for _, sz := range sizes {
 		for _, layout := range []cesm.Layout{cesm.Layout1, cesm.Layout2} {
 			for _, constrained := range []bool{true, false} {
-				s := truthSpec(sz.res, layout, sz.total)
-				s.ConstrainOcean = constrained
-				start := time.Now()
-				d, err := ExhaustiveSearch(s)
-				took := time.Since(start)
-				if err != nil {
-					t.Errorf("%v/%d/%v constrained=%v: %v", sz.res, sz.total, layout, constrained, err)
-					continue
-				}
-				if err := cesm.ValidateConfig(cesm.Config{
-					Resolution: s.Resolution, Layout: s.Layout, TotalNodes: s.TotalNodes, Alloc: d.Alloc,
-				}); err != nil {
-					t.Errorf("%v/%d/%v constrained=%v: %v", sz.res, sz.total, layout, constrained, err)
-				}
-				if !raceEnabled && took > time.Second {
-					t.Errorf("%v/%d/%v constrained=%v took %v", sz.res, sz.total, layout, constrained, took)
+				for _, obj := range []Objective{MinMax, MaxMin, MinSum} {
+					s := truthSpec(sz.res, layout, sz.total)
+					s.ConstrainOcean, s.Objective = constrained, obj
+					name := fmt.Sprintf("%v/%d/%v/constrained=%v/%v", sz.res, sz.total, layout, constrained, obj)
+					start := time.Now()
+					d, err := ExhaustiveSearch(s)
+					took := time.Since(start)
+					if err != nil {
+						t.Errorf("%s: %v", name, err)
+						continue
+					}
+					if err := cesm.ValidateConfig(cesm.Config{
+						Resolution: s.Resolution, Layout: s.Layout, TotalNodes: s.TotalNodes, Alloc: d.Alloc,
+					}); err != nil {
+						t.Errorf("%s: %v", name, err)
+					}
+					if !raceEnabled && took > time.Second {
+						t.Errorf("%s took %v", name, took)
+					}
 				}
 			}
 		}
-	}
-	s := truthSpec(cesm.Res1Deg, cesm.Layout1, 128)
-	s.Objective = MinSum
-	if _, err := ExhaustiveSearch(s); !errors.Is(err, ErrExhaustiveObjective) {
-		t.Fatalf("min-sum: err = %v, want ErrExhaustiveObjective", err)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"hslb/internal/cesm"
-	"hslb/internal/minlp"
 	"hslb/internal/perf"
 )
 
@@ -69,12 +68,8 @@ type HardwareForecast struct {
 }
 
 // ForecastHardware optimizes the same allocation problem on both machines.
-func ForecastHardware(s Spec, hw Hardware, opt minlp.Options) (*HardwareForecast, error) {
-	base, err := sweepSolve(s, opt)
-	if err != nil {
-		return nil, err
-	}
-	ported, err := sweepSolve(PortSpec(s, hw), opt)
+func ForecastHardware(s Spec, hw Hardware) (*HardwareForecast, error) {
+	base, ported, err := searchBoth(s, PortSpec(s, hw))
 	if err != nil {
 		return nil, err
 	}

@@ -26,7 +26,7 @@ func TestForecastAmdahlTrap(t *testing.T) {
 	// less than 4x end-to-end, and strictly more than 1x.
 	s := truthSpec(cesm.Res1Deg, cesm.Layout1, 512)
 	hw := Hardware{Name: "nextgen", ParallelSpeedup: 4, SerialSpeedup: 1, CommSpeedup: 1}
-	f, err := ForecastHardware(s, hw, SolverOptions())
+	f, err := ForecastHardware(s, hw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestForecastBalancedSpeedup(t *testing.T) {
 	// allocation (the optimization problem just rescales).
 	s := truthSpec(cesm.Res1Deg, cesm.Layout1, 128)
 	hw := Hardware{ParallelSpeedup: 2, SerialSpeedup: 2, CommSpeedup: 2}
-	f, err := ForecastHardware(s, hw, SolverOptions())
+	f, err := ForecastHardware(s, hw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,12 +58,12 @@ func TestForecastShiftsCostEfficientSize(t *testing.T) {
 	// cost-efficient node count on it must not exceed the baseline's.
 	s := truthSpec(cesm.Res1Deg, cesm.Layout1, 512)
 	sizes := []int{64, 128, 256, 512}
-	baseAdv, err := AdviseNodeCount(s, sizes, 0.7, SolverOptions())
+	baseAdv, err := AdviseNodeCount(s, sizes, 0.7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ported := PortSpec(s, Hardware{ParallelSpeedup: 8, SerialSpeedup: 1, CommSpeedup: 1})
-	portAdv, err := AdviseNodeCount(ported, sizes, 0.7, SolverOptions())
+	portAdv, err := AdviseNodeCount(ported, sizes, 0.7)
 	if err != nil {
 		t.Fatal(err)
 	}

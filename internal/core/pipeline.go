@@ -29,8 +29,8 @@ type PipelineOptions struct {
 	// the paper notes gathering "can be avoided altogether if reliable
 	// benchmarks are already available".
 	Data *bench.Data
-	// SolveTimeout bounds the configured solver's step-3 solve. The exact
-	// search it falls back to runs without a deadline. 0 means no deadline.
+	// SolveTimeout bounds OA's step-3 solve; 0 means no deadline. The
+	// exact search (fallback and nonconvex specs) runs without one.
 	SolveTimeout time.Duration
 	// FitR2Gate, if > 0, is the fit-quality gate: any component whose
 	// Table II fit has R² below the gate is refitted with the simpler
@@ -92,7 +92,7 @@ func RunPipeline(po PipelineOptions) (*PipelineResult, error) {
 // at every step: the gather step retries and, with a result store,
 // resumes a crashed campaign (see bench.Campaign), low-quality fits are
 // regated onto a simpler family, and the solve step falls back from the
-// configured solver to the exact ExhaustiveSearch (min-max only, any
+// configured solver to the exact ExhaustiveSearch (any objective, any
 // size) — so one failing stage downgrades the answer instead of killing
 // the pipeline.
 func RunPipelineContext(ctx context.Context, po PipelineOptions) (*PipelineResult, error) {
@@ -164,9 +164,15 @@ func RunPipelineContext(ctx context.Context, po PipelineOptions) (*PipelineResul
 	dec, err := SolveAllocationContext(sctx, spec, solver)
 	cancel()
 	q.SolvePath = solver.Algorithm.String()
+	if exactRoute(spec) {
+		q.SolvePath = "exhaustive"
+	}
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, cerr
+		}
+		if exactRoute(spec) {
+			return nil, fmt.Errorf("core: solve step: %w", err)
 		}
 		exDec, exErr := ExhaustiveSearch(spec)
 		if exErr != nil {

@@ -14,7 +14,6 @@ import (
 // orders of magnitude faster than branching on individual binaries.
 func SolverOptions() minlp.Options {
 	return minlp.Options{
-		Algorithm: minlp.OuterApprox,
 		BranchSOS: true,
 		// A 0.01% relative gap: total times are hundreds to thousands of
 		// seconds, so sub-millisecond allocation differences are noise and
@@ -32,12 +31,13 @@ func SolveAllocation(s Spec, opt minlp.Options) (*Decision, error) {
 // SolveAllocationContext is SolveAllocation under a context deadline. A
 // solve that times out but carries a feasible incumbent is returned as a
 // Decision with Status minlp.Deadline rather than an error; a timeout with
-// no incumbent at all is an error.
+// no incumbent at all is an error. Nonconvex specs go to ExhaustiveSearch.
 func SolveAllocationContext(ctx context.Context, s Spec, opt minlp.Options) (*Decision, error) {
-	if s.Objective == MaxMin && opt.Algorithm == minlp.OuterApprox {
-		// The MaxMin constraint set is nonconvex; outer approximation cuts
-		// would be unsound. Fall back to NLP-based branch and bound.
-		opt.Algorithm = minlp.NLPBB
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if exactRoute(s) {
+		return ExhaustiveSearch(s)
 	}
 	m, vars, err := BuildModel(s)
 	if err != nil {
@@ -56,19 +56,16 @@ func SolveAllocationContext(ctx context.Context, s Spec, opt minlp.Options) (*De
 	for _, c := range cesm.OptimizedComponents {
 		alloc.Set(c, int(math.Round(res.X[vars.N[c]])))
 	}
-	d := &Decision{
-		Alloc:         alloc,
-		PredictedComp: map[cesm.Component]float64{},
-		Status:        res.Status,
-		Nodes:         res.Nodes,
-		NLPSolves:     res.NLPSolves,
-		Cuts:          res.Cuts,
-	}
-	for _, c := range cesm.OptimizedComponents {
-		d.PredictedComp[c] = s.Perf[c].Eval(float64(alloc.Get(c)))
-	}
-	d.PredictedTime = cesm.ComposeTotal(s.Layout, d.PredictedComp)
-	return d, nil
+	total, comp := PredictTotal(s, alloc)
+	return &Decision{Alloc: alloc, PredictedComp: comp, PredictedTime: total,
+		Status: res.Status, Nodes: res.Nodes, NLPSolves: res.NLPSolves, Cuts: res.Cuts}, nil
+}
+
+// exactRoute reports whether the spec's Table I model is nonconvex, so an
+// OA cut can cut off its optimum: the max-min rows (eq. 2) and layout 1's
+// sync rows (Table I lines 18-19), each a difference of convex curves.
+func exactRoute(s Spec) bool {
+	return s.Objective == MaxMin || (s.Layout == cesm.Layout1 && s.SyncTol > 0)
 }
 
 // PredictTotal evaluates the spec's fitted models at an arbitrary

@@ -22,10 +22,9 @@ const (
 	// MinMax minimizes the maximum (layout-composed) time — the paper's
 	// choice, eq. (1).
 	MinMax Objective = iota
-	// MaxMin maximizes the minimum per-component time, eq. (2). Note: for
-	// decreasing convex performance curves this constraint set is
-	// nonconvex; it is solved heuristically with NLP-based branch-and-bound
-	// and carries no global-optimality certificate.
+	// MaxMin maximizes the minimum per-component time, eq. (2). Its
+	// constraint set is nonconvex, so SolveAllocation answers it exactly
+	// by ExhaustiveSearch rather than by outer approximation.
 	MaxMin
 	// MinSum minimizes the sum of component times, eq. (3) — included for
 	// the ablation; the paper rules it out because CESM's layouts need the
@@ -97,7 +96,6 @@ func (s Spec) Validate() error {
 type Vars struct {
 	T       int // total-time variable index (MinMax), -1 otherwise
 	Ticelnd int // layout-1 intermediate (Table I line 8), -1 otherwise
-	S       int // MaxMin auxiliary, -1 otherwise
 	N       map[cesm.Component]int
 }
 

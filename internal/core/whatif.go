@@ -2,7 +2,6 @@ package core
 
 import (
 	"hslb/internal/cesm"
-	"hslb/internal/minlp"
 	"hslb/internal/perf"
 )
 
@@ -25,18 +24,14 @@ type ConstraintCostPoint struct {
 // EffectOfOceanConstraint sweeps machine sizes and prices the hard-coded
 // ocean node-count set — the analysis behind the paper's observation that
 // "component models processor counts should not be arbitrarily limited".
-func EffectOfOceanConstraint(spec Spec, sizes []int, opt minlp.Options) ([]ConstraintCostPoint, error) {
+func EffectOfOceanConstraint(spec Spec, sizes []int) ([]ConstraintCostPoint, error) {
 	var out []ConstraintCostPoint
 	for _, n := range sizes {
 		s := spec
-		s.TotalNodes = n
-		s.ConstrainOcean = true
-		con, err := sweepSolve(s, opt)
-		if err != nil {
-			return nil, err
-		}
-		s.ConstrainOcean = false
-		unc, err := sweepSolve(s, opt)
+		s.TotalNodes, s.ConstrainOcean = n, true
+		free := s
+		free.ConstrainOcean = false
+		con, unc, err := searchBoth(s, free)
 		if err != nil {
 			return nil, err
 		}
@@ -70,23 +65,18 @@ type ReplacementEffect struct {
 
 // EffectOfReplacement re-optimizes with component comp replaced by newModel
 // at each machine size.
-func EffectOfReplacement(spec Spec, comp cesm.Component, newModel perf.Model, sizes []int, opt minlp.Options) ([]ReplacementEffect, error) {
+func EffectOfReplacement(spec Spec, comp cesm.Component, newModel perf.Model, sizes []int) ([]ReplacementEffect, error) {
 	var out []ReplacementEffect
 	for _, n := range sizes {
 		before := spec
 		before.TotalNodes = n
-		db, err := sweepSolve(before, opt)
-		if err != nil {
-			return nil, err
-		}
-		after := spec
-		after.TotalNodes = n
+		after := before
 		after.Perf = map[cesm.Component]perf.Model{}
 		for c, m := range spec.Perf {
 			after.Perf[c] = m
 		}
 		after.Perf[comp] = newModel
-		da, err := sweepSolve(after, opt)
+		db, da, err := searchBoth(before, after)
 		if err != nil {
 			return nil, err
 		}
@@ -103,6 +93,16 @@ func EffectOfReplacement(spec Spec, comp cesm.Component, newModel perf.Model, si
 		out = append(out, eff)
 	}
 	return out, nil
+}
+
+// searchBoth solves both sides of a what-if comparison exactly.
+func searchBoth(a, b Spec) (*Decision, *Decision, error) {
+	da, err := ExhaustiveSearch(a)
+	if err != nil {
+		return nil, nil, err
+	}
+	db, err := ExhaustiveSearch(b)
+	return da, db, err
 }
 
 // ScaledModel returns the model sped up by the given factor (>1 = faster):

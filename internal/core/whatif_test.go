@@ -9,7 +9,7 @@ import (
 func TestEffectOfOceanConstraint(t *testing.T) {
 	spec := truthSpec(cesm.Res8thDeg, cesm.Layout1, 0)
 	spec.TotalNodes = 8192 // placeholder; overwritten per size
-	pts, err := EffectOfOceanConstraint(spec, []int{8192, 32768}, SolverOptions())
+	pts, err := EffectOfOceanConstraint(spec, []int{8192, 32768})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestEffectOfReplacement(t *testing.T) {
 	spec := truthSpec(cesm.Res1Deg, cesm.Layout1, 128)
 	// A 2x faster ocean model.
 	fastOcn := ScaledModel(spec.Perf[cesm.OCN], 2)
-	effs, err := EffectOfReplacement(spec, cesm.OCN, fastOcn, []int{128, 512}, SolverOptions())
+	effs, err := EffectOfReplacement(spec, cesm.OCN, fastOcn, []int{128, 512})
 	if err != nil {
 		t.Fatal(err)
 	}

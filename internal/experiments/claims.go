@@ -133,23 +133,17 @@ func RunObjectiveAblation(totalNodes int, seed int64) (*ObjectiveAblationResult,
 	}
 	for _, obj := range []core.Objective{core.MinMax, core.MinSum, core.MaxMin} {
 		spec := core.Spec{
-			Resolution: cesm.Res1Deg,
-			Layout:     cesm.Layout1,
-			TotalNodes: totalNodes,
-			Perf:       models,
-			Objective:  obj,
-			// Keep the heuristic MaxMin search tractable.
-			ConstrainOcean: obj != core.MaxMin,
-			ConstrainAtm:   obj != core.MaxMin,
+			Resolution:     cesm.Res1Deg,
+			Layout:         cesm.Layout1,
+			TotalNodes:     totalNodes,
+			Perf:           models,
+			Objective:      obj,
+			ConstrainOcean: true,
+			ConstrainAtm:   true,
 		}
-		opt := core.SolverOptions()
-		if obj == core.MaxMin {
-			opt.MaxNodes = 5000
-		}
-		dec, err := core.SolveAllocation(spec, opt)
+		dec, err := core.SolveAllocation(spec, core.SolverOptions())
 		if err != nil {
-			// MaxMin is nonconvex and may fail; record as absent.
-			continue
+			return nil, fmt.Errorf("experiments: %v objective: %w", obj, err)
 		}
 		total, _ := core.PredictTotal(spec, dec.Alloc)
 		out.Totals[obj] = total

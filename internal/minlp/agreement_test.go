@@ -10,10 +10,9 @@ import (
 	"hslb/internal/model"
 )
 
-// TestAlgorithmsAgreeOnRandomConvexMINLP checks that the two branch-and-
-// bound flavours certify the same optimum on random convex min-max
-// allocation instances — the cross-validation MINOTAUR users get by
-// switching engines.
+// TestAlgorithmsAgreeOnRandomConvexMINLP checks that outer approximation
+// certifies the enumerated optimum on random convex min-max allocation
+// instances.
 func TestAlgorithmsAgreeOnRandomConvexMINLP(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -23,28 +22,38 @@ func TestAlgorithmsAgreeOnRandomConvexMINLP(t *testing.T) {
 		T := m.AddVar("T", model.Continuous, 0, 1e9)
 		vars := make([]expr.Var, k)
 		capTerms := make([]expr.Expr, k)
+		a, d := make([]float64, k), make([]float64, k)
 		for i := 0; i < k; i++ {
 			vars[i] = m.AddVar("n", model.Integer, 1, float64(N))
 			capTerms[i] = vars[i]
-			a := 20 + rng.Float64()*300
-			d := rng.Float64() * 10
-			body := expr.Sub(expr.Sum(expr.Div{Num: expr.C(a), Den: vars[i]}, expr.C(d)), T)
+			a[i] = 20 + rng.Float64()*300
+			d[i] = rng.Float64() * 10
+			body := expr.Sub(expr.Sum(expr.Div{Num: expr.C(a[i]), Den: vars[i]}, expr.C(d[i])), T)
 			m.AddConstraint("t", body, model.LE, 0)
 		}
 		m.AddConstraint("cap", expr.Sum(capTerms...), model.LE, float64(N))
 		m.SetObjective(T, model.Minimize)
 
-		oa, err1 := Solve(m, Options{Algorithm: OuterApprox})
-		bb, err2 := Solve(m, Options{Algorithm: NLPBB})
-		if err1 != nil || err2 != nil {
-			return false
+		// Every allocation with n_i ≥ 1 and Σ n_i ≤ N, enumerated.
+		want := math.Inf(1)
+		var enumerate func(i, left int, worst float64)
+		enumerate = func(i, left int, worst float64) {
+			if i == k {
+				want = math.Min(want, worst)
+				return
+			}
+			for n := 1; n <= left-(k-1-i); n++ {
+				enumerate(i+1, left-n, math.Max(worst, a[i]/float64(n)+d[i]))
+			}
 		}
-		if oa.Status != Optimal || bb.Status != Optimal {
-			// Both may legitimately be infeasible when k > N, but here
+		enumerate(0, N, 0)
+
+		oa, err := Solve(m, Options{})
+		if err != nil || oa.Status != Optimal {
 			// k << N always, so demand optimality.
 			return false
 		}
-		return math.Abs(oa.Obj-bb.Obj) <= 1e-3*(1+math.Abs(oa.Obj))
+		return math.Abs(oa.Obj-want) <= 1e-3*(1+math.Abs(want))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)

@@ -34,54 +34,48 @@ func hardHSLB(k, total int) *model.Model {
 // a 50 ms deadline must come back promptly with Status Deadline and a
 // feasible incumbent — not hang and not return nothing.
 func TestSolverDeadline(t *testing.T) {
-	for _, alg := range []Algorithm{OuterApprox, NLPBB} {
-		t.Run(alg.String(), func(t *testing.T) {
-			m := hardHSLB(80, 1_000_000)
-			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-			defer cancel()
-			start := time.Now()
-			r, err := SolveContext(ctx, m, Options{Algorithm: alg, MaxNodes: 1 << 30})
-			elapsed := time.Since(start)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if elapsed > 5*time.Second {
-				t.Fatalf("solver returned only after %v against a 50ms deadline", elapsed)
-			}
-			if r.Status != Deadline {
-				t.Fatalf("status = %v (nodes=%d, obj=%v), want deadline", r.Status, r.Nodes, r.Obj)
-			}
-			if r.X == nil {
-				t.Fatal("deadline result carries no incumbent")
-			}
-			if !m.IsFeasible(r.X, 1e-4) {
-				t.Fatalf("deadline incumbent infeasible: %v", r.X)
-			}
-		})
+	m := hardHSLB(80, 1_000_000)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	r, err := SolveContext(ctx, m, Options{MaxNodes: 1 << 30})
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed > 5*time.Second {
+		t.Fatalf("solver returned only after %v against a 50ms deadline", elapsed)
+	}
+	if r.Status != Deadline {
+		t.Fatalf("status = %v (nodes=%d, obj=%v), want deadline", r.Status, r.Nodes, r.Obj)
+	}
+	if r.X == nil {
+		t.Fatal("deadline result carries no incumbent")
+	}
+	if !m.IsFeasible(r.X, 1e-4) {
+		t.Fatalf("deadline incumbent infeasible: %v", r.X)
 	}
 }
 
 // TestSolverCancellation: an already-cancelled context stops the search at
 // the first node boundary rather than running the full tree.
 func TestSolverCancellation(t *testing.T) {
-	for _, alg := range []Algorithm{OuterApprox, NLPBB} {
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		r, err := SolveContext(ctx, hardHSLB(6, 100000), Options{Algorithm: alg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Status != Deadline {
-			t.Fatalf("alg=%v status = %v, want deadline", alg, r.Status)
-		}
-		if r.Nodes != 0 {
-			t.Fatalf("alg=%v processed %d nodes under a cancelled context", alg, r.Nodes)
-		}
-		// The rescue dive may or may not have produced an incumbent from
-		// the root relaxation; if it did, the incumbent must be feasible.
-		if r.X != nil && !hardHSLB(6, 100000).IsFeasible(r.X, 1e-4) {
-			t.Fatalf("alg=%v rescue incumbent infeasible", alg)
-		}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	r, err := SolveContext(ctx, hardHSLB(6, 100000), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Status != Deadline {
+		t.Fatalf("status = %v, want deadline", r.Status)
+	}
+	if r.Nodes != 0 {
+		t.Fatalf("processed %d nodes under a cancelled context", r.Nodes)
+	}
+	// The rescue dive may or may not have produced an incumbent from the
+	// root relaxation; if it did, the incumbent must be feasible.
+	if r.X != nil && !hardHSLB(6, 100000).IsFeasible(r.X, 1e-4) {
+		t.Fatal("rescue incumbent infeasible")
 	}
 }
 

@@ -65,36 +65,52 @@ func exactTableI(total int) float64 {
 	return time(slowest())
 }
 
-// TestSolveMatchesExactOptimum is the exactness gate for both algorithms:
-// on a bruteforceable instance and on the free Table I ladder the
-// certified answer must be the true optimum, not merely a value within the
-// pruning gap of it.
+// bruteTableI enumerates tableIModel(total, constrain) literally: every
+// count the first two components allow, then every split of the nodes left
+// between the last two. Handing the last two every node left loses
+// nothing, since every component time decreases in its node count.
+func bruteTableI(total int, constrain bool) float64 {
+	counts := []int{2, 4, 8, 16, 24, 48, 96}
+	if !constrain {
+		counts = make([]int, total)
+		for i := range counts {
+			counts[i] = i + 1
+		}
+	}
+	time := func(i, n int) float64 { return tableIComps[i].a/float64(n) + tableIComps[i].d }
+	best := math.Inf(1)
+	for _, n0 := range counts {
+		for _, n1 := range counts {
+			rest := total - n0 - n1
+			for n2 := 1; n2 < rest; n2++ {
+				t := math.Max(math.Max(time(0, n0), time(1, n1)), math.Max(time(2, n2), time(3, rest-n2)))
+				best = math.Min(best, t)
+			}
+		}
+	}
+	return best
+}
+
+// TestSolveMatchesExactOptimum is the exactness gate for the search: on a
+// bruteforceable instance and on the free Table I ladder the certified
+// answer must be the true optimum, not merely a value within the pruning
+// gap of it.
 func TestSolveMatchesExactOptimum(t *testing.T) {
 	t.Run("brute-force", func(t *testing.T) {
 		a1, d1, a2, d2, total := 1000.0, 10.0, 800.0, 8.0, 12
 		wantObj, wantN1, wantN2 := bruteMiniHSLB(a1, d1, a2, d2, total)
-		for _, alg := range []Algorithm{NLPBB, OuterApprox} {
-			r := solveWith(t, miniHSLB(a1, d1, a2, d2, total), Options{Algorithm: alg})
-			if !approxEq(r.Obj, wantObj, 1e-5) {
-				t.Fatalf("%v: obj %v, want %v", alg, r.Obj, wantObj)
-			}
-			if math.Round(r.X[1]) != float64(wantN1) || math.Round(r.X[2]) != float64(wantN2) {
-				t.Fatalf("%v: allocation (%v, %v), want (%d, %d)", alg, r.X[1], r.X[2], wantN1, wantN2)
-			}
+		r := solveWith(t, miniHSLB(a1, d1, a2, d2, total), Options{})
+		if !approxEq(r.Obj, wantObj, 1e-5) {
+			t.Fatalf("obj %v, want %v", r.Obj, wantObj)
+		}
+		if math.Round(r.X[1]) != float64(wantN1) || math.Round(r.X[2]) != float64(wantN2) {
+			t.Fatalf("allocation (%v, %v), want (%d, %d)", r.X[1], r.X[2], wantN1, wantN2)
 		}
 	})
-	ladder := []struct {
-		name  string
-		alg   Algorithm
-		total int
-	}{
-		{"nlpbb", NLPBB, 1024}, {"nlpbb", NLPBB, 2048},
-		{"oa", OuterApprox, 1024}, {"oa", OuterApprox, 2048}, {"oa", OuterApprox, 4096},
-	}
-	for _, tc := range ladder {
-		t.Run(fmt.Sprintf("tableI-%s-%d", tc.name, tc.total), func(t *testing.T) {
-			want := exactTableI(tc.total)
-			r := solveWith(t, tableIModel(tc.total, false), Options{Algorithm: tc.alg})
+	for _, total := range []int{1024, 2048, 4096} {
+		t.Run(fmt.Sprintf("tableI-oa-%d", total), func(t *testing.T) {
+			want := exactTableI(total)
+			r := solveWith(t, tableIModel(total, false), Options{})
 			if rel := math.Abs(r.Obj-want) / want; rel > 1e-9 {
 				t.Fatalf("obj %v, exact optimum %v (relative error %.3g)", r.Obj, want, rel)
 			}

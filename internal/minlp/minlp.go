@@ -1,25 +1,19 @@
 // Package minlp implements convex mixed-integer nonlinear programming by
 // branch-and-bound, reproducing the solver layer the paper takes from
-// MINOTAUR (§III-E).
+// MINOTAUR (§III-E): the LP/NLP-based branch-and-bound of Quesada and
+// Grossmann (OuterApprox). A single search tree solves MILP/LP relaxations
+// built from outer-approximation cuts ∇f(xᵏ)ᵀ(x−xᵏ) + f(xᵏ) ≤ 0 (paper
+// eq. 4), branching on fractional integers or on SOS-1 sets; when an
+// integer-feasible LP point violates a nonlinear constraint, the subproblem
+// with fixed integers is solved and new cuts are added, tightening the
+// relaxation everywhere in the tree. That subproblem is one exact LP when
+// every variable under a nonlinear operator is integer (true of every HSLB
+// model, see Result.ExactSubproblems) and an NLP otherwise.
 //
-// Two algorithms are provided:
-//
-//   - NLPBB: classic nonlinear branch-and-bound. Every node solves the
-//     continuous NLP relaxation; branching is on fractional integers or on
-//     SOS-1 sets.
-//
-//   - OuterApprox: the LP/NLP-based branch-and-bound of Quesada–Grossmann,
-//     the algorithm the paper uses. A single search tree solves MILP/LP
-//     relaxations built from outer-approximation cuts
-//     ∇f(xᵏ)ᵀ(x−xᵏ) + f(xᵏ) ≤ 0 (paper eq. 4); when an integer-feasible LP
-//     point violates a nonlinear constraint, the subproblem with fixed
-//     integers is solved and new cuts are added, tightening the relaxation
-//     everywhere in the tree. That subproblem is one exact LP when every
-//     variable under a nonlinear operator is integer (true of every HSLB
-//     model, see Result.ExactSubproblems) and an NLP otherwise.
-//
-// Positivity of the fitted coefficients makes the HSLB constraints convex
-// (paper §III-E), so both algorithms certify global optimality.
+// Positivity of the fitted coefficients makes the HSLB min-max and min-sum
+// constraints convex (paper §III-E), so the search certifies global
+// optimality there. On a nonconvex model a cut can cut off the optimum;
+// internal/core answers those specs by its exact search instead.
 package minlp
 
 import (
@@ -37,10 +31,12 @@ import (
 // Algorithm selects the branch-and-bound flavour.
 type Algorithm int
 
-// Algorithms.
+// Algorithms. OuterApprox is the only one SolveContext runs; NLPBB, the
+// NLP-based branch-and-bound this package used to carry, is kept as a name
+// so existing callers compile, and SolveContext rejects it.
 const (
 	OuterApprox Algorithm = iota // LP/NLP-based B&B (paper's choice)
-	NLPBB                        // NLP-based B&B
+	NLPBB                        // removed NLP-based B&B
 )
 
 func (a Algorithm) String() string {
@@ -56,6 +52,7 @@ func (a Algorithm) String() string {
 
 // Options configures the solver.
 type Options struct {
+	// Algorithm must be OuterApprox, the zero value.
 	Algorithm Algorithm
 	// RelGap is an additional relative pruning gap: subtrees whose bound is
 	// within gapTol + RelGap·|incumbent| of the incumbent are pruned.
@@ -118,13 +115,12 @@ type Result struct {
 	X      []float64 // length = original model variable count
 	Obj    float64   // objective in the model's own sense
 	Nodes  int       // branch-and-bound nodes processed
-	// NLPSolves counts subproblem solves: the continuous relaxations
-	// (OuterApprox's root and unbounded-LP recoveries, every NLPBB node)
-	// plus each OuterApprox fixed-integer subproblem and one for a
-	// canonical finish that took, whichever solver answered them — one LP
-	// when ExactSubproblems holds, the NLP solver otherwise.
+	// NLPSolves counts subproblem solves: the continuous relaxations (the
+	// root and unbounded-LP recoveries) plus each fixed-integer subproblem
+	// and one for a canonical finish that took, whichever solver answered
+	// them — one LP when ExactSubproblems holds, the NLP solver otherwise.
 	NLPSolves int
-	Cuts      int // outer-approximation cuts added (OuterApprox only)
+	Cuts      int // outer-approximation cuts added
 	// ExactSubproblems reports that every variable under a nonlinear
 	// operator in a nonlinear constraint is integer, so fixing the integers
 	// leaves an LP and each fixed-integer subproblem is solved exactly by
@@ -136,13 +132,12 @@ type Result struct {
 	// simplex, or an LP point the model's rows reject).
 	NLPFallbacks int
 	Presolve     PresolveStats
-	// LPWarm reports warm-start activity of the outer-approximation node
-	// LPs (zero for NLPBB, which solves no LPs).
+	// LPWarm reports warm-start activity of the node LPs.
 	LPWarm lp.WarmStats
 }
 
 // ErrNonlinearEquality is returned for models with nonlinear equality
-// constraints, which break the convexity assumptions of both algorithms.
+// constraints, which break the convexity assumptions of the search.
 var ErrNonlinearEquality = errors.New("minlp: nonlinear equality constraints are not supported")
 
 // Solve optimizes the convex MINLP.
@@ -159,6 +154,9 @@ func Solve(m *model.Model, opt Options) (*Result, error) {
 // from the most recent relaxation point and solves one fixed-integer
 // subproblem to manufacture a feasible point before giving up.
 func SolveContext(ctx context.Context, m *model.Model, opt Options) (*Result, error) {
+	if opt.Algorithm != OuterApprox {
+		return nil, fmt.Errorf("minlp: algorithm %v is not available; the solver is %v (LP/NLP-based branch-and-bound)", opt.Algorithm, OuterApprox)
+	}
 	opt = opt.withDefaults()
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -172,13 +170,7 @@ func SolveContext(ctx context.Context, m *model.Model, opt Options) (*Result, er
 	if ps.Infeasible {
 		return &Result{Status: Infeasible, Presolve: ps, ExactSubproblems: w.exact}, nil
 	}
-	var res *Result
-	switch {
-	case opt.Algorithm == NLPBB:
-		res, err = solveNLPBB(ctx, w, opt)
-	default:
-		res, err = solveOA(ctx, w, opt)
-	}
+	res, err := solveOA(ctx, w, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -199,16 +191,16 @@ func SolveContext(ctx context.Context, m *model.Model, opt Options) (*Result, er
 // canonicalFinish maps an Optimal answer to one representative of its
 // tie class. HSLB models are degenerate: a component off the critical path
 // can hold a few spare nodes without moving the makespan, so several
-// integer assignments share the optimal objective, and NLP-BB and outer
-// approximation (or one algorithm under different pruning gaps) can land on
-// different ones. The integer variables are fixed to the incumbent's
-// (rounded) assignment, walked down to the component-wise smallest tied
-// assignment, and the continuous variables re-solved, so any two solves
-// that agree on the tie class return bit-identical X and Obj — the
-// continuous part is a function of the assignment, not of the warm-start
-// chain that reached it. When ExactSubproblems holds each re-solve is one
-// exact LP; otherwise it is an NLP from the deterministic nil start, and
-// if that polish stalls the raw incumbent stands.
+// integer assignments share the optimal objective, and the search can land
+// on different ones under different pruning gaps or branching rules. The
+// integer variables are fixed to the incumbent's (rounded) assignment,
+// walked down to the component-wise smallest tied assignment, and the
+// continuous variables re-solved, so any two solves that agree on the tie
+// class return bit-identical X and Obj — the continuous part is a function
+// of the assignment, not of the warm-start chain that reached it. When
+// ExactSubproblems holds each re-solve is one exact LP; otherwise it is an
+// NLP from the deterministic nil start, and if that polish stalls the raw
+// incumbent stands.
 func canonicalFinish(w *work, raw []float64) ([]float64, float64, bool) {
 	m := w.m
 	intVars := m.IntegerVars()
@@ -716,36 +708,12 @@ func (w *work) nlViolation(x []float64) float64 {
 type node struct {
 	lower, upper []float64
 	bound        float64
-	// seq is the node's creation order, the heap's tie-break between
-	// equal bounds. Equal-bound ties are common here (both children of a
-	// branch inherit the parent relaxation's objective), and
-	// container/heap resolves them by internal position — stable for one
-	// fixed pop/push sequence but not something to build determinism on.
-	// Breaking ties by creation order pins the best-first order itself.
-	// Nodes that never get a seq (OuterApprox) tie at 0 and keep the
-	// positional behavior.
-	seq int64
-	// start warm-starts the node's NLP relaxation from the parent's
-	// solution (nil at the root falls back to the box midpoint). The
-	// first-order augmented-Lagrangian NLP needs this on SOS-branched
-	// children: pinning selectors to zero moves the box midpoint far off
-	// the Σy=1 manifold, and a cold start from there stalls and
-	// misreports feasible children as infeasible — silently pruning
-	// feasible subtrees. The parent's point is one projection away from
-	// the child's box and keeps the solve in its convergent regime.
-	// Aliased by both children and never written through.
-	start []float64
 }
 
 type nodeHeap []*node
 
-func (h nodeHeap) Len() int { return len(h) }
-func (h nodeHeap) Less(i, j int) bool {
-	if h[i].bound != h[j].bound {
-		return h[i].bound < h[j].bound
-	}
-	return h[i].seq < h[j].seq
-}
+func (h nodeHeap) Len() int            { return len(h) }
+func (h nodeHeap) Less(i, j int) bool  { return h[i].bound < h[j].bound }
 func (h nodeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *nodeHeap) Push(x interface{}) { *h = append(*h, x.(*node)) }
 func (h *nodeHeap) Pop() interface{} {

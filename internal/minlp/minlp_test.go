@@ -3,6 +3,7 @@ package minlp
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -65,15 +66,13 @@ func TestMiniHSLBBothAlgorithms(t *testing.T) {
 	a1, d1, a2, d2 := 100.0, 5.0, 80.0, 3.0
 	N := 30
 	want, _, _ := bruteMiniHSLB(a1, d1, a2, d2, N)
-	for _, alg := range []Algorithm{OuterApprox, NLPBB} {
-		m := miniHSLB(a1, d1, a2, d2, N)
-		r := solveWith(t, m, Options{Algorithm: alg})
-		if !approxEq(r.Obj, want, 1e-3) {
-			t.Errorf("alg=%v obj = %v, want %v (X=%v)", alg, r.Obj, want, r.X)
-		}
-		if !m.IsFeasible(r.X, 1e-4) {
-			t.Errorf("alg=%v infeasible solution %v", alg, r.X)
-		}
+	m := miniHSLB(a1, d1, a2, d2, N)
+	r := solveWith(t, m, Options{})
+	if !approxEq(r.Obj, want, 1e-3) {
+		t.Errorf("obj = %v, want %v (X=%v)", r.Obj, want, r.X)
+	}
+	if !m.IsFeasible(r.X, 1e-4) {
+		t.Errorf("infeasible solution %v", r.X)
 	}
 }
 
@@ -172,14 +171,12 @@ func TestNonlinearObjectiveEpigraph(t *testing.T) {
 	m := model.New()
 	x := m.AddVar("x", model.Integer, 0, 10)
 	m.SetObjective(expr.Pow{Base: expr.Sub(x, expr.C(2.6)), Exponent: expr.C(2)}, model.Minimize)
-	for _, alg := range []Algorithm{OuterApprox, NLPBB} {
-		r := solveWith(t, m, Options{Algorithm: alg})
-		if math.Round(r.X[0]) != 3 {
-			t.Errorf("alg=%v x = %v, want 3", alg, r.X[0])
-		}
-		if !approxEq(r.Obj, 0.16, 1e-3) {
-			t.Errorf("alg=%v obj = %v, want 0.16", alg, r.Obj)
-		}
+	r := solveWith(t, m, Options{})
+	if math.Round(r.X[0]) != 3 {
+		t.Errorf("x = %v, want 3", r.X[0])
+	}
+	if !approxEq(r.Obj, 0.16, 1e-3) {
+		t.Errorf("obj = %v, want 0.16", r.Obj)
 	}
 }
 
@@ -203,14 +200,12 @@ func TestInfeasibleMINLP(t *testing.T) {
 	n := m.AddVar("n", model.Integer, 1, 10)
 	m.AddConstraint("perf", expr.Div{Num: expr.C(100), Den: n}, model.LE, 1)
 	m.SetObjective(n, model.Minimize)
-	for _, alg := range []Algorithm{OuterApprox, NLPBB} {
-		r, err := Solve(m, Options{Algorithm: alg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Status != Infeasible {
-			t.Errorf("alg=%v status = %v, want infeasible", alg, r.Status)
-		}
+	r, err := Solve(m, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Status != Infeasible {
+		t.Errorf("status = %v, want infeasible", r.Status)
 	}
 }
 
@@ -276,5 +271,17 @@ func TestAlgorithmStrings(t *testing.T) {
 	}
 	if Optimal.String() != "optimal" || Infeasible.String() != "infeasible" || NodeLimit.String() != "node-limit" {
 		t.Error("status strings wrong")
+	}
+}
+
+// TestSolveRejectsOtherAlgorithms: outer approximation is the one tree
+// search; any other Algorithm value is an error that names the solver,
+// not a silent fallback.
+func TestSolveRejectsOtherAlgorithms(t *testing.T) {
+	for _, alg := range []Algorithm{NLPBB, Algorithm(7)} {
+		r, err := Solve(miniHSLB(100, 5, 80, 3, 20), Options{Algorithm: alg})
+		if err == nil || r != nil || !strings.Contains(err.Error(), OuterApprox.String()) {
+			t.Fatalf("%v: result %+v, err %v; want an error naming %v", alg, r, err, OuterApprox)
+		}
 	}
 }

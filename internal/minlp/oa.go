@@ -222,3 +222,21 @@ func dotObj(c, x []float64) float64 {
 	}
 	return s
 }
+
+func resultOf(x []float64, obj float64, st Status, nodes, nlpSolves, cuts int) *Result {
+	if x == nil {
+		if st == Optimal {
+			st = Infeasible
+		}
+		return &Result{Status: st, Nodes: nodes, NLPSolves: nlpSolves, Cuts: cuts}
+	}
+	return &Result{Status: st, X: x, Obj: obj, Nodes: nodes, NLPSolves: nlpSolves, Cuts: cuts}
+}
+
+func snapInts(x []float64, intVars []int) []float64 {
+	out := append([]float64(nil), x...)
+	for _, j := range intVars {
+		out[j] = math.Round(out[j])
+	}
+	return out
+}

@@ -17,13 +17,9 @@ func TestOAWarmStartsEngage(t *testing.T) {
 	if r.LPWarm.WarmResolves == 0 {
 		t.Fatalf("no warm LP resolves recorded: %+v (cut rounds should re-solve warm)", r.LPWarm)
 	}
-	// Agreement with the NLP-BB answer on the same model guards against a
-	// warm-path wrong answer hiding behind a plausible objective.
-	bb, err := Solve(tableIModel(96, true), Options{Algorithm: NLPBB, BranchSOS: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approxEq(r.Obj, bb.Obj, 1e-5) {
-		t.Fatalf("OA obj %v disagrees with NLPBB obj %v", r.Obj, bb.Obj)
+	// Agreement with the enumerated optimum of the same model guards
+	// against a warm-path wrong answer hiding behind a plausible objective.
+	if want := bruteTableI(96, true); !approxEq(r.Obj, want, 1e-5) {
+		t.Fatalf("OA obj %v disagrees with the enumerated optimum %v", r.Obj, want)
 	}
 }

@@ -124,7 +124,7 @@ func TestWaitPollsReuseConnection(t *testing.T) {
 // server's bit for bit.
 func TestConcurrentSolvesParallelWorkers(t *testing.T) {
 	_, _, seqClient := newServerWith(t, Config{MaxConcurrent: 2})
-	seqRes, err := seqClient.Solve(context.Background(), &SolveRequest{Model: miniModel, Algorithm: "nlpbb"})
+	seqRes, err := seqClient.Solve(context.Background(), &SolveRequest{Model: miniModel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestConcurrentSolvesParallelWorkers(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = c.Solve(ctx, &SolveRequest{Model: miniModel, Algorithm: "nlpbb"})
+			results[i], errs[i] = c.Solve(ctx, &SolveRequest{Model: miniModel})
 		}(i)
 	}
 	wg.Wait()

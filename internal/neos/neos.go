@@ -38,7 +38,8 @@ import (
 type SolveRequest struct {
 	// Model is AMPL source text.
 	Model string `json:"model"`
-	// Algorithm is "oa" (default, LP/NLP branch-and-bound) or "nlpbb".
+	// Algorithm is "oa" (the default and only value): LP/NLP-based
+	// branch-and-bound. Any other value is answered with status "error".
 	Algorithm string `json:"algorithm,omitempty"`
 	// BranchSOS enables SOS branching.
 	BranchSOS bool `json:"branch_sos,omitempty"`
@@ -91,15 +92,23 @@ type JobResult struct {
 // server's solve paths use: ctx bounds the solve (expiry yields status
 // "deadline" with the best incumbent). It exists for fleet nodes
 // (cmd/hslbworker) that lease jobs over the work protocol and execute them
-// locally; parse errors return status "error", never an error value. The
-// int argument is ignored: the solver is sequential, and the parameter is
-// kept only so existing callers still compile.
+// locally; request errors return status "error", never an error value.
+// The int argument is ignored: the solver is sequential, and the parameter
+// is kept only so existing callers still compile.
 func ExecuteRequest(ctx context.Context, req *SolveRequest, _ int) *SolveResponse {
-	parsed, err := ampl.Parse(req.Model)
+	parsed, err := parseRequest(req)
 	if err != nil {
 		return &SolveResponse{Status: "error", Error: err.Error()}
 	}
 	return solveParsedContext(ctx, parsed, req)
+}
+
+// parseRequest checks the request's algorithm and parses its model.
+func parseRequest(req *SolveRequest) (*ampl.Result, error) {
+	if req.Algorithm != "" && req.Algorithm != "oa" {
+		return nil, fmt.Errorf("unknown algorithm %q: the solver is \"oa\", LP/NLP-based branch-and-bound", req.Algorithm)
+	}
+	return ampl.Parse(req.Model)
 }
 
 // solveParsedContext optimizes an already-parsed request; when ctx carries a
@@ -110,14 +119,6 @@ func solveParsedContext(ctx context.Context, parsed *ampl.Result, req *SolveRequ
 		BranchSOS: req.BranchSOS,
 		MaxNodes:  req.MaxNodes,
 		RelGap:    req.RelGap,
-	}
-	switch req.Algorithm {
-	case "", "oa":
-		opt.Algorithm = minlp.OuterApprox
-	case "nlpbb":
-		opt.Algorithm = minlp.NLPBB
-	default:
-		return &SolveResponse{Status: "error", Error: "unknown algorithm " + req.Algorithm}
 	}
 	res, err := minlp.SolveContext(ctx, parsed.Model, opt)
 	if err != nil {

@@ -144,14 +144,26 @@ func TestParseErrorSurfaced(t *testing.T) {
 	}
 }
 
+// TestUnknownAlgorithm: "oa" is the one solver. Any other value, the
+// removed "nlpbb" included, is a request error that names it, answered
+// before the solver runs.
 func TestUnknownAlgorithm(t *testing.T) {
 	_, c := newTestServer(t)
-	res, err := c.Solve(context.Background(), &SolveRequest{Model: miniModel, Algorithm: "simplexx"})
+	for _, alg := range []string{"simplexx", "nlpbb"} {
+		res, err := c.Solve(context.Background(), &SolveRequest{Model: miniModel, Algorithm: alg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Status != "error" || !strings.Contains(res.Error, `"oa"`) {
+			t.Fatalf("%s: unknown algorithm accepted or unexplained: %+v", alg, res)
+		}
+	}
+	m, err := c.Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Status != "error" {
-		t.Fatalf("unknown algorithm accepted: %+v", res)
+	if m.Solves.Count != 0 {
+		t.Fatalf("solver ran %d times for requests it cannot answer", m.Solves.Count)
 	}
 }
 

@@ -317,17 +317,13 @@ func (s *Server) Handler() http.Handler {
 // plus the solver options. The parse is returned so callers solve without
 // re-parsing.
 func requestKey(req *SolveRequest) (string, *ampl.Result, error) {
-	parsed, err := ampl.Parse(req.Model)
+	parsed, err := parseRequest(req)
 	if err != nil {
 		return "", nil, err
 	}
-	alg := req.Algorithm
-	if alg == "" {
-		alg = "oa"
-	}
 	h := sha256.New()
 	io.WriteString(h, parsed.CanonicalForm())
-	fmt.Fprintf(h, "|alg=%s|sos=%t|nodes=%d|gap=%g", alg, req.BranchSOS, req.MaxNodes, req.RelGap)
+	fmt.Fprintf(h, "|alg=oa|sos=%t|nodes=%d|gap=%g", req.BranchSOS, req.MaxNodes, req.RelGap)
 	return hex.EncodeToString(h.Sum(nil)), parsed, nil
 }
 
@@ -343,10 +339,11 @@ func RequestKey(req *SolveRequest) (string, error) {
 // solve is the one solve path, for /solve and async jobs alike: a cache
 // hit, else join the key's in-flight solve or lead it (see lead), so a herd
 // of identical requests gets one answer — full quality, degraded, or one
-// refusal (a shedError). Parse errors are answered uncached with status
-// "error". ctx may carry the client's propagated deadline; coalesced
-// followers share the leader's budget, which is safe because deadline
-// results are never cached.
+// refusal (a shedError). Request errors (an unknown algorithm, a model
+// that does not parse) are answered uncached with status "error", before
+// the solver or its breaker see them. ctx may carry the client's
+// propagated deadline; coalesced followers share the leader's budget,
+// which is safe because deadline results are never cached.
 func (s *Server) solve(ctx context.Context, req *SolveRequest, admit bool) (*SolveResponse, error) {
 	key, parsed, err := requestKey(req)
 	if err != nil {

@@ -6,8 +6,8 @@
 // hints and queue-wait estimates.
 //
 // The package mirrors, at the service tier, the per-request degradation
-// ladder the pipeline already walks (configured solver → NLP-BB →
-// exhaustive search): when the full-quality path is unavailable the server
+// ladder the pipeline already walks (configured solver → exhaustive
+// search): when the full-quality path is unavailable the server
 // browns out — cache hits, then cheap rounding answers, then explicit 429
 // shedding — rather than converting every request into a timeout.
 //
