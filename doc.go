@@ -3,7 +3,7 @@
 // Leyffer, Jacob, Craig — IPDPS Workshops 2014) as a self-contained Go
 // library: the HSLB gather→fit→solve→execute pipeline, the MINLP modeling
 // and branch-and-bound solver stack it depends on (simplex LP, MILP,
-// augmented-Lagrangian NLP, outer-approximation MINLP with SOS-1
+// outer-approximation MINLP with tangent-cut LP subproblems and SOS-1
 // branching), a calibrated CESM performance simulator standing in for the
 // Intrepid Blue Gene/P runs, an AMPL-subset parser, and a NEOS-like HTTP
 // solve service.

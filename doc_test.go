@@ -348,3 +348,20 @@ func TestEveryOptionFieldIsSet(t *testing.T) {
 		}
 	}
 }
+
+// TestMinlpImportsNoNLP: the search's one subproblem mechanism is the LP
+// with outer-approximation cuts (tangent pool at the root, Kelley rounds for
+// fixed-integer subproblems), so no non-test file of internal/minlp may
+// import the NLP solver.
+func TestMinlpImportsNoNLP(t *testing.T) {
+	parseModule(t, func(path string, f *ast.File) {
+		if !strings.HasPrefix(path, "internal/minlp/") || strings.HasSuffix(path, "_test.go") {
+			return
+		}
+		for _, imp := range f.Imports {
+			if strings.Trim(imp.Path.Value, `"`) == "hslb/internal/nlp" {
+				t.Errorf("%s imports hslb/internal/nlp", path)
+			}
+		}
+	})
+}

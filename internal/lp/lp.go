@@ -9,6 +9,7 @@
 package lp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -72,6 +73,7 @@ const (
 	Infeasible
 	Unbounded
 	IterationLimit
+	Canceled // the context ended the solve first (WarmSolver.SolveContext)
 )
 
 func (s Status) String() string {
@@ -84,6 +86,8 @@ func (s Status) String() string {
 		return "unbounded"
 	case IterationLimit:
 		return "iteration-limit"
+	case Canceled:
+		return "canceled"
 	default:
 		return fmt.Sprintf("Status(%d)", int(s))
 	}
@@ -125,6 +129,7 @@ type tableau struct {
 	cost    []float64
 	dj      []float64 // reduced-cost row
 	iters   int
+	ctx     context.Context // polled by the pivot loops
 
 	// Original-coordinate recovery.
 	reflect    []bool    // original var j was reflected x → u−x'
@@ -137,13 +142,14 @@ type tableau struct {
 // Solve optimizes the problem. The returned solution's X has length
 // p.NumVars.
 func Solve(p *Problem) (*Solution, error) {
-	sol, _, err := solveKeep(p)
+	sol, _, err := solveKeep(context.Background(), p)
 	return sol, err
 }
 
-// solveKeep is Solve, but also returns the final tableau when the solve
-// ended Optimal (nil otherwise), so a WarmSolver can continue from it.
-func solveKeep(p *Problem) (*Solution, *tableau, error) {
+// solveKeep is Solve under a context, but also returns the final tableau
+// when the solve ended Optimal (nil otherwise), so a WarmSolver can
+// continue from it.
+func solveKeep(ctx context.Context, p *Problem) (*Solution, *tableau, error) {
 	if err := validate(p); err != nil {
 		return nil, nil, err
 	}
@@ -151,6 +157,7 @@ func solveKeep(p *Problem) (*Solution, *tableau, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	t.ctx = ctx
 
 	// Phase 1: minimize the sum of artificial variables.
 	phase1 := make([]float64, t.n)
@@ -158,8 +165,8 @@ func solveKeep(p *Problem) (*Solution, *tableau, error) {
 		phase1[j] = 1
 	}
 	st := t.run(phase1)
-	if st == IterationLimit {
-		return &Solution{Status: IterationLimit}, nil, nil
+	if st == IterationLimit || st == Canceled {
+		return &Solution{Status: st}, nil, nil
 	}
 	if t.objValue(phase1) > feasTol {
 		return &Solution{Status: Infeasible}, nil, nil
@@ -171,12 +178,8 @@ func solveKeep(p *Problem) (*Solution, *tableau, error) {
 
 	// Phase 2: minimize the true objective (in transformed coordinates;
 	// the constant offset from reflections does not affect the argmin).
-	st = t.run(t.objCost)
-	switch st {
-	case Unbounded:
-		return &Solution{Status: Unbounded}, nil, nil
-	case IterationLimit:
-		return &Solution{Status: IterationLimit}, nil, nil
+	if st = t.run(t.objCost); st != Optimal {
+		return &Solution{Status: st}, nil, nil
 	}
 	return t.solution(p), t, nil
 }
@@ -422,6 +425,9 @@ func (t *tableau) run(c []float64) Status {
 	for iter := 0; ; iter++ {
 		if iter > limit {
 			return IterationLimit
+		}
+		if iter%64 == 0 && t.ctx.Err() != nil {
+			return Canceled
 		}
 		bland := iter > blandAt
 		j, dir := t.chooseEntering(bland)

@@ -1,6 +1,9 @@
 package lp
 
-import "math"
+import (
+	"context"
+	"math"
+)
 
 // WarmSolver solves a sequence of LPs that differ only by appended
 // constraints, re-solving warm from the previous optimal basis instead of
@@ -78,10 +81,17 @@ func (ws *WarmSolver) AddConstraint(coef []float64, sense Sense, rhs float64) {
 
 // Solve optimizes the current problem, warm when possible.
 func (ws *WarmSolver) Solve() (*Solution, error) {
+	return ws.SolveContext(context.Background())
+}
+
+// SolveContext is Solve, but polls ctx every 64 pivots and returns Status
+// Canceled once it is done.
+func (ws *WarmSolver) SolveContext(ctx context.Context) (*Solution, error) {
 	if ws.t == nil {
-		return ws.cold()
+		return ws.cold(ctx)
 	}
 	t := ws.t
+	t.ctx = ctx
 	pivots, flips, st := t.dualSimplex(t.objCost)
 	ws.stats.DualPivots += pivots
 	ws.stats.BoundFlips += flips
@@ -91,17 +101,17 @@ func (ws *WarmSolver) Solve() (*Solution, error) {
 		// valid for further appends, but re-prove cold to keep the cached
 		// state conservative.
 		ws.t = nil
-		return ws.cold()
+		return ws.cold(ctx)
 	}
 	if st != Optimal {
 		ws.t = nil
-		return ws.cold()
+		return ws.cold(ctx)
 	}
 	// Primal clean-up: the dual pivots restore feasibility; this pass
 	// restores optimality (and certifies it) under the standard rules.
 	if st := t.run(t.objCost); st != Optimal {
 		ws.t = nil
-		return ws.cold()
+		return ws.cold(ctx)
 	}
 	ws.stats.WarmResolves++
 	return t.solution(ws.p), nil
@@ -109,9 +119,9 @@ func (ws *WarmSolver) Solve() (*Solution, error) {
 
 // cold runs a full two-phase solve and caches the basis when it finishes
 // Optimal.
-func (ws *WarmSolver) cold() (*Solution, error) {
+func (ws *WarmSolver) cold(ctx context.Context) (*Solution, error) {
 	ws.stats.ColdSolves++
-	sol, t, err := solveKeep(ws.p)
+	sol, t, err := solveKeep(ctx, ws.p)
 	ws.t = t // nil unless Optimal
 	return sol, err
 }
@@ -275,7 +285,7 @@ func (t *tableau) appendRows(cs []Constraint) bool {
 // entering variable past its opposite bound are resolved as bound flips
 // without a pivot. Returns the pivot and flip counts and a status:
 // Optimal (feasible again), Infeasible (a row's violation cannot be
-// reduced — the appended cuts are inconsistent), or IterationLimit.
+// reduced — the appended cuts are inconsistent), IterationLimit or Canceled.
 func (t *tableau) dualSimplex(c []float64) (pivots, flips int, st Status) {
 	t.cost = c
 	t.computeReducedCosts()
@@ -283,6 +293,9 @@ func (t *tableau) dualSimplex(c []float64) (pivots, flips int, st Status) {
 	for iter := 0; ; iter++ {
 		if iter > limit {
 			return pivots, flips, IterationLimit
+		}
+		if iter%64 == 0 && t.ctx.Err() != nil {
+			return pivots, flips, Canceled
 		}
 		// Most-infeasible basic variable.
 		r, viol, below := -1, feasTol, false

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -163,6 +164,28 @@ func TestWarmActuallyWarm(t *testing.T) {
 	if st.ColdSolves != 1 {
 		t.Fatalf("cold solves = %d, want exactly the initial one: %+v", st.ColdSolves, st)
 	}
+}
+
+// TestSolveContextCanceled: a done context stops the cold and the warm
+// path alike with Status Canceled, and the same solver answers once it is
+// asked under a live context again.
+func TestSolveContextCanceled(t *testing.T) {
+	p := NewProblem(3)
+	p.Obj = []float64{-1, -2, -1}
+	p.Upper = []float64{10, 10, 10}
+	p.AddConstraint([]float64{1, 1, 1}, LE, 15)
+	ws := NewWarmSolver(p)
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	if sol, err := ws.SolveContext(done); err != nil || sol.Status != Canceled {
+		t.Fatalf("cold under a done context: %+v, %v; want canceled", sol, err)
+	}
+	checkAgainstCold(t, "cold", ws)
+	ws.AddConstraint([]float64{0, 1, 1}, LE, 9)
+	if sol, err := ws.SolveContext(done); err != nil || sol.Status != Canceled {
+		t.Fatalf("warm under a done context: %+v, %v; want canceled", sol, err)
+	}
+	checkAgainstCold(t, "after cut", ws)
 }
 
 // TestWarmInfeasibleAfterCut: contradictory cuts must be reported

@@ -118,13 +118,12 @@ func TestSolveMatchesExactOptimum(t *testing.T) {
 	}
 }
 
-// TestFixedLPFallsBackOnRejectedPoint forces the exact-subproblem path onto
-// a model that fails the structural test (9/y with y continuous), so the
-// fixed LP linearizes 9/y at y = 1 and its optimum (y = 2, T = 9) misses
-// the true row 36/4 + 9/2 ≤ T by 4.5. fixedLP must refuse that point and
-// solveFixed must answer through the NLP, counting one fallback; on a model
-// that passes the test the LP decides and nothing falls back.
-func TestFixedLPFallsBackOnRejectedPoint(t *testing.T) {
+// TestFixedLPKelleyRounds: on a model nonlinear in a continuous variable
+// (9/y), the fixed LP's first tangent at y = 1 gives y = 2, T = 9, which
+// misses the true row 36/4 + 9/2 ≤ T by 4.5; the Kelley rounds must close
+// that to the subproblem's optimum 13.5. On a Table I model, whose rows are
+// affine once the node counts are fixed, one LP solve is exact.
+func TestFixedLPKelleyRounds(t *testing.T) {
 	m := model.New()
 	n := m.AddVar("n", model.Integer, 1, 6)
 	y := m.AddVar("y", model.Continuous, 0.5, 6)
@@ -136,21 +135,11 @@ func TestFixedLPFallsBackOnRejectedPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.exact {
-		t.Fatal("structural test passed a continuous variable under a division")
-	}
-	w.exact = true
 	z := make([]float64, w.m.NumVars())
 	z[n.Index], z[y.Index] = 4, 1
-	if fs, decided := w.fixedLP(z); decided {
-		t.Fatalf("fixedLP decided %+v; its point violates the time row", fs)
-	}
-	fs, err := w.solveFixed(z, nil, 0)
-	if err != nil || fs == nil {
-		t.Fatalf("NLP fallback: %v, %v", fs, err)
-	}
-	if math.Abs(fs.obj-13.5) > 1e-4 || w.nlpFallbacks != 1 {
-		t.Fatalf("obj %v after %d fallbacks; want 13.5 after 1", fs.obj, w.nlpFallbacks)
+	fs := w.fixedLP(z)
+	if fs == nil || math.Abs(fs.obj-13.5) > 1e-4 || w.subLPs < 2 {
+		t.Fatalf("fixedLP %+v after %d LP solves; want obj 13.5 after more than one", fs, w.subLPs)
 	}
 
 	w, err = prepare(tableIModel(64, false))
@@ -161,9 +150,9 @@ func TestFixedLPFallsBackOnRejectedPoint(t *testing.T) {
 	for _, j := range w.m.IntegerVars() {
 		z[j] = 16
 	}
-	fs, err = w.solveFixed(z, nil, 0)
-	if err != nil || fs == nil || !w.exact || w.nlpFallbacks != 0 {
-		t.Fatalf("exact model: %+v, %v, exact %v, %d fallbacks", fs, err, w.exact, w.nlpFallbacks)
+	fs = w.fixedLP(z)
+	if fs == nil || w.subLPs != 1 {
+		t.Fatalf("Table I model: %+v after %d LP solves; want one", fs, w.subLPs)
 	}
 	// Slowest component at 16 nodes: 8464.1/16 + 4.9.
 	if want := 8464.1/16 + 4.9; math.Abs(fs.obj-want) > 1e-12*want {

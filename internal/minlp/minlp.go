@@ -1,19 +1,32 @@
 // Package minlp implements convex mixed-integer nonlinear programming by
 // branch-and-bound, reproducing the solver layer the paper takes from
 // MINOTAUR (§III-E): the LP/NLP-based branch-and-bound of Quesada and
-// Grossmann (OuterApprox). A single search tree solves MILP/LP relaxations
-// built from outer-approximation cuts ∇f(xᵏ)ᵀ(x−xᵏ) + f(xᵏ) ≤ 0 (paper
-// eq. 4), branching on fractional integers or on SOS-1 sets; when an
+// Grossmann (OuterApprox). A single search tree solves LP relaxations built
+// from outer-approximation cuts ∇f(xᵏ)ᵀ(x−xᵏ) + f(xᵏ) ≤ 0 (paper eq. 4),
+// branching on fractional integers or on SOS-1 sets; when an
 // integer-feasible LP point violates a nonlinear constraint, the subproblem
 // with fixed integers is solved and new cuts are added, tightening the
-// relaxation everywhere in the tree. That subproblem is one exact LP when
-// every variable under a nonlinear operator is integer (true of every HSLB
-// model, see Result.ExactSubproblems) and an NLP otherwise.
+// relaxation everywhere in the tree.
+//
+// The LP is the one subproblem mechanism. The paper takes the root
+// linearization point from the continuous NLP relaxation; here the root
+// linearization comes from a fixed pool of tangent cuts of every nonlinear
+// row, taken at points spaced geometrically across the variable box, and a
+// pool cut enters a node LP only when the LP point violates it. Each
+// fixed-integer subproblem is solved by Kelley's cutting-plane method on the
+// fixed LP, which takes one round when the rows are affine in the variables
+// left free: true of every HSLB model, whose nonlinearity is in the integer
+// node counts. Every variable under a nonlinear operator must have finite
+// bounds, so the pool has a box to span and the Kelley rounds stay bounded.
 //
 // Positivity of the fitted coefficients makes the HSLB min-max and min-sum
 // constraints convex (paper §III-E), so the search certifies global
-// optimality there. On a nonconvex model a cut can cut off the optimum;
-// internal/core answers those specs by its exact search instead.
+// optimality there. Where the linearization points come from does not
+// change that: a tangent of a convex row never cuts off a feasible point, so
+// any set of them keeps every LP bound valid, and an incumbent is accepted
+// only at a point that meets the rows themselves. On a nonconvex model a cut
+// can cut off the optimum; internal/core answers those specs by its exact
+// search instead.
 package minlp
 
 import (
@@ -25,7 +38,6 @@ import (
 	"hslb/internal/expr"
 	"hslb/internal/lp"
 	"hslb/internal/model"
-	"hslb/internal/nlp"
 )
 
 // Algorithm selects the branch-and-bound flavour.
@@ -115,23 +127,12 @@ type Result struct {
 	X      []float64 // length = original model variable count
 	Obj    float64   // objective in the model's own sense
 	Nodes  int       // branch-and-bound nodes processed
-	// NLPSolves counts subproblem solves: the continuous relaxations (the
-	// root and unbounded-LP recoveries) plus each fixed-integer subproblem
-	// and one for a canonical finish that took, whichever solver answered
-	// them — one LP when ExactSubproblems holds, the NLP solver otherwise.
+	// NLPSolves counts the LP solves of fixed-integer subproblems, in the
+	// tree, the rescue dive and the canonical finish, one per Kelley round
+	// (see fixedLP). The name is from when an NLP solver answered them.
 	NLPSolves int
-	Cuts      int // outer-approximation cuts added
-	// ExactSubproblems reports that every variable under a nonlinear
-	// operator in a nonlinear constraint is integer, so fixing the integers
-	// leaves an LP and each fixed-integer subproblem is solved exactly by
-	// one simplex solve instead of the augmented-Lagrangian NLP.
-	ExactSubproblems bool
-	// NLPFallbacks counts the fixed-integer subproblems the NLP solver
-	// answered: all of them when ExactSubproblems is false, otherwise those
-	// whose LP did not decide (a row that does not linearize, an unfinished
-	// simplex, or an LP point the model's rows reject).
-	NLPFallbacks int
-	Presolve     PresolveStats
+	Cuts      int // outer-approximation cuts added to the node LPs
+	Presolve  PresolveStats
 	// LPWarm reports warm-start activity of the node LPs.
 	LPWarm lp.WarmStats
 }
@@ -168,7 +169,7 @@ func SolveContext(ctx context.Context, m *model.Model, opt Options) (*Result, er
 	// Root presolve: tighten the work model's box before the tree search.
 	ps := Presolve(w.m, feasTol)
 	if ps.Infeasible {
-		return &Result{Status: Infeasible, Presolve: ps, ExactSubproblems: w.exact}, nil
+		return &Result{Status: Infeasible, Presolve: ps}, nil
 	}
 	res, err := solveOA(ctx, w, opt)
 	if err != nil {
@@ -179,12 +180,10 @@ func SolveContext(ctx context.Context, m *model.Model, opt Options) (*Result, er
 	if res.Status == Optimal && res.X != nil {
 		if cx, cobj, ok := canonicalFinish(w, res.X); ok {
 			res.X, res.Obj = cx, cobj
-			res.NLPSolves++
 		}
 	}
 	res.Presolve = ps
-	res.ExactSubproblems = w.exact
-	res.NLPFallbacks = w.nlpFallbacks
+	res.NLPSolves = w.subLPs
 	return w.restore(res), nil
 }
 
@@ -197,14 +196,12 @@ func SolveContext(ctx context.Context, m *model.Model, opt Options) (*Result, er
 // walked down to the component-wise smallest tied assignment, and the
 // continuous variables re-solved, so any two solves that agree on the tie
 // class return bit-identical X and Obj — the continuous part is a function
-// of the assignment, not of the warm-start chain that reached it. When
-// ExactSubproblems holds each re-solve is one exact LP; otherwise it is an
-// NLP from the deterministic nil start, and if that polish stalls the raw
-// incumbent stands.
+// of the assignment, not of the warm-start chain that reached it.
 func canonicalFinish(w *work, raw []float64) ([]float64, float64, bool) {
 	m := w.m
 	intVars := m.IntegerVars()
 	z := make([]float64, len(intVars))
+	pt := make([]float64, m.NumVars()) // the assignment, continuous entries 0
 	for k, j := range intVars {
 		v := math.Round(raw[j])
 		if lo := m.Vars[j].Lower; v < lo {
@@ -213,21 +210,10 @@ func canonicalFinish(w *work, raw []float64) ([]float64, float64, bool) {
 		if hi := m.Vars[j].Upper; v > hi {
 			v = math.Floor(hi + 1e-9)
 		}
-		z[k] = v
+		z[k], pt[j] = v, v
 	}
-	best := solveAssignment(w, intVars, z, nil)
+	best := w.fixedLP(pt)
 	if best == nil {
-		return nil, 0, false
-	}
-	// The polish must never worsen the answer: on the NLP fallback the
-	// augmented-Lagrangian solver can stall feasible but far from
-	// stationary on badly scaled fixed models, reporting "optimal" at a
-	// wildly pessimistic objective. A polished objective materially above
-	// the incumbent's is such a stall — keep the raw incumbent (the
-	// representative is then best-effort, but a correct answer beats a
-	// canonical wrong one). An exact LP re-solve never trips this.
-	rawObj := dotObj(w.objCoef, raw)
-	if best.obj > rawObj+1e-6*(1+math.Abs(rawObj)) {
 		return nil, 0, false
 	}
 	// Tie descent: walk each integer variable down the contiguous interval
@@ -271,10 +257,11 @@ func canonicalFinish(w *work, raw []float64) ([]float64, float64, bool) {
 				continue
 			}
 			probes++
-			// Warm-starting the probe from the screened point keeps it a
-			// pure function of the walk state (itself a pure function of
-			// the starting assignment), so the representative stays canonical.
-			r := solveAssignment(w, intVars, z, xc)
+			// Taking the first tangents at the screened point xc, which
+			// holds the assignment z, keeps the probe a pure function of
+			// the walk state (itself a pure function of the starting
+			// assignment), so the representative stays canonical.
+			r := w.fixedLP(xc)
 			if r == nil || r.obj > objRef+tieTol {
 				z[k]++
 				xc[j] = z[k]
@@ -287,8 +274,8 @@ func canonicalFinish(w *work, raw []float64) ([]float64, float64, bool) {
 		// The walk ended on free-accepted steps: re-solve the final
 		// assignment so the continuous part is a function of the assignment
 		// alone, falling back to the screened point (feasible at the
-		// reference objective by construction) if the solver stalls.
-		if r := solveAssignment(w, intVars, z, xc); r != nil && r.obj <= objRef+tieTol {
+		// reference objective by construction) if the LP gives out.
+		if r := w.fixedLP(xc); r != nil && r.obj <= objRef+tieTol {
 			best = r
 		} else {
 			best = &fixedSolve{x: append([]float64(nil), xc...), obj: dotObj(w.objCoef, xc)}
@@ -393,18 +380,15 @@ func unitRow(c lp.Constraint) lp.Constraint {
 }
 
 // fixedLP solves the fixed-integer subproblem at the assignment held in the
-// integer entries of z as one LP. When w.exact holds, fixing the integers
-// leaves every nonlinear row affine in the variables still free, so its
-// linearization at z is the row itself, whatever z's continuous entries
-// hold, and the LP optimum is the subproblem's exact optimum.
-// decided=false sends the caller to its NLP path: the structural test
-// failed, a row does not linearize (see cutAt), the simplex did not finish,
-// or its point misses a row or bound of the model by more than feasTol.
-// decided=true with a nil result proves the assignment infeasible.
-func (w *work) fixedLP(z []float64) (fs *fixedSolve, decided bool) {
-	if !w.exact {
-		return nil, false
-	}
+// integer entries of z by Kelley's cutting-plane method: an LP over the
+// linear rows and a tangent of every nonlinear row at z, re-solved with a
+// tangent at the LP point of each row that point violates by more than
+// feasTol. When the nonlinear rows are affine in the variables left free,
+// a tangent at z is the row itself, whatever z's continuous entries hold,
+// and the first round is the subproblem's exact optimum. The point is held
+// to the model itself before it can become an incumbent. nil means the
+// assignment is infeasible, or the simplex or the rounds gave out first.
+func (w *work) fixedLP(z []float64) *fixedSolve {
 	m := w.m
 	n := m.NumVars()
 	p := &lp.Problem{
@@ -420,97 +404,43 @@ func (w *work) fixedLP(z []float64) (fs *fixedSolve, decided bool) {
 			p.Lower[j], p.Upper[j] = z[j], z[j]
 		}
 	}
-	for i := range w.nlCons {
-		c, ok := w.cutAt(i, z)
-		if !ok {
-			return nil, false
+	ws := lp.NewWarmSolver(p)
+	x := z
+	for round := 0; round < maxCutRoundsPerNode; round++ {
+		added := 0
+		for i := range w.nlCons {
+			if round > 0 && w.nlCons[i].Body.Eval(x) <= feasTol {
+				continue
+			}
+			if c, ok := w.cutAt(i, x); ok {
+				ws.AddConstraint(c.Coef, c.Sense, c.RHS)
+				added++
+			}
 		}
-		p.Cons = append(p.Cons, c)
-	}
-	sol, err := lp.Solve(p)
-	if err != nil {
-		return nil, false
-	}
-	switch sol.Status {
-	case lp.Infeasible:
-		return nil, true
-	case lp.Optimal:
-	default:
-		return nil, false
-	}
-	for _, j := range m.IntegerVars() {
-		sol.X[j] = z[j]
-	}
-	// The point becomes an incumbent: hold it to the model itself, as the
-	// NLP path holds its answers, rather than trust the simplex.
-	if m.FeasibilityError(sol.X) > feasTol {
-		return nil, false
-	}
-	return &fixedSolve{x: sol.X, obj: dotObj(w.objCoef, sol.X)}, true
-}
-
-// solveFixed solves the fixed-integer subproblem at the assignment held in
-// the integer entries of z: one exact LP when fixedLP decides it, else the
-// NLP warm-started from start, counted in w.nlpFallbacks. restarts > 0
-// re-solves the NLP from each answer until the objective stops improving,
-// at most restarts more times. nil means the assignment is infeasible or
-// the NLP did not converge to a feasible point.
-func (w *work) solveFixed(z, start []float64, restarts int) (*fixedSolve, error) {
-	if fs, decided := w.fixedLP(z); decided {
-		return fs, nil
-	}
-	w.nlpFallbacks++
-	fixed := w.m.Clone()
-	for _, j := range w.m.IntegerVars() {
-		fixed.FixVar(j, z[j])
-	}
-	x0 := start
-	var best *fixedSolve
-	for round := 0; round <= restarts; round++ {
-		res, err := nlp.Solve(fixed, x0, nlp.Options{})
-		if err != nil || res.Status != nlp.Optimal || res.FeasErr > feasTol {
-			return best, err // best is nil when the very first solve fails
+		if round > 0 && added == 0 {
+			return nil // a linear row or bound rejects the point: no cut helps
 		}
-		obj := dotObj(w.objCoef, res.X)
-		if best != nil && obj >= best.obj-1e-10*(1+math.Abs(best.obj)) {
-			break
+		sol, err := ws.Solve()
+		w.subLPs++
+		if err != nil || sol.Status != lp.Optimal {
+			return nil
 		}
-		best = &fixedSolve{x: res.X, obj: obj}
-		x0 = res.X
+		for _, j := range m.IntegerVars() {
+			sol.X[j] = z[j]
+		}
+		if m.FeasibilityError(sol.X) <= feasTol {
+			return &fixedSolve{x: sol.X, obj: dotObj(w.objCoef, sol.X)}
+		}
+		x = sol.X
 	}
-	return best, nil
-}
-
-// solveAssignment is one canonicalFinish probe: the fixed-integer
-// subproblem at assignment z (one value per intVars entry), nil when the
-// assignment is infeasible or the NLP fallback fails. start supplies the
-// continuous entries of the point the subproblem is posed at and
-// warm-starts the NLP fallback; nil is the deterministic midpoint start.
-//
-// On the fallback the augmented-Lagrangian solver can stall feasible but
-// short of stationarity when started cold on badly scaled boxes
-// (classify's feasible exit still reads "optimal"), which would make this
-// probe report a wildly pessimistic objective. Restarting from the previous
-// answer resets the multipliers and penalty with a far better starting
-// point; the restart sequence is a pure function of the fixed model and the
-// given start, so the answer stays the function of the assignment
-// canonicalFinish needs.
-func solveAssignment(w *work, intVars []int, z []float64, start []float64) *fixedSolve {
-	pt := make([]float64, w.m.NumVars())
-	copy(pt, start)
-	for k, j := range intVars {
-		pt[j] = z[k]
-	}
-	fs, _ := w.solveFixed(pt, start, 7)
-	return fs
+	return nil
 }
 
 // rescueDive manufactures a feasible incumbent after a deadline fires with
 // none found: integer variables are fixed from the given relaxation point
 // (SOS-1 sets pick their largest selector so the set stays consistent) and a
 // single fixed-integer subproblem is solved over the remaining continuous
-// variables. Best-effort: returns ok=false when the dive is infeasible or
-// the NLP fallback stalls.
+// variables. Best-effort: returns ok=false when the dive is infeasible.
 func rescueDive(w *work, lastX []float64) (x []float64, obj float64, ok bool) {
 	if lastX == nil {
 		return nil, 0, false
@@ -554,29 +484,29 @@ func rescueDive(w *work, lastX []float64) (x []float64, obj float64, ok bool) {
 		}
 		z[j] = v
 	}
-	fs, err := w.solveFixed(z, lastX, 0)
-	if err != nil || fs == nil {
+	fs := w.fixedLP(z)
+	if fs == nil {
 		return nil, 0, false
 	}
 	return fs.x, fs.obj, true
 }
 
-// exactSubproblems is the structural test behind Result.ExactSubproblems:
-// it reports whether every variable that appears under a nonlinear
-// operator in the rows is integer. Add, Neg, Const, Var and a Mul with at
-// most one variable-carrying factor pass linearity through to their
-// children; every other node puts all of its variables under a nonlinear
-// operator.
-func exactSubproblems(m *model.Model, rows []model.Constraint) bool {
-	ok := true
+// unboundedNonlinearVar returns the first variable that appears under a
+// nonlinear operator in the rows with an infinite bound, or nil. Add, Neg,
+// Const, Var and a Mul with at most one variable-carrying factor pass
+// linearity through to their children; every other node puts all of its
+// variables under a nonlinear operator.
+func unboundedNonlinearVar(m *model.Model, rows []model.Constraint) *model.Variable {
+	var found *model.Variable
 	var walk func(e expr.Expr, nonlinear bool)
 	walk = func(e expr.Expr, nonlinear bool) {
 		switch t := e.(type) {
 		case expr.Const:
 			return
 		case expr.Var:
-			if nonlinear && m.Vars[t.Index].Type == model.Continuous {
-				ok = false
+			v := &m.Vars[t.Index]
+			if nonlinear && found == nil && (math.IsInf(v.Lower, 0) || math.IsInf(v.Upper, 0)) {
+				found = v
 			}
 			return
 		case expr.Add, expr.Neg:
@@ -598,7 +528,7 @@ func exactSubproblems(m *model.Model, rows []model.Constraint) bool {
 	for i := range rows {
 		walk(rows[i].Body, false)
 	}
-	return ok
+	return found
 }
 
 // work is the internal minimization-form model.
@@ -611,14 +541,13 @@ type work struct {
 	objCoef  []float64 // linear objective over work vars
 	linCons  []lp.Constraint
 	nlCons   []model.Constraint // nonlinear inequality constraints, body ≤ rhs form
-	exact    bool               // fixed-integer subproblems are LPs (exactSubproblems)
-
-	nlpFallbacks int // fixed-integer subproblems fixedLP left to the NLP
+	subLPs   int                // fixed-integer LP solves (Result.NLPSolves)
 }
 
 // prepare normalizes the model: minimization sense, linear objective via an
 // epigraph variable when needed, nonlinear constraints canonicalized to
-// g(x) ≤ 0 form, linear constraints compiled for the LP.
+// g(x) ≤ 0 form, linear constraints compiled for the LP. A variable under a
+// nonlinear operator with an infinite bound is an error.
 func prepare(m *model.Model) (*work, error) {
 	w := &work{orig: m, nOrig: m.NumVars()}
 	wm := m.Clone()
@@ -678,7 +607,9 @@ func prepare(m *model.Model) (*work, error) {
 			})
 		}
 	}
-	w.exact = exactSubproblems(wm, w.nlCons)
+	if v := unboundedNonlinearVar(wm, w.nlCons); v != nil {
+		return nil, fmt.Errorf("minlp: variable %q appears under a nonlinear operator, so it needs finite bounds, not [%g, %g]", v.Name, v.Lower, v.Upper)
+	}
 	return w, nil
 }
 

@@ -220,6 +220,27 @@ func TestNonlinearEqualityRejected(t *testing.T) {
 	}
 }
 
+// TestUnboundedNonlinearVariableRejected: the tangent pool and the Kelley
+// rounds need a finite box for every variable under a nonlinear operator,
+// so a model without one is an error that names the variable; an unbounded
+// variable that appears only linearly is fine.
+func TestUnboundedNonlinearVariableRejected(t *testing.T) {
+	m := model.New()
+	T := m.AddVar("T", model.Continuous, math.Inf(-1), math.Inf(1))
+	y := m.AddVar("y", model.Continuous, 1, math.Inf(1))
+	n := m.AddVar("n", model.Integer, 1, 8)
+	m.AddConstraint("time", expr.Sub(expr.Sum(expr.Div{Num: expr.C(40), Den: n}, expr.Div{Num: expr.C(9), Den: y}), T), model.LE, 0)
+	m.SetObjective(T, model.Minimize)
+	if _, err := Solve(m, Options{}); err == nil || !strings.Contains(err.Error(), `"y"`) {
+		t.Fatalf("err %v; want one that names y", err)
+	}
+	m.Vars[y.Index].Upper = 3
+	r := solveWith(t, m, Options{})
+	if want := 40.0/8 + 3; !approxEq(r.Obj, want, 1e-6) {
+		t.Fatalf("obj %v, want %v", r.Obj, want)
+	}
+}
+
 func TestSOSBranchingFewerNodes(t *testing.T) {
 	// With a large allowed set, SOS branching should need no more nodes
 	// than individual-binary branching (the paper's 100× claim is about

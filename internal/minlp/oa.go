@@ -3,28 +3,62 @@ package minlp
 import (
 	"container/heap"
 	"context"
+	"errors"
 	"math"
 
 	"hslb/internal/lp"
-	"hslb/internal/nlp"
 )
 
-// maxCutRoundsPerNode bounds the resolve loop at one node. Each round adds a
-// cut that strictly separates the current LP point, so this is a safety net
-// against numerical stalls, not an algorithmic requirement.
+// maxCutRoundsPerNode bounds the resolve loop at one node, and the Kelley
+// rounds of one fixed-integer subproblem. Each round adds a cut that
+// strictly separates the current LP point, so this is a safety net against
+// numerical stalls, not an algorithmic requirement.
 const maxCutRoundsPerNode = 200
+
+// poolPoints is how many points, spaced geometrically across the variable
+// box, each nonlinear row's tangent cuts are taken at for the root pool.
+const poolPoints = 9
+
+// tangentPool returns, for every nonlinear row, its tangent cuts at
+// poolPoints points spaced geometrically across the box: the k-th point
+// puts each variable at lo − 1 + (hi − lo + 1)^(k/(poolPoints−1)), which
+// runs from lo to hi and is dense where a component time a/n bends most.
+// A variable with an infinite bound appears only linearly (prepare rejects
+// the rest), so its value moves no tangent; it sits at the point of its
+// range nearest zero. Points where a row does not linearize are skipped.
+func (w *work) tangentPool() [][]lp.Constraint {
+	pool := make([][]lp.Constraint, len(w.nlCons))
+	x := make([]float64, w.m.NumVars())
+	for k := 0; k < poolPoints; k++ {
+		t := float64(k) / (poolPoints - 1)
+		for j, v := range w.m.Vars {
+			x[j] = math.Max(v.Lower, math.Min(v.Upper, 0))
+			if !math.IsInf(v.Lower, 0) && !math.IsInf(v.Upper, 0) {
+				x[j] = v.Lower - 1 + math.Pow(v.Upper-v.Lower+1, t)
+			}
+		}
+		for i := range w.nlCons {
+			if c, ok := w.cutAt(i, x); ok {
+				pool[i] = append(pool[i], c)
+			}
+		}
+	}
+	return pool
+}
 
 // solveOA is the LP/NLP-based branch-and-bound of Quesada and Grossmann as
 // described in paper §III-E: a single tree of LP relaxations built from
 // outer-approximation cuts, with fixed-integer subproblems solved only when
-// an integer-feasible LP point violates a nonlinear constraint.
+// an integer-feasible LP point violates a nonlinear constraint. The root
+// linearization is the tangent pool (tangentPool), not the paper's
+// continuous NLP relaxation.
 func solveOA(ctx context.Context, w *work, opt Options) (*Result, error) {
 	m := w.m
 	n := m.NumVars()
 	intVars := m.IntegerVars()
 
 	var cuts []lp.Constraint
-	nlpSolves, cutsAdded, nodes := 0, 0, 0
+	cutsAdded, nodes := 0, 0
 	var lastX []float64 // most recent relaxation point, for the rescue dive
 	var lpStats lp.WarmStats
 
@@ -43,22 +77,38 @@ func solveOA(ctx context.Context, w *work, opt Options) (*Result, error) {
 		return added
 	}
 
-	// Root continuous NLP relaxation: initial linearization point (the
-	// paper adds linearization constraints "derived from only a single
-	// point ... the solution of the continuous NLP relaxation").
-	relax := m.Relax()
-	rres, err := nlp.Solve(relax, nil, nlp.Options{})
-	if err != nil {
-		return nil, err
+	// Root linearization: every nonlinear row's tangent at the middle pool
+	// point starts in the LP, which keeps it bounded wherever the continuous
+	// relaxation is; the other pool cuts wait until an LP point violates
+	// them (separatePool), so a model with many rows does not get them all
+	// as dense LP rows up front. A cut already in the LP holds at every LP
+	// point, so the pool never offers it twice.
+	pool := w.tangentPool()
+	for _, cs := range pool {
+		if len(cs) > 0 {
+			cuts = append(cuts, cs[len(cs)/2])
+		}
 	}
-	nlpSolves++
-	if rres.Status == nlp.Optimal {
-		addCutsAt(rres.X, false)
-		lastX = rres.X
+	cutsAdded = len(cuts)
+	// separatePool adds to the LP, for each nonlinear row, the pool cut
+	// that x violates most, if it violates it by more than feasTol.
+	separatePool := func(x []float64) int {
+		added := 0
+		for _, cs := range pool {
+			best, worst := -1, feasTol
+			for k, c := range cs {
+				if v := dotObj(c.Coef, x) - c.RHS; v > worst {
+					best, worst = k, v
+				}
+			}
+			if best >= 0 {
+				cuts = append(cuts, cs[best])
+				added++
+			}
+		}
+		cutsAdded += added
+		return added
 	}
-	// A non-optimal root NLP is not trusted as an infeasibility proof (the
-	// augmented-Lagrangian solver can stall); the LP tree below produces
-	// its own evidence via accumulated cuts.
 
 	open := &nodeHeap{rootNode(m)}
 	heap.Init(open)
@@ -70,8 +120,9 @@ func solveOA(ctx context.Context, w *work, opt Options) (*Result, error) {
 	// WarmSolver absorbs with a few dual simplex pivots instead of a full
 	// two-phase restart. Sessions are per-node because node bounds differ
 	// (the warm path supports appended rows, not bound changes), and the
-	// session tracks the global cut pool by high-water mark so cuts added
-	// mid-round (e.g. from a fixed-integer NLP) are picked up too.
+	// session tracks the global cut list by high-water mark so cuts added
+	// mid-round (e.g. at a fixed-integer subproblem's point) are picked up
+	// too.
 	type nodeLP struct {
 		ws   *lp.WarmSolver
 		seen int // cuts already appended to the session's problem
@@ -92,21 +143,37 @@ func solveOA(ctx context.Context, w *work, opt Options) (*Result, error) {
 			s.ws.AddConstraint(c.Coef, c.Sense, c.RHS)
 		}
 		before := s.ws.Stats()
-		sol, err := s.ws.Solve()
+		sol, err := s.ws.SolveContext(ctx)
 		lpStats.Add(s.ws.Stats().Sub(before))
 		return sol, err
 	}
 
+	// result reports the search as it stands; an Optimal search that found
+	// no incumbent proved the model infeasible.
+	result := func(st Status) (*Result, error) {
+		r := &Result{Status: st, Nodes: nodes, Cuts: cutsAdded, LPWarm: lpStats}
+		if bestX != nil {
+			r.X, r.Obj = bestX, incumbent
+		} else if st == Optimal {
+			r.Status = Infeasible
+		}
+		return r, nil
+	}
 	deadline := func() (*Result, error) {
 		if bestX == nil {
+			if lastX == nil {
+				// No LP finished in time: give the rescue dive the root
+				// LP's point to round, solved to the end.
+				if sol, err := newNodeLP(rootNode(m)).ws.Solve(); err == nil && sol.Status == lp.Optimal {
+					lastX = sol.X
+				}
+			}
 			if x, obj, ok := rescueDive(w, lastX); ok {
 				incumbent = obj
 				bestX = snapInts(x, intVars)
 			}
 		}
-		r := resultOf(bestX, incumbent, Deadline, nodes, nlpSolves, cutsAdded)
-		r.LPWarm = lpStats
-		return r, nil
+		return result(Deadline)
 	}
 
 	for open.Len() > 0 {
@@ -114,9 +181,7 @@ func solveOA(ctx context.Context, w *work, opt Options) (*Result, error) {
 			return deadline()
 		}
 		if nodes >= opt.MaxNodes {
-			r := resultOf(bestX, incumbent, NodeLimit, nodes, nlpSolves, cutsAdded)
-			r.LPWarm = lpStats
-			return r, nil
+			return result(NodeLimit)
 		}
 		nd := heap.Pop(open).(*node)
 		if nd.bound >= incumbent-pruneGap(opt, incumbent) {
@@ -127,8 +192,8 @@ func solveOA(ctx context.Context, w *work, opt Options) (*Result, error) {
 
 	nodeLoop:
 		for round := 0; round < maxCutRoundsPerNode; round++ {
-			// Cut rounds solve LPs and NLPs; a node can spin here for a
-			// while, so the deadline is honored between rounds too.
+			// A node can spin through many cut rounds, so the deadline is
+			// honored between rounds too.
 			if ctx.Err() != nil {
 				return deadline()
 			}
@@ -140,21 +205,11 @@ func solveOA(ctx context.Context, w *work, opt Options) (*Result, error) {
 			case lp.Infeasible:
 				break nodeLoop
 			case lp.Unbounded:
-				// The relaxation lacks curvature information in some
-				// direction. Recover it from the node NLP relaxation.
-				nm := m.Clone()
-				for i := range nm.Vars {
-					nm.Vars[i].Lower, nm.Vars[i].Upper = nd.lower[i], nd.upper[i]
-				}
-				nres, nerr := nlp.Solve(nm, nil, nlp.Options{})
-				if nerr != nil {
-					return nil, nerr
-				}
-				nlpSolves++
-				if nres.Status != nlp.Optimal || addCutsAt(nres.X, false) == 0 {
-					break nodeLoop // cannot bound this node; drop it
-				}
-				continue
+				// Every node LP holds a tangent of every nonlinear row, so
+				// the continuous relaxation itself is unbounded.
+				return nil, errors.New("minlp: the continuous relaxation is unbounded")
+			case lp.Canceled:
+				return deadline()
 			case lp.IterationLimit:
 				break nodeLoop
 			}
@@ -163,6 +218,9 @@ func solveOA(ctx context.Context, w *work, opt Options) (*Result, error) {
 			}
 			clampToNode(sol.X, nd)
 			lastX = sol.X
+			if separatePool(sol.X) > 0 {
+				continue
+			}
 
 			frac := pickFractional(sol.X, intVars, intTol)
 			if frac >= 0 {
@@ -190,14 +248,8 @@ func solveOA(ctx context.Context, w *work, opt Options) (*Result, error) {
 			}
 
 			// Solve the subproblem with integers fixed to this assignment
-			// (continuous variables keep their global bounds): one exact
-			// LP when the model's structure allows it, the NLP otherwise.
-			fs, ferr := w.solveFixed(snapInts(sol.X, intVars), sol.X, 0)
-			if ferr != nil {
-				return nil, ferr
-			}
-			nlpSolves++
-			if fs != nil {
+			// (continuous variables keep their global bounds).
+			if fs := w.fixedLP(snapInts(sol.X, intVars)); fs != nil {
 				if fs.obj < incumbent {
 					incumbent = fs.obj
 					bestX = snapInts(fs.x, intVars)
@@ -210,9 +262,7 @@ func solveOA(ctx context.Context, w *work, opt Options) (*Result, error) {
 			}
 		}
 	}
-	r := resultOf(bestX, incumbent, Optimal, nodes, nlpSolves, cutsAdded)
-	r.LPWarm = lpStats
-	return r, nil
+	return result(Optimal)
 }
 
 func dotObj(c, x []float64) float64 {
@@ -221,16 +271,6 @@ func dotObj(c, x []float64) float64 {
 		s += c[i] * x[i]
 	}
 	return s
-}
-
-func resultOf(x []float64, obj float64, st Status, nodes, nlpSolves, cuts int) *Result {
-	if x == nil {
-		if st == Optimal {
-			st = Infeasible
-		}
-		return &Result{Status: st, Nodes: nodes, NLPSolves: nlpSolves, Cuts: cuts}
-	}
-	return &Result{Status: st, X: x, Obj: obj, Nodes: nodes, NLPSolves: nlpSolves, Cuts: cuts}
 }
 
 func snapInts(x []float64, intVars []int) []float64 {

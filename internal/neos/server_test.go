@@ -460,8 +460,10 @@ func TestSolveTimeoutBoundsPathologicalModel(t *testing.T) {
 }
 
 func TestTimedOutJobEventuallyCompletes(t *testing.T) {
-	// The near-tied coefficients make branch-and-bound grind (~250 nodes,
-	// ≥100ms even on a loaded single-CPU box), so an 8ms per-attempt
+	// The near-tied coefficients, with 11 components that cannot split the
+	// 8000 nodes evenly, make branch-and-bound grind (~210 nodes, ≥100ms
+	// even on a fast box: the 10-component version fell to ~13ms once
+	// tangent cuts tightened the node LPs), so an 8ms per-attempt
 	// timeout forces at least one retry. The solve must far exceed the
 	// timeout plus scheduler jitter: with a marginally slow model the
 	// worker's select can wake late with both the timer and the finished
@@ -483,6 +485,7 @@ var n7 integer >= 1 <= 8000;
 var n8 integer >= 1 <= 8000;
 var n9 integer >= 1 <= 8000;
 var n10 integer >= 1 <= 8000;
+var n11 integer >= 1 <= 8000;
 minimize total: T;
 subject to t1: 11000.001 / n1 + 0.000001 <= T;
 subject to t2: 11000.002 / n2 + 0.000002 <= T;
@@ -494,7 +497,8 @@ subject to t7: 11000.007 / n7 + 0.000007 <= T;
 subject to t8: 11000.008 / n8 + 0.000008 <= T;
 subject to t9: 11000.009 / n9 + 0.000009 <= T;
 subject to t10: 11000.010 / n10 + 0.000010 <= T;
-subject to cap: n1 + n2 + n3 + n4 + n5 + n6 + n7 + n8 + n9 + n10 <= N;
+subject to t11: 11000.011 / n11 + 0.000011 <= T;
+subject to cap: n1 + n2 + n3 + n4 + n5 + n6 + n7 + n8 + n9 + n10 + n11 <= N;
 `
 	_, _, c := newServerWith(t, Config{
 		MaxConcurrent: 2,
