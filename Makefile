@@ -38,10 +38,12 @@ race:
 # /solve flight (coalescing before admission, the peer consult outside the
 # admission slot, the overload gates) and the one job executor's lease
 # loop, remote and in-process, which is timing-sensitive: heartbeats,
-# drains, panics and the retry schedule it sleeps on.
+# drains, panics and the retry schedule it sleeps on. The minlp solver runs
+# here because each solve's row tapes carry mutable sweep buffers, and its
+# concurrent-solve test must hold at every GOMAXPROCS.
 STRESS_PKGS = ./internal/solvecache/ ./internal/expr/ ./internal/nlp/ ./internal/lp/ \
-	./internal/overload/ ./internal/router/ ./internal/jobstore/ ./internal/faultnet/ \
-	./internal/backoff/ ./internal/jsonl/ ./internal/resultstore/ \
+	./internal/minlp/ ./internal/overload/ ./internal/router/ ./internal/jobstore/ \
+	./internal/faultnet/ ./internal/backoff/ ./internal/jsonl/ ./internal/resultstore/ \
 	./internal/bench/
 
 stress:

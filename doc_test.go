@@ -365,3 +365,37 @@ func TestMinlpImportsNoNLP(t *testing.T) {
 		}
 	})
 }
+
+// TestOneDifferentiationMechanism: the search takes every cut and
+// violation from compiled expr.Tape sweeps, so no non-test file outside
+// internal/expr may call the compile-per-call expr.Gradient or
+// expr.LinearizeAt. benchmark/ is exempt: its per-layer probes time both.
+func TestOneDifferentiationMechanism(t *testing.T) {
+	parseModule(t, func(path string, f *ast.File) {
+		if strings.HasSuffix(path, "_test.go") || strings.HasPrefix(path, "internal/expr/") || strings.HasPrefix(path, "benchmark/") {
+			return
+		}
+		local := ""
+		for _, imp := range f.Imports {
+			if strings.Trim(imp.Path.Value, `"`) == "hslb/internal/expr" {
+				local = "expr"
+				if imp.Name != nil {
+					local = imp.Name.Name
+				}
+			}
+		}
+		if local == "" {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if x, ok := sel.X.(*ast.Ident); ok && x.Name == local && (sel.Sel.Name == "Gradient" || sel.Sel.Name == "LinearizeAt") {
+				t.Errorf("%s references expr.%s: differentiate through a compiled expr.Tape", path, sel.Sel.Name)
+			}
+			return true
+		})
+	})
+}

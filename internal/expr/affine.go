@@ -140,8 +140,9 @@ func IsLinear(e Expr) bool {
 }
 
 // LinearizeAt returns the first-order Taylor expansion of e around x:
-// f(x) + ∇f(x)·(y - x), as an affine form. This is the outer-approximation
-// cut used by the LP/NLP branch-and-bound solver (paper §III-E, eq. 4).
+// f(x) + ∇f(x)·(y - x), as an affine form: the outer-approximation cut of
+// paper §III-E, eq. 4. It compiles e on every call; a caller that cuts the
+// same row repeatedly keeps its Tape, as internal/minlp does.
 func LinearizeAt(e Expr, x []float64) *Affine {
 	grad := make([]float64, len(x))
 	val := Gradient(e, x, grad)

@@ -1,11 +1,12 @@
 // Package expr implements scalar expression trees over indexed variables,
-// with evaluation, symbolic differentiation, reverse-mode automatic
-// differentiation, simplification, and affine-form extraction, and with
-// compiled tapes (Tape) for hot loops that evaluate one expression many times.
+// with evaluation, simplification, affine-form extraction and interval
+// arithmetic, and compiles them into tapes (Tape) whose forward and reverse
+// sweeps give a value and its exact gradient by reverse-mode automatic
+// differentiation.
 //
 // The package plays the role AMPL's expression layer plays in the paper: the
 // HSLB models of Table I and the performance functions of Table II are built
-// as expr trees, and the NLP/MINLP solvers obtain exact gradients from them.
+// as expr trees, and the MINLP solver takes exact gradients from their tapes.
 package expr
 
 import (

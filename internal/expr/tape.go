@@ -3,23 +3,26 @@ package expr
 import "math"
 
 // Tape is an expression compiled once into a flat pre-order program with
-// preallocated value and adjoint buffers, for callers that evaluate the same
-// expression many times (the NLP solver's inner loop).
+// preallocated value and adjoint buffers, for callers that evaluate and
+// differentiate the same expression many times: every outer-approximation
+// cut and feasibility check of internal/minlp reads one.
 //
 // Eval runs the forward sweep; Reverse runs the reverse sweep over the values
 // of the last forward sweep and returns the gradient at the tape's own
 // variables. Neither allocates. Both perform the same floating-point
-// operations in the same order as the tree walkers Expr.Eval and Gradient, so
+// operations in the same order as the recursive tree walks, Expr.Eval and
+// reverse-mode AD over the tree (kept in the tests as the reference), so
 // their results are bit-identical: sums and products start from 0 and 1 and
-// take their operands in tree order, the adjoint pass visits nodes in pre-order
-// — the order backprop recurses in — and each variable's adjoint accumulates
-// its leaves in that DFS order. Variable-free subtrees are folded into
-// constants (their adjoints never reach a variable), and an Add whose terms are
-// all c·x, x, −x or constants becomes one linear-sum instruction.
+// take their operands in tree order, the adjoint pass visits nodes in
+// pre-order — the order the tree walk recurses in — and each variable's
+// adjoint accumulates its leaves in that DFS order. Variable-free subtrees
+// are folded into constants (their adjoints never reach a variable), and an
+// Add whose terms are all c·x, x, −x or constants becomes one linear-sum
+// instruction.
 //
 // A Tape is not safe for concurrent use: its buffers hold one evaluation.
-// internal/nlp compiles its tapes per Solve call and never shares one across
-// goroutines.
+// internal/minlp compiles its tapes once per solve, and internal/nlp once per
+// Solve call; neither shares one across goroutines.
 type Tape struct {
 	code []inst
 	kids []int32   // operands of opAdd/opMul, in term order
@@ -70,6 +73,23 @@ func Compile(e Expr) *Tape {
 	t.adj = make([]float64, len(t.code))
 	t.grad = make([]float64, len(t.vars))
 	return t
+}
+
+// Gradient computes f(x) and ∇f(x) by compiling e and running one forward and
+// one reverse sweep. grad must have length >= the number of variables; it is
+// zeroed first, so the entries of variables e does not read stay 0. A caller
+// that differentiates the same expression repeatedly keeps the Tape instead.
+func Gradient(e Expr, x []float64, grad []float64) float64 {
+	for i := range grad {
+		grad[i] = 0
+	}
+	t := Compile(e)
+	v := t.Eval(x)
+	g := t.Reverse()
+	for k, j := range t.vars {
+		grad[j] = g[k]
+	}
+	return v
 }
 
 // Vars returns the distinct variable indices the tape reads, ascending; the

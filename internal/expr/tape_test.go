@@ -10,22 +10,29 @@ import (
 func sameFloat(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }
 
 // tapeMatchesTree compiles e and checks that the tape's value and gradient at
-// x equal the tree walkers' exactly.
+// x, and Gradient's, equal the tree walkers' exactly.
 func tapeMatchesTree(e Expr, x []float64) error {
 	want := make([]float64, len(x))
-	wantV := Gradient(e, x, want)
+	wantV := treeGradient(e, x, want)
 	tp := Compile(e)
 	if v, tv := e.Eval(x), tp.Eval(x); !sameFloat(tv, v) || !sameFloat(tv, wantV) {
-		return fmt.Errorf("%v at %v: tape value %v, tree %v (Gradient %v)", e, x, tv, v, wantV)
+		return fmt.Errorf("%v at %v: tape value %v, tree %v (tree AD %v)", e, x, tv, v, wantV)
 	}
 	got := make([]float64, len(x))
 	grad := tp.Reverse()
 	for k, j := range tp.Vars() {
 		got[j] = grad[k]
 	}
+	viaGradient := make([]float64, len(x))
+	if v := Gradient(e, x, viaGradient); !sameFloat(v, wantV) {
+		return fmt.Errorf("%v at %v: Gradient value %v, tree %v", e, x, v, wantV)
+	}
 	for j := range want {
 		if !sameFloat(got[j], want[j]) {
 			return fmt.Errorf("%v at %v: tape ∂/∂x%d = %v, tree %v", e, x, j, got[j], want[j])
+		}
+		if !sameFloat(viaGradient[j], want[j]) {
+			return fmt.Errorf("%v at %v: Gradient ∂/∂x%d = %v, tree %v", e, x, j, viaGradient[j], want[j])
 		}
 	}
 	return nil

@@ -98,9 +98,6 @@ type Solution struct {
 	Status Status
 	X      []float64
 	Obj    float64
-	// Duals holds one shadow price per constraint: the sensitivity
-	// ∂Obj/∂RHS_i at the optimum (valid locally, away from degeneracy).
-	Duals []float64
 }
 
 // ErrBadProblem reports a malformed problem definition.
@@ -132,11 +129,10 @@ type tableau struct {
 	ctx     context.Context // polled by the pivot loops
 
 	// Original-coordinate recovery.
-	reflect    []bool    // original var j was reflected x → u−x'
-	splitOf    []int     // original indices of free variables that were split
-	origUpper  []float64 // original upper bounds (for reflection undo)
-	objCost    []float64 // objective in transformed coordinates
-	rowNegated []bool    // rows multiplied by −1 during setup (for duals)
+	reflect   []bool    // original var j was reflected x → u−x'
+	splitOf   []int     // original indices of free variables that were split
+	origUpper []float64 // original upper bounds (for reflection undo)
+	objCost   []float64 // objective in transformed coordinates
 }
 
 // Solve optimizes the problem. The returned solution's X has length
@@ -191,28 +187,7 @@ func (t *tableau) solution(p *Problem) *Solution {
 	for j := 0; j < p.NumVars; j++ {
 		obj += p.Obj[j] * x[j]
 	}
-	return &Solution{Status: Optimal, X: x[:p.NumVars], Obj: obj, Duals: t.duals()}
-}
-
-// duals recovers the constraint shadow prices y = c_Bᵀ·B⁻¹ from the final
-// tableau: the artificial column of row i still holds B⁻¹·e_i (its original
-// column was the i-th identity column, modulo the setup row negation).
-func (t *tableau) duals() []float64 {
-	y := make([]float64, t.m)
-	for i := 0; i < t.m; i++ {
-		aCol := t.nStruct + t.nSlack + i
-		s := 0.0
-		for k := 0; k < t.m; k++ {
-			if cb := t.cost[t.basis[k]]; cb != 0 {
-				s += cb * t.a[k][aCol]
-			}
-		}
-		if t.rowNegated[i] {
-			s = -s
-		}
-		y[i] = s
-	}
-	return y
+	return &Solution{Status: Optimal, X: x[:p.NumVars], Obj: obj}
 }
 
 func validate(p *Problem) error {
@@ -337,9 +312,7 @@ func build(p *Problem) (*tableau, error) {
 				resid -= row[j] * t.lower[j]
 			}
 		}
-		rowWasNegated := false
 		if resid < 0 {
-			rowWasNegated = true
 			for j := range row {
 				row[j] = -row[j]
 			}
@@ -352,7 +325,6 @@ func build(p *Problem) (*tableau, error) {
 		t.beta[i] = resid
 		t.basis[i] = aCol
 		t.inBasis[aCol] = i
-		t.rowNegated = append(t.rowNegated, rowWasNegated)
 	}
 	// Record split/reflect info on the tableau via closure-free fields.
 	t.reflect = reflect

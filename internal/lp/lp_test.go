@@ -367,3 +367,108 @@ func TestNoConstraints(t *testing.T) {
 		t.Fatalf("obj = %v", s.Obj)
 	}
 }
+
+// randomPackingLP is a bounded LP that x = 0 always satisfies: a random
+// objective over a box [0, u] and 1–3 LE rows with nonnegative
+// coefficients and a positive RHS of at least 1.
+func randomPackingLP(rng *rand.Rand) *Problem {
+	n := 2 + rng.Intn(3)
+	p := NewProblem(n)
+	for j := 0; j < n; j++ {
+		p.Obj[j] = rng.NormFloat64()
+		p.Upper[j] = 1 + rng.Float64()*4
+	}
+	for k := 0; k < 1+rng.Intn(3); k++ {
+		coef := make([]float64, n)
+		for j := range coef {
+			coef[j] = math.Abs(rng.NormFloat64())
+		}
+		p.AddConstraint(coef, LE, 1+rng.Float64()*float64(n)*3)
+	}
+	return p
+}
+
+// withRHS returns a copy of p whose row i has right-hand side rhs.
+func withRHS(p *Problem, i int, rhs float64) *Problem {
+	q := NewProblem(p.NumVars)
+	copy(q.Obj, p.Obj)
+	copy(q.Lower, p.Lower)
+	copy(q.Upper, p.Upper)
+	for _, c := range p.Cons {
+		q.AddConstraint(c.Coef, c.Sense, c.RHS)
+	}
+	q.Cons[i].RHS = rhs
+	return q
+}
+
+func TestSlackRowRHSLeavesOptimum(t *testing.T) {
+	// A row with positive slack at the optimum does not shape it: moving
+	// its RHS either way by less than the slack leaves the optimal value
+	// unchanged (shrinking keeps the optimum feasible; growing cannot help
+	// because an LP's local optimum is global).
+	f := func(seed int64) bool {
+		p := randomPackingLP(rand.New(rand.NewSource(seed)))
+		s, err := Solve(p)
+		if err != nil || s.Status != Optimal {
+			return false
+		}
+		for i, c := range p.Cons {
+			lhs := 0.0
+			for j, v := range c.Coef {
+				lhs += v * s.X[j]
+			}
+			slack := c.RHS - lhs
+			if slack <= 1e-6 {
+				continue
+			}
+			for _, d := range []float64{-slack / 2, slack / 2} {
+				s2, err := Solve(withRHS(p, i, c.RHS+d))
+				if err != nil || s2.Status != Optimal {
+					return false
+				}
+				if math.Abs(s2.Obj-s.Obj) > 1e-7*(1+math.Abs(s.Obj)) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestOptimumMonotoneAndConvexInRHS(t *testing.T) {
+	// The optimal value v(b) of a minimisation over LE rows never rises
+	// when a row is relaxed, never falls when it is tightened, and is
+	// convex along each RHS: v(b−ε) + v(b+ε) ≥ 2·v(b).
+	f := func(seed int64) bool {
+		p := randomPackingLP(rand.New(rand.NewSource(seed)))
+		s, err := Solve(p)
+		if err != nil || s.Status != Optimal {
+			return false
+		}
+		const eps = 0.25 // every RHS is ≥ 1, so x = 0 stays feasible
+		tol := 1e-7 * (1 + math.Abs(s.Obj))
+		for i, c := range p.Cons {
+			lo, err := Solve(withRHS(p, i, c.RHS-eps))
+			if err != nil || lo.Status != Optimal {
+				return false
+			}
+			hi, err := Solve(withRHS(p, i, c.RHS+eps))
+			if err != nil || hi.Status != Optimal {
+				return false
+			}
+			if lo.Obj < s.Obj-tol || hi.Obj > s.Obj+tol {
+				return false
+			}
+			if lo.Obj+hi.Obj < 2*s.Obj-tol {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+		t.Fatal(err)
+	}
+}

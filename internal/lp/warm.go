@@ -127,14 +127,13 @@ func (ws *WarmSolver) cold(ctx context.Context) (*Solution, error) {
 }
 
 // appendRows grows the tableau in place by the given constraints, keeping
-// every invariant the solver and duals() rely on:
+// every invariant the solver relies on:
 //
 //   - Column layout stays [struct | slack | artificial] with one slack and
-//     one artificial per row, artificials in row order. The k new slack
-//     columns are spliced in at the end of the slack block, shifting the
-//     old artificial block right by k; the k new artificials go at the very
-//     end. duals() can then keep reading row i's artificial at column
-//     nStruct + nSlack + i.
+//     one artificial per row, artificials in row order, as build lays it
+//     out. The k new slack columns are spliced in at the end of the slack
+//     block, shifting the old artificial block right by k; the k new
+//     artificials go at the very end.
 //   - Each new row is reduced against the current basis (subtracting
 //     multiples of the tableau rows), which is exactly multiplication by
 //     the enlarged B⁻¹: the new basis matrix is block lower-triangular with
@@ -144,10 +143,9 @@ func (ws *WarmSolver) cold(ctx context.Context) (*Solution, error) {
 //     point's residual. A violated cut simply leaves that slack out of
 //     bounds — the dual simplex's job.
 //
-// GE rows are stored negated (slack coefficient +1) with rowNegated set, so
-// dual recovery keeps the original constraint's sign convention. Returns
-// false — caller must drop the cache — for EQ rows, whose slack is pinned
-// to zero and cannot serve as the row's basic variable.
+// GE rows are stored negated, so every new slack has coefficient +1.
+// Returns false — caller must drop the cache — for EQ rows, whose slack is
+// pinned to zero and cannot serve as the row's basic variable.
 func (t *tableau) appendRows(cs []Constraint) bool {
 	for _, c := range cs {
 		if c.Sense == EQ {
@@ -269,7 +267,6 @@ func (t *tableau) appendRows(cs []Constraint) bool {
 		t.beta = append(t.beta, s)
 		t.basis = append(t.basis, sCol)
 		t.inBasis[sCol] = oldM + i
-		t.rowNegated = append(t.rowNegated, c.Sense == GE)
 	}
 	t.m += k
 	t.n = newN

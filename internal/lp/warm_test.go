@@ -263,34 +263,31 @@ func TestWarmFreeAndReflectedVars(t *testing.T) {
 	checkAgainstCold(t, "cut3", ws)
 }
 
-// TestWarmDualsStillValid: the duals returned by a warm re-solve must obey
-// the same sign/sensitivity contract as cold duals (spot check: shadow
-// price of a binding LE row in a min problem is <= 0 ... sign convention
-// matches Solve's: compare against the cold duals directly).
-func TestWarmDualsStillValid(t *testing.T) {
+// TestWarmBindingCutKnownOptimum: a cut that cuts off the first optimum
+// moves the warm re-solve to the known next vertex. min −3x − 5y over
+// x ≤ 4, y ≤ 6, 3x + 2y ≤ 18 is optimal at (2, 6) with −36; adding
+// x + y ≤ 7 moves it to (1, 6) with −33.
+func TestWarmBindingCutKnownOptimum(t *testing.T) {
 	p := NewProblem(2)
 	p.Obj = []float64{-3, -5}
 	p.Upper = []float64{4, 6}
 	p.AddConstraint([]float64{3, 2}, LE, 18)
 	ws := NewWarmSolver(p)
-	if _, err := ws.Solve(); err != nil {
+	first, err := ws.Solve()
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !approxEq(first.Obj, -36, 1e-9) || !approxEq(first.X[0], 2, 1e-9) || !approxEq(first.X[1], 6, 1e-9) {
+		t.Fatalf("first solve: obj %v at %v, want -36 at (2, 6)", first.Obj, first.X)
 	}
 	ws.AddConstraint([]float64{1, 1}, LE, 7)
 	warm, err := ws.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := Solve(cloneProblem(ws.p))
-	if err != nil {
-		t.Fatal(err)
+	if warm.Status != Optimal || !approxEq(warm.Obj, -33, 1e-9) ||
+		!approxEq(warm.X[0], 1, 1e-9) || !approxEq(warm.X[1], 6, 1e-9) {
+		t.Fatalf("after cut: %v obj %v at %v, want -33 at (1, 6)", warm.Status, warm.Obj, warm.X)
 	}
-	if len(warm.Duals) != len(cold.Duals) {
-		t.Fatalf("dual lengths differ: %d vs %d", len(warm.Duals), len(cold.Duals))
-	}
-	for i := range warm.Duals {
-		if math.Abs(warm.Duals[i]-cold.Duals[i]) > 1e-6 {
-			t.Fatalf("dual %d: warm %v, cold %v", i, warm.Duals[i], cold.Duals[i])
-		}
-	}
+	checkAgainstCold(t, "cut", ws)
 }

@@ -341,21 +341,30 @@ type fixedSolve struct {
 }
 
 // cutAt linearizes nonlinear row i at x, ∇g(x)ᵀ(y−x) + g(x) ≤ 0, as one
-// unitRow. ok=false when the gradient vanishes or a coefficient is not
-// finite (a component time evaluated at a pole).
+// unitRow, from one forward and one reverse sweep of the row's tape. The
+// constant g(x) − Σ ∂g/∂xⱼ·xⱼ runs over the nonzero partials in ascending j.
+// ok=false when the gradient vanishes or a coefficient is not finite (a
+// component time evaluated at a pole).
 func (w *work) cutAt(i int, x []float64) (lp.Constraint, bool) {
-	aff := expr.LinearizeAt(w.nlCons[i].Body, x)
+	tp := w.tapes[i]
+	constant := tp.Eval(x)
+	grad := tp.Reverse()
 	coef := make([]float64, w.m.NumVars())
 	scale := 0.0
-	for j, c := range aff.Coef {
-		coef[j] = c
-		scale = math.Max(scale, math.Abs(c))
+	for k, j := range tp.Vars() {
+		g := grad[k]
+		if g == 0 {
+			continue
+		}
+		coef[j] = g
+		constant -= g * x[j]
+		scale = math.Max(scale, math.Abs(g))
 	}
 	if scale == 0 || math.IsInf(scale, 0) || math.IsNaN(scale) ||
-		math.IsInf(aff.Constant, 0) || math.IsNaN(aff.Constant) {
+		math.IsInf(constant, 0) || math.IsNaN(constant) {
 		return lp.Constraint{}, false
 	}
-	return unitRow(lp.Constraint{Coef: coef, Sense: lp.LE, RHS: -aff.Constant}), true
+	return unitRow(lp.Constraint{Coef: coef, Sense: lp.LE, RHS: -constant}), true
 }
 
 // unitRow scales an LP row to unit max-norm. Every row the search hands
@@ -409,7 +418,7 @@ func (w *work) fixedLP(z []float64) *fixedSolve {
 	for round := 0; round < maxCutRoundsPerNode; round++ {
 		added := 0
 		for i := range w.nlCons {
-			if round > 0 && w.nlCons[i].Body.Eval(x) <= feasTol {
+			if round > 0 && w.tapes[i].Eval(x) <= feasTol {
 				continue
 			}
 			if c, ok := w.cutAt(i, x); ok {
@@ -541,6 +550,7 @@ type work struct {
 	objCoef  []float64 // linear objective over work vars
 	linCons  []lp.Constraint
 	nlCons   []model.Constraint // nonlinear inequality constraints, body ≤ rhs form
+	tapes    []*expr.Tape       // nlCons[i].Body compiled, owned by this solve
 	subLPs   int                // fixed-integer LP solves (Result.NLPSolves)
 }
 
@@ -610,6 +620,9 @@ func prepare(m *model.Model) (*work, error) {
 	if v := unboundedNonlinearVar(wm, w.nlCons); v != nil {
 		return nil, fmt.Errorf("minlp: variable %q appears under a nonlinear operator, so it needs finite bounds, not [%g, %g]", v.Name, v.Lower, v.Upper)
 	}
+	for i := range w.nlCons {
+		w.tapes = append(w.tapes, expr.Compile(w.nlCons[i].Body))
+	}
 	return w, nil
 }
 
@@ -626,8 +639,8 @@ func (w *work) restore(r *Result) *Result {
 // nlViolation returns the worst nonlinear-constraint violation at x.
 func (w *work) nlViolation(x []float64) float64 {
 	worst := 0.0
-	for i := range w.nlCons {
-		if v := w.nlCons[i].Body.Eval(x); v > worst {
+	for _, tp := range w.tapes {
+		if v := tp.Eval(x); v > worst {
 			worst = v
 		}
 	}

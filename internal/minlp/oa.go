@@ -30,13 +30,7 @@ func (w *work) tangentPool() [][]lp.Constraint {
 	pool := make([][]lp.Constraint, len(w.nlCons))
 	x := make([]float64, w.m.NumVars())
 	for k := 0; k < poolPoints; k++ {
-		t := float64(k) / (poolPoints - 1)
-		for j, v := range w.m.Vars {
-			x[j] = math.Max(v.Lower, math.Min(v.Upper, 0))
-			if !math.IsInf(v.Lower, 0) && !math.IsInf(v.Upper, 0) {
-				x[j] = v.Lower - 1 + math.Pow(v.Upper-v.Lower+1, t)
-			}
-		}
+		w.poolPoint(k, x)
 		for i := range w.nlCons {
 			if c, ok := w.cutAt(i, x); ok {
 				pool[i] = append(pool[i], c)
@@ -44,6 +38,17 @@ func (w *work) tangentPool() [][]lp.Constraint {
 		}
 	}
 	return pool
+}
+
+// poolPoint writes the k-th of the poolPoints tangent points into x.
+func (w *work) poolPoint(k int, x []float64) {
+	t := float64(k) / (poolPoints - 1)
+	for j, v := range w.m.Vars {
+		x[j] = math.Max(v.Lower, math.Min(v.Upper, 0))
+		if !math.IsInf(v.Lower, 0) && !math.IsInf(v.Upper, 0) {
+			x[j] = v.Lower - 1 + math.Pow(v.Upper-v.Lower+1, t)
+		}
+	}
 }
 
 // solveOA is the LP/NLP-based branch-and-bound of Quesada and Grossmann as
@@ -65,7 +70,7 @@ func solveOA(ctx context.Context, w *work, opt Options) (*Result, error) {
 	addCutsAt := func(x []float64, onlyViolated bool) int {
 		added := 0
 		for i := range w.nlCons {
-			if onlyViolated && w.nlCons[i].Body.Eval(x) <= feasTol {
+			if onlyViolated && w.tapes[i].Eval(x) <= feasTol {
 				continue
 			}
 			if c, ok := w.cutAt(i, x); ok {
