@@ -36,7 +36,11 @@ race:
 # runner's kill-and-resume tests run here with the JSONL log and the result
 # store they resume from. The neos line sweeps the concurrency-sensitive
 # /solve flight (coalescing before admission, the peer consult outside the
-# admission slot, the overload gates) and the one job executor's lease
+# admission slot, the overload gates, the one pool of solver slots that
+# async attempts share with /solve, and a job deadline met while waiting
+# for one), the ladder tests that drive the transport-free core directly
+# (cache keys, breaker and brownout, the persistence bar, the peer
+# consult), and the one job executor's lease
 # loop, remote and in-process, which is timing-sensitive: heartbeats,
 # drains, panics and the retry schedule it sleeps on. The minlp solver runs
 # here because each solve's row tapes carry mutable sweep buffers, and its
@@ -48,7 +52,7 @@ STRESS_PKGS = ./internal/solvecache/ ./internal/expr/ ./internal/nlp/ ./internal
 
 stress:
 	$(GO) test -count=3 -cpu 1,2,4 $(STRESS_PKGS)
-	$(GO) test -count=3 -cpu 1,2,4 -run 'TestSingleflight|TestOverload|TestPeer|TestDeadlineUnmeetable|TestWorker|TestChaosFleet|TestLocalWorker|TestLocalAttempt' ./internal/neos/
+	$(GO) test -count=3 -cpu 1,2,4 -run 'TestSingleflight|TestOverload|TestPeer|TestDeadlineUnmeetable|TestWorker|TestChaosFleet|TestLocalWorker|TestLocalAttempt|TestAsyncAttemptHoldsASolverSlot|TestJobDeadlineWhileWaitingForASlot|TestSolveCacheHit|TestDifferentOptionsMissCache|TestBrownout|TestBreaker|TestCacheHitsServedWhileBreakerOpen|TestPersistenceBar|TestDeadlineAndDegradedNeverPersist|TestCachePersistSurvivesRestart|TestSolveTimeoutBoundsPathologicalModel|TestMetricsHistogram' ./internal/neos/
 
 # Fault-injection suite: the chaos pipeline acceptance scenario, the 1 ns
 # solve-deadline ladder at 1° and at 1/8° 32768 nodes, and the brute-force

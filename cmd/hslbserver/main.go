@@ -54,7 +54,7 @@ func main() {
 	pprofAddr := flag.String("pprof-addr", "", "listen address for net/http/pprof (e.g. localhost:6060; empty = profiling off)")
 	maxAttempts := flag.Int("max-attempts", 3, "executions per async job before it is marked failed")
 	jobTTL := flag.Duration("job-ttl", time.Hour, "retention of completed jobs")
-	syncWAL := flag.Bool("fsync", false, "fsync the WAL on every job transition")
+	syncFlag := flag.Bool("fsync", false, "fsync the job WAL on every job transition and the result store (chunks, their directories, the heads log) on every commit")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "how long shutdown waits for in-flight requests")
 	maxQueue := flag.Int("max-queue", 0, "solve requests allowed to wait for a slot before shedding (0 = 4 × concurrency)")
 	maxPendingJobs := flag.Int("max-pending-jobs", 0, "async jobs allowed in queued+running state before /submit sheds with 429 (0 = unlimited)")
@@ -86,7 +86,7 @@ func main() {
 		MaxConcurrent:       *concurrency,
 		CacheSize:           *cacheSize,
 		DataDir:             *dataDir,
-		SyncWAL:             *syncWAL,
+		Sync:                *syncFlag,
 		JobTimeout:          *jobTimeout,
 		MaxAttempts:         *maxAttempts,
 		JobTTL:              *jobTTL,

@@ -192,12 +192,6 @@ func typeMembers(expr ast.Expr) []string {
 // ending in one of them.
 var optionType = regexp.MustCompile(`(Options|Config|Policy)$`)
 
-// unsetOptionFields are option fields that keep no setter on purpose, each
-// with the reason it stays.
-var unsetOptionFields = map[string]string{
-	"cas.Options.Sync": "durability code: it fsyncs each chunk before the rename links it in, and such a flush stays even while nothing turns it on",
-}
-
 // TestEveryOptionFieldIsSet: every exported field of an exported option
 // struct in internal/ (see optionSuffixes) has a setter somewhere in the
 // module, tests included: a key in a composite literal of that type, an
@@ -333,7 +327,7 @@ func TestEveryOptionFieldIsSet(t *testing.T) {
 	}
 	for key, ot := range types {
 		for _, field := range ot.fields {
-			if set[key+"."+field] || set[key+".*"] || unsetOptionFields[ot.name+"."+field] != "" {
+			if set[key+"."+field] || set[key+".*"] {
 				continue
 			}
 			setter := false
@@ -361,6 +355,29 @@ func TestMinlpImportsNoNLP(t *testing.T) {
 		for _, imp := range f.Imports {
 			if strings.Trim(imp.Path.Value, `"`) == "hslb/internal/nlp" {
 				t.Errorf("%s imports hslb/internal/nlp", path)
+			}
+		}
+	})
+}
+
+// neosHTTPFiles are the internal/neos files that may import net/http: the
+// one HTTP adapter over the solve core, and the client.
+var neosHTTPFiles = map[string]bool{
+	"internal/neos/http.go":   true,
+	"internal/neos/client.go": true,
+}
+
+// TestNeosCoreImportsNoHTTP: the solve core (the ladder, the lease
+// protocol, the workers and the background loops) is transport-free, so
+// only the adapter and client files of internal/neos may import net/http.
+func TestNeosCoreImportsNoHTTP(t *testing.T) {
+	parseModule(t, func(path string, f *ast.File) {
+		if !strings.HasPrefix(path, "internal/neos/") || strings.HasSuffix(path, "_test.go") || neosHTTPFiles[path] {
+			return
+		}
+		for _, imp := range f.Imports {
+			if strings.HasPrefix(strings.Trim(imp.Path.Value, `"`), "net/http") {
+				t.Errorf("%s imports %s: HTTP belongs in the adapter (http.go) or the client (client.go)", path, imp.Path.Value)
 			}
 		}
 	})

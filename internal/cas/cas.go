@@ -77,8 +77,10 @@ type Options struct {
 	// ChunkSize is the maximum leaf data size in bytes
 	// (default DefaultChunkSize; minimum 64).
 	ChunkSize int
-	// Sync fsyncs every new chunk file before it is linked into place.
-	// Off by default: chunks are written via tmp-file + rename, so a
+	// Sync fsyncs every new chunk file before it is linked into place, and
+	// its directory after, so the link itself is durable; a fan-out
+	// directory the write creates is synced into the store's directory
+	// too. Off by default: chunks are written via tmp-file + rename, so a
 	// crash can lose recent chunks but never corrupts existing ones.
 	Sync bool
 }
@@ -270,10 +272,18 @@ func (s *Store) writeChunkLocked(payload []byte) (Hash, error) {
 		return h, nil
 	}
 	path := s.chunkPath(h)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	dir := filepath.Dir(path)
+	// The fan-out directories are made lazily; a synced store also syncs
+	// the new directory's entry in s.dir, once, when it makes one.
+	var newDir bool
+	if s.opts.Sync {
+		_, err := os.Stat(dir)
+		newDir = errors.Is(err, fs.ErrNotExist)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return Hash{}, fmt.Errorf("cas: %w", err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
+	tmp, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {
 		return Hash{}, fmt.Errorf("cas: %w", err)
 	}
@@ -297,9 +307,32 @@ func (s *Store) writeChunkLocked(payload []byte) (Hash, error) {
 		os.Remove(tmp.Name())
 		return Hash{}, fmt.Errorf("cas: link chunk: %w", err)
 	}
+	if s.opts.Sync {
+		if err := syncDir(dir); err != nil {
+			return Hash{}, fmt.Errorf("cas: sync chunk directory: %w", err)
+		}
+		if newDir {
+			if err := syncDir(s.dir); err != nil {
+				return Hash{}, fmt.Errorf("cas: sync store directory: %w", err)
+			}
+		}
+	}
 	s.idx[h] = &chunkMeta{size: int64(len(payload))}
 	s.newBytes += int64(len(payload))
 	return h, nil
+}
+
+// syncDir fsyncs a directory, making the renames into it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Has reports whether a chunk exists in the index.

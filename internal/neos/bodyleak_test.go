@@ -129,7 +129,7 @@ func TestConcurrentSolvesParallelWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, _, c := newServerWith(t, Config{MaxConcurrent: 4})
+	s, _, c := newServerWith(t, Config{MaxConcurrent: 4})
 	ctx := context.Background()
 	const n = 8
 	var wg sync.WaitGroup
@@ -157,11 +157,7 @@ func TestConcurrentSolvesParallelWorkers(t *testing.T) {
 			}
 		}
 	}
-	m, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Solves.Count != 1 {
+	if m := s.metrics(); m.Solves.Count != 1 {
 		t.Fatalf("solver invoked %d times for %d identical concurrent requests", m.Solves.Count, n)
 	}
 }

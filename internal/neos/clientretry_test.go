@@ -163,7 +163,7 @@ func TestClientRetryRespectsContext(t *testing.T) {
 }
 
 func TestWaitPollsToCompletion(t *testing.T) {
-	_, c := newTestServer(t)
+	_, _, c := newServerWith(t, Config{MaxConcurrent: 2})
 	c.Retry = fastRetryPolicy()
 	id, err := c.Submit(context.Background(), &SolveRequest{Model: tinyModel})
 	if err != nil {
@@ -181,7 +181,7 @@ func TestWaitPollsToCompletion(t *testing.T) {
 }
 
 func TestWaitSurfacesFailedJob(t *testing.T) {
-	_, c := newTestServer(t)
+	_, _, c := newServerWith(t, Config{MaxConcurrent: 2})
 	c.Retry = fastRetryPolicy()
 	id, err := c.Submit(context.Background(), &SolveRequest{Model: tinyModel, Algorithm: "no-such-alg"})
 	if err != nil {

@@ -3,6 +3,7 @@ package neos
 import (
 	"sync"
 
+	"hslb/internal/jobstore"
 	"hslb/internal/solvecache"
 )
 
@@ -42,6 +43,34 @@ type Metrics struct {
 	// Replication describes R-way result replication and anti-entropy
 	// repair; nil/omitted unless Config.Replicate > 1.
 	Replication *ReplicationMetrics `json:"replication,omitempty"`
+}
+
+// metrics snapshots the server's instrumentation (GET /metrics).
+func (s *Server) metrics() *Metrics {
+	counts := s.store.Counts()
+	m := &Metrics{
+		Cache:  s.cache.Stats(),
+		Solves: s.hist.snapshot(),
+	}
+	m.Jobs.QueueDepth = counts[jobstore.Queued]
+	m.Jobs.Recovered = s.store.Recovered()
+	m.Jobs.WALBytes = s.store.WALSize()
+	ls := s.store.LeaseStats()
+	m.Jobs.Leased = ls.Leased
+	m.Jobs.ActiveWorkers = ls.ActiveWorkers
+	m.Jobs.LeaseReclaims = ls.Reclaims
+	m.Jobs.StaleRejects = ls.StaleRejects
+	m.Jobs.DuplicateCompletes = s.dupCompletes.Load()
+	m.Jobs.WorkerPanics = s.workerPanics.Load()
+	m.Jobs.Counts = map[string]int{}
+	for st, n := range counts {
+		m.Jobs.Counts[string(st)] = n
+	}
+	m.Overload = s.overloadMetrics()
+	m.Store = s.storeMetrics()
+	m.Peer = s.peerMetrics()
+	m.Replication = s.replicationMetrics()
+	return m
 }
 
 // SolveStats summarizes solver invocations (cache hits never reach the

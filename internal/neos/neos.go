@@ -1,10 +1,15 @@
-// Package neos implements a small HTTP optimization service and client,
+// Package neos implements a small optimization service and its client,
 // reproducing the deployment shape of the paper's automated pipeline: "The
 // AMPL code in HSLB is executed remotely via Python script on NEOS server
 // hosted by ANL" (§V). Models are submitted as AMPL text (parsed by
 // internal/ampl) and solved with the MINLP branch-and-bound solvers.
 //
-// Two interaction styles are offered, matching NEOS:
+// The *Server is a transport-free solve core: the one solve ladder, the
+// five lease methods of the pull-worker protocol (work.go), the workers and
+// the background loops, with admission's slots as the solver slots. Only
+// http.go, the one HTTP adapter (routes, body reader, error-to-status
+// mapping, shard-to-shard transfer), and client.go import net/http. The
+// routes, matching NEOS:
 //
 //	POST /solve          — synchronous solve, result in the response
 //	POST /submit         — enqueue a durable job, returns {"id": ...}
@@ -23,12 +28,11 @@ package neos
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"io"
 	"math"
-	"net/http"
-	"strings"
 
 	"hslb/internal/ampl"
 	"hslb/internal/minlp"
@@ -103,6 +107,31 @@ func ExecuteRequest(ctx context.Context, req *SolveRequest, _ int) *SolveRespons
 	return solveParsedContext(ctx, parsed, req)
 }
 
+// requestKey fingerprints a request: SHA-256 over the canonical form of
+// the model (whitespace/comment/ordering-insensitive, via the AMPL AST)
+// plus the solver options. The parse is returned so callers solve without
+// re-parsing: the key and the parse are the core's inputs, computed once by
+// the adapter or the in-process worker.
+func requestKey(req *SolveRequest) (string, *ampl.Result, error) {
+	parsed, err := parseRequest(req)
+	if err != nil {
+		return "", nil, err
+	}
+	h := sha256.New()
+	io.WriteString(h, parsed.CanonicalForm())
+	fmt.Fprintf(h, "|alg=oa|sos=%t|nodes=%d|gap=%g", req.BranchSOS, req.MaxNodes, req.RelGap)
+	return hex.EncodeToString(h.Sum(nil)), parsed, nil
+}
+
+// RequestKey returns the content-addressed fingerprint of a solve request:
+// the solve-cache key, the persisted-result key suffix, and the digest the
+// shard router consistent-hashes on — one identity for one model, at every
+// tier of the fleet.
+func RequestKey(req *SolveRequest) (string, error) {
+	key, _, err := requestKey(req)
+	return key, err
+}
+
 // parseRequest checks the request's algorithm and parses its model.
 func parseRequest(req *SolveRequest) (*ampl.Result, error) {
 	if req.Algorithm != "" && req.Algorithm != "oa" {
@@ -142,123 +171,4 @@ func solveParsedContext(ctx context.Context, parsed *ampl.Result, req *SolveRequ
 
 func round9(v float64) float64 {
 	return math.Round(v*1e9) / 1e9
-}
-
-func writeJSON(w http.ResponseWriter, code int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// Client talks to a Server over HTTP, retrying transport failures and 5xx
-// responses under Retry (see RetryPolicy; 4xx responses are never
-// retried and surface as *ServerError with the server's message).
-type Client struct {
-	BaseURL string
-	HTTP    *http.Client
-	Retry   RetryPolicy
-}
-
-// NewClient returns a client for the given base URL.
-func NewClient(baseURL string) *Client {
-	return &Client{BaseURL: strings.TrimRight(baseURL, "/"), HTTP: http.DefaultClient}
-}
-
-// Solve runs a synchronous solve.
-func (c *Client) Solve(ctx context.Context, req *SolveRequest) (*SolveResponse, error) {
-	var out SolveResponse
-	if err := c.post(ctx, "/solve", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// Submit enqueues a job and returns its id.
-func (c *Client) Submit(ctx context.Context, req *SolveRequest) (int64, error) {
-	var out map[string]int64
-	if err := c.post(ctx, "/submit", req, &out); err != nil {
-		return 0, err
-	}
-	return out["id"], nil
-}
-
-// Result polls a submitted job. Failed jobs are returned with
-// Status == JobFailed and a nil error: the HTTP request succeeded, the
-// solve did not.
-func (c *Client) Result(ctx context.Context, id int64) (*JobResult, error) {
-	resp, err := c.get(ctx, fmt.Sprintf("/result?id=%d", id))
-	if err != nil {
-		// The server reports failed jobs with 422 but still ships the
-		// JobResult body; recover it from the captured error body.
-		var se *ServerError
-		if errors.As(err, &se) && se.StatusCode == http.StatusUnprocessableEntity {
-			var out JobResult
-			if jerr := json.Unmarshal(se.Body, &out); jerr == nil && out.Status != "" {
-				return &out, nil
-			}
-		}
-		return nil, err
-	}
-	var out JobResult
-	if err := decodeBody(resp, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// Metrics fetches the server's instrumentation snapshot.
-func (c *Client) Metrics(ctx context.Context) (*Metrics, error) {
-	resp, err := c.get(ctx, "/metrics")
-	if err != nil {
-		return nil, err
-	}
-	var out Metrics
-	if err := decodeBody(resp, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// get sends GET {BaseURL}{path} under the retry policy; the caller owns
-// the response body.
-func (c *Client) get(ctx context.Context, path string) (*http.Response, error) {
-	return c.doRetry(ctx, func() (*http.Request, error) {
-		return http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
-	})
-}
-
-// post sends body as JSON to path and decodes the success response into
-// out.
-func (c *Client) post(ctx context.Context, path string, body, out interface{}) error {
-	resp, err := c.postRaw(ctx, path, body)
-	if err != nil {
-		return err
-	}
-	return decodeBody(resp, out)
-}
-
-// postRaw is post without response decoding: the caller owns the response
-// and must drain/close it (LeaseWork needs the status code and headers to
-// distinguish a grant from a no-work 204).
-func (c *Client) postRaw(ctx context.Context, path string, body interface{}) (*http.Response, error) {
-	var buf strings.Builder
-	if err := json.NewEncoder(&buf).Encode(body); err != nil {
-		return nil, err
-	}
-	return c.doRetry(ctx, func() (*http.Request, error) {
-		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost,
-			c.BaseURL+path, strings.NewReader(buf.String()))
-		if err != nil {
-			return nil, err
-		}
-		hreq.Header.Set("Content-Type", "application/json")
-		return hreq, nil
-	})
-}
-
-func (c *Client) httpClient() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return http.DefaultClient
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -21,17 +20,8 @@ subject to t2: 80 / n2 + 3 <= T;
 subject to cap: n1 + n2 <= N;
 `
 
-func newTestServer(t *testing.T) (*httptest.Server, *Client) {
-	t.Helper()
-	s := NewServer(2)
-	t.Cleanup(func() { s.Close() })
-	srv := httptest.NewServer(s.Handler())
-	t.Cleanup(srv.Close)
-	return srv, NewClient(srv.URL)
-}
-
 func TestHealth(t *testing.T) {
-	srv, _ := newTestServer(t)
+	_, srv, _ := newServerWith(t, Config{MaxConcurrent: 2})
 	resp, err := http.Get(srv.URL + "/health")
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +33,7 @@ func TestHealth(t *testing.T) {
 }
 
 func TestSynchronousSolve(t *testing.T) {
-	_, c := newTestServer(t)
+	_, _, c := newServerWith(t, Config{MaxConcurrent: 2})
 	res, err := c.Solve(context.Background(), &SolveRequest{Model: miniModel})
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +55,7 @@ func TestSynchronousSolve(t *testing.T) {
 }
 
 func TestAsyncSubmitAndPoll(t *testing.T) {
-	_, c := newTestServer(t)
+	_, _, c := newServerWith(t, Config{MaxConcurrent: 2})
 	ctx := context.Background()
 	id, err := c.Submit(ctx, &SolveRequest{Model: miniModel})
 	if err != nil {
@@ -94,7 +84,7 @@ func TestAsyncSubmitAndPoll(t *testing.T) {
 }
 
 func TestBadRequests(t *testing.T) {
-	srv, c := newTestServer(t)
+	_, srv, c := newServerWith(t, Config{MaxConcurrent: 2})
 
 	// Empty model.
 	if _, err := c.Solve(context.Background(), &SolveRequest{}); err == nil {
@@ -134,7 +124,7 @@ func TestBadRequests(t *testing.T) {
 }
 
 func TestParseErrorSurfaced(t *testing.T) {
-	_, c := newTestServer(t)
+	_, _, c := newServerWith(t, Config{MaxConcurrent: 2})
 	res, err := c.Solve(context.Background(), &SolveRequest{Model: "var x nonsense;"})
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +138,7 @@ func TestParseErrorSurfaced(t *testing.T) {
 // removed "nlpbb" included, is a request error that names it, answered
 // before the solver runs.
 func TestUnknownAlgorithm(t *testing.T) {
-	_, c := newTestServer(t)
+	s, _, c := newServerWith(t, Config{MaxConcurrent: 2})
 	for _, alg := range []string{"simplexx", "nlpbb"} {
 		res, err := c.Solve(context.Background(), &SolveRequest{Model: miniModel, Algorithm: alg})
 		if err != nil {
@@ -158,17 +148,13 @@ func TestUnknownAlgorithm(t *testing.T) {
 			t.Fatalf("%s: unknown algorithm accepted or unexplained: %+v", alg, res)
 		}
 	}
-	m, err := c.Metrics(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Solves.Count != 0 {
+	if m := s.metrics(); m.Solves.Count != 0 {
 		t.Fatalf("solver ran %d times for requests it cannot answer", m.Solves.Count)
 	}
 }
 
 func TestInfeasibleModelReported(t *testing.T) {
-	_, c := newTestServer(t)
+	_, _, c := newServerWith(t, Config{MaxConcurrent: 2})
 	res, err := c.Solve(context.Background(), &SolveRequest{Model: `
 var n integer >= 1 <= 10;
 minimize o: n;
@@ -183,7 +169,7 @@ s.t. c: 100 / n <= 1;
 }
 
 func TestConcurrentSubmissions(t *testing.T) {
-	_, c := newTestServer(t)
+	_, _, c := newServerWith(t, Config{MaxConcurrent: 2})
 	ctx := context.Background()
 	ids := make([]int64, 6)
 	for i := range ids {

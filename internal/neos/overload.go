@@ -2,8 +2,6 @@ package neos
 
 import (
 	"context"
-	"fmt"
-	"net/http"
 	"sync/atomic"
 	"time"
 
@@ -126,8 +124,9 @@ func (g *guard) recordSolve(resp *SolveResponse, elapsed, solveTimeout time.Dura
 	}
 }
 
-// shedError is a refused flight: every caller sharing it is shed with 429,
-// the error text as the reason.
+// shedError is a refused flight or job submission: every caller sharing it
+// is shed (the adapter's 429 with Retry-After), the error text as the
+// reason.
 type shedError string
 
 func (e shedError) Error() string { return string(e) }
@@ -179,20 +178,6 @@ func (s *Server) tryDegraded(key string, parsed *ampl.Result, req *SolveRequest)
 		s.fill(key, resp)
 		return resp
 	}
-}
-
-// shed rejects a request with 429 and a Retry-After hint derived from the
-// observed solve latency and current queue depth.
-func (s *Server) shed(w http.ResponseWriter, reason string) {
-	retry := s.guard.adm.RetryAfter()
-	// The header has whole-second resolution (round up); the body carries
-	// the raw estimate for clients that can back off in milliseconds.
-	secs := int((retry + time.Second - 1) / time.Second)
-	w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
-	writeJSON(w, http.StatusTooManyRequests, map[string]interface{}{
-		"error":          "overloaded: " + reason,
-		"retry_after_ms": retry.Milliseconds(),
-	})
 }
 
 // OverloadMetrics is the /metrics section describing the protection stack.

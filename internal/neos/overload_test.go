@@ -3,6 +3,7 @@ package neos
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -138,7 +139,7 @@ func TestOverloadShedsWith429AndRetryAfter(t *testing.T) {
 	}
 	<-busy
 	<-queued
-	m := metricsSnapshot(t, hs.URL)
+	m := s.metrics()
 	if m.Overload == nil {
 		t.Fatal("/metrics has no overload section on a protected server")
 	}
@@ -148,13 +149,13 @@ func TestOverloadShedsWith429AndRetryAfter(t *testing.T) {
 }
 
 func TestBrownoutServesDegradedAnswer(t *testing.T) {
-	s, hs, _ := newServerWith(t, Config{
+	s := newCore(t, Config{
 		MaxConcurrent: 2,
 		SolveTimeout:  30 * time.Second,
 		Overload: OverloadConfig{
 			DegradedTimeout: 100 * time.Millisecond,
 		},
-	})
+	}, nil)
 	// Trip the breaker by hand: the service must now walk the ladder.
 	for i := 0; i < 5; i++ {
 		s.guard.brk.Record(false)
@@ -165,9 +166,9 @@ func TestBrownoutServesDegradedAnswer(t *testing.T) {
 
 	// A pathological model cannot finish inside the 100ms brownout budget:
 	// the rounding incumbent comes back tagged degraded.
-	resp, out := postSolve(t, hs.URL, &SolveRequest{Model: uniquePathologicalModel(0)}, nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status code = %d", resp.StatusCode)
+	out, err := s.solve(context.Background(), &SolveRequest{Model: uniquePathologicalModel(0)}, true)
+	if err != nil {
+		t.Fatalf("refused: %v", err)
 	}
 	if out.Quality != "degraded" || out.Status != "deadline" {
 		t.Fatalf("response = %+v, want a degraded deadline answer", out)
@@ -178,22 +179,22 @@ func TestBrownoutServesDegradedAnswer(t *testing.T) {
 
 	// An easy model that finishes inside the brownout budget is a
 	// full-quality answer: served untagged and cached.
-	resp, out = postSolve(t, hs.URL, &SolveRequest{Model: uniqueEasyModel(1)}, nil)
-	if resp.StatusCode != http.StatusOK || out.Quality != "" || out.Status != "optimal" {
-		t.Fatalf("easy brownout solve = %d %+v", resp.StatusCode, out)
+	out, err = s.solve(context.Background(), &SolveRequest{Model: uniqueEasyModel(1)}, true)
+	if err != nil || out.Quality != "" || out.Status != "optimal" {
+		t.Fatalf("easy brownout solve = %v %+v", err, out)
 	}
 	if s.cache.Len() == 0 {
 		t.Fatal("full-quality brownout answer was not cached")
 	}
 
-	m := metricsSnapshot(t, hs.URL)
+	m := s.metrics()
 	if m.Overload.Degraded == 0 || m.Overload.Breaker.State != "open" {
 		t.Fatalf("overload metrics = %+v", m.Overload)
 	}
 }
 
 func TestBreakerTripsOnPathologicalModelClass(t *testing.T) {
-	s, hs, _ := newServerWith(t, Config{
+	s := newCore(t, Config{
 		MaxConcurrent: 2,
 		SolveTimeout:  100 * time.Millisecond,
 		Overload: OverloadConfig{
@@ -201,26 +202,27 @@ func TestBreakerTripsOnPathologicalModelClass(t *testing.T) {
 			BreakerCooldown:  time.Minute,
 			DegradedTimeout:  -1,
 		},
-	})
+	}, nil)
 	// Two consecutive full-budget deadlines trip the breaker.
 	for i := 0; i < 2; i++ {
-		resp, out := postSolve(t, hs.URL, &SolveRequest{Model: uniquePathologicalModel(i)}, nil)
-		if resp.StatusCode != http.StatusOK || out.Status != "deadline" {
-			t.Fatalf("request %d: %d %+v", i, resp.StatusCode, out)
+		out, err := s.solve(context.Background(), &SolveRequest{Model: uniquePathologicalModel(i)}, true)
+		if err != nil || out.Status != "deadline" {
+			t.Fatalf("request %d: %v %+v", i, err, out)
 		}
 	}
 	waitUntil(t, func() bool { return s.guard.brk.State() == overload.Open })
 
-	// The class is now short-circuited: no solver core burned, 429 back.
+	// The class is now short-circuited: no solver core burned, shed (429).
 	start := time.Now()
-	resp, _ := postSolve(t, hs.URL, &SolveRequest{Model: uniquePathologicalModel(99)}, nil)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status code = %d, want 429 from an open breaker", resp.StatusCode)
+	_, err := s.solve(context.Background(), &SolveRequest{Model: uniquePathologicalModel(99)}, true)
+	var shed shedError
+	if !errors.As(err, &shed) {
+		t.Fatalf("err = %v, want a shed (429) from an open breaker", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("open breaker still took %v", elapsed)
 	}
-	m := metricsSnapshot(t, hs.URL)
+	m := s.metrics()
 	if m.Overload.Breaker.Trips != 1 || m.Overload.ShedBreaker == 0 {
 		t.Fatalf("overload metrics = %+v", m.Overload)
 	}
@@ -229,18 +231,19 @@ func TestBreakerTripsOnPathologicalModelClass(t *testing.T) {
 func TestBreakerIgnoresClientBudgetDeadlines(t *testing.T) {
 	// A deadline forced by a short client budget must not count against
 	// solver health: only full-budget deadlines trip the breaker.
-	s, hs, _ := newServerWith(t, Config{
+	s := newCore(t, Config{
 		MaxConcurrent: 2,
 		SolveTimeout:  30 * time.Second,
 		Overload: OverloadConfig{
 			BreakerThreshold: 2,
 		},
-	})
+	}, nil)
 	for i := 0; i < 4; i++ {
-		resp, out := postSolve(t, hs.URL, &SolveRequest{Model: uniquePathologicalModel(i)},
-			map[string]string{"X-Request-Deadline-Ms": "50"})
-		if resp.StatusCode != http.StatusOK || out.Status != "deadline" {
-			t.Fatalf("request %d: %d %+v", i, resp.StatusCode, out)
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		out, err := s.solve(ctx, &SolveRequest{Model: uniquePathologicalModel(i)}, true)
+		cancel()
+		if err != nil || out.Status != "deadline" {
+			t.Fatalf("request %d: %v %+v", i, err, out)
 		}
 	}
 	if st := s.guard.brk.State(); st != overload.Closed {
@@ -249,25 +252,25 @@ func TestBreakerIgnoresClientBudgetDeadlines(t *testing.T) {
 }
 
 func TestCacheHitsServedWhileBreakerOpen(t *testing.T) {
-	s, hs, c := newServerWith(t, Config{
+	s := newCore(t, Config{
 		MaxConcurrent: 2,
 		Overload:      OverloadConfig{DegradedTimeout: -1},
-	})
-	if _, err := c.Solve(context.Background(), &SolveRequest{Model: miniModel}); err != nil {
+	}, nil)
+	if _, err := s.solve(context.Background(), &SolveRequest{Model: miniModel}, true); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
 		s.guard.brk.Record(false)
 	}
-	// The cached answer rides the first rung of the ladder: still a 200.
-	resp, out := postSolve(t, hs.URL, &SolveRequest{Model: miniModelReformatted}, nil)
-	if resp.StatusCode != http.StatusOK || out.Status != "optimal" || out.Quality != "" {
-		t.Fatalf("cache hit under open breaker = %d %+v", resp.StatusCode, out)
+	// The cached answer rides the first rung of the ladder: still served.
+	out, err := s.solve(context.Background(), &SolveRequest{Model: miniModelReformatted}, true)
+	if err != nil || out.Status != "optimal" || out.Quality != "" {
+		t.Fatalf("cache hit under open breaker = %v %+v", err, out)
 	}
 }
 
 func TestSubmitShedsWhenJobQueueFull(t *testing.T) {
-	_, hs, c := newServerWith(t, Config{
+	s, hs, c := newServerWith(t, Config{
 		MaxConcurrent:  1,
 		MaxPendingJobs: 1,
 		SolveTimeout:   time.Second,
@@ -289,7 +292,7 @@ func TestSubmitShedsWhenJobQueueFull(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After")
 	}
-	m := metricsSnapshot(t, hs.URL)
+	m := s.metrics()
 	if m.Overload.ShedJobs == 0 || m.Overload.MaxPendingJobs != 1 {
 		t.Fatalf("overload metrics = %+v", m.Overload)
 	}
@@ -366,6 +369,71 @@ func TestDeadlineUnmeetableShedsUpFront(t *testing.T) {
 	}
 }
 
+// TestAsyncAttemptHoldsASolverSlot: admission's slots are the solver
+// slots, so an async attempt holding the only one is a busy core to /solve.
+// A request with a 100 ms propagated deadline waits in the queue for it and
+// is shed with 429 and Retry-After when its deadline passes, instead of
+// waiting out the async solve for a late "deadline" answer.
+func TestAsyncAttemptHoldsASolverSlot(t *testing.T) {
+	s, hs, c := newServerWith(t, Config{MaxConcurrent: 1, SolveTimeout: 300 * time.Millisecond})
+	submitJob(t, c, uniquePathologicalModel(0))
+	// A probe whose context is already done takes a free slot on the fast
+	// path, so it is refused only while the async attempt holds the slot.
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	waitUntil(t, func() bool {
+		release, err := s.guard.adm.Acquire(done)
+		if err == nil {
+			release()
+		}
+		return err != nil
+	})
+
+	start := time.Now()
+	resp, _ := postSolve(t, hs.URL, &SolveRequest{Model: uniqueEasyModel(1)},
+		map[string]string{"X-Request-Deadline-Ms": "100"})
+	elapsed := time.Since(start)
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("status code = %d, Retry-After %q; want 429 with Retry-After", resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	if elapsed > 500*time.Millisecond {
+		t.Fatalf("reply took %v, want under 0.5s", elapsed)
+	}
+}
+
+// TestJobDeadlineWhileWaitingForASlotEndsTheJob: a job whose own
+// timeout_ms passes while a /solve holds the only solver slot gets its
+// terminal "deadline" answer on its first attempt, instead of being handed
+// back and re-leased at once, round after round, with two WAL records each.
+func TestJobDeadlineWhileWaitingForASlotEndsTheJob(t *testing.T) {
+	s, hs, c := newServerWith(t, Config{MaxConcurrent: 1, SolveTimeout: 400 * time.Millisecond, DataDir: t.TempDir()})
+	busy := make(chan struct{})
+	go func() {
+		defer close(busy)
+		postSolve(t, hs.URL, &SolveRequest{Model: uniquePathologicalModel(0)}, nil)
+	}()
+	waitUntil(t, func() bool { return s.guard.adm.Stats().Admitted == 1 })
+
+	id, err := c.Submit(context.Background(), &SolveRequest{Model: uniqueEasyModel(1), TimeoutMs: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr := waitForStatus(t, c, id, JobDone)
+	select {
+	case <-busy:
+		t.Fatal("the /solve ended before the job: the job never waited on a held slot")
+	default:
+	}
+	if jr.Result == nil || jr.Result.Status != "deadline" || jr.Attempts != 1 {
+		t.Fatalf("job = %+v, result %+v; want a deadline answer on attempt 1", jr, jr.Result)
+	}
+	// enqueue, lease, done
+	if n := s.store.Records(); n > 3 {
+		t.Fatalf("WAL holds %d records for one job, want 3", n)
+	}
+	<-busy
+}
+
 // waitUntil polls cond for up to 5s.
 func waitUntil(t *testing.T, cond func() bool) {
 	t.Helper()
@@ -376,18 +444,4 @@ func waitUntil(t *testing.T, cond func() bool) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-}
-
-func metricsSnapshot(t *testing.T, url string) *Metrics {
-	t.Helper()
-	resp, err := http.Get(url + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var m Metrics
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
-	return &m
 }

@@ -3,15 +3,86 @@ package neos
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 )
+
+// memTransfer is the in-memory shard-to-shard transfer: peers are servers
+// stored by name, and each call goes straight to the core method the HTTP
+// route wraps. A name with no server behind it is a dead peer. log records
+// each call, per peer, as the route it stands for.
+type memTransfer struct {
+	peers sync.Map // name → *Server
+	mu    sync.Mutex
+	log   map[string][]string
+}
+
+// to logs one call to peer and returns its server.
+func (m *memTransfer) to(peer, call string) (*Server, error) {
+	m.mu.Lock()
+	if m.log == nil {
+		m.log = map[string][]string{}
+	}
+	m.log[peer] = append(m.log[peer], call)
+	m.mu.Unlock()
+	if s, ok := m.peers.Load(peer); ok {
+		return s.(*Server), nil
+	}
+	return nil, fmt.Errorf("%s: connection refused", peer)
+}
+
+// take returns and clears the calls made to peer.
+func (m *memTransfer) take(peer string) []string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	calls := m.log[peer]
+	delete(m.log, peer)
+	return calls
+}
+
+func (m *memTransfer) fetch(_ context.Context, peer, key string) ([]byte, error) {
+	s, err := m.to(peer, "GET /replicate/"+key)
+	if err != nil {
+		return nil, err
+	}
+	return s.replica(key)
+}
+
+func (m *memTransfer) push(_ context.Context, peer, key string, data []byte) error {
+	s, err := m.to(peer, "POST /replicate/"+key)
+	if err != nil {
+		return err
+	}
+	return s.ingest(key, data)
+}
+
+func (m *memTransfer) keys(_ context.Context, peer, prefix string) ([]string, error) {
+	s, err := m.to(peer, "GET /keys")
+	if err != nil {
+		return nil, err
+	}
+	return s.storeKeys(prefix)
+}
+
+// fetchFunc is a transfer whose every fetch is the function, a misbehaving
+// or slow sibling; it neither pushes nor lists.
+type fetchFunc func(ctx context.Context, peer, key string) ([]byte, error)
+
+func (f fetchFunc) fetch(ctx context.Context, peer, key string) ([]byte, error) {
+	return f(ctx, peer, key)
+}
+
+func (f fetchFunc) push(context.Context, string, string, []byte) error {
+	return errors.New("fetch-only transfer")
+}
+
+func (f fetchFunc) keys(context.Context, string, string) ([]string, error) {
+	return nil, errors.New("fetch-only transfer")
+}
 
 // TestPeerWarmServesWithoutSolver is the peering acceptance scenario: shard
 // A solves and persists a model; shard B, a ring sibling that has never
@@ -19,10 +90,12 @@ import (
 // local solver invocations — and persists it locally via write-through.
 func TestPeerWarmServesWithoutSolver(t *testing.T) {
 	ctx := context.Background()
-	_, aSrv, aClient := newServerWith(t, Config{
+	tr := &memTransfer{}
+	a := newCore(t, Config{
 		MaxConcurrent: 2, StoreDir: t.TempDir(), CachePersist: true,
-	})
-	first, err := aClient.Solve(ctx, &SolveRequest{Model: miniModel})
+	}, tr)
+	tr.peers.Store("a", a)
+	first, err := a.solve(ctx, &SolveRequest{Model: miniModel}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,14 +103,13 @@ func TestPeerWarmServesWithoutSolver(t *testing.T) {
 		t.Fatalf("status = %q", first.Status)
 	}
 
-	bDir := t.TempDir()
-	_, _, bClient := newServerWith(t, Config{
-		MaxConcurrent: 2, StoreDir: bDir, CachePersist: true,
-		Peers: []string{aSrv.URL},
-	})
+	b := newCore(t, Config{
+		MaxConcurrent: 2, StoreDir: t.TempDir(), CachePersist: true,
+		Peers: []string{"a"},
+	}, tr)
 	// miniModelReformatted canonicalizes to the same digest, so the peer
 	// lookup must hit even though the bytes differ.
-	second, err := bClient.Solve(ctx, &SolveRequest{Model: miniModelReformatted})
+	second, err := b.solve(ctx, &SolveRequest{Model: miniModelReformatted}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,10 +117,7 @@ func TestPeerWarmServesWithoutSolver(t *testing.T) {
 		t.Fatalf("peer-warmed answer = %+v, want %+v", second, first)
 	}
 
-	m, err := bClient.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := b.metrics()
 	if m.Solves.Count != 0 {
 		t.Fatalf("shard B invoked its solver %d times; the peer should have answered", m.Solves.Count)
 	}
@@ -61,8 +130,8 @@ func TestPeerWarmServesWithoutSolver(t *testing.T) {
 	}
 
 	// B is now self-sufficient: kill A and re-ask via B's own cache.
-	aSrv.Close()
-	third, err := bClient.Solve(ctx, &SolveRequest{Model: miniModel})
+	tr.peers.Delete("a")
+	third, err := b.solve(ctx, &SolveRequest{Model: miniModel}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,23 +143,17 @@ func TestPeerWarmServesWithoutSolver(t *testing.T) {
 // TestPeerDownFallsThroughToLocalSolve: a dead sibling must cost at most
 // the peer budget, never correctness — the shard solves locally.
 func TestPeerDownFallsThroughToLocalSolve(t *testing.T) {
-	dead := httptest.NewServer(http.NotFoundHandler())
-	dead.Close()
-	_, _, c := newServerWith(t, Config{
-		MaxConcurrent: 2, Peers: []string{dead.URL},
-	})
-	ctx := context.Background()
-	out, err := c.Solve(ctx, &SolveRequest{Model: miniModel})
+	s := newCore(t, Config{
+		MaxConcurrent: 2, Peers: []string{"dead"},
+	}, &memTransfer{})
+	out, err := s.solve(context.Background(), &SolveRequest{Model: miniModel}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Status != "optimal" {
 		t.Fatalf("status = %q with a dead peer, want local solve", out.Status)
 	}
-	m, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := s.metrics()
 	if m.Solves.Count != 1 {
 		t.Fatalf("solver ran %d times, want 1 local solve", m.Solves.Count)
 	}
@@ -100,45 +163,43 @@ func TestPeerDownFallsThroughToLocalSolve(t *testing.T) {
 }
 
 // TestPeerWithoutKeyIsCleanMiss: a healthy sibling that never solved the
-// model answers 404, which counts as a miss — not an error.
+// model answers not-found (a 404 on the wire), which counts as a miss —
+// not an error.
 func TestPeerWithoutKeyIsCleanMiss(t *testing.T) {
-	_, aSrv, _ := newServerWith(t, Config{
+	tr := &memTransfer{}
+	tr.peers.Store("a", newCore(t, Config{
 		MaxConcurrent: 2, StoreDir: t.TempDir(), CachePersist: true,
-	})
-	_, _, c := newServerWith(t, Config{
-		MaxConcurrent: 2, Peers: []string{aSrv.URL},
-	})
-	ctx := context.Background()
-	if out, err := c.Solve(ctx, &SolveRequest{Model: miniModel}); err != nil || out.Status != "optimal" {
+	}, tr))
+	s := newCore(t, Config{MaxConcurrent: 2, Peers: []string{"a"}}, tr)
+	if out, err := s.solve(context.Background(), &SolveRequest{Model: miniModel}, true); err != nil || out.Status != "optimal" {
 		t.Fatalf("solve = %+v, %v", out, err)
 	}
-	m, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := s.metrics()
 	if m.Peer == nil || m.Peer.Misses != 1 || m.Peer.Errors != 0 {
 		t.Fatalf("peer metrics = %+v, want 1 clean miss, 0 errors", m.Peer)
 	}
 }
 
 // TestPeerCorruptBlobNotWarmed: a sibling whose persisted result fails
-// integrity verification (its GET /replicate/{key} returns 500, never the
-// altered bytes) must not warm the consulting shard's cache; the model is
-// re-solved locally and the correct answer wins.
+// integrity verification (its replica read errors, the 500 of GET
+// /replicate/{key}, never the altered bytes) must not warm the consulting
+// shard's cache; the model is re-solved locally and the correct answer
+// wins.
 func TestPeerCorruptBlobNotWarmed(t *testing.T) {
 	ctx := context.Background()
 	aDir := t.TempDir()
-	a, aSrv, aClient := newServerWith(t, Config{
+	tr := &memTransfer{}
+	a := newCore(t, Config{
 		MaxConcurrent: 2, StoreDir: aDir, CachePersist: true,
-	})
-	first, err := aClient.Solve(ctx, &SolveRequest{Model: miniModel})
+	}, tr)
+	tr.peers.Store("a", a)
+	first, err := a.solve(ctx, &SolveRequest{Model: miniModel}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Flip one bit in the chunk file of A's persisted head. A's next read
-	// of the key fails integrity verification, so it answers the peer's
-	// GET /replicate/{key} with a 500.
+	// of the key fails integrity verification.
 	key, err := RequestKey(&SolveRequest{Model: miniModel})
 	if err != nil {
 		t.Fatal(err)
@@ -149,20 +210,15 @@ func TestPeerCorruptBlobNotWarmed(t *testing.T) {
 	}
 	corruptChunk(t, aDir, head.Value)
 
-	_, _, bClient := newServerWith(t, Config{
-		MaxConcurrent: 2, Peers: []string{aSrv.URL},
-	})
-	out, err := bClient.Solve(ctx, &SolveRequest{Model: miniModel})
+	b := newCore(t, Config{MaxConcurrent: 2, Peers: []string{"a"}}, tr)
+	out, err := b.solve(ctx, &SolveRequest{Model: miniModel}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Status != "optimal" || out.Objective != first.Objective {
 		t.Fatalf("answer after corrupt peer = %+v, want locally solved %+v", out, first)
 	}
-	m, err := bClient.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := b.metrics()
 	if m.Solves.Count != 1 {
 		t.Fatalf("solver ran %d times, want exactly 1 local solve after rejecting the corrupt result", m.Solves.Count)
 	}
@@ -183,36 +239,27 @@ func TestPeerRejectsBestEffortAnswers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mux := http.NewServeMux()
-		mux.HandleFunc("GET /replicate/{key}", func(w http.ResponseWriter, r *http.Request) {
-			w.Write(blob)
-		})
-		evil := httptest.NewServer(mux)
-
-		_, _, c := newServerWith(t, Config{MaxConcurrent: 2, Peers: []string{evil.URL}})
-		out, err := c.Solve(context.Background(), &SolveRequest{Model: miniModel})
+		evil := fetchFunc(func(context.Context, string, string) ([]byte, error) { return blob, nil })
+		s := newCore(t, Config{MaxConcurrent: 2, Peers: []string{"evil"}}, evil)
+		out, err := s.solve(context.Background(), &SolveRequest{Model: miniModel}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if out.Status != "optimal" || out.Quality != "" {
 			t.Fatalf("peer payload %q warmed through: %+v", bad.Status, out)
 		}
-		m, err := c.Metrics(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
+		m := s.metrics()
 		if m.Solves.Count != 1 || m.Peer.Hits != 0 || m.Peer.Errors == 0 {
 			t.Fatalf("payload %q: solves=%d peer=%+v, want local solve + rejected consult",
 				bad.Status, m.Solves.Count, m.Peer)
 		}
-		evil.Close()
 	}
 }
 
 // TestPeerConsultHoldsNoAdmissionSlot: the peer consult runs inside the
 // flight before admission, so a consult stuck on a slow sibling does not
 // hold a one-slot server's only admission slot — a concurrent distinct cold
-// /solve is admitted at once instead of queueing behind it.
+// solve is admitted at once instead of queueing behind it.
 func TestPeerConsultHoldsNoAdmissionSlot(t *testing.T) {
 	ctx := context.Background()
 	slowKey, err := RequestKey(&SolveRequest{Model: miniModel})
@@ -221,27 +268,26 @@ func TestPeerConsultHoldsNoAdmissionSlot(t *testing.T) {
 	}
 	asked := make(chan struct{}, 1)
 	release := make(chan struct{})
-	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.Contains(r.URL.Path, slowKey) {
+	slow := fetchFunc(func(ctx context.Context, _, key string) ([]byte, error) {
+		if key == slowKey {
 			asked <- struct{}{}
 			select {
 			case <-release:
-			case <-r.Context().Done():
+			case <-ctx.Done():
 			}
 		}
-		http.NotFound(w, r)
-	}))
-	t.Cleanup(slow.Close)
+		return nil, errNotFound
+	})
 	var once sync.Once
 	unblock := func() { once.Do(func() { close(release) }) }
 	defer unblock()
 
-	s, _, c := newServerWith(t, Config{
-		MaxConcurrent: 1, Peers: []string{slow.URL}, PeerBudget: time.Minute,
-	})
+	s := newCore(t, Config{
+		MaxConcurrent: 1, Peers: []string{"slow"}, PeerBudget: time.Minute,
+	}, slow)
 	slowDone := make(chan error, 1)
 	go func() {
-		_, err := c.Solve(ctx, &SolveRequest{Model: miniModel})
+		_, err := s.solve(ctx, &SolveRequest{Model: miniModel}, true)
 		slowDone <- err
 	}()
 	select {
@@ -252,7 +298,7 @@ func TestPeerConsultHoldsNoAdmissionSlot(t *testing.T) {
 
 	cold := make(chan error, 1)
 	go func() {
-		out, err := c.Solve(ctx, &SolveRequest{Model: uniqueEasyModel(1)})
+		out, err := s.solve(ctx, &SolveRequest{Model: uniqueEasyModel(1)}, true)
 		if err == nil && out.Status != "optimal" {
 			err = fmt.Errorf("status %q", out.Status)
 		}
@@ -284,14 +330,15 @@ func TestPeerConsultHoldsNoAdmissionSlot(t *testing.T) {
 // on the way (it never solved the model) costs one too.
 func TestPeerConsultOneRequestPerPeer(t *testing.T) {
 	ctx := context.Background()
-	var logA, logC requestLog
-	_, aSrv, aClient := newFleetShard(t, Config{
+	tr := &memTransfer{}
+	a := newCore(t, Config{
 		MaxConcurrent: 2, StoreDir: t.TempDir(), CachePersist: true,
-	}, logA.wrap)
-	_, cSrv, _ := newFleetShard(t, Config{
+	}, tr)
+	tr.peers.Store("a", a)
+	tr.peers.Store("c", newCore(t, Config{
 		MaxConcurrent: 2, StoreDir: t.TempDir(), CachePersist: true,
-	}, logC.wrap)
-	first, err := aClient.Solve(ctx, &SolveRequest{Model: miniModel})
+	}, tr))
+	first, err := a.solve(ctx, &SolveRequest{Model: miniModel}, true)
 	if err != nil || first.Status != "optimal" {
 		t.Fatalf("solve on A: %+v, %v", first, err)
 	}
@@ -300,32 +347,27 @@ func TestPeerConsultOneRequestPerPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	peers := []string{aSrv.URL, cSrv.URL}
-	_, _, bClient := newServerWith(t, Config{MaxConcurrent: 2, Peers: peers})
-	logA.take()
-	logC.take()
-	out, err := bClient.Solve(ctx, &SolveRequest{Model: miniModel})
+	peers := []string{"a", "c"}
+	b := newCore(t, Config{MaxConcurrent: 2, Peers: peers}, tr)
+	out, err := b.solve(ctx, &SolveRequest{Model: miniModel}, true)
 	if err != nil || out.Status != "optimal" || out.Objective != first.Objective {
 		t.Fatalf("peer-warmed answer = %+v, %v; want %+v", out, err, first)
 	}
-	m, err := bClient.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := b.metrics()
 	if m.Solves.Count != 0 || m.Peer == nil || m.Peer.Hits != 1 {
 		t.Fatalf("solves=%d peer=%+v, want a peer warm and no solve", m.Solves.Count, m.Peer)
 	}
 
 	read := "GET /replicate/" + key
-	if got := logA.take(); len(got) != 1 || got[0] != read {
+	if got := tr.take("a"); len(got) != 1 || got[0] != read {
 		t.Errorf("the warming sibling served %q, want exactly [%q]", got, read)
 	}
 	// C is asked only when the key's rendezvous order puts it before A.
 	var wantC []string
-	if rendezvousOrder(peers, key)[0] == cSrv.URL {
+	if rendezvousOrder(peers, key)[0] == "c" {
 		wantC = []string{read}
 	}
-	if got := logC.take(); !slices.Equal(got, wantC) {
+	if got := tr.take("c"); !slices.Equal(got, wantC) {
 		t.Errorf("the sibling without the key served %q, want %q", got, wantC)
 	}
 }

@@ -3,11 +3,9 @@ package neos
 import (
 	"encoding/json"
 	"errors"
-	"net/http"
-	"strconv"
+	"fmt"
 	"strings"
 
-	"hslb/internal/cas"
 	"hslb/internal/resultstore"
 )
 
@@ -22,6 +20,9 @@ import (
 
 // solveKeyPrefix namespaces persisted solve results in the store.
 const solveKeyPrefix = "solve/"
+
+// errNoStore answers store reads on a server without Config.StoreDir.
+var errNoStore = fmt.Errorf("no result store configured: %w", errNotFound)
 
 // persistable is the one bar an answer must clear to be cached, persisted,
 // replicated, or warmed from a peer or a remote worker: a terminal status
@@ -98,7 +99,7 @@ func (s *Server) openResults() (int, error) {
 		}
 		return 0, nil
 	}
-	rs, err := resultstore.Open(s.cfg.StoreDir, resultstore.Options{})
+	rs, err := resultstore.Open(s.cfg.StoreDir, resultstore.Options{Sync: s.cfg.Sync})
 	if err != nil {
 		return 0, err
 	}
@@ -109,84 +110,6 @@ func (s *Server) openResults() (int, error) {
 	}
 	s.cache.SetBackend(&cacheBackend{rs: rs})
 	return s.cache.Warm()
-}
-
-// Results exposes the server's result store (nil without StoreDir) for
-// pipeline code sharing the store.
-func (s *Server) Results() *resultstore.Store { return s.results }
-
-// handleBlob serves raw store blobs by content hash: GET /blob/{hash}.
-func (s *Server) handleBlob(w http.ResponseWriter, r *http.Request) {
-	if s.results == nil {
-		http.Error(w, "no result store configured", http.StatusNotFound)
-		return
-	}
-	h, err := cas.ParseHash(r.PathValue("hash"))
-	if err != nil {
-		http.Error(w, "bad hash: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	data, err := s.results.CAS().Get(h)
-	switch {
-	case errors.Is(err, cas.ErrNotFound):
-		http.Error(w, "no such blob", http.StatusNotFound)
-		return
-	case errors.Is(err, cas.ErrCorrupt):
-		// Integrity verification failed: refuse to serve altered bytes.
-		http.Error(w, "blob failed integrity verification", http.StatusInternalServerError)
-		return
-	case err != nil:
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(data)
-}
-
-// HistoryEntry is one commit in a /history listing.
-type HistoryEntry struct {
-	Hash   string            `json:"hash"`
-	Parent string            `json:"parent,omitempty"`
-	Value  string            `json:"value"`
-	Seq    int               `json:"seq"`
-	Unix   int64             `json:"unix"`
-	Meta   map[string]string `json:"meta,omitempty"`
-}
-
-// handleHistory lists a key's commit history, newest first:
-// GET /history/{key...}?limit=N.
-func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
-	if s.results == nil {
-		http.Error(w, "no result store configured", http.StatusNotFound)
-		return
-	}
-	key := r.PathValue("key")
-	limit := 0
-	if q := r.URL.Query().Get("limit"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil || n < 0 {
-			http.Error(w, "bad limit", http.StatusBadRequest)
-			return
-		}
-		limit = n
-	}
-	log, err := s.results.Log(key, limit)
-	if errors.Is(err, resultstore.ErrNoKey) {
-		http.Error(w, "no such key", http.StatusNotFound)
-		return
-	}
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	out := make([]HistoryEntry, len(log))
-	for i, c := range log {
-		out[i] = HistoryEntry{
-			Hash: c.Hash, Parent: c.Parent, Value: c.Value,
-			Seq: c.Seq, Unix: c.Unix, Meta: c.Meta,
-		}
-	}
-	writeJSON(w, http.StatusOK, out)
 }
 
 // StoreMetrics is the /metrics section describing the result store.

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -23,8 +22,8 @@ func TestCachePersistSurvivesRestart(t *testing.T) {
 	cfg := Config{MaxConcurrent: 2, StoreDir: dir, CachePersist: true}
 	ctx := context.Background()
 
-	s1, _, c1 := newServerWith(t, cfg)
-	first, err := c1.Solve(ctx, &SolveRequest{Model: miniModel})
+	s1 := newCore(t, cfg, nil)
+	first, err := s1.solve(ctx, &SolveRequest{Model: miniModel}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,18 +34,15 @@ func TestCachePersistSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, _, c2 := newServerWith(t, cfg)
-	second, err := c2.Solve(ctx, &SolveRequest{Model: miniModelReformatted})
+	s2 := newCore(t, cfg, nil)
+	second, err := s2.solve(ctx, &SolveRequest{Model: miniModelReformatted}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if second.Status != "optimal" || second.Objective != first.Objective {
 		t.Fatalf("restarted answer = %+v, want %+v", second, first)
 	}
-	m, err := c2.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := s2.metrics()
 	if m.Solves.Count != 0 {
 		t.Fatalf("solver invoked %d times after restart; cache should have been warm", m.Solves.Count)
 	}
@@ -59,13 +55,11 @@ func TestCachePersistSurvivesRestart(t *testing.T) {
 	if m.Store.Chunks == 0 || m.Store.StoredBytes == 0 {
 		t.Fatalf("store metrics = %+v", m.Store)
 	}
-	_ = s2
 }
 
 func TestDeadlineAndDegradedNeverPersist(t *testing.T) {
-	rsDir := t.TempDir()
-	s, _, _ := newServerWith(t, Config{MaxConcurrent: 2, StoreDir: rsDir, CachePersist: true})
-	b := &cacheBackend{rs: s.Results()}
+	s := newCore(t, Config{MaxConcurrent: 2, StoreDir: t.TempDir(), CachePersist: true}, nil)
+	b := &cacheBackend{rs: s.results}
 	if err := b.Save("k1", &SolveResponse{Status: "deadline", Objective: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -75,13 +69,13 @@ func TestDeadlineAndDegradedNeverPersist(t *testing.T) {
 	if err := b.Save("k3", &SolveResponse{Status: "error", Error: "boom"}); err != nil {
 		t.Fatal(err)
 	}
-	if keys := s.Results().KeysWithPrefix(solveKeyPrefix); len(keys) != 0 {
+	if keys := s.results.KeysWithPrefix(solveKeyPrefix); len(keys) != 0 {
 		t.Fatalf("best-effort results persisted: %v", keys)
 	}
 	if err := b.Save("k4", &SolveResponse{Status: "optimal", Objective: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if keys := s.Results().KeysWithPrefix(solveKeyPrefix); len(keys) != 1 {
+	if keys := s.results.KeysWithPrefix(solveKeyPrefix); len(keys) != 1 {
 		t.Fatalf("persisted keys = %v", keys)
 	}
 }
@@ -93,20 +87,15 @@ func TestDeadlineAndDegradedNeverPersist(t *testing.T) {
 // pass anywhere.
 func TestPersistenceBarAtEveryCallSite(t *testing.T) {
 	ctx := context.Background()
-	shard, shardURL, _ := newFleetShard(t, replCfg(t))
-	backend := &cacheBackend{rs: shard.Results()}
-	pull, _, pullClient := newServerWith(t, pullOnlyConfig())
+	cfg := replCfg(t)
+	cfg.SelfURL = "shard"
+	shard := newCore(t, cfg, &memTransfer{})
+	backend := &cacheBackend{rs: shard.results}
+	pull := newCore(t, pullOnlyConfig(), nil)
 
 	var blob atomic.Pointer[[]byte]
-	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet || !strings.HasPrefix(r.URL.Path, "/replicate/") {
-			http.NotFound(w, r)
-			return
-		}
-		w.Write(*blob.Load())
-	}))
-	t.Cleanup(peer.Close)
-	consulter, _, _ := newServerWith(t, Config{MaxConcurrent: 2, Peers: []string{peer.URL}})
+	consulter := newCore(t, Config{MaxConcurrent: 2, Peers: []string{"peer"}},
+		fetchFunc(func(context.Context, string, string) ([]byte, error) { return *blob.Load(), nil }))
 
 	i := 0
 	for _, status := range []string{"", "optimal", "infeasible", "error", "deadline"} {
@@ -136,12 +125,14 @@ func TestPersistenceBarAtEveryCallSite(t *testing.T) {
 			}
 
 			model := uniqueEasyModel(i)
-			submitJob(t, pullClient, model)
-			grant, _, err := pullClient.LeaseWork(ctx, "node-a", 0)
+			if _, err := pull.submit(&SolveRequest{Model: model}); err != nil {
+				t.Fatal(err)
+			}
+			grant, _, err := pull.LeaseWork(ctx, "node-a", 0)
 			if err != nil || grant == nil {
 				t.Fatalf("lease: %v", err)
 			}
-			if _, err := pullClient.CompleteWork(ctx, grant.JobID, grant.Fence, resp); err != nil {
+			if _, err := pull.completeRemote(ctx, grant.JobID, grant.Fence, resp); err != nil {
 				t.Fatal(err)
 			}
 			jobKey, err := RequestKey(&SolveRequest{Model: model})
@@ -164,13 +155,8 @@ func TestPersistenceBarAtEveryCallSite(t *testing.T) {
 				t.Errorf("%s: peer consult warmed = %v, want %v", name, got, want)
 			}
 
-			hr, err := http.Post(shardURL.URL+"/replicate/"+key, "application/json", strings.NewReader(string(data)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			hr.Body.Close()
-			if got := hr.StatusCode == http.StatusNoContent; got != want {
-				t.Errorf("%s: replication ingest status %d, accepted = %v, want %v", name, hr.StatusCode, got, want)
+			if got := shard.ingest(key, data) == nil; got != want {
+				t.Errorf("%s: replication ingest accepted = %v, want %v", name, got, want)
 			}
 		}
 	}
@@ -184,7 +170,7 @@ func TestBlobAndHistoryEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	keys := s.Results().KeysWithPrefix(solveKeyPrefix)
+	keys := s.results.KeysWithPrefix(solveKeyPrefix)
 	if len(keys) != 1 {
 		t.Fatalf("persisted keys = %v", keys)
 	}
@@ -219,7 +205,7 @@ func TestBlobAndHistoryEndpoints(t *testing.T) {
 	}
 
 	// The shard-to-shard read serves exactly the persisted head bytes.
-	head, _, err := s.Results().HeadValue(keys[0])
+	head, _, err := s.results.HeadValue(keys[0])
 	if err != nil {
 		t.Fatal(err)
 	}

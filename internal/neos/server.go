@@ -2,14 +2,9 @@ package neos
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -22,14 +17,10 @@ import (
 	"hslb/internal/solvecache"
 )
 
-// maxRequestBody caps /solve and /submit bodies; AMPL sources for the
-// paper's largest instances are a few KiB, so 1 MiB is generous.
-const maxRequestBody = 1 << 20
-
 // Config tunes the solve service.
 type Config struct {
-	// MaxConcurrent bounds simultaneous solver invocations across the
-	// sync and async paths (default 4).
+	// MaxConcurrent is the number of solver slots, shared by /solve
+	// leaders and async job attempts (default 4).
 	MaxConcurrent int
 	// CacheSize is the solve-cache capacity in entries
 	// (default solvecache.DefaultCapacity).
@@ -37,8 +28,9 @@ type Config struct {
 	// DataDir is the directory for the durable job WAL; empty runs the
 	// queue in memory only.
 	DataDir string
-	// SyncWAL fsyncs the WAL on every job transition.
-	SyncWAL bool
+	// Sync fsyncs the job WAL on every job transition and the result store
+	// (chunks, their directories, the heads log) on every commit.
+	Sync bool
 	// JobTimeout bounds one in-process execution attempt of an async job
 	// (default 60s; <0 disables); remote hslbworker attempts have none.
 	JobTimeout time.Duration
@@ -158,11 +150,9 @@ type Server struct {
 	cache  *solvecache.Cache[*SolveResponse]
 	flight solvecache.Group[*SolveResponse]
 	store  *jobstore.Store
-	// sem bounds concurrent solver invocations so a burst of requests
-	// cannot fork an unbounded number of solver goroutines.
-	sem  chan struct{}
-	hist *histogram
-	// guard is the overload-protection stack.
+	hist   *histogram
+	// guard is the overload-protection stack; its admission slots are the
+	// solver slots.
 	guard    *guard
 	draining atomic.Bool
 	// results is the versioned result store; nil without Config.StoreDir.
@@ -200,8 +190,14 @@ func NewServer(maxConcurrent int) *Server {
 }
 
 // NewServerWith returns a service for cfg, recovering any pending jobs
-// from cfg.DataDir and starting the worker pool.
+// from cfg.DataDir and starting the worker pool. Shards reach each other
+// over HTTP.
 func NewServerWith(cfg Config) (*Server, error) {
+	return newServer(cfg, &httpTransfer{})
+}
+
+// newServer is NewServerWith over the shard-to-shard transfer tr.
+func newServer(cfg Config, tr transfer) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Replicate > 1 {
 		if strings.TrimSpace(cfg.SelfURL) == "" {
@@ -212,7 +208,7 @@ func NewServerWith(cfg Config) (*Server, error) {
 		}
 	}
 	store, err := jobstore.Open(cfg.DataDir, jobstore.Options{
-		Sync:       cfg.SyncWAL,
+		Sync:       cfg.Sync,
 		MaxPending: cfg.MaxPendingJobs,
 	})
 	if err != nil {
@@ -222,7 +218,6 @@ func NewServerWith(cfg Config) (*Server, error) {
 		cfg:   cfg,
 		cache: solvecache.New[*SolveResponse](cfg.CacheSize),
 		store: store,
-		sem:   make(chan struct{}, cfg.MaxConcurrent),
 		hist:  newHistogram(),
 		guard: newGuard(cfg.Overload, cfg.MaxConcurrent),
 		quit:  make(chan struct{}),
@@ -233,7 +228,7 @@ func NewServerWith(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.warmed = warmed
-	s.peering = newPeering(cfg)
+	s.peering = newPeering(cfg, tr)
 	if s.peering.replicating() {
 		s.wg.Add(2)
 		go s.pusher()
@@ -241,11 +236,25 @@ func NewServerWith(cfg Config) (*Server, error) {
 	}
 	s.startWorkers()
 	if cfg.JobTTL > 0 {
+		interval := cfg.JobTTL / 4
+		if interval > time.Minute {
+			interval = time.Minute
+		}
+		if interval < time.Second {
+			interval = time.Second
+		}
 		s.wg.Add(1)
-		go s.janitor()
+		go s.every(interval, s.janitor)
+	}
+	interval := cfg.LeaseTTL / 4
+	if interval > time.Second {
+		interval = time.Second
+	}
+	if interval < 25*time.Millisecond {
+		interval = 25 * time.Millisecond
 	}
 	s.wg.Add(1)
-	go s.reaper()
+	go s.every(interval, func() { _, _ = s.store.ReapExpired() })
 	return s, nil
 }
 
@@ -264,6 +273,22 @@ func (s *Server) logf(format string, args ...interface{}) {
 // routing here, without touching in-flight work. Call it before shutting
 // the HTTP listener down.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
+
+// ready is the readiness probe: unavailable while draining, while the
+// breaker is open, or while the admission queue is saturated, so load
+// balancers stop routing to a browning-out instance. Liveness (/health)
+// stays up throughout.
+func (s *Server) ready() error {
+	switch {
+	case s.draining.Load():
+		return unavailable("draining")
+	case s.guard.brk.State() == overload.Open:
+		return unavailable("circuit breaker open")
+	case s.guard.adm.Saturated():
+		return unavailable("solve queue saturated")
+	}
+	return nil
+}
 
 // Close drains the worker pool (an in-flight solve gets the worker's drain
 // grace to finish, then its job is released; queued jobs stay in the store
@@ -285,65 +310,26 @@ func (s *Server) Close() error {
 	return err
 }
 
-// Handler returns the HTTP routes.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	// Liveness: 200 while the process is up, even when browning out —
-	// restarting an overloaded instance only makes the overload worse.
-	mux.HandleFunc("/health", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("/ready", s.handleReady)
-	mux.HandleFunc("/solve", s.handleSolve)
-	mux.HandleFunc("/submit", s.handleSubmit)
-	mux.HandleFunc("/result", s.handleResult)
-	mux.HandleFunc("/jobs", s.handleJobs)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("GET /blob/{hash}", s.handleBlob)
-	mux.HandleFunc("GET /history/{key...}", s.handleHistory)
-	mux.HandleFunc("GET /keys", s.handleKeys)
-	mux.HandleFunc("GET /replicate/{key}", s.handleReplicaRead)
-	mux.HandleFunc("POST /replicate/{key}", s.handleReplicate)
-	mux.HandleFunc("/admin/peers", s.handleAdminPeers)
-	mux.HandleFunc("POST /work/lease", s.handleWorkLease)
-	mux.HandleFunc("POST /work/renew", s.handleWorkRenew)
-	mux.HandleFunc("POST /work/complete", s.handleWorkComplete)
-	mux.HandleFunc("POST /work/fail", s.handleWorkFail)
-	return mux
-}
+// badRequest is a malformed request (400 on the wire), the text its reason.
+type badRequest string
 
-// requestKey fingerprints a request: SHA-256 over the canonical form of
-// the model (whitespace/comment/ordering-insensitive, via the AMPL AST)
-// plus the solver options. The parse is returned so callers solve without
-// re-parsing.
-func requestKey(req *SolveRequest) (string, *ampl.Result, error) {
-	parsed, err := parseRequest(req)
-	if err != nil {
-		return "", nil, err
-	}
-	h := sha256.New()
-	io.WriteString(h, parsed.CanonicalForm())
-	fmt.Fprintf(h, "|alg=oa|sos=%t|nodes=%d|gap=%g", req.BranchSOS, req.MaxNodes, req.RelGap)
-	return hex.EncodeToString(h.Sum(nil)), parsed, nil
-}
+func (e badRequest) Error() string { return string(e) }
 
-// RequestKey returns the content-addressed fingerprint of a solve request:
-// the solve-cache key, the persisted-result key suffix, and the digest the
-// shard router consistent-hashes on — one identity for one model, at every
-// tier of the fleet.
-func RequestKey(req *SolveRequest) (string, error) {
-	key, _, err := requestKey(req)
-	return key, err
-}
+// unavailable is a server that should not take the request now (503 with
+// Retry-After on the wire), the text its reason.
+type unavailable string
 
-// solve is the one solve path, for /solve and async jobs alike: a cache
-// hit, else join the key's in-flight solve or lead it (see lead), so a herd
-// of identical requests gets one answer — full quality, degraded, or one
-// refusal (a shedError). Request errors (an unknown algorithm, a model
-// that does not parse) are answered uncached with status "error", before
-// the solver or its breaker see them. ctx may carry the client's
-// propagated deadline; coalesced followers share the leader's budget,
-// which is safe because deadline results are never cached.
+func (e unavailable) Error() string { return string(e) }
+
+// solve is the one solve path, for /solve and async jobs alike. The
+// request's key and parse are computed once (requestKey); a request error
+// (an unknown algorithm, a model that does not parse) is answered uncached
+// with status "error", so the solver and its breaker never see it. Then a
+// cache hit, else join the key's in-flight solve or lead it (see lead), so
+// a herd of identical requests gets one answer — full quality, degraded, or
+// one refusal (a shedError). ctx may carry the client's propagated
+// deadline; coalesced followers share the leader's budget, which is safe
+// because deadline results are never cached.
 func (s *Server) solve(ctx context.Context, req *SolveRequest, admit bool) (*SolveResponse, error) {
 	key, parsed, err := requestKey(req)
 	if err != nil {
@@ -361,24 +347,28 @@ func (s *Server) solve(ctx context.Context, req *SolveRequest, admit bool) (*Sol
 
 // lead is the flight leader's ladder. It asks the ring siblings first —
 // before the breaker, so a sibling's full-quality answer beats a degraded
-// one even while the breaker is open, and before admission, so the consult
-// never occupies a solve slot. A peer-warm fill persists locally through
+// one even while the breaker is open, and before taking a solver slot, so
+// the consult never occupies one. A peer-warm fill persists locally through
 // the cache backend but never replicates onward: only fresh solver fills
-// push, so replicas cannot circulate. Then, for /solve (admit), the breaker
-// and admission control; refused, the leader walks the brownout rung
-// inside the flight. Async attempts skip both (their workers gate on the
-// breaker before leasing). Last the solver semaphore, shared by both
-// paths, and the solve.
+// push, so replicas cannot circulate. Then a solver slot from the one pool.
+// For /solve (admit) that is the breaker and admission control; refused,
+// the leader walks the brownout rung inside the flight. An async attempt
+// (its worker gated on the breaker before leasing) takes a slot outside the
+// queue bound and the deadline test, waiting until one frees or its context
+// ends: at the job's own deadline it answers "deadline", and cancelled (lease
+// lost, drain) it is refused. Last the solve.
 func (s *Server) lead(ctx context.Context, key string, parsed *ampl.Result, req *SolveRequest, admit bool) (*SolveResponse, error) {
 	if resp := s.consult(ctx, key); resp != nil {
 		return resp, nil
 	}
+	g := s.guard
+	var release func()
+	var err error
 	if admit {
-		g := s.guard
 		if !g.brk.Allow() {
 			return s.brownout(key, parsed, req, "circuit breaker open", &g.shedBreaker)
 		}
-		release, err := g.adm.Acquire(ctx)
+		release, err = g.adm.Acquire(ctx)
 		switch {
 		case errors.Is(err, overload.ErrSaturated):
 			return s.brownout(key, parsed, req, "solve queue full", &g.shedQueue)
@@ -387,10 +377,17 @@ func (s *Server) lead(ctx context.Context, key string, parsed *ampl.Result, req 
 			// latency and queue depth: shed now, before burning a core.
 			return nil, shedError("deadline cannot be met")
 		}
-		defer release()
+	} else if release, err = g.adm.Take(ctx); errors.Is(err, context.DeadlineExceeded) {
+		// The job's own deadline (timeout_ms) passed before a slot freed: the
+		// terminal answer of a solve that ran out of time with no incumbent,
+		// never cached, so the attempt is used and the job completes.
+		return &SolveResponse{Status: "deadline", Error: "no solver slot before the deadline"}, nil
+	} else if err != nil {
+		// The attempt was cancelled (lease lost, drain) before a slot freed:
+		// a refusal, which hands the job back.
+		return nil, shedError("no solver slot before the attempt was cancelled")
 	}
-	s.sem <- struct{}{}
-	defer func() { <-s.sem }()
+	defer release()
 	sctx := ctx
 	if s.cfg.SolveTimeout > 0 {
 		var cancel context.CancelFunc
@@ -401,7 +398,7 @@ func (s *Server) lead(ctx context.Context, key string, parsed *ampl.Result, req 
 	resp := solveParsedContext(sctx, parsed, req)
 	elapsed := time.Since(start)
 	s.hist.observe(elapsed.Seconds())
-	s.guard.recordSolve(resp, elapsed, s.cfg.SolveTimeout)
+	g.recordSolve(resp, elapsed, s.cfg.SolveTimeout)
 	s.fill(key, resp)
 	return resp, nil
 }
@@ -415,11 +412,13 @@ func (s *Server) fill(key string, resp *SolveResponse) {
 	}
 }
 
-// solveJob is an in-process attempt's solve. It never takes an admission
-// slot (admit false), so it can only be refused by joining a /solve flight
-// whose leader was refused; it then returns nil and the worker hands the
-// job back without using up the attempt, so a job never finishes with a
-// degraded or shed answer.
+// solveJob is an in-process attempt's solve. It takes its solver slot
+// outside the admission queue (admit false), so it can only be refused by
+// joining a /solve flight whose leader was refused, or by its attempt being
+// cancelled before a slot freed; it then returns nil and the worker hands
+// the job back without using up the attempt, so a job never finishes with a
+// degraded or shed answer. A request error is the job's permanent "error"
+// answer.
 func (s *Server) solveJob(ctx context.Context, req *SolveRequest) *SolveResponse {
 	resp, err := s.solve(ctx, req, false)
 	if err != nil || resp.Quality != "" {
@@ -428,201 +427,30 @@ func (s *Server) solveJob(ctx context.Context, req *SolveRequest) *SolveResponse
 	return resp
 }
 
-// requestBudget extracts the client's propagated deadline: the
-// X-Request-Deadline-Ms header when present, else the request's
-// timeout_ms field (0 = none). The server-wide SolveTimeout still caps the
-// actual solve.
-func requestBudget(r *http.Request, req *SolveRequest) (time.Duration, error) {
-	if h := r.Header.Get("X-Request-Deadline-Ms"); h != "" {
-		ms, err := strconv.ParseInt(h, 10, 64)
-		if err != nil || ms <= 0 {
-			return 0, fmt.Errorf("bad X-Request-Deadline-Ms %q", h)
-		}
-		return time.Duration(ms) * time.Millisecond, nil
-	}
-	if req.TimeoutMs > 0 {
-		return time.Duration(req.TimeoutMs) * time.Millisecond, nil
-	}
-	return 0, nil
-}
-
-func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeRequest(w, r)
-	if !ok {
-		return
-	}
-	budget, err := requestBudget(r, req)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	// The budget context derives from Background, not r.Context(): a
-	// coalesced solve must not die with one disconnecting client.
-	ctx := context.Background()
-	if budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, budget)
-		defer cancel()
-	}
-	resp, err := s.solve(ctx, req, true)
-	if err != nil {
-		s.shed(w, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleReady is the readiness probe: 503 while draining, while the
-// breaker is open, or while the admission queue is saturated, so load
-// balancers stop routing to a browning-out instance. Liveness (/health)
-// stays 200 throughout.
-func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	if s.guard.brk.State() == overload.Open {
-		http.Error(w, "circuit breaker open", http.StatusServiceUnavailable)
-		return
-	}
-	if s.guard.adm.Saturated() {
-		http.Error(w, "solve queue saturated", http.StatusServiceUnavailable)
-		return
-	}
-	fmt.Fprintln(w, "ready")
-}
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeRequest(w, r)
-	if !ok {
-		return
-	}
+// submit enqueues a job, refusing it with a shedError when the queue is at
+// MaxPendingJobs.
+func (s *Server) submit(req *SolveRequest) (int64, error) {
 	payload, err := json.Marshal(req)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+		return 0, err
 	}
 	job, err := s.store.Enqueue(payload, s.cfg.MaxAttempts)
 	if errors.Is(err, jobstore.ErrQueueFull) {
 		s.guard.shedJobs.Add(1)
-		s.shed(w, "job queue full")
-		return
+		return 0, shedError("job queue full")
 	}
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+		return 0, err
 	}
-	writeJSON(w, http.StatusAccepted, map[string]int64{"id": job.ID})
-}
-
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.ParseInt(r.URL.Query().Get("id"), 10, 64)
-	if err != nil {
-		http.Error(w, "bad or missing id", http.StatusBadRequest)
-		return
-	}
-	job, ok := s.store.Get(id)
-	if !ok {
-		http.Error(w, "unknown job", http.StatusNotFound)
-		return
-	}
-	out := JobResult{
-		ID:       job.ID,
-		Status:   JobStatus(job.Status),
-		Attempts: job.Attempts,
-		Error:    job.Error,
-	}
-	if len(job.Result) > 0 {
-		var resp SolveResponse
-		if err := json.Unmarshal(job.Result, &resp); err == nil {
-			out.Result = &resp
-		}
-	}
-	code := http.StatusOK
-	if job.Status == jobstore.Failed {
-		// Surface solver failures as a non-200 so polling clients and
-		// load balancers can distinguish them without inspecting bodies.
-		code = http.StatusUnprocessableEntity
-	}
-	writeJSON(w, code, out)
-}
-
-// JobSummary is one row of the /jobs listing.
-type JobSummary struct {
-	ID          int64     `json:"id"`
-	Status      JobStatus `json:"status"`
-	Attempts    int       `json:"attempts"`
-	MaxAttempts int       `json:"max_attempts"`
-	EnqueuedAt  time.Time `json:"enqueued_at"`
-	FinishedAt  time.Time `json:"finished_at,omitempty"`
-	Error       string    `json:"error,omitempty"`
-}
-
-func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return
-	}
-	status := jobstore.Status(r.URL.Query().Get("status"))
-	switch status {
-	case "", jobstore.Queued, jobstore.Running, jobstore.Done, jobstore.Failed:
-	default:
-		http.Error(w, "unknown status filter", http.StatusBadRequest)
-		return
-	}
-	jobs := s.store.List(status)
-	out := make([]JobSummary, len(jobs))
-	for i, j := range jobs {
-		out[i] = JobSummary{
-			ID:          j.ID,
-			Status:      JobStatus(j.Status),
-			Attempts:    j.Attempts,
-			MaxAttempts: j.MaxAttempts,
-			EnqueuedAt:  j.EnqueuedAt,
-			FinishedAt:  j.FinishedAt,
-			Error:       j.Error,
-		}
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return
-	}
-	counts := s.store.Counts()
-	m := Metrics{
-		Cache:  s.cache.Stats(),
-		Solves: s.hist.snapshot(),
-	}
-	m.Jobs.QueueDepth = counts[jobstore.Queued]
-	m.Jobs.Recovered = s.store.Recovered()
-	m.Jobs.WALBytes = s.store.WALSize()
-	ls := s.store.LeaseStats()
-	m.Jobs.Leased = ls.Leased
-	m.Jobs.ActiveWorkers = ls.ActiveWorkers
-	m.Jobs.LeaseReclaims = ls.Reclaims
-	m.Jobs.StaleRejects = ls.StaleRejects
-	m.Jobs.DuplicateCompletes = s.dupCompletes.Load()
-	m.Jobs.WorkerPanics = s.workerPanics.Load()
-	m.Jobs.Counts = map[string]int{}
-	for st, n := range counts {
-		m.Jobs.Counts[string(st)] = n
-	}
-	m.Overload = s.overloadMetrics()
-	m.Store = s.storeMetrics()
-	m.Peer = s.peerMetrics()
-	m.Replication = s.replicationMetrics()
-	writeJSON(w, http.StatusOK, m)
+	return job.ID, nil
 }
 
 // startWorkers starts the in-process pool: AsyncWorkers copies of the one
 // Worker loop, pulling straight from this server's queue. They solve
-// through solveJob (cache, flight and peers, no admission slot), abandon
-// an attempt at JobTimeout, wake on the queue's ready signal instead of
-// polling, and while the breaker is open re-check it every breakerPoll
-// instead of leasing.
+// through solveJob (cache, flight, peers, then a solver slot outside the
+// admission queue), abandon an attempt at JobTimeout, wake on the queue's
+// ready signal instead of polling, and while the breaker is open re-check
+// it every breakerPoll instead of leasing.
 func (s *Server) startWorkers() {
 	ctx, stop := context.WithCancel(context.Background())
 	s.stopWorkers = stop
@@ -649,19 +477,13 @@ func (s *Server) startWorkers() {
 	}
 }
 
-// reaper periodically requeues jobs whose lease lapsed — a crashed remote
-// worker, a renewal partition, or a panicked local worker. Lease() also
-// reaps inline, so the ticker only bounds reclaim latency when no worker
-// is polling.
-func (s *Server) reaper() {
+// every runs f every interval until Close. The reaper requeues jobs whose
+// lease lapsed — a crashed remote worker, a renewal partition, or a
+// panicked local worker; Lease() also reaps inline, so its ticker only
+// bounds reclaim latency when no worker is polling. The janitor evicts
+// completed jobs past JobTTL and truncates store history.
+func (s *Server) every(interval time.Duration, f func()) {
 	defer s.wg.Done()
-	interval := s.cfg.LeaseTTL / 4
-	if interval > time.Second {
-		interval = time.Second
-	}
-	if interval < 25*time.Millisecond {
-		interval = 25 * time.Millisecond
-	}
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	for {
@@ -669,56 +491,15 @@ func (s *Server) reaper() {
 		case <-s.quit:
 			return
 		case <-tick.C:
-			_, _ = s.store.ReapExpired()
+			f()
 		}
 	}
 }
 
 // janitor evicts completed jobs past their TTL.
 func (s *Server) janitor() {
-	defer s.wg.Done()
-	interval := s.cfg.JobTTL / 4
-	if interval > time.Minute {
-		interval = time.Minute
+	_, _ = s.store.EvictCompleted(s.cfg.JobTTL)
+	if s.results != nil && s.cfg.StoreKeepHistory > 0 {
+		_, _, _ = s.results.GC(s.cfg.StoreKeepHistory)
 	}
-	if interval < time.Second {
-		interval = time.Second
-	}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.quit:
-			return
-		case <-tick.C:
-			_, _ = s.store.EvictCompleted(s.cfg.JobTTL)
-			if s.results != nil && s.cfg.StoreKeepHistory > 0 {
-				_, _, _ = s.results.GC(s.cfg.StoreKeepHistory)
-			}
-		}
-	}
-}
-
-func decodeRequest(w http.ResponseWriter, r *http.Request) (*SolveRequest, bool) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return nil, false
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
-	var req SolveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			http.Error(w, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit),
-				http.StatusRequestEntityTooLarge)
-			return nil, false
-		}
-		http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
-		return nil, false
-	}
-	if strings.TrimSpace(req.Model) == "" {
-		http.Error(w, "empty model", http.StatusBadRequest)
-		return nil, false
-	}
-	return &req, true
 }

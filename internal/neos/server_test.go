@@ -40,16 +40,28 @@ func newServerWith(t *testing.T, cfg Config) (*Server, *httptest.Server, *Client
 	return s, hs, NewClient(hs.URL)
 }
 
+// newCore returns a server for cfg that tests drive through the core, with
+// no listener: tr carries its shard-to-shard transfers.
+func newCore(t *testing.T, cfg Config, tr transfer) *Server {
+	t.Helper()
+	s, err := newServer(cfg, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
 func TestSolveCacheHit(t *testing.T) {
-	_, _, c := newServerWith(t, Config{MaxConcurrent: 2})
+	s := newCore(t, Config{MaxConcurrent: 2}, nil)
 	ctx := context.Background()
 
-	first, err := c.Solve(ctx, &SolveRequest{Model: miniModel})
+	first, err := s.solve(ctx, &SolveRequest{Model: miniModel}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Second request: equivalent model, reformatted source.
-	second, err := c.Solve(ctx, &SolveRequest{Model: miniModelReformatted})
+	second, err := s.solve(ctx, &SolveRequest{Model: miniModelReformatted}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,10 +72,7 @@ func TestSolveCacheHit(t *testing.T) {
 		t.Fatalf("objectives differ: %v vs %v", first.Objective, second.Objective)
 	}
 
-	m, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := s.metrics()
 	if m.Solves.Count != 1 {
 		t.Fatalf("solver invoked %d times, want 1 (cache must absorb the second request)", m.Solves.Count)
 	}
@@ -73,19 +82,15 @@ func TestSolveCacheHit(t *testing.T) {
 }
 
 func TestDifferentOptionsMissCache(t *testing.T) {
-	_, _, c := newServerWith(t, Config{MaxConcurrent: 2})
+	s := newCore(t, Config{MaxConcurrent: 2}, nil)
 	ctx := context.Background()
-	if _, err := c.Solve(ctx, &SolveRequest{Model: miniModel}); err != nil {
+	if _, err := s.solve(ctx, &SolveRequest{Model: miniModel}, true); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Solve(ctx, &SolveRequest{Model: miniModel, RelGap: 1e-3}); err != nil {
+	if _, err := s.solve(ctx, &SolveRequest{Model: miniModel, RelGap: 1e-3}, true); err != nil {
 		t.Fatal(err)
 	}
-	m, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Solves.Count != 2 {
+	if m := s.metrics(); m.Solves.Count != 2 {
 		t.Fatalf("solver invoked %d times, want 2 (options are part of the key)", m.Solves.Count)
 	}
 }
@@ -95,7 +100,7 @@ func TestDifferentOptionsMissCache(t *testing.T) {
 // herd coalesces before admission, so it costs one admission, one solve
 // and no 429.
 func TestSingleflightConcurrentIdenticalSolves(t *testing.T) {
-	s, _, c := newServerWith(t, Config{MaxConcurrent: 1})
+	s := newCore(t, Config{MaxConcurrent: 1}, nil)
 	ctx := context.Background()
 	const n = 12 // > MaxConcurrent + the default MaxQueue of 4
 	var wg sync.WaitGroup
@@ -104,7 +109,7 @@ func TestSingleflightConcurrentIdenticalSolves(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := c.Solve(ctx, &SolveRequest{Model: miniModel})
+			res, err := s.solve(ctx, &SolveRequest{Model: miniModel}, true)
 			if err == nil && res.Status != "optimal" {
 				err = fmt.Errorf("status %q", res.Status)
 			}
@@ -117,11 +122,7 @@ func TestSingleflightConcurrentIdenticalSolves(t *testing.T) {
 			t.Errorf("request %d: %v", i, err)
 		}
 	}
-	m, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Solves.Count != 1 {
+	if m := s.metrics(); m.Solves.Count != 1 {
 		t.Fatalf("solver invoked %d times for %d identical concurrent requests", m.Solves.Count, n)
 	}
 	if st := s.guard.adm.Stats(); st.Admitted != 1 || st.ShedSaturated != 0 || st.ShedDeadline != 0 {
@@ -157,7 +158,7 @@ func TestFailedJobNon200(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	// The raw HTTP status must be non-200.
-	resp, err := http.Get(hs.URL + "/result?id=" + jsonInt(id))
+	resp, err := http.Get(hs.URL + "/result?id=" + fmt.Sprint(id))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,21 +173,23 @@ func TestFailedJobNon200(t *testing.T) {
 	}
 }
 
-func jsonInt(v int64) string {
-	b, _ := json.Marshal(v)
-	return string(b)
-}
-
+// TestOversizedBodyRejected: every POST route reads its body through the
+// one size limit and answers an oversized body 413.
 func TestOversizedBodyRejected(t *testing.T) {
 	_, hs, _ := newServerWith(t, Config{MaxConcurrent: 1})
 	big := `{"model":"` + strings.Repeat("x", maxRequestBody+1) + `"}`
-	resp, err := http.Post(hs.URL+"/solve", "application/json", strings.NewReader(big))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body = %d, want %d", resp.StatusCode, http.StatusRequestEntityTooLarge)
+	for _, path := range []string{
+		"/solve", "/submit", "/work/lease", "/work/renew", "/work/complete", "/work/fail",
+		"/admin/peers", "/replicate/" + strings.Repeat("ab", 32),
+	} {
+		resp, err := http.Post(hs.URL+path, "application/json", strings.NewReader(big))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("oversized body on %s = %d, want %d", path, resp.StatusCode, http.StatusRequestEntityTooLarge)
+		}
 	}
 }
 
@@ -288,11 +291,10 @@ func TestCrashRecoveryCompletesQueuedJob(t *testing.T) {
 	store.Close() // flushes; the "crash" is never marking midRun done
 
 	// Restart: the new server must recover both jobs and finish them.
-	s, hs, c := newServerWith(t, Config{MaxConcurrent: 2, DataDir: dir})
+	s, _, c := newServerWith(t, Config{MaxConcurrent: 2, DataDir: dir})
 	if s.Recovered() != 1 {
 		t.Fatalf("recovered = %d, want 1 (the mid-run job)", s.Recovered())
 	}
-	_ = hs
 	done1 := waitForStatus(t, c, queued.ID, JobDone)
 	if done1.Result == nil || done1.Result.Status != "optimal" {
 		t.Fatalf("recovered queued job result: %+v", done1.Result)
@@ -309,11 +311,7 @@ func TestCrashRecoveryCompletesQueuedJob(t *testing.T) {
 	if done2.Attempts != 2 {
 		t.Fatalf("mid-run attempts = %d, want 2", done2.Attempts)
 	}
-	m, err := c.Metrics(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Jobs.QueueDepth != 0 || m.Jobs.Counts["running"] != 0 || m.Jobs.Counts["done"] != 2 {
+	if m := s.metrics(); m.Jobs.QueueDepth != 0 || m.Jobs.Counts["running"] != 0 || m.Jobs.Counts["done"] != 2 {
 		t.Fatalf("post-recovery jobs = %+v", m.Jobs)
 	}
 }
@@ -342,9 +340,7 @@ func TestDurableSubmitSurvivesRestart(t *testing.T) {
 	ha.Close()
 	a.Close()
 
-	b, hb, cb := newServerWith(t, Config{MaxConcurrent: 1, DataDir: dir})
-	_ = b
-	_ = hb
+	_, _, cb := newServerWith(t, Config{MaxConcurrent: 1, DataDir: dir})
 	jr := waitForStatus(t, cb, id, JobDone)
 	if jr.Result == nil || jr.Result.Status != "optimal" {
 		t.Fatalf("result after restart: %+v", jr)
@@ -352,7 +348,7 @@ func TestDurableSubmitSurvivesRestart(t *testing.T) {
 }
 
 func TestAsyncJobUsesCache(t *testing.T) {
-	_, _, c := newServerWith(t, Config{MaxConcurrent: 2})
+	s, _, c := newServerWith(t, Config{MaxConcurrent: 2})
 	ctx := context.Background()
 	if _, err := c.Solve(ctx, &SolveRequest{Model: miniModel}); err != nil {
 		t.Fatal(err)
@@ -362,25 +358,17 @@ func TestAsyncJobUsesCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitForStatus(t, c, id, JobDone)
-	m, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Solves.Count != 1 {
+	if m := s.metrics(); m.Solves.Count != 1 {
 		t.Fatalf("async path re-solved a cached model: count = %d", m.Solves.Count)
 	}
 }
 
 func TestMetricsHistogram(t *testing.T) {
-	_, _, c := newServerWith(t, Config{MaxConcurrent: 1})
-	ctx := context.Background()
-	if _, err := c.Solve(ctx, &SolveRequest{Model: miniModel}); err != nil {
+	s := newCore(t, Config{MaxConcurrent: 1}, nil)
+	if _, err := s.solve(context.Background(), &SolveRequest{Model: miniModel}, true); err != nil {
 		t.Fatal(err)
 	}
-	m, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := s.metrics()
 	if m.Solves.Count != 1 || m.Solves.LatencySumSeconds <= 0 {
 		t.Fatalf("solve stats = %+v", m.Solves)
 	}
@@ -424,11 +412,11 @@ func hardLadderModel(k, seed int) string {
 var pathologicalModel = hardLadderModel(120, 0)
 
 func TestSolveTimeoutBoundsPathologicalModel(t *testing.T) {
-	_, _, c := newServerWith(t, Config{MaxConcurrent: 2, SolveTimeout: 300 * time.Millisecond})
+	s := newCore(t, Config{MaxConcurrent: 2, SolveTimeout: 300 * time.Millisecond}, nil)
 	ctx := context.Background()
 
 	start := time.Now()
-	out, err := c.Solve(ctx, &SolveRequest{Model: pathologicalModel})
+	out, err := s.solve(ctx, &SolveRequest{Model: pathologicalModel}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,13 +432,10 @@ func TestSolveTimeoutBoundsPathologicalModel(t *testing.T) {
 
 	// Deadline results depend on the wall-clock budget, not just the
 	// model, so they must not stick in the cache.
-	if _, err := c.Solve(ctx, &SolveRequest{Model: pathologicalModel}); err != nil {
+	if _, err := s.solve(ctx, &SolveRequest{Model: pathologicalModel}, true); err != nil {
 		t.Fatal(err)
 	}
-	m, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := s.metrics()
 	if m.Solves.Count != 2 {
 		t.Fatalf("solver invoked %d times, want 2 (deadline results must not be cached)", m.Solves.Count)
 	}

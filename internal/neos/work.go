@@ -6,14 +6,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
 	"time"
 
 	"hslb/internal/jobstore"
 )
 
 // Pull-worker protocol: remote solver nodes (cmd/hslbworker) take jobs off
-// the durable queue over HTTP instead of the server pushing work to them.
+// the durable queue over HTTP instead of the server pushing work to them;
+// the in-process workers call the same five lease methods directly.
 // Every grant carries a fencing token; the token must accompany renewals
 // and terminal reports, so a worker whose lease lapsed (crash, partition,
 // zombie) can never clobber the re-executed job.
@@ -23,6 +23,12 @@ import (
 //	POST /work/complete  — report the solve result (idempotent, see below)
 //	POST /work/fail      — report a failure (retryable, permanent, or a
 //	                       drain-time release that returns the attempt)
+
+// ErrLeaseLost is returned by the lease methods when the fencing token is
+// stale (HTTP 409 on the wire): the lease expired or the job was handed to
+// another worker. The correct response is to stop computing and lease fresh
+// work — any result already computed will never be recorded.
+var ErrLeaseLost = errors.New("neos: lease lost (stale fencing token)")
 
 // WorkLeaseRequest is the JSON body of /work/lease.
 type WorkLeaseRequest struct {
@@ -193,116 +199,6 @@ func leaseErr(err error) error {
 	return err
 }
 
-// writeLeaseErr answers a failed lease operation (404 unknown job, 409
-// stale lease, 500 otherwise) and reports whether there was one.
-func writeLeaseErr(w http.ResponseWriter, err error) bool {
-	switch {
-	case err == nil:
-		return false
-	case errors.Is(err, jobstore.ErrNotFound):
-		http.Error(w, "unknown job", http.StatusNotFound)
-	case errors.Is(err, ErrLeaseLost):
-		http.Error(w, "stale lease", http.StatusConflict)
-	default:
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-	return true
-}
-
-func decodeWorkBody(w http.ResponseWriter, r *http.Request, out interface{}) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
-	if err := json.NewDecoder(r.Body).Decode(out); err != nil {
-		http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
-		return false
-	}
-	return true
-}
-
-func (s *Server) handleWorkLease(w http.ResponseWriter, r *http.Request) {
-	var req WorkLeaseRequest
-	if !decodeWorkBody(w, r, &req) {
-		return
-	}
-	if req.WorkerID == "" {
-		http.Error(w, "worker_id required", http.StatusBadRequest)
-		return
-	}
-	// A draining server stops handing out new leases; in-flight leases may
-	// still renew and complete below.
-	if s.draining.Load() {
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	grant, wait, err := s.LeaseWork(r.Context(), req.WorkerID, time.Duration(req.TTLMs)*time.Millisecond)
-	var shed shedError
-	switch {
-	case errors.As(err, &shed):
-		s.shed(w, string(shed))
-	case err != nil:
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	case grant == nil:
-		// No runnable work. The wait hint covers both backoff delays and the
-		// next lease expiry, so pollers return in time to pick up reclaims.
-		if wait <= 0 {
-			wait = time.Second
-		}
-		w.Header().Set("X-Wait-Ms", fmt.Sprintf("%d", wait.Milliseconds()))
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", int((wait+time.Second-1)/time.Second)))
-		w.WriteHeader(http.StatusNoContent)
-	default:
-		writeJSON(w, http.StatusOK, grant)
-	}
-}
-
-func (s *Server) handleWorkRenew(w http.ResponseWriter, r *http.Request) {
-	var req WorkRenewRequest
-	if !decodeWorkBody(w, r, &req) {
-		return
-	}
-	ttl, err := s.RenewWork(r.Context(), req.JobID, req.Fence, time.Duration(req.TTLMs)*time.Millisecond)
-	if !writeLeaseErr(w, err) {
-		writeJSON(w, http.StatusOK, WorkRenewResponse{TTLMs: ttl.Milliseconds()})
-	}
-}
-
-func (s *Server) handleWorkComplete(w http.ResponseWriter, r *http.Request) {
-	var req WorkCompleteRequest
-	if !decodeWorkBody(w, r, &req) {
-		return
-	}
-	if req.Result == nil {
-		http.Error(w, "result required", http.StatusBadRequest)
-		return
-	}
-	dup, err := s.CompleteWork(r.Context(), req.JobID, req.Fence, req.Result)
-	if writeLeaseErr(w, err) {
-		return
-	}
-	if !dup {
-		// A remote answer, unlike an in-process solve, has not filled the
-		// solve cache yet.
-		s.warmFromJob(req.JobID, req.Result)
-	}
-	writeJSON(w, http.StatusOK, WorkCompleteResponse{Duplicate: dup})
-}
-
-func (s *Server) handleWorkFail(w http.ResponseWriter, r *http.Request) {
-	var req WorkFailRequest
-	if !decodeWorkBody(w, r, &req) {
-		return
-	}
-	var err error
-	if req.Release {
-		err = s.ReleaseWork(r.Context(), req.JobID, req.Fence)
-	} else {
-		err = s.FailWork(r.Context(), req.JobID, req.Fence, req.Error, req.Retryable)
-	}
-	if !writeLeaseErr(w, err) {
-		writeJSON(w, http.StatusOK, struct{}{})
-	}
-}
-
 // isDuplicateComplete reports whether the job already reached the terminal
 // state this result describes, byte for byte. Results are compared via
 // SHA-256 over the canonical json.Marshal form (map keys sorted), so a
@@ -326,23 +222,26 @@ func (s *Server) isDuplicateComplete(id int64, resp *SolveResponse) bool {
 	return sha256.Sum256(payload) == sha256.Sum256(job.Result)
 }
 
-// warmFromJob fills the solve cache from a remotely computed result, so the
-// fleet's work benefits the server's sync path (and, with CachePersist, the
-// result store) exactly like a local solve — a remote worker's answer is a
-// fresh solver fill, so it replicates too.
-func (s *Server) warmFromJob(id int64, resp *SolveResponse) {
-	if !persistable(resp) {
-		return
+// completeRemote is CompleteWork for a remote worker's report
+// (/work/complete). A recorded answer, unlike an in-process solve, has not
+// filled the solve cache yet, so it fills it: the fleet's work benefits the
+// server's sync path (and, with CachePersist, the result store) exactly like
+// a local solve, and as a fresh solver fill it replicates too.
+func (s *Server) completeRemote(ctx context.Context, jobID, fence int64, resp *SolveResponse) (bool, error) {
+	dup, err := s.CompleteWork(ctx, jobID, fence, resp)
+	if err != nil || dup || !persistable(resp) {
+		return dup, err
 	}
-	job, ok := s.store.Get(id)
+	job, ok := s.store.Get(jobID)
 	if !ok {
-		return
+		return false, nil
 	}
 	var req SolveRequest
 	if err := json.Unmarshal(job.Request, &req); err != nil {
-		return
+		return false, nil
 	}
 	if key, err := RequestKey(&req); err == nil {
 		s.fill(key, resp)
 	}
+	return false, nil
 }

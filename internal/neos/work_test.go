@@ -264,7 +264,7 @@ func leaseEventually(t *testing.T, c *Client, worker string) *WorkGrant {
 // never reports) and shows the reaper hands the job to the next node, whose
 // result wins while the zombie's stale complete bounces.
 func TestWorkLeaseExpiryReclaim(t *testing.T) {
-	_, _, c := newServerWith(t, Config{
+	s, _, c := newServerWith(t, Config{
 		MaxConcurrent: 2,
 		AsyncWorkers:  -1,
 		LeaseTTL:      100 * time.Millisecond,
@@ -300,10 +300,7 @@ func TestWorkLeaseExpiryReclaim(t *testing.T) {
 	}
 
 	// Lease health shows up on /metrics.
-	m, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := s.metrics()
 	if m.Jobs.LeaseReclaims == 0 {
 		t.Fatal("metrics report zero lease reclaims")
 	}
@@ -341,11 +338,7 @@ func TestLocalWorkerPanicReclaimed(t *testing.T) {
 	if n := s.workerPanics.Load(); n == 0 {
 		t.Fatal("panic not counted")
 	}
-	m, err := c.Metrics(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Jobs.WorkerPanics == 0 || m.Jobs.LeaseReclaims == 0 {
+	if m := s.metrics(); m.Jobs.WorkerPanics == 0 || m.Jobs.LeaseReclaims == 0 {
 		t.Fatalf("metrics = panics %d, reclaims %d; want both > 0",
 			m.Jobs.WorkerPanics, m.Jobs.LeaseReclaims)
 	}
@@ -358,7 +351,7 @@ func TestLocalWorkerPanicReclaimed(t *testing.T) {
 // the job fails.
 func TestLocalAttemptOutlivesLeaseTTL(t *testing.T) {
 	var calls atomic.Int64
-	_, _, c := newServerWith(t, Config{
+	s, _, c := newServerWith(t, Config{
 		MaxConcurrent: 2,
 		AsyncWorkers:  1,
 		LeaseTTL:      100 * time.Millisecond,
@@ -375,11 +368,7 @@ func TestLocalAttemptOutlivesLeaseTTL(t *testing.T) {
 	if jr.Attempts != 1 || calls.Load() != 1 {
 		t.Fatalf("attempts = %d, solves = %d; want 1 and 1", jr.Attempts, calls.Load())
 	}
-	m, err := c.Metrics(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Jobs.LeaseReclaims != 0 {
+	if m := s.metrics(); m.Jobs.LeaseReclaims != 0 {
 		t.Fatalf("lease reclaims = %d, want 0: the lease lapsed mid-solve", m.Jobs.LeaseReclaims)
 	}
 }
@@ -410,8 +399,8 @@ func TestWorkLeaseBreakerOpenSheds(t *testing.T) {
 // joins a /solve flight whose leader was refused — answered degraded, or
 // shed — never finishes with that answer. The job goes back to the queue
 // without using up the attempt (MaxAttempts 1 would fail it otherwise),
-// re-runs as its own flight's leader, and ends done at full quality. No
-// async attempt takes an admission slot.
+// re-runs as its own flight's leader, and ends done at full quality. Its
+// solver slot is taken outside the /solve admission queue.
 func TestAsyncAttemptJoiningRefusedFlightIsReleased(t *testing.T) {
 	for _, refusal := range []struct {
 		name string
@@ -465,7 +454,7 @@ func TestAsyncAttemptJoiningRefusedFlightIsReleased(t *testing.T) {
 				t.Fatalf("solve attempts = %d, want 2 (one handed back, one solved)", n)
 			}
 			if st := s.guard.adm.Stats(); st.Admitted != 0 {
-				t.Fatalf("admission stats = %+v: an async attempt took an admission slot", st)
+				t.Fatalf("admission stats = %+v: an async attempt went through admission", st)
 			}
 		})
 	}

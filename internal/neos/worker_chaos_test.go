@@ -32,7 +32,7 @@ func TestChaosFleet(t *testing.T) {
 	if raceEnabled {
 		ttl = 600 * time.Millisecond
 	}
-	_, c := newFleetServer(t, Config{
+	_, _, c := newServerWith(t, Config{
 		MaxConcurrent: 4,
 		AsyncWorkers:  -1, // the queue belongs to the remote fleet
 		LeaseTTL:      ttl,

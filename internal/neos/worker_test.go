@@ -18,23 +18,11 @@ func boundModel(n int) string {
 	return "var x integer >= 1 <= " + strconv.Itoa(n) + "; maximize total: x;"
 }
 
-func newFleetServer(t *testing.T, cfg Config) (*httptest.Server, *Client) {
-	t.Helper()
-	s, err := NewServerWith(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	hs := httptest.NewServer(s.Handler())
-	t.Cleanup(hs.Close)
-	return hs, NewClient(hs.URL)
-}
-
 // TestWorkerEndToEnd runs one real pull-loop node against a server with no
 // local workers: lease → real MINLP solve → complete, for several jobs, then
 // a clean drain.
 func TestWorkerEndToEnd(t *testing.T) {
-	_, c := newFleetServer(t, Config{
+	_, _, c := newServerWith(t, Config{
 		MaxConcurrent: 2,
 		AsyncWorkers:  -1,
 		LeaseTTL:      2 * time.Second,
@@ -75,7 +63,7 @@ func TestWorkerEndToEnd(t *testing.T) {
 // grace: the lease must be handed back immediately without consuming the
 // attempt.
 func TestWorkerDrainReleasesLease(t *testing.T) {
-	_, c := newFleetServer(t, Config{
+	_, _, c := newServerWith(t, Config{
 		MaxConcurrent: 2,
 		AsyncWorkers:  -1,
 		LeaseTTL:      5 * time.Second,
@@ -124,7 +112,7 @@ func TestWorkerDrainReleasesLease(t *testing.T) {
 // TestWorkerDrainFinishesWithinGrace stops a worker mid-solve whose solve
 // finishes inside the drain grace: the result must still be reported.
 func TestWorkerDrainFinishesWithinGrace(t *testing.T) {
-	_, c := newFleetServer(t, Config{
+	_, _, c := newServerWith(t, Config{
 		MaxConcurrent: 2,
 		AsyncWorkers:  -1,
 		LeaseTTL:      5 * time.Second,
@@ -177,7 +165,7 @@ func TestWorkerSurvivesPanickingSolve(t *testing.T) {
 	if raceEnabled {
 		ttl *= 4
 	}
-	_, c := newFleetServer(t, Config{
+	s, _, c := newServerWith(t, Config{
 		MaxConcurrent: 2,
 		AsyncWorkers:  -1,
 		LeaseTTL:      ttl,
@@ -219,11 +207,7 @@ func TestWorkerSurvivesPanickingSolve(t *testing.T) {
 	if st := w.Stats(); st.Panics != 1 || st.Completed != 1 {
 		t.Fatalf("stats = %+v, want one recovered panic and one completion", st)
 	}
-	m, err := c.Metrics(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Jobs.LeaseReclaims != 1 {
+	if m := s.metrics(); m.Jobs.LeaseReclaims != 1 {
 		t.Fatalf("lease reclaims = %d, want 1 (the panicked attempt's lease)", m.Jobs.LeaseReclaims)
 	}
 }

@@ -126,6 +126,27 @@ func (a *Admission) Acquire(ctx context.Context) (release func(), err error) {
 	}
 }
 
+// Take claims a solver slot outside the admission queue, for work that is
+// already accepted (a queued job's attempt): it is neither shed for a full
+// queue nor tested against a deadline. A free slot is taken even when ctx
+// is already done; otherwise it waits until a slot frees or ctx ends,
+// returning ctx's error then. It shares the slots with Acquire, so every
+// holder is a busy core to the queue's fast path, deadline test and
+// Retry-After. It counts in no admission counter.
+func (a *Admission) Take(ctx context.Context) (release func(), err error) {
+	select {
+	case <-a.slots:
+		return a.release, nil
+	default:
+	}
+	select {
+	case <-a.slots:
+		return a.release, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
 func (a *Admission) release() {
 	select {
 	case a.slots <- struct{}{}:

@@ -184,3 +184,39 @@ func TestEWMA(t *testing.T) {
 		t.Fatalf("count = %d", e.Count())
 	}
 }
+
+// TestTakeSharesSlotsOutsideTheQueue: Take holds one of the Acquire slots,
+// so a queued Acquire sees the core busy, but Take itself is never shed and
+// gives up only when its context ends.
+func TestTakeSharesSlotsOutsideTheQueue(t *testing.T) {
+	a := NewAdmission(AdmissionConfig{MaxConcurrent: 1, MaxQueue: 1})
+	release, err := a.Take(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := a.Acquire(ctx); !errors.Is(err, ErrDeadline) {
+		t.Fatalf("Acquire with the only slot taken = %v, want ErrDeadline", err)
+	}
+	if _, err := a.Take(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("second Take = %v, want the context's error", err)
+	}
+	release()
+	// A free slot is taken even by an attempt whose context already ended.
+	for i := 0; i < 20; i++ {
+		r, err := a.Take(ctx)
+		if err != nil {
+			t.Fatalf("Take of a free slot with a done context = %v, want the slot", err)
+		}
+		r()
+	}
+	r, err := a.Acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r()
+	if st := a.Stats(); st.Admitted != 1 || st.ShedDeadline != 1 || st.ShedSaturated != 0 {
+		t.Fatalf("stats = %+v, want Take outside every counter", st)
+	}
+}

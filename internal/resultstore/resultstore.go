@@ -58,6 +58,10 @@ type Commit struct {
 
 // Options configures a Store.
 type Options struct {
+	// Sync fsyncs every chunk (and its directory) and every heads-log
+	// append before the commit returns, so a committed head survives a
+	// power loss.
+	Sync bool
 	// now overrides the commit clock in tests.
 	now func() time.Time
 }
@@ -103,12 +107,12 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("resultstore: %w", err)
 	}
-	chunk, err := cas.Open(filepath.Join(dir, "chunks"), cas.Options{})
+	chunk, err := cas.Open(filepath.Join(dir, "chunks"), cas.Options{Sync: opts.Sync})
 	if err != nil {
 		return nil, err
 	}
 	s := &Store{chunk: chunk, opts: opts, heads: map[string]string{}}
-	s.headLog, err = jsonl.Open(filepath.Join(dir, headsName), false, s.replayHead)
+	s.headLog, err = jsonl.Open(filepath.Join(dir, headsName), opts.Sync, s.replayHead)
 	if err != nil {
 		return nil, fmt.Errorf("resultstore: %w", err)
 	}

@@ -364,3 +364,33 @@ func TestHeadsLogCompaction(t *testing.T) {
 		t.Fatalf("heads log not compacted: %d lines for 1 key", lines)
 	}
 }
+
+// TestSyncStoreReopensHeads: a store opened with Sync (fsynced chunks, chunk
+// directories and heads log) commits, reopens and serves its heads like an
+// unsynced one.
+func TestSyncStoreReopensHeads(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{Sync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := s.Commit("solve/x", []byte("r1"), map[string]string{"status": "optimal"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir, Options{Sync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	head, ok := s2.Head("solve/x")
+	if !ok || head.Hash != c.Hash {
+		t.Fatalf("head after reopen = %+v, %v; want %s", head, ok, c.Hash)
+	}
+	if v, _, err := s2.HeadValue("solve/x"); err != nil || string(v) != "r1" {
+		t.Fatalf("head value after reopen = %q, %v", v, err)
+	}
+}
