@@ -47,8 +47,8 @@ race:
 # concurrent-solve test must hold at every GOMAXPROCS.
 STRESS_PKGS = ./internal/solvecache/ ./internal/expr/ ./internal/nlp/ ./internal/lp/ \
 	./internal/minlp/ ./internal/overload/ ./internal/router/ ./internal/jobstore/ \
-	./internal/faultnet/ ./internal/backoff/ ./internal/jsonl/ ./internal/resultstore/ \
-	./internal/bench/
+	./internal/faultnet/ ./internal/backoff/ ./internal/jsonl/ ./internal/cas/ \
+	./internal/resultstore/ ./internal/bench/
 
 stress:
 	$(GO) test -count=3 -cpu 1,2,4 $(STRESS_PKGS)
@@ -95,8 +95,9 @@ chaos-fleet:
 	$(GO) test -v -race -run 'TestRouterLiveResizeUnderTraffic|TestRouterRemovedShardInflightCompletes|TestAdminShardsRejectsBadSets|TestRouterFlapDamping|TestRingSetShardsConcurrentWithPick|TestRouterShardKillReplicaFailover' ./internal/router/
 
 # Result-store integrity: run a small fixed-seed campaign into a scratch
-# store, then fsck it — an end-to-end walk of the content-addressed chunk
-# tree that fails on any hash mismatch or missing chunk. The max-min and
+# store, then fsck it — every chunk file re-hashed against its name and its
+# tag checked, then every key's commit chain and values read back; it fails
+# on any hash mismatch, bad tag or missing chunk. The max-min and
 # sync-tolerance runs drive the real binary through the exact search that
 # answers nonconvex specs.
 fsck:

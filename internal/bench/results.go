@@ -19,10 +19,11 @@ import (
 // "gather/<CampaignID>". Intermediate commits happen at checkpoint
 // boundaries (each completed run), so a crashed campaign leaves a usable
 // history; the final commit carries complete=true and a deterministic,
-// plan-ordered entry list. Successive versions share most of their
-// chunks in the content-addressed store, so the history costs far less
-// than runs × document size. The head document is also the campaign's
-// only durable record: see resumeEntries.
+// plan-ordered entry list. The content-addressed store keeps each
+// version whole, as one chunk, and shares only identical versions, so the
+// history of a campaign of R runs costs about R × the mean document size.
+// The head document is also the campaign's only durable record: see
+// resumeEntries.
 
 // gatherEntry is one completed run. Times are stored as exact
 // round-tripping float64s (encoding/json uses the shortest representation

@@ -1,31 +1,28 @@
-// Package cas implements a chunked, content-addressed blob store — the
-// persistence foundation of the result store. Values of any size are
-// split into fixed-size chunks, each addressed by the SHA-256 of its
-// payload and written once: identical chunks across values share one file
-// on disk (dedup), and a value's address is the hash of the root of its
-// chunk tree, so equal values always have equal addresses and a fetched
-// value can be verified end to end against its name.
+// Package cas implements a content-addressed blob store — the persistence
+// foundation of the result store. Every value, of any size, is stored as
+// one chunk addressed by the SHA-256 of its payload and written once:
+// equal values share one file on disk (dedup), and a value's address is a
+// function of its bytes alone, so a fetched value can be verified end to
+// end against its name.
 //
 // On-disk layout (under the store directory):
 //
 //	ab/cdef0123...  one file per chunk, path = hex hash fan-out by the
 //	                first byte; file content = the chunk payload.
 //
-// Chunk payload framing: the first byte is a type tag — 'L' for a leaf
-// (raw value bytes follow) or 'N' for an interior node (a concatenation
-// of 32-byte child hashes follows). A value ≤ ChunkSize is a single leaf;
-// larger values become a tree of nodes over leaves. The tag is inside the
-// hashed payload, so a leaf can never collide with a node.
+// Chunk payload framing: the first byte is the type tag 'L' (leaf) and
+// the value's bytes follow. Put writes nothing else. Stores written by
+// earlier versions can also hold chunk trees, whose 'N' nodes are read but
+// never written (legacy.go); any other tag is reported as corrupt.
 //
 // The store keeps an in-memory index (hash → size, refcount) rebuilt by
 // scanning the directory at Open. Reference counts are owned by callers
-// via Pin/Unpin on roots; GC deletes chunks whose refcount is zero, and
-// Fsck re-hashes every chunk file and walks every node to detect
-// corruption (bit flips, truncation, missing children).
+// via Pin/Unpin; GC deletes chunks whose refcount is zero, and Fsck
+// re-hashes every chunk file and checks its tag to detect corruption (bit
+// flips, truncation, foreign files, a legacy node's missing children).
 package cas
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -33,8 +30,9 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
+
+	"hslb/internal/jsonl"
 )
 
 // HashSize is the size of a chunk address in bytes.
@@ -45,9 +43,6 @@ type Hash [HashSize]byte
 
 // String renders the hash as lowercase hex.
 func (h Hash) String() string { return hex.EncodeToString(h[:]) }
-
-// IsZero reports whether the hash is the zero value (no address).
-func (h Hash) IsZero() bool { return h == Hash{} }
 
 // ParseHash decodes a 64-character hex string into a Hash.
 func ParseHash(s string) (Hash, error) {
@@ -63,36 +58,18 @@ func ParseHash(s string) (Hash, error) {
 	return h, nil
 }
 
-// Chunk payload type tags.
-const (
-	tagLeaf = 'L'
-	tagNode = 'N'
-)
-
-// DefaultChunkSize is the leaf payload size Put splits values at.
-const DefaultChunkSize = 64 << 10
+// tagLeaf is the type tag every chunk payload starts with.
+const tagLeaf = 'L'
 
 // Options configures a Store.
 type Options struct {
-	// ChunkSize is the maximum leaf data size in bytes
-	// (default DefaultChunkSize; minimum 64).
-	ChunkSize int
 	// Sync fsyncs every new chunk file before it is linked into place, and
-	// its directory after, so the link itself is durable; a fan-out
-	// directory the write creates is synced into the store's directory
-	// too. Off by default: chunks are written via tmp-file + rename, so a
-	// crash can lose recent chunks but never corrupts existing ones.
+	// its directory after, so the link itself is durable; a directory the
+	// store creates — the store directory at Open, a fan-out directory on
+	// a write — is synced into its parent too. Off by default: chunks are
+	// written via tmp-file + rename, so a crash can lose recent chunks but
+	// never corrupts existing ones.
 	Sync bool
-}
-
-func (o Options) withDefaults() Options {
-	if o.ChunkSize <= 0 {
-		o.ChunkSize = DefaultChunkSize
-	}
-	if o.ChunkSize < 64 {
-		o.ChunkSize = 64
-	}
-	return o
 }
 
 // Sentinel errors.
@@ -104,6 +81,7 @@ var (
 type chunkMeta struct {
 	size int64 // payload bytes on disk
 	refs int
+	kids []Hash // a legacy node's children, nil for a leaf
 }
 
 // Stats is a snapshot of the store counters.
@@ -113,24 +91,23 @@ type Stats struct {
 	Chunks      int   `json:"chunks"`
 	StoredBytes int64 `json:"stored_bytes"`
 	// LogicalBytes is the cumulative size of all values written through
-	// Put this process lifetime, counting duplicates; StoredBytes /
-	// LogicalBytes of the same period is the dedup ratio. NewBytes is the
-	// subset of LogicalBytes that required new chunk files.
+	// Put this process lifetime, counting duplicates. NewBytes is the
+	// payload bytes of the chunk files those Puts had to create (the tag
+	// byte included); LogicalBytes / NewBytes is the dedup ratio.
 	LogicalBytes int64 `json:"logical_bytes"`
 	NewBytes     int64 `json:"new_bytes"`
-	// DedupHits counts Put-time chunk writes skipped because the chunk
-	// already existed.
+	// DedupHits counts Puts that wrote nothing because the chunk already
+	// existed.
 	DedupHits int64 `json:"dedup_hits"`
 	Pinned    int   `json:"pinned"`
 }
 
-// DedupRatio returns logical bytes written per stored byte this process
-// lifetime (1.0 = no dedup; 0 when nothing was written).
+// DedupRatio returns logical bytes written per new stored byte this
+// process lifetime (about 1.0 = no dedup). It is 0 when no new chunk was
+// written — on an idle store, and on one that only re-stored values it
+// already held, which LogicalBytes tells apart.
 func (s Stats) DedupRatio() float64 {
-	if s.LogicalBytes == 0 || s.NewBytes == 0 {
-		if s.LogicalBytes > 0 {
-			return float64(s.LogicalBytes) // everything dedup'd
-		}
+	if s.NewBytes == 0 {
 		return 0
 	}
 	return float64(s.LogicalBytes) / float64(s.NewBytes)
@@ -149,15 +126,15 @@ type Store struct {
 	dedupHits    int64
 }
 
-// Open scans dir (creating it if needed) and builds the chunk index.
-// Files whose names do not parse as chunk paths are ignored; payloads are
-// not verified here — that is Fsck's job.
+// Open scans dir (creating it, and any missing parents, if needed) and
+// builds the chunk index. Files whose names do not parse as chunk paths
+// are ignored; payloads are verified by Fsck, not here, and only a file of
+// a legacy node's size is read, for the children it may list.
 func Open(dir string, opts Options) (*Store, error) {
-	opts = opts.withDefaults()
 	if dir == "" {
 		return nil, errors.New("cas: empty store directory")
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := jsonl.MkdirAll(dir, opts.Sync); err != nil {
 		return nil, fmt.Errorf("cas: %w", err)
 	}
 	s := &Store{dir: dir, opts: opts, idx: map[Hash]*chunkMeta{}}
@@ -173,7 +150,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		if err != nil {
 			return err
 		}
-		s.idx[h] = &chunkMeta{size: info.Size()}
+		s.idx[h] = &chunkMeta{size: info.Size(), kids: legacyKids(path, h, info.Size())}
 		return nil
 	})
 	if err != nil {
@@ -209,78 +186,25 @@ func (s *Store) hashOfPath(path string) (Hash, bool) {
 	return h, true
 }
 
-// Put stores data and returns its address. Chunks that already exist are
-// not rewritten, so storing the same (or a mostly-equal, for append-like
-// growth) value again costs almost nothing on disk.
+// Put stores data as one chunk and returns its address, SHA-256('L' ‖
+// data). A value the store already holds is not rewritten.
 func (s *Store) Put(data []byte) (Hash, error) {
+	payload := make([]byte, 0, 1+len(data))
+	payload = append(payload, tagLeaf)
+	payload = append(payload, data...)
+	h := Hash(sha256.Sum256(payload))
+
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.logicalBytes += int64(len(data))
-
-	// Leaves.
-	var level []Hash
-	for off := 0; ; off += s.opts.ChunkSize {
-		end := off + s.opts.ChunkSize
-		if end > len(data) {
-			end = len(data)
-		}
-		payload := make([]byte, 0, 1+end-off)
-		payload = append(payload, tagLeaf)
-		payload = append(payload, data[off:end]...)
-		h, err := s.writeChunkLocked(payload)
-		if err != nil {
-			return Hash{}, err
-		}
-		level = append(level, h)
-		if end == len(data) {
-			break
-		}
-	}
-	// Interior nodes until a single root remains.
-	fanout := s.opts.ChunkSize / HashSize
-	if fanout < 2 {
-		fanout = 2
-	}
-	for len(level) > 1 {
-		var next []Hash
-		for i := 0; i < len(level); i += fanout {
-			j := i + fanout
-			if j > len(level) {
-				j = len(level)
-			}
-			payload := make([]byte, 0, 1+(j-i)*HashSize)
-			payload = append(payload, tagNode)
-			for _, ch := range level[i:j] {
-				payload = append(payload, ch[:]...)
-			}
-			h, err := s.writeChunkLocked(payload)
-			if err != nil {
-				return Hash{}, err
-			}
-			next = append(next, h)
-		}
-		level = next
-	}
-	return level[0], nil
-}
-
-// writeChunkLocked writes one payload if absent and indexes it.
-func (s *Store) writeChunkLocked(payload []byte) (Hash, error) {
-	h := Hash(sha256.Sum256(payload))
 	if _, ok := s.idx[h]; ok {
 		s.dedupHits++
 		return h, nil
 	}
 	path := s.chunkPath(h)
 	dir := filepath.Dir(path)
-	// The fan-out directories are made lazily; a synced store also syncs
-	// the new directory's entry in s.dir, once, when it makes one.
-	var newDir bool
-	if s.opts.Sync {
-		_, err := os.Stat(dir)
-		newDir = errors.Is(err, fs.ErrNotExist)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	// The fan-out directories are made lazily.
+	if err := jsonl.MkdirAll(dir, s.opts.Sync); err != nil {
 		return Hash{}, fmt.Errorf("cas: %w", err)
 	}
 	tmp, err := os.CreateTemp(dir, ".tmp-*")
@@ -308,31 +232,13 @@ func (s *Store) writeChunkLocked(payload []byte) (Hash, error) {
 		return Hash{}, fmt.Errorf("cas: link chunk: %w", err)
 	}
 	if s.opts.Sync {
-		if err := syncDir(dir); err != nil {
+		if err := jsonl.SyncDir(dir); err != nil {
 			return Hash{}, fmt.Errorf("cas: sync chunk directory: %w", err)
-		}
-		if newDir {
-			if err := syncDir(s.dir); err != nil {
-				return Hash{}, fmt.Errorf("cas: sync store directory: %w", err)
-			}
 		}
 	}
 	s.idx[h] = &chunkMeta{size: int64(len(payload))}
 	s.newBytes += int64(len(payload))
 	return h, nil
-}
-
-// syncDir fsyncs a directory, making the renames into it durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // Has reports whether a chunk exists in the index.
@@ -343,58 +249,12 @@ func (s *Store) Has(h Hash) bool {
 	return ok
 }
 
-// Get reassembles and returns the value addressed by h, verifying every
-// chunk against its hash on the way. A missing chunk returns ErrNotFound;
-// a chunk whose content no longer matches its name (or a malformed node)
-// returns ErrCorrupt — a corrupted value is never silently served.
+// Get returns the value addressed by h, verifying its chunk (and every
+// chunk under a legacy node) against its address. A missing chunk returns
+// ErrNotFound; one whose content no longer matches its name, or whose tag
+// or framing is bad, ErrCorrupt — a corrupted value is never served.
 func (s *Store) Get(h Hash) ([]byte, error) {
-	var out bytes.Buffer
-	if err := s.assemble(h, &out, 0); err != nil {
-		return nil, err
-	}
-	return out.Bytes(), nil
-}
-
-// maxDepth bounds node recursion; the tree for any realistic value is a
-// few levels deep, so hitting this means a corrupt or adversarial cycle.
-const maxDepth = 32
-
-func (s *Store) assemble(h Hash, out *bytes.Buffer, depth int) error {
-	if depth > maxDepth {
-		return fmt.Errorf("%w: %s: chunk tree deeper than %d", ErrCorrupt, h, maxDepth)
-	}
-	payload, err := s.readChunk(h)
-	if err != nil {
-		return err
-	}
-	switch payload[0] {
-	case tagLeaf:
-		out.Write(payload[1:])
-		return nil
-	case tagNode:
-		body := payload[1:]
-		if len(body) == 0 || len(body)%HashSize != 0 {
-			return fmt.Errorf("%w: %s: node body %d bytes", ErrCorrupt, h, len(body))
-		}
-		for i := 0; i < len(body); i += HashSize {
-			var ch Hash
-			copy(ch[:], body[i:i+HashSize])
-			if err := s.assemble(ch, out, depth+1); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("%w: %s: unknown chunk tag %q", ErrCorrupt, h, payload[0])
-	}
-}
-
-// readChunk loads one payload and verifies it against its address.
-func (s *Store) readChunk(h Hash) ([]byte, error) {
-	s.mu.Lock()
-	_, ok := s.idx[h]
-	s.mu.Unlock()
-	if !ok {
+	if !s.Has(h) {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, h)
 	}
 	payload, err := os.ReadFile(s.chunkPath(h))
@@ -407,98 +267,58 @@ func (s *Store) readChunk(h Hash) ([]byte, error) {
 	if sha256.Sum256(payload) != h {
 		return nil, fmt.Errorf("%w: %s: content does not match address", ErrCorrupt, h)
 	}
-	if len(payload) == 0 {
-		return nil, fmt.Errorf("%w: %s: empty payload", ErrCorrupt, h)
+	if reason := badTag(payload); reason != "" {
+		return nil, fmt.Errorf("%w: %s: %s", ErrCorrupt, h, reason)
 	}
-	return payload, nil
+	if kids, ok := nodeKids(payload); ok {
+		return s.assemble(kids)
+	}
+	return payload[1:], nil
 }
 
-// children parses a payload's child hashes (empty for leaves).
-func children(payload []byte) ([]Hash, error) {
-	if len(payload) == 0 {
-		return nil, errors.New("empty payload")
+// badTag says why a payload that matches its address is still not a
+// value's chunk, or returns "" for a leaf or a well-formed legacy node.
+func badTag(payload []byte) string {
+	switch {
+	case len(payload) == 0:
+		return "empty payload"
+	case payload[0] == tagLeaf:
+		return ""
+	case payload[0] != tagNode:
+		return fmt.Sprintf("unknown chunk tag %q", payload[0])
 	}
-	switch payload[0] {
-	case tagLeaf:
-		return nil, nil
-	case tagNode:
-		body := payload[1:]
-		if len(body) == 0 || len(body)%HashSize != 0 {
-			return nil, fmt.Errorf("node body %d bytes", len(body))
-		}
-		out := make([]Hash, 0, len(body)/HashSize)
-		for i := 0; i < len(body); i += HashSize {
-			var ch Hash
-			copy(ch[:], body[i:i+HashSize])
-			out = append(out, ch)
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("unknown chunk tag %q", payload[0])
+	if _, ok := nodeKids(payload); !ok {
+		return "malformed legacy chunk-tree node"
 	}
+	return ""
 }
 
-// Pin increments the refcount of every chunk reachable from root,
-// protecting the value from GC. Pins are in-memory only: after a restart
-// the owner (the result store's head index) re-pins its roots.
-func (s *Store) Pin(root Hash) error { return s.adjustRefs(root, +1) }
+// Pin increments h's refcount, protecting its chunk — and, for a legacy
+// node, every chunk under it — from GC. Pins are in-memory only: after a
+// restart the owner (the result store's head index) re-pins what it
+// keeps. A chunk the store does not hold is ErrNotFound.
+func (s *Store) Pin(h Hash) error { return s.addRef(h, +1) }
 
-// Unpin reverses one Pin of root.
-func (s *Store) Unpin(root Hash) error { return s.adjustRefs(root, -1) }
+// Unpin reverses one Pin of h.
+func (s *Store) Unpin(h Hash) error { return s.addRef(h, -1) }
 
-func (s *Store) adjustRefs(root Hash, delta int) error {
-	// Collect the subtree first (reads release the lock per chunk), then
-	// apply refcount deltas atomically.
-	reach, err := s.reachable(root)
-	if err != nil {
-		return err
-	}
+func (s *Store) addRef(h Hash, delta int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for h, n := range reach {
-		m, ok := s.idx[h]
-		if !ok {
-			continue
-		}
-		m.refs += delta * n
-		if m.refs < 0 {
-			m.refs = 0
+	if _, ok := s.idx[h]; !ok {
+		return fmt.Errorf("%w: %s", ErrNotFound, h)
+	}
+	// Children are recorded only from nodes that verified against their
+	// address, so this walk under a legacy node cannot cycle.
+	for todo := []Hash{h}; len(todo) > 0; {
+		m, ok := s.idx[todo[0]]
+		todo = todo[1:]
+		if ok {
+			m.refs = max(m.refs+delta, 0)
+			todo = append(todo, m.kids...)
 		}
 	}
 	return nil
-}
-
-// reachable returns every chunk under root with its multiplicity.
-func (s *Store) reachable(root Hash) (map[Hash]int, error) {
-	out := map[Hash]int{}
-	var walk func(h Hash, depth int) error
-	walk = func(h Hash, depth int) error {
-		if depth > maxDepth {
-			return fmt.Errorf("%w: %s: chunk tree deeper than %d", ErrCorrupt, h, maxDepth)
-		}
-		out[h]++
-		if out[h] > 1 {
-			return nil // shared subtree already walked
-		}
-		payload, err := s.readChunk(h)
-		if err != nil {
-			return err
-		}
-		kids, err := children(payload)
-		if err != nil {
-			return fmt.Errorf("%w: %s: %v", ErrCorrupt, h, err)
-		}
-		for _, ch := range kids {
-			if err := walk(ch, depth+1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(root, 0); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // GC deletes every chunk whose refcount is zero, returning how many
@@ -559,18 +379,13 @@ type FsckReport struct {
 func (r *FsckReport) OK() bool { return len(r.Corruption) == 0 }
 
 // Fsck walks the store directory, re-hashing every chunk file against its
-// name, validating node structure, and checking that every node child
-// exists. Files in the tree that are not chunk files are reported too.
-// The walk reads the filesystem, not the index, so corruption introduced
-// behind a running store is found.
+// name, checking its tag, and checking that a legacy node's children are
+// on disk. Files in the tree that are not chunk files
+// are reported too. The walk reads the filesystem, not the index, so
+// corruption introduced behind a running store is found; it visits files
+// in lexical order, so the report is sorted by path.
 func (s *Store) Fsck() (*FsckReport, error) {
 	rep := &FsckReport{}
-	type nodeRef struct {
-		parent string
-		child  Hash
-	}
-	var refs []nodeRef
-	seen := map[Hash]bool{}
 	err := filepath.WalkDir(s.dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -594,41 +409,21 @@ func (s *Store) Fsck() (*FsckReport, error) {
 		}
 		rep.Chunks++
 		rep.Bytes += int64(len(payload))
+		reason := badTag(payload)
 		if sha256.Sum256(payload) != h {
-			rep.Corruption = append(rep.Corruption, Corruption{
-				Hash: h.String(), Path: path, Reason: "content does not match address",
-			})
-			return nil
+			reason = "content does not match address"
+		} else if kids, ok := nodeKids(payload); ok {
+			reason = s.missingKid(kids)
 		}
-		kids, kerr := children(payload)
-		if kerr != nil {
+		if reason != "" {
 			rep.Corruption = append(rep.Corruption, Corruption{
-				Hash: h.String(), Path: path, Reason: "bad structure: " + kerr.Error(),
+				Hash: h.String(), Path: path, Reason: reason,
 			})
-			return nil
-		}
-		seen[h] = true
-		for _, ch := range kids {
-			refs = append(refs, nodeRef{parent: h.String(), child: ch})
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("cas: fsck walk: %w", err)
 	}
-	for _, r := range refs {
-		if !seen[r.child] {
-			rep.Corruption = append(rep.Corruption, Corruption{
-				Hash: r.child.String(), Path: s.chunkPath(r.child),
-				Reason: "missing or corrupt child of node " + r.parent,
-			})
-		}
-	}
-	sort.Slice(rep.Corruption, func(i, j int) bool {
-		if rep.Corruption[i].Path != rep.Corruption[j].Path {
-			return rep.Corruption[i].Path < rep.Corruption[j].Path
-		}
-		return rep.Corruption[i].Reason < rep.Corruption[j].Reason
-	})
 	return rep, nil
 }

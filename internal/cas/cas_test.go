@@ -2,6 +2,7 @@ package cas
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"math/rand"
 	"os"
@@ -19,9 +20,9 @@ func openTest(t *testing.T, opts Options) *Store {
 }
 
 func TestPutGetRoundtrip(t *testing.T) {
-	s := openTest(t, Options{ChunkSize: 128})
+	s := openTest(t, Options{})
 	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{0, 1, 127, 128, 129, 1000, 128 * 50} {
+	for _, n := range []int{0, 1, 127, 128, 129, 1000, 64 << 10, 200 << 10} {
 		data := make([]byte, n)
 		rng.Read(data)
 		h, err := s.Put(data)
@@ -36,11 +37,14 @@ func TestPutGetRoundtrip(t *testing.T) {
 			t.Fatalf("roundtrip mismatch at %d bytes", n)
 		}
 	}
+	if st := s.Stats(); st.Chunks != 8 {
+		t.Fatalf("8 values stored as %d chunks, want one each", st.Chunks)
+	}
 }
 
 func TestAddressesAreStable(t *testing.T) {
-	a := openTest(t, Options{ChunkSize: 128})
-	b := openTest(t, Options{ChunkSize: 128})
+	a := openTest(t, Options{})
+	b := openTest(t, Options{})
 	data := bytes.Repeat([]byte("hslb"), 200)
 	ha, _ := a.Put(data)
 	hb, _ := b.Put(data)
@@ -49,8 +53,31 @@ func TestAddressesAreStable(t *testing.T) {
 	}
 }
 
+// TestAddressIsTaggedSHA256 pins a value's address to SHA-256('L' ‖ value)
+// at the size of the largest value the repo writes (a 1° constrained solve
+// response, about 29 KB) and far past the 64 KiB at which earlier versions
+// split a value into a chunk tree. The 29 KB address is also pinned as
+// the literal those versions wrote for it.
+func TestAddressIsTaggedSHA256(t *testing.T) {
+	s := openTest(t, Options{})
+	for _, n := range []int{29 << 10, 200 << 10} {
+		data := bytes.Repeat([]byte("hslb"), n/4)
+		h, err := s.Put(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := Hash(sha256.Sum256(append([]byte{'L'}, data...))); h != want {
+			t.Fatalf("Put(%d bytes) = %s, want SHA-256('L' ‖ value) %s", n, h, want)
+		}
+		const was29K = "77307225dd02db4fdcccf01eca58f474768bb824ad5aa7c4630743ddbc6b7963"
+		if n == 29<<10 && h.String() != was29K {
+			t.Fatalf("29 KB value address %s, want %s", h, was29K)
+		}
+	}
+}
+
 func TestDedup(t *testing.T) {
-	s := openTest(t, Options{ChunkSize: 128})
+	s := openTest(t, Options{})
 	data := bytes.Repeat([]byte("x"), 1000)
 	h1, _ := s.Put(data)
 	st1 := s.Stats()
@@ -68,30 +95,55 @@ func TestDedup(t *testing.T) {
 	if st2.DedupRatio() < 1.9 {
 		t.Fatalf("dedup ratio %.2f, want ~2", st2.DedupRatio())
 	}
+}
 
-	// Append-like growth: a longer value sharing a prefix reuses the full
-	// prefix chunks.
-	grown := append(append([]byte{}, data...), bytes.Repeat([]byte("y"), 100)...)
-	before := s.Stats()
-	if _, err := s.Put(grown); err != nil {
+// TestDedupRatioWithNothingNew: a store that wrote no new chunk reports a
+// ratio of 0, whether it is idle or only re-stored values it already held;
+// LogicalBytes tells the two apart.
+func TestDedupRatioWithNothingNew(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	after := s.Stats()
-	if newb := after.NewBytes - before.NewBytes; newb > int64(len(grown)/2) {
-		t.Fatalf("append-like Put wrote %d new bytes of %d", newb, len(grown))
+	if r := s.Stats().DedupRatio(); r != 0 {
+		t.Fatalf("idle store: dedup ratio %v, want 0", r)
+	}
+	values := [][]byte{bytes.Repeat([]byte("a"), 1000), bytes.Repeat([]byte("b"), 1928)}
+	for _, v := range values {
+		if _, err := s.Put(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	reopened, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range values {
+		if _, err := reopened.Put(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := reopened.Stats()
+	if st.NewBytes != 0 || st.LogicalBytes != 2928 || st.DedupHits != 2 {
+		t.Fatalf("re-stored values: %+v, want 0 new bytes of 2928 logical, 2 dedup hits", st)
+	}
+	if r := st.DedupRatio(); r != 0 {
+		t.Fatalf("store that only re-stored held values: dedup ratio %v, want 0", r)
 	}
 }
 
 func TestReopenFindsChunks(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{ChunkSize: 128})
+	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	data := bytes.Repeat([]byte("persist"), 100)
 	h, _ := s.Put(data)
 
-	s2, err := Open(dir, Options{ChunkSize: 128})
+	s2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +154,7 @@ func TestReopenFindsChunks(t *testing.T) {
 }
 
 func TestPinUnpinGC(t *testing.T) {
-	s := openTest(t, Options{ChunkSize: 128})
+	s := openTest(t, Options{})
 	keep, _ := s.Put(bytes.Repeat([]byte("keep"), 200))
 	drop, _ := s.Put(bytes.Repeat([]byte("drop"), 200))
 	if err := s.Pin(keep); err != nil {
@@ -132,11 +184,16 @@ func TestPinUnpinGC(t *testing.T) {
 	}
 }
 
+// TestGCKeepsSharedChunks: a value two owners stored and pinned is one
+// chunk, and it survives GC until both have unpinned it.
 func TestGCKeepsSharedChunks(t *testing.T) {
-	s := openTest(t, Options{ChunkSize: 64})
+	s := openTest(t, Options{})
 	shared := bytes.Repeat([]byte("s"), 64)
-	a, _ := s.Put(append(append([]byte{}, shared...), []byte("aaaa")...))
-	b, _ := s.Put(append(append([]byte{}, shared...), []byte("bbbb")...))
+	a, _ := s.Put(shared)
+	b, _ := s.Put(shared)
+	if a != b || s.Stats().Chunks != 1 {
+		t.Fatalf("one value stored twice: addresses %s, %s; %d chunks", a, b, s.Stats().Chunks)
+	}
 	if err := s.Pin(a); err != nil {
 		t.Fatal(err)
 	}
@@ -149,13 +206,22 @@ func TestGCKeepsSharedChunks(t *testing.T) {
 	if _, _, err := s.GC(); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := s.Get(b); err != nil || !bytes.Equal(got[:64], shared) {
+	if got, err := s.Get(b); err != nil || !bytes.Equal(got, shared) {
 		t.Fatalf("shared chunk collected while still referenced: %v", err)
+	}
+	if err := s.Unpin(b); err != nil {
+		t.Fatal(err)
+	}
+	if n, _, err := s.GC(); err != nil || n != 1 {
+		t.Fatalf("GC after the last Unpin reclaimed %d chunks, %v; want 1", n, err)
+	}
+	if err := s.Pin(a); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Pin of a collected chunk = %v, want ErrNotFound", err)
 	}
 }
 
 func TestFsckCleanStore(t *testing.T) {
-	s := openTest(t, Options{ChunkSize: 128})
+	s := openTest(t, Options{})
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 5; i++ {
 		data := make([]byte, 100+rng.Intn(2000))
@@ -199,7 +265,7 @@ func chunkFiles(t *testing.T, s *Store) []string {
 // for a spread of deterministic corruptions (single bit flips at seeded
 // offsets, truncations, and whole-file zeroing) applied to every chunk
 // file in turn, Fsck must flag the store and Get must either return the
-// original value (the corrupted chunk was not on its path) or fail with
+// original value (the corrupted chunk is another value's) or fail with
 // ErrCorrupt/ErrNotFound — never panic, never serve altered bytes.
 func TestCorruptionFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -207,7 +273,7 @@ func TestCorruptionFuzz(t *testing.T) {
 	// rng), so chunk paths recorded from one build name the same chunks in a
 	// rebuilt store.
 	makeStore := func(t *testing.T) (*Store, []Hash, [][]byte) {
-		s, err := Open(t.TempDir(), Options{ChunkSize: 100})
+		s, err := Open(t.TempDir(), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,8 +333,8 @@ func TestCorruptionFuzz(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			s, roots, values := makeStore(t)
 			files := chunkFiles(t, s)
-			if len(files) < 4 {
-				t.Fatalf("want a multi-chunk store, got %d files", len(files))
+			if len(files) != len(roots) {
+				t.Fatalf("%d values stored as %d chunk files, want one each", len(roots), len(files))
 			}
 			for _, victim := range files {
 				// Fresh store per victim so corruptions don't compound.
@@ -351,4 +417,178 @@ func s256(s string) (Hash, error) {
 	}
 	defer os.RemoveAll(store.Dir())
 	return store.Put([]byte(s))
+}
+
+// FuzzChunkFile writes arbitrary bytes as a chunk file — under their own
+// hash, so that only the framing is under test, or under another address —
+// and opens the store over it. Get must return exactly the value of a
+// well-formed leaf and fail with ErrCorrupt or ErrNotFound on anything
+// else (a well-formed legacy node's children are not in the store); Fsck
+// must flag everything but a well-formed leaf and never panic.
+// The seeds run with every go test.
+func FuzzChunkFile(f *testing.F) {
+	f.Add([]byte("Lvalue"), true)                                    // a valid leaf
+	f.Add(append([]byte{'N'}, bytes.Repeat([]byte{7}, 64)...), true) // a legacy node
+	f.Add([]byte{}, true)                                            // an empty file
+	f.Add([]byte("Lvalue"), false)                                   // a wrong hash
+	f.Add([]byte("Xvalue"), true)                                    // an unknown tag
+	f.Fuzz(func(t *testing.T, payload []byte, selfNamed bool) {
+		h := Hash(sha256.Sum256([]byte("some other chunk")))
+		if selfNamed {
+			h = sha256.Sum256(payload)
+		}
+		dir := t.TempDir()
+		hx := h.String()
+		if err := os.MkdirAll(filepath.Join(dir, hx[:2]), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, hx[:2], hx[2:]), payload, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		valid := h == sha256.Sum256(payload) && len(payload) > 0 && payload[0] == 'L'
+
+		got, err := s.Get(h)
+		switch {
+		case valid && (err != nil || !bytes.Equal(got, payload[1:])):
+			t.Fatalf("well-formed leaf: Get = %q, %v; want %q", got, err, payload[1:])
+		case !valid && err == nil:
+			t.Fatalf("damaged chunk %q served as %q", payload, got)
+		case !valid && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrNotFound):
+			t.Fatalf("damaged chunk: Get = %v, want ErrCorrupt or ErrNotFound", err)
+		}
+
+		rep, err := s.Fsck()
+		if err != nil {
+			t.Fatalf("fsck errored (should report, not fail): %v", err)
+		}
+		if rep.OK() != valid {
+			t.Fatalf("chunk %q (well-formed %v): fsck report %+v", payload, valid, rep.Corruption)
+		}
+		if valid {
+			if again, err := s.Put(payload[1:]); err != nil || again != h {
+				t.Fatalf("re-Put of a stored value = %s, %v; want %s", again, err, h)
+			}
+		}
+	})
+}
+
+// writeLegacyTree writes data straight to chunk files under dir as the
+// chunk tree earlier versions of Put built — chunkSize-byte 'L' leaves
+// under 'N' nodes of chunkSize/32 children, level by level up to one
+// root — and returns the root's address.
+func writeLegacyTree(t *testing.T, dir string, data []byte, chunkSize int) Hash {
+	t.Helper()
+	write := func(payload []byte) Hash {
+		h := Hash(sha256.Sum256(payload))
+		hx := h.String()
+		if err := os.MkdirAll(filepath.Join(dir, hx[:2]), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, hx[:2], hx[2:]), payload, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	var level []Hash
+	for off := 0; off == 0 || off < len(data); off += chunkSize {
+		level = append(level, write(append([]byte{'L'}, data[off:min(off+chunkSize, len(data))]...)))
+	}
+	for fanout := max(chunkSize/HashSize, 2); len(level) > 1; {
+		var next []Hash
+		for i := 0; i < len(level); i += fanout {
+			payload := []byte{'N'}
+			for _, ch := range level[i:min(i+fanout, len(level))] {
+				payload = append(payload, ch[:]...)
+			}
+			next = append(next, write(payload))
+		}
+		level = next
+	}
+	return level[0]
+}
+
+// TestLegacyTreeReads: a chunk tree that earlier versions wrote for a
+// value over their chunk size is still served at the root's address, is
+// fsck-clean, and a pin on the root keeps every chunk under it through GC
+// until the root is unpinned. The roots are pinned as the literals those
+// versions returned (the 200 KB one with their default 64 KiB chunks; the
+// deep one, five levels of two-way nodes over repeated leaves, with 64).
+func TestLegacyTreeReads(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	random := make([]byte, 300<<10)
+	rng.Read(random)
+	for _, tc := range []struct {
+		name      string
+		data      []byte
+		chunkSize int
+		root      string
+	}{
+		{"200KB", bytes.Repeat([]byte("hslb"), (200<<10)/4), 64 << 10, "fd37c530d93932b47e334568fd2ce783f686f02de28bec8900df5facb4f173f6"},
+		{"deep", bytes.Repeat([]byte("hslb"), 250), 64, "d8670ffb003a63f4af85555d33c527476447023b637c8243ce338c4d595d249f"},
+		{"random", random, 64 << 10, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			root := writeLegacyTree(t, dir, tc.data, tc.chunkSize)
+			if tc.root != "" && root.String() != tc.root {
+				t.Fatalf("test tree root %s, want the earlier Put's %s", root, tc.root)
+			}
+			s, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := s.Get(root); err != nil || !bytes.Equal(got, tc.data) {
+				t.Fatalf("Get(tree root) = %d bytes, %v; want the %d-byte value", len(got), err, len(tc.data))
+			}
+			if rep, err := s.Fsck(); err != nil || !rep.OK() {
+				t.Fatalf("fsck of a legacy tree: %+v, %v", rep, err)
+			}
+			chunks := s.Stats().Chunks
+			if err := s.Pin(root); err != nil {
+				t.Fatal(err)
+			}
+			if n, _, err := s.GC(); err != nil || n != 0 {
+				t.Fatalf("GC under a pinned tree root reclaimed %d chunks, %v", n, err)
+			}
+			if got, err := s.Get(root); err != nil || !bytes.Equal(got, tc.data) {
+				t.Fatalf("Get after GC: %v", err)
+			}
+			if err := s.Unpin(root); err != nil {
+				t.Fatal(err)
+			}
+			if n, _, err := s.GC(); err != nil || n != chunks || s.Stats().Chunks != 0 {
+				t.Fatalf("GC after unpin reclaimed %d of %d chunks, %v", n, chunks, err)
+			}
+		})
+	}
+}
+
+// TestLegacyTreeMissingLeaf: a legacy tree with a leaf gone reads as
+// ErrNotFound, never as a short value, and Fsck names the node.
+func TestLegacyTreeMissingLeaf(t *testing.T) {
+	dir := t.TempDir()
+	data := bytes.Repeat([]byte("0123456789abcdef"), 10<<10)
+	root := writeLegacyTree(t, dir, data, 64<<10)
+	leaf := Hash(sha256.Sum256(append([]byte{'L'}, data[64<<10:128<<10]...))).String()
+	if err := os.Remove(filepath.Join(dir, leaf[:2], leaf[2:])); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.Get(root); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get over a missing leaf = %d bytes, %v; want ErrNotFound", len(got), err)
+	}
+	rep, err := s.Fsck()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Corruption) != 1 || rep.Corruption[0].Hash != root.String() {
+		t.Fatalf("fsck report %+v, want the node %s alone", rep.Corruption, root)
+	}
 }

@@ -1,6 +1,9 @@
 package expr
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Tape is an expression compiled once into a flat pre-order program with
 // preallocated value and adjoint buffers, for callers that evaluate and
@@ -61,18 +64,59 @@ type linTerm struct {
 	c       float64
 }
 
-// Compile flattens e into a Tape.
+// Compile flattens e into a Tape. It walks e twice: once to size the
+// buffers, once to emit the program, working out bottom up which subtrees
+// read no variable.
 func Compile(e Expr) *Tape {
-	t := &Tape{vars: Vars(e)}
-	slot := make(map[int]int32, len(t.vars))
-	for k, v := range t.vars {
-		slot[v] = int32(k)
+	var n treeSize
+	n.count(e)
+	t := &Tape{
+		code: make([]inst, 0, n.nodes),
+		kids: make([]int32, 0, n.operands),
+		lin:  make([]linTerm, 0, n.operands),
 	}
-	t.emit(e, slot)
+	if _, free := t.emit(e); free {
+		t.fold(0, e)
+	}
+	t.bindVars(n.vars)
 	t.val = make([]float64, len(t.code))
 	t.adj = make([]float64, len(t.code))
 	t.grad = make([]float64, len(t.vars))
 	return t
+}
+
+// treeSize bounds what Compile emits: nodes, operands of sums and products,
+// and variable leaves.
+type treeSize struct{ nodes, operands, vars int }
+
+func (n *treeSize) count(e Expr) {
+	n.nodes++
+	switch e := e.(type) {
+	case Var:
+		n.vars++
+	case Add:
+		n.operands += len(e.Terms)
+		for _, o := range e.Terms {
+			n.count(o)
+		}
+	case Mul:
+		n.operands += len(e.Factors)
+		for _, o := range e.Factors {
+			n.count(o)
+		}
+	case Div:
+		n.count(e.Num)
+		n.count(e.Den)
+	case Pow:
+		n.count(e.Base)
+		n.count(e.Exponent)
+	case Log:
+		n.count(e.Arg)
+	case Exp:
+		n.count(e.Arg)
+	case Neg:
+		n.count(e.Arg)
+	}
 }
 
 // Gradient computes f(x) and ∇f(x) by compiling e and running one forward and
@@ -96,96 +140,165 @@ func Gradient(e Expr, x []float64, grad []float64) float64 {
 // slice Reverse returns is aligned with it. The caller must not modify it.
 func (t *Tape) Vars() []int { return t.vars }
 
-// emit appends e's program in pre-order and returns the index of its root.
-func (t *Tape) emit(e Expr, slot map[int]int32) int32 {
+// emit appends e's program in pre-order and returns the index of its root
+// and whether e reads no variable. A variable-free subtree is emitted as one
+// opConst whose value the caller fills in with fold only once it knows the
+// subtree is maximal, so constness is worked out bottom up and each folded
+// subtree is evaluated once.
+func (t *Tape) emit(e Expr) (int32, bool) {
 	i := int32(len(t.code))
-	if MaxVarIndex(e) < 0 {
-		t.code = append(t.code, inst{op: opConst, k: e.Eval(nil)})
-		return i
-	}
-	t.code = append(t.code, inst{})
+	kids, lin := len(t.kids), len(t.lin)
+	t.code = append(t.code, inst{op: opConst})
+	var in inst
+	free := true
 	switch n := e.(type) {
+	case Const:
 	case Var:
-		t.code[i] = inst{op: opVar, a: int32(n.Index), b: slot[n.Index]}
+		in, free = inst{op: opVar, a: int32(n.Index)}, false
 	case Add:
-		if terms, ok := linearTerms(n, slot); ok {
-			a := int32(len(t.lin))
-			t.lin = append(t.lin, terms...)
-			t.code[i] = inst{op: opLin, a: a, b: int32(len(t.lin))}
-			break
+		in, free = t.nary(opAdd, n.Terms)
+		if !free {
+			in = t.linear(in)
 		}
-		t.code[i] = t.nary(opAdd, n.Terms, slot)
 	case Mul:
-		t.code[i] = t.nary(opMul, n.Factors, slot)
+		in, free = t.nary(opMul, n.Factors)
 	case Div:
-		num := t.emit(n.Num, slot)
-		t.code[i] = inst{op: opDiv, a: num, b: t.emit(n.Den, slot)}
+		in, free = t.binary(opDiv, n.Num, n.Den)
 	case Pow:
-		base := t.emit(n.Base, slot)
-		t.code[i] = inst{op: opPow, a: base, b: t.emit(n.Exponent, slot)}
+		in, free = t.binary(opPow, n.Base, n.Exponent)
 	case Log:
-		t.code[i] = inst{op: opLog, a: t.emit(n.Arg, slot)}
+		in, free = t.unary(opLog, n.Arg)
 	case Exp:
-		t.code[i] = inst{op: opExp, a: t.emit(n.Arg, slot)}
+		in, free = t.unary(opExp, n.Arg)
 	case Neg:
-		t.code[i] = inst{op: opNeg, a: t.emit(n.Arg, slot)}
+		in, free = t.unary(opNeg, n.Arg)
 	default:
 		panic("expr: unknown node in Compile")
 	}
-	return i
+	if free {
+		t.code, t.kids, t.lin = t.code[:i+1], t.kids[:kids], t.lin[:lin]
+		return i, true
+	}
+	if in.op == opLin {
+		t.code, t.kids = t.code[:i+1], t.kids[:kids] // the terms live in lin now
+	}
+	t.code[i] = in
+	return i, false
 }
 
-// nary emits the operands of an Add or Mul and returns its instruction.
-func (t *Tape) nary(op opcode, operands []Expr, slot map[int]int32) inst {
-	kids := make([]int32, len(operands))
+// fold fills in the value of the variable-free operand o emitted at j.
+func (t *Tape) fold(j int32, o Expr) {
+	if t.code[j].op == opConst {
+		t.code[j].k = o.Eval(nil)
+	}
+}
+
+// nary emits the operands of an Add or Mul and returns its instruction and
+// whether every operand is variable-free.
+func (t *Tape) nary(op opcode, operands []Expr) (inst, bool) {
+	a := len(t.kids)
+	t.kids = slices.Grow(t.kids, len(operands))[:a+len(operands)]
+	free := true
 	for k, o := range operands {
-		kids[k] = t.emit(o, slot)
+		j, f := t.emit(o)
+		t.kids[a+k] = j
+		free = free && f
 	}
-	a := int32(len(t.kids))
-	t.kids = append(t.kids, kids...)
-	return inst{op: op, a: a, b: int32(len(t.kids))}
+	if !free {
+		for k, o := range operands {
+			t.fold(t.kids[a+k], o)
+		}
+	}
+	return inst{op: op, a: int32(a), b: int32(a + len(operands))}, free
 }
 
-// linearTerms returns a's terms as linear-sum terms when every one is c·x,
-// x, −x or variable-free. c·x is a two-factor Mul, which the tree evaluates as
-// (1·c)·x = c·x and whose x-adjoint it computes as adj·(1·c) = adj·c.
-func linearTerms(a Add, slot map[int]int32) ([]linTerm, bool) {
-	out := make([]linTerm, 0, len(a.Terms))
-	for _, term := range a.Terms {
-		if MaxVarIndex(term) < 0 {
-			out = append(out, linTerm{slot: -1, c: term.Eval(nil)})
-			continue
-		}
-		x, c, ok := scaledVar(term)
+func (t *Tape) binary(op opcode, x, y Expr) (inst, bool) {
+	a, fx := t.emit(x)
+	b, fy := t.emit(y)
+	if !fx || !fy {
+		t.fold(a, x)
+		t.fold(b, y)
+	}
+	return inst{op: op, a: a, b: b}, fx && fy
+}
+
+func (t *Tape) unary(op opcode, x Expr) (inst, bool) {
+	a, free := t.emit(x)
+	return inst{op: op, a: a}, free
+}
+
+// linear returns the emitted Add in as one linear-sum instruction when every
+// term is c·x, x, −x or variable-free, and in unchanged otherwise. c·x is a
+// two-factor Mul, which the tree evaluates as (1·c)·x = c·x and whose
+// x-adjoint it computes as adj·(1·c) = adj·c. Its terms' variable-free
+// parts are already folded, so the constants are read off the code.
+func (t *Tape) linear(in inst) inst {
+	a := int32(len(t.lin))
+	for _, j := range t.kids[in.a:in.b] {
+		term, ok := t.scaledVar(t.code[j])
 		if !ok {
-			return nil, false
+			t.lin = t.lin[:a]
+			return in
 		}
-		out = append(out, linTerm{slot: slot[x.Index], x: int32(x.Index), c: c})
+		t.lin = append(t.lin, term)
 	}
-	return out, true
+	return inst{op: opLin, a: a, b: int32(len(t.lin))}
 }
 
-// scaledVar matches x, −x, c·x and x·c with c variable-free.
-func scaledVar(e Expr) (Var, float64, bool) {
-	switch n := e.(type) {
-	case Var:
-		return n, 1, true
-	case Neg:
-		if x, ok := n.Arg.(Var); ok {
-			return x, -1, true
+// scaledVar matches a constant, x, −x, c·x and x·c with c a constant. Its
+// gradient slot is bound by bindVars.
+func (t *Tape) scaledVar(in inst) (linTerm, bool) {
+	code := t.code
+	switch {
+	case in.op == opConst:
+		return linTerm{slot: -1, c: in.k}, true
+	case in.op == opVar:
+		return linTerm{x: in.a, c: 1}, true
+	case in.op == opNeg && code[in.a].op == opVar:
+		return linTerm{x: code[in.a].a, c: -1}, true
+	case in.op == opMul && in.b-in.a == 2:
+		c, x := code[t.kids[in.a]], code[t.kids[in.a+1]]
+		if x.op == opVar && c.op == opConst {
+			return linTerm{x: x.a, c: c.k}, true
 		}
-	case Mul:
-		if len(n.Factors) != 2 {
-			break
-		}
-		if x, ok := n.Factors[1].(Var); ok && MaxVarIndex(n.Factors[0]) < 0 {
-			return x, n.Factors[0].Eval(nil), true
-		}
-		if x, ok := n.Factors[0].(Var); ok && MaxVarIndex(n.Factors[1]) < 0 {
-			return x, n.Factors[1].Eval(nil), true
+		if c.op == opVar && x.op == opConst {
+			return linTerm{x: c.a, c: x.k}, true
 		}
 	}
-	return Var{}, 0, false
+	return linTerm{}, false
+}
+
+// bindVars collects the distinct variables the program reads, ascending, and
+// points each opVar and linear term at its gradient slot. n bounds their
+// count.
+func (t *Tape) bindVars(n int) {
+	t.vars = make([]int, 0, n)
+	for _, in := range t.code {
+		if in.op == opVar {
+			t.vars = append(t.vars, int(in.a))
+		}
+	}
+	for _, l := range t.lin {
+		if l.slot >= 0 {
+			t.vars = append(t.vars, int(l.x))
+		}
+	}
+	slices.Sort(t.vars)
+	t.vars = slices.Compact(t.vars)
+	slot := func(x int32) int32 {
+		k, _ := slices.BinarySearch(t.vars, int(x))
+		return int32(k)
+	}
+	for i := range t.code {
+		if t.code[i].op == opVar {
+			t.code[i].b = slot(t.code[i].a)
+		}
+	}
+	for i := range t.lin {
+		if t.lin[i].slot >= 0 {
+			t.lin[i].slot = slot(t.lin[i].x)
+		}
+	}
 }
 
 // Eval runs the forward sweep at x and returns the expression's value.

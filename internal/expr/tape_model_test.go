@@ -76,3 +76,34 @@ func TestTapeMatchesTreeOnModels(t *testing.T) {
 		t.Fatal("no bodies compared")
 	}
 }
+
+// TestCompileAllocsOn8thDeg8192 bounds the allocations of compiling every
+// row of the 1/8° 8192-node model at half the 166 it took when Compile
+// re-walked each subtree at every node and linear-sum term to learn whether
+// it read a variable.
+func TestCompileAllocsOn8thDeg8192(t *testing.T) {
+	models := map[cesm.Component]perf.Model{}
+	for _, c := range cesm.OptimizedComponents {
+		models[c] = cesm.TruthModel(cesm.Res8thDeg, c)
+	}
+	m, _, err := core.BuildModel(core.Spec{
+		Resolution: cesm.Res8thDeg, Layout: cesm.Layout1, TotalNodes: 8192, Perf: models,
+		Objective: core.MinMax, ConstrainOcean: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := []expr.Expr{m.Objective}
+	for _, c := range m.Cons {
+		rows = append(rows, c.Body)
+	}
+	n := testing.AllocsPerRun(5, func() {
+		for _, e := range rows {
+			expr.Compile(e)
+		}
+	})
+	const bound = 166 / 2
+	if n > bound {
+		t.Fatalf("compiling %d rows allocates %.0f times, want at most %d", len(rows), n, bound)
+	}
+}

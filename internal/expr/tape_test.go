@@ -59,6 +59,9 @@ func TestTapeShapes(t *testing.T) {
 		Log{Arg: Sum(x0, x1, x2)},
 		Neg{Arg: Neg{Arg: Sum(x0, Neg{Arg: x0})}},
 		Add{Terms: []Expr{x2}},
+		Div{Num: Add{Terms: []Expr{C(1), Prod(C(2), Exp{Arg: C(0.5)})}}, Den: x0},
+		Add{Terms: []Expr{x0, Add{Terms: []Expr{C(1), Neg{Arg: C(2)}}}, Mul{Factors: []Expr{Log{Arg: C(2)}, x1}}}},
+		Pow{Base: x0, Exponent: Add{Terms: []Expr{C(1), Neg{Arg: C(0.5)}}}},
 	}
 	points := [][]float64{
 		{1.5, 2.25, 0.75},

@@ -15,7 +15,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -83,7 +82,9 @@ type record struct {
 
 // Options configures a Store.
 type Options struct {
-	// Sync fsyncs the WAL after every append. Off by default: the log is
+	// Sync fsyncs the WAL after every append, and syncs each directory
+	// Open creates (the data directory, its missing parents, the WAL's
+	// entry) into its parent. Off by default: the log is
 	// still flushed to the OS per transition (surviving process crashes),
 	// but not guaranteed against power loss.
 	Sync bool
@@ -164,7 +165,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if dir == "" {
 		return s, nil
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := jsonl.MkdirAll(dir, opts.Sync); err != nil {
 		return nil, fmt.Errorf("jobstore: %w", err)
 	}
 	wal, err := jsonl.Open(filepath.Join(dir, walName), opts.Sync, s.replay)

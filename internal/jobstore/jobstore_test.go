@@ -394,3 +394,20 @@ func TestRequeueBackoffCapped(t *testing.T) {
 		now = got.NotBefore
 	}
 }
+
+// TestSyncStoreCreatesNestedDataDir: a synced store creates a data
+// directory whose parents do not exist yet (each synced into its parent)
+// and finds its jobs there after a reopen.
+func TestSyncStoreCreatesNestedDataDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "data", "jobs")
+	s := open(t, dir, Options{Sync: true})
+	j, err := s.Enqueue(json.RawMessage(`{"model":"m"}`), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	s2 := open(t, dir, Options{Sync: true})
+	if got, ok := s2.Get(j.ID); !ok || got.Status != Queued {
+		t.Fatalf("job after reopen = %+v, %v", got, ok)
+	}
+}

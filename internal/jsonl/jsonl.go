@@ -14,7 +14,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
+	"path/filepath"
 )
 
 // Log is one open JSONL file. It is not safe for concurrent use; the
@@ -31,14 +33,26 @@ type Log struct {
 // with each complete non-blank line, newline stripped, in file order;
 // replay stops at the first line it rejects or at a final line with no
 // newline, and the file is truncated to the end of the last accepted line.
-// With sync set, every Append is fsynced.
+// With sync set, every Append is fsynced, and so is the directory when
+// Open creates the file or Rewrite renames over it.
 func Open(path string, sync bool, replay func(line []byte) bool) (*Log, error) {
 	// A tmp file is only ever a Rewrite that crashed before its rename;
 	// the log it was meant to replace is still the live one.
 	_ = os.Remove(path + ".tmp")
+	var created bool
+	if sync {
+		_, err := os.Stat(path)
+		created = errors.Is(err, fs.ErrNotExist)
+	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("jsonl: %w", err)
+	}
+	if created {
+		if err := SyncDir(filepath.Dir(path)); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("jsonl: sync directory of %s: %w", path, err)
+		}
 	}
 	l := &Log{path: path, sync: sync, f: f}
 	br := bufio.NewReader(f)
@@ -95,7 +109,7 @@ func (l *Log) Append(v any) error {
 
 // Rewrite replaces the log with the records write encodes: they go to a
 // tmp file, which is fsynced and renamed over the log before the log is
-// reopened for appends.
+// reopened for appends. With sync set, the rename is fsynced too.
 func (l *Log) Rewrite(write func(*json.Encoder) error) error {
 	tmp := l.path + ".tmp"
 	tf, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
@@ -126,6 +140,11 @@ func (l *Log) Rewrite(write func(*json.Encoder) error) error {
 		return fmt.Errorf("jsonl: reopen %s: %w", l.path, err)
 	}
 	l.f, l.size, l.records = f, cw.n, cw.lines
+	if l.sync {
+		if err := SyncDir(filepath.Dir(l.path)); err != nil {
+			return fmt.Errorf("jsonl: sync rename of %s: %w", l.path, err)
+		}
+	}
 	return nil
 }
 

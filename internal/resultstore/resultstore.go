@@ -1,7 +1,7 @@
 // Package resultstore is the versioned result store: a thin commit layer
 // over the content-addressed chunk store (internal/cas). Every value —
-// a solve response, an NLS fit, a benchmark campaign — is committed as an
-// immutable CAS blob, and each key carries a linear history of commits
+// a solve response, a benchmark campaign — is committed as an immutable
+// CAS blob, and each key carries a linear history of commits
 // with parent pointers, so the store can answer both "what is the current
 // result for this model?" (fetch-by-hash cache peering) and "how did this
 // campaign's allocation change, and why?" (hslb log / hslb diff).
@@ -9,7 +9,6 @@
 // Key namespaces by convention:
 //
 //	solve/<ampl-canonical-digest>  solve responses, internal/neos
-//	fit/<campaign-id>/<component>  NLS fits
 //	gather/<campaign-id>           raw benchmark campaign data, internal/bench
 //	campaign/<campaign-id>         full pipeline outcomes, cmd/hslb
 //
@@ -24,7 +23,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -104,9 +102,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if opts.now == nil {
 		opts.now = time.Now
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("resultstore: %w", err)
-	}
+	// cas.Open creates dir along with dir/chunks, syncing both when asked.
 	chunk, err := cas.Open(filepath.Join(dir, "chunks"), cas.Options{Sync: opts.Sync})
 	if err != nil {
 		return nil, err
@@ -157,12 +153,15 @@ func (s *Store) pinChain(head string) error {
 			}
 			return err
 		}
-		ch, _ := cas.ParseHash(cur)
-		if err := s.chunk.Pin(ch); err != nil {
-			return err
-		}
 		vh, err := cas.ParseHash(c.Value)
 		if err != nil {
+			return err
+		}
+		if _, err := s.chunk.Get(vh); err != nil {
+			return err // the value is missing or does not verify
+		}
+		ch, _ := cas.ParseHash(cur)
+		if err := s.chunk.Pin(ch); err != nil {
 			return err
 		}
 		if err := s.chunk.Pin(vh); err != nil {
@@ -196,13 +195,16 @@ func (s *Store) Commit(key string, value []byte, meta map[string]string) (Commit
 	if key == "" || strings.ContainsAny(key, "\n") {
 		return Commit{}, fmt.Errorf("resultstore: bad key %q", key)
 	}
+	// The value and commit chunks are written and pinned under s.mu, which
+	// GC's sweep holds too, so no sweep falls between a Put and its Pin.
+	// cas.Put writes under the chunk store's own lock anyway, so holding
+	// s.mu across it serializes no writes that could run in parallel.
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	vh, err := s.chunk.Put(value)
 	if err != nil {
 		return Commit{}, err
 	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var parent string
 	seq := 1
 	if head, ok := s.heads[key]; ok {
@@ -233,29 +235,30 @@ func (s *Store) Commit(key string, value []byte, meta map[string]string) (Commit
 		return Commit{}, err
 	}
 	c.Hash = ch.String()
-	// Pin the new commit + value before publishing the head, so a GC
-	// racing this commit cannot reclaim them.
 	if err := s.chunk.Pin(ch); err != nil {
 		return Commit{}, err
 	}
 	if err := s.chunk.Pin(vh); err != nil {
 		return Commit{}, err
 	}
-	if err := s.appendHeadLocked(headRecord{Key: key, Head: c.Hash}); err != nil {
+	if err := s.setHeadLocked(headRecord{Key: key, Head: c.Hash}); err != nil {
 		return Commit{}, err
 	}
-	s.heads[key] = c.Hash
 	s.commits++
 	return c, nil
 }
 
-func (s *Store) appendHeadLocked(rec headRecord) error {
+// setHeadLocked appends rec to the heads log and makes it the key's head,
+// then compacts the log when due; the compaction writes s.heads, so the
+// new head must be in it first.
+func (s *Store) setHeadLocked(rec headRecord) error {
 	if s.headLog == nil {
 		return errors.New("resultstore: closed")
 	}
 	if err := s.headLog.Append(rec); err != nil {
 		return fmt.Errorf("resultstore: append head: %w", err)
 	}
+	s.heads[rec.Key] = rec.Head
 	if s.headLog.Records() > 2*len(s.heads)+16 {
 		return s.compactHeadsLocked()
 	}
@@ -417,7 +420,8 @@ func (s *Store) KeysWithPrefix(prefix string) []string {
 
 // GC truncates every key's history to its newest keep commits
 // (keep <= 0 keeps everything), unpins what fell off, and sweeps the
-// chunk store. Returns reclaimed chunks and bytes.
+// chunk store under the store lock, so the sweep never runs inside a
+// Commit. Returns reclaimed chunks and bytes.
 func (s *Store) GC(keep int) (int, int64, error) {
 	if keep > 0 {
 		for _, key := range s.Keys() {
@@ -437,6 +441,8 @@ func (s *Store) GC(keep int) (int, int64, error) {
 			}
 		}
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.chunk.GC()
 }
 
@@ -456,8 +462,8 @@ func (s *Store) Stats() Stats {
 	return Stats{Stats: s.chunk.Stats(), Keys: keys, Commits: commits}
 }
 
-// Fsck verifies the chunk store (every file re-hashed, every node child
-// present) and then walks every head chain, checking that each commit
+// Fsck verifies the chunk store (every file re-hashed and its tag
+// checked) and then walks every head chain, checking that each commit
 // decodes and its value is intact. Problems are appended to the CAS
 // report with the owning key as context.
 func (s *Store) Fsck() (*cas.FsckReport, error) {

@@ -2,12 +2,17 @@ package resultstore
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"hslb/internal/cas"
 )
 
 func testClock() func() time.Time {
@@ -365,18 +370,24 @@ func TestHeadsLogCompaction(t *testing.T) {
 	}
 }
 
-// TestSyncStoreReopensHeads: a store opened with Sync (fsynced chunks, chunk
-// directories and heads log) commits, reopens and serves its heads like an
-// unsynced one.
+// TestSyncStoreReopensHeads: a store opened with Sync (fsynced chunks, the
+// directories it creates, the heads log and its compaction) commits,
+// compacts, reopens and serves its heads like an unsynced one.
 func TestSyncStoreReopensHeads(t *testing.T) {
-	dir := t.TempDir()
+	dir := filepath.Join(t.TempDir(), "store", "results")
 	s, err := Open(dir, Options{Sync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := s.Commit("solve/x", []byte("r1"), map[string]string{"status": "optimal"})
-	if err != nil {
-		t.Fatal(err)
+	var c Commit
+	for i := 0; i < 20; i++ { // enough records to compact the heads log once
+		c, err = s.Commit("solve/x", []byte(fmt.Sprintf("r%d", i)), map[string]string{"status": "optimal"})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := s.headLog.Records(); n >= 20 {
+		t.Fatalf("heads log holds %d records after 20 commits to one key; it was never compacted", n)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -390,7 +401,187 @@ func TestSyncStoreReopensHeads(t *testing.T) {
 	if !ok || head.Hash != c.Hash {
 		t.Fatalf("head after reopen = %+v, %v; want %s", head, ok, c.Hash)
 	}
-	if v, _, err := s2.HeadValue("solve/x"); err != nil || string(v) != "r1" {
+	if v, _, err := s2.HeadValue("solve/x"); err != nil || string(v) != "r19" {
 		t.Fatalf("head value after reopen = %q, %v", v, err)
+	}
+}
+
+// TestCommitRacesGC: commits from several goroutines race a loop of GC(1),
+// as the server's janitor runs it. A sweep that ran between a commit's
+// chunk writes and its pins would fail the commit with a missing chunk;
+// none may fail, and the store must fsck clean with every head readable.
+func TestCommitRacesGC(t *testing.T) {
+	const writers, perWriter, keys = 4, 1250, 50
+	s := openStore(t, t.TempDir())
+	done := make(chan struct{})
+	gcDone := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-done:
+				gcDone <- nil
+				return
+			default:
+			}
+			if _, _, err := s.GC(1); err != nil {
+				gcDone <- err
+				return
+			}
+		}
+	}()
+	errs := make(chan error, writers*perWriter)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				key := fmt.Sprintf("solve/%d", (w*perWriter+i)%keys)
+				if _, err := s.Commit(key, []byte(fmt.Sprintf("w%d-%d", w, i)), nil); err != nil {
+					errs <- err
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(done)
+	if err := <-gcDone; err != nil {
+		t.Fatalf("GC: %v", err)
+	}
+	close(errs)
+	failed := 0
+	for err := range errs {
+		if failed == 0 {
+			t.Errorf("commit failed: %v", err)
+		}
+		failed++
+	}
+	if failed > 0 {
+		t.Fatalf("%d of %d commits failed", failed, writers*perWriter)
+	}
+	rep, err := s.Fsck()
+	if err != nil || !rep.OK() {
+		t.Fatalf("fsck after the race: %+v, %v", rep, err)
+	}
+	if got := len(s.Keys()); got != keys {
+		t.Fatalf("%d keys, want %d", got, keys)
+	}
+	for _, key := range s.Keys() {
+		if _, _, err := s.HeadValue(key); err != nil {
+			t.Fatalf("head of %s: %v", key, err)
+		}
+	}
+}
+
+// TestLegacyTreeGatherHeadStillReads: a gather document over 64 KiB, which
+// earlier versions stored as a chunk tree (64 KiB 'L' leaves under one 'N'
+// node), keeps its head across Open: the value reads back whole, GC leaves
+// the tree alone while the head holds it, Fsck is clean, and once a newer
+// commit pushes it out of a GC(1) history the whole tree is swept.
+func TestLegacyTreeGatherHeadStillReads(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	var doc bytes.Buffer
+	for i := 0; doc.Len() <= 150<<10; i++ {
+		fmt.Fprintf(&doc, `{"component":"ocn","nodes":%d,"seconds":%d.25},`, 32+i%2016, 100+i)
+	}
+	value := doc.Bytes()
+	node := []byte{'N'}
+	for off := 0; off < len(value); off += 64 << 10 {
+		leaf := append([]byte{'L'}, value[off:min(off+64<<10, len(value))]...)
+		node = append(node, writeChunkFile(t, dir, leaf)...)
+	}
+	root := writeChunkFile(t, dir, node)
+	enc, err := json.Marshal(Commit{Key: "gather/big", Value: cas.Hash(root).String(), Seq: 1, Unix: 1700000000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := s.CAS().Put(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	f, err := os.OpenFile(filepath.Join(dir, headsName), os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(f, "{\"key\":\"gather/big\",\"head\":%q}\n", ch.String())
+	f.Close()
+
+	s2 := openStore(t, dir)
+	if _, _, err := s2.GC(0); err != nil {
+		t.Fatal(err)
+	}
+	got, c, err := s2.HeadValue("gather/big")
+	if err != nil || !bytes.Equal(got, value) {
+		t.Fatalf("legacy tree head after open and GC = %d bytes, %v; want the %d-byte document", len(got), err, len(value))
+	}
+	if c.Hash != ch.String() {
+		t.Fatalf("head %s, want %s", c.Hash, ch)
+	}
+	rep, err := s2.Fsck()
+	if err != nil || !rep.OK() {
+		t.Fatalf("fsck: %+v, %v", rep, err)
+	}
+	if _, err := s2.Commit("gather/big", []byte("smaller"), nil); err != nil {
+		t.Fatal(err)
+	}
+	n, _, err := s2.GC(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 2 + len(node)/cas.HashSize; n != want { // old commit, node, leaves
+		t.Fatalf("GC(1) past the legacy head reclaimed %d chunks, want %d", n, want)
+	}
+	if v, _, err := s2.HeadValue("gather/big"); err != nil || string(v) != "smaller" {
+		t.Fatalf("head after GC = %q, %v", v, err)
+	}
+}
+
+// writeChunkFile writes payload as a chunk file of the store at dir and
+// returns its address bytes.
+func writeChunkFile(t *testing.T, dir string, payload []byte) []byte {
+	t.Helper()
+	h := sha256.Sum256(payload)
+	hx := cas.Hash(h).String()
+	if err := os.MkdirAll(filepath.Join(dir, "chunks", hx[:2]), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "chunks", hx[:2], hx[2:]), payload, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return h[:]
+}
+
+// TestHeadSurvivesCompactingCommit: whichever commit's head record makes
+// the heads log due for compaction, that commit is still the key's head
+// after a reopen — for a key with history and for a key's first commit.
+func TestHeadSurvivesCompactingCommit(t *testing.T) {
+	for n := 1; n <= 24; n++ {
+		dir := t.TempDir()
+		s, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i <= n; i++ {
+			if _, err := s.Commit("gather/c", []byte(fmt.Sprintf("runs=%d", i)), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := s.Commit(fmt.Sprintf("campaign/c%d", n), []byte("done"), nil); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		s2, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h, ok := s2.Head("gather/c"); !ok || h.Seq != n {
+			t.Fatalf("after %d commits and a reopen: head seq %d (found %v)", n, h.Seq, ok)
+		}
+		if _, ok := s2.Head(fmt.Sprintf("campaign/c%d", n)); !ok {
+			t.Fatalf("after %d commits and a reopen: the last key's first commit is gone", n)
+		}
+		s2.Close()
 	}
 }
