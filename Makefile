@@ -52,7 +52,7 @@ STRESS_PKGS = ./internal/solvecache/ ./internal/expr/ ./internal/nlp/ ./internal
 
 stress:
 	$(GO) test -count=3 -cpu 1,2,4 $(STRESS_PKGS)
-	$(GO) test -count=3 -cpu 1,2,4 -run 'TestSingleflight|TestOverload|TestPeer|TestDeadlineUnmeetable|TestWorker|TestChaosFleet|TestLocalWorker|TestLocalAttempt|TestAsyncAttemptHoldsASolverSlot|TestJobDeadlineWhileWaitingForASlot|TestSolveCacheHit|TestDifferentOptionsMissCache|TestBrownout|TestBreaker|TestCacheHitsServedWhileBreakerOpen|TestPersistenceBar|TestDeadlineAndDegradedNeverPersist|TestCachePersistSurvivesRestart|TestSolveTimeoutBoundsPathologicalModel|TestMetricsHistogram' ./internal/neos/
+	$(GO) test -count=3 -cpu 1,2,4 -run 'TestSingleflight|TestOverload|TestPeer|TestDeadlineUnmeetable|TestWorker|TestChaosFleet|TestLocalWorker|TestLocalAttempt|TestAsyncAttemptHoldsASolverSlot|TestJobDeadlineWhileWaitingForASlot|TestSolveCacheHit|TestDifferentOptionsMissCache|TestBrownout|TestBreaker|TestCacheHitsServedWhileBreakerOpen|TestPersistenceBar|TestDeadlineAndDegradedNeverPersist|TestCachePersistSurvivesRestart|TestSolveTimeoutBoundsPathologicalModel|TestSolveTimeoutBoundsExactSearch|TestMetricsHistogram' ./internal/neos/
 
 # Fault-injection suite: the chaos pipeline acceptance scenario, the 1 ns
 # solve-deadline ladder at 1° and at 1/8° 32768 nodes, and the brute-force

@@ -68,7 +68,7 @@ func parseTruthScale(s string) (map[cesm.Component]float64, error) {
 // MINLP model — the fingerprint recorded in the campaign record, matching
 // the solve service's cache keying — for every objective.
 func modelDigest(spec core.Spec) (string, error) {
-	text, err := core.TableI(spec)
+	text, err := core.WriteAMPL(spec)
 	if err != nil {
 		return "", err
 	}

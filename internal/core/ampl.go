@@ -11,24 +11,15 @@ import (
 // WriteAMPL renders the spec's Table I model as AMPL source text — the
 // artifact the paper's pipeline generates and ships to the NEOS service
 // ("The AMPL code in HSLB is executed remotely via Python script on NEOS
-// server", §V). It is the model BuildModel solves: BuildModel parses this
-// very text, so the served model and the library's are one model, and the
-// discrete allowed sets, written as AMPL sets with binary selector families
-// exactly as in Table I lines 29-31, parse back as SOS-1 sets.
-//
-// Only the MinMax objective is exported (the paper's choice).
+// server", §V). It is the model BuildModel solves and campaign records
+// digest: BuildModel parses this very text, so the served model and the
+// library's are one model, and the discrete allowed sets, written as AMPL
+// sets with binary selector families exactly as in Table I lines 29-31,
+// parse back as SOS-1 sets. It writes all three objectives, layouts 1-3,
+// the sync tolerance, the allowed sets and the 1/8° granularity. Numbers
+// print in their shortest exact form, so the parsed model carries the
+// coefficients bit for bit.
 func WriteAMPL(s Spec) (string, error) {
-	if s.Objective != MinMax {
-		return "", fmt.Errorf("core: AMPL export supports the min-max objective only, got %v", s.Objective)
-	}
-	return TableI(s)
-}
-
-// TableI renders Table I, the text BuildModel parses and campaign records
-// digest, for all three objectives, layouts 1-3, the sync tolerance, the
-// allowed sets and the 1/8° granularity. Numbers print in their shortest
-// exact form, so the parsed model carries the coefficients bit for bit.
-func TableI(s Spec) (string, error) {
 	if err := s.Validate(); err != nil {
 		return "", err
 	}

@@ -9,12 +9,12 @@ import (
 )
 
 // BuildModel constructs the Table I MINLP for the spec by parsing the AMPL
-// text TableI renders for it — the text WriteAMPL ships — so the
+// text WriteAMPL renders for it — the text the service is sent — so the
 // library and the served path solve one model, SOS-1 selection sets
 // included. The returned Vars locates the decision variables inside the
 // model.
 func BuildModel(s Spec) (*model.Model, *Vars, error) {
-	src, err := TableI(s)
+	src, err := WriteAMPL(s)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -92,6 +93,12 @@ func (c combine) of(a, b float64) float64 {
 // own, the ocean last. Layouts 2 and 3 cost O(N), min-max layout 1
 // O(N log N) and layout 1's other cases O(N²), at every Table III size.
 func ExhaustiveSearch(s Spec) (*Decision, error) {
+	return exhaustiveSearch(context.Background(), s)
+}
+
+// exhaustiveSearch is ExhaustiveSearch under a context, which its O(N²)
+// pairing loops poll once per row: a search cut short returns ctx.Err().
+func exhaustiveSearch(ctx context.Context, s Spec) (*Decision, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -122,8 +129,12 @@ func ExhaustiveSearch(s Spec) (*Decision, error) {
 	switch s.Layout {
 	case cesm.Layout1:
 		// par(seq(par(ice, lnd), atm), ocn) with atm + ocn ≤ N and
-		// ice + lnd ≤ atm, both equalities under max-min (TableI).
-		split, ca := iceLandSplit(s, cost), cost(cesm.ATM)
+		// ice + lnd ≤ atm, both equalities under max-min (WriteAMPL).
+		split, err := iceLandSplit(ctx, s, cost)
+		if err != nil {
+			return nil, err
+		}
+		ca := cost(cesm.ATM)
 		rest = tabulate(N, atmC, func(na int) float64 {
 			t, _, _ := split(na)
 			return seq.of(t, ca(na))
@@ -167,7 +178,7 @@ func ExhaustiveSearch(s Spec) (*Decision, error) {
 // iceLandSplit returns the best layout-1 ice/land placement inside each
 // allowed atmosphere count na, the smallest par(cost_ice, cost_lnd) over
 // n_ice + n_lnd ≤ na (= na under max-min), as (cost, n_ice, n_lnd).
-func iceLandSplit(s Spec, cost func(cesm.Component) func(int) float64) func(na int) (float64, int, int) {
+func iceLandSplit(ctx context.Context, s Spec, cost func(cesm.Component) func(int) float64) (func(na int) (float64, int, int), error) {
 	capAtm := min(s.TotalNodes, cesm.AtmMaxNodes(s.Resolution))
 	all := candidateCounts(s, cesm.ICE, capAtm)
 	ice, lnd := tabulate(capAtm, all, cost(cesm.ICE)), tabulate(capAtm, all, cost(cesm.LND))
@@ -190,7 +201,7 @@ func iceLandSplit(s Spec, cost func(cesm.Component) func(int) float64) func(na i
 				}
 			}
 			return best, ni, nl
-		}
+		}, nil
 	}
 	par := combine(s.Objective != MinSum) // maxOf, but sumOf under min-sum
 	pairs := tabulate(capAtm, nil, nil)   // best pair per sum n, arg[n] a position in ice
@@ -199,6 +210,9 @@ func iceLandSplit(s Spec, cost func(cesm.Component) func(int) float64) func(na i
 		// sum counts: pair them row by row, as the tolerance rejects most
 		// pairs.
 		for ni := 1; ni < capAtm; ni++ {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			a, at, arg := ice.at[ni], pairs.at[ni+1:], pairs.arg[ni+1:]
 			for j, b := range lnd.at[1 : capAtm-ni+1] {
 				if math.Abs(a-b) <= s.SyncTol && par.of(a, b) < at[j] {
@@ -211,6 +225,9 @@ func iceLandSplit(s Spec, cost func(cesm.Component) func(int) float64) func(na i
 		// every AtmNodeMultiple-th, where pairing every sum takes about a
 		// second at 32 768 nodes.
 		for _, n := range candidateCounts(s, cesm.ATM, capAtm) {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			best, arg := math.Inf(1), 0
 			for ni := 1; ni < n; ni++ {
 				if v := par.of(ice.at[ni], lnd.at[n-ni]); v < best {
@@ -228,5 +245,5 @@ func iceLandSplit(s Spec, cost func(cesm.Component) func(int) float64) func(na i
 		n := upTo.arg[na]
 		ni := pairs.arg[n]
 		return upTo.at[na], ice.arg[ni], lnd.arg[n-ni]
-	}
+	}, nil
 }

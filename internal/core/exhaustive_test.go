@@ -16,7 +16,7 @@ import (
 // every ice/land pair with n_ice + n_lnd ≤ n_atm that passes the sync
 // filter on layout 1, and every count up to N − n_ocn for the components
 // sharing the machine with the ocean on layout 2. Under max-min the layout-1
-// capacities are equalities, as TableI emits them. Inner optima are
+// capacities are equalities, as WriteAMPL emits them. Inner optima are
 // hoisted out of the loops they do not depend on; nothing else is pruned.
 // It returns ±Inf, the objective's worst value, when nothing is feasible.
 func bruteForce(s Spec) float64 {

@@ -157,6 +157,41 @@ var knownFits8th = map[int]map[cesm.Component]perf.Model{
 	},
 }
 
+// knownFailure is a row of TestKnownFailures' first table: a layout-1 1°
+// spec on a knownFits curve set.
+type knownFailure struct {
+	fit, nodes  int
+	objective   Objective
+	syncTol     float64
+	constrained bool
+}
+
+func (tc knownFailure) spec() Spec {
+	return Spec{
+		Resolution: cesm.Res1Deg, Layout: cesm.Layout1, TotalNodes: tc.nodes, Perf: knownFits[tc.fit],
+		Objective: tc.objective, SyncTol: tc.syncTol, ConstrainOcean: tc.constrained, ConstrainAtm: tc.constrained,
+	}
+}
+
+func (tc knownFailure) name() string {
+	return fmt.Sprintf("fit%d/%d/%v/sync=%g/constrained=%v", tc.fit, tc.nodes, tc.objective, tc.syncTol, tc.constrained)
+}
+
+// knownFailureRows are the rows on which SolveAllocation once answered
+// wrong (see TestKnownFailures).
+var knownFailureRows = []knownFailure{
+	{3, 64, MaxMin, 0, false},     // was optimal, 2.3 % below
+	{6, 512, MaxMin, 0, false},    // was optimal, 4.7 % below
+	{8, 512, MinMax, 0.5, true},   // was optimal, 125 % above
+	{1, 256, MinMax, 0.5, true},   // was infeasible
+	{1, 128, MinMax, 2, true},     // was optimal, 45 % above
+	{5, 128, MinMax, 0.5, true},   // was optimal, 388 % above
+	{4, 1024, MinMax, 0.5, true},  // was infeasible
+	{3, 512, MinMax, 0.5, true},   // was optimal, 237 % above
+	{8, 256, MinMax, 0.5, true},   // was optimal, 39 % above
+	{8, 1024, MinMax, 0.5, false}, // was optimal, 0.012 % above
+}
+
 // TestKnownFailures is the table of layout-1 specs on which SolveAllocation
 // once returned a wrong answer, each held to bruteForce. Every row failed
 // when the nonconvex specs still went to a branch-and-bound search:
@@ -174,29 +209,9 @@ var knownFits8th = map[int]map[cesm.Component]perf.Model{
 // each solved through SolveAllocation and held to ExhaustiveSearch within
 // the solver's relative gap.
 func TestKnownFailures(t *testing.T) {
-	for _, tc := range []struct {
-		fit, nodes  int
-		objective   Objective
-		syncTol     float64
-		constrained bool
-	}{
-		{3, 64, MaxMin, 0, false},     // was optimal, 2.3 % below
-		{6, 512, MaxMin, 0, false},    // was optimal, 4.7 % below
-		{8, 512, MinMax, 0.5, true},   // was optimal, 125 % above
-		{1, 256, MinMax, 0.5, true},   // was infeasible
-		{1, 128, MinMax, 2, true},     // was optimal, 45 % above
-		{5, 128, MinMax, 0.5, true},   // was optimal, 388 % above
-		{4, 1024, MinMax, 0.5, true},  // was infeasible
-		{3, 512, MinMax, 0.5, true},   // was optimal, 237 % above
-		{8, 256, MinMax, 0.5, true},   // was optimal, 39 % above
-		{8, 1024, MinMax, 0.5, false}, // was optimal, 0.012 % above
-	} {
-		s := Spec{
-			Resolution: cesm.Res1Deg, Layout: cesm.Layout1, TotalNodes: tc.nodes, Perf: knownFits[tc.fit],
-			Objective: tc.objective, SyncTol: tc.syncTol, ConstrainOcean: tc.constrained, ConstrainAtm: tc.constrained,
-		}
-		name := fmt.Sprintf("fit%d/%d/%v/sync=%g/constrained=%v", tc.fit, tc.nodes, tc.objective, tc.syncTol, tc.constrained)
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range knownFailureRows {
+		s := tc.spec()
+		t.Run(tc.name(), func(t *testing.T) {
 			checkExact(t, s, func(s Spec) (*Decision, error) { return SolveAllocation(s, SolverOptions()) })
 		})
 	}

@@ -110,7 +110,7 @@ type Store struct {
 	nextID  int64
 	appends int
 	closed  bool
-	// ready is a capacity-1 signal that a job may be available to Dequeue.
+	// ready is a capacity-1 signal that a job may be available to Lease.
 	ready chan struct{}
 	// recovered counts running→queued transitions performed at Open.
 	recovered int
@@ -134,10 +134,6 @@ const maxRetryBackoff = time.Minute
 // released, or the job was re-leased to another worker. The stale holder
 // must abandon its work; the result it computed will never be recorded.
 var ErrStaleLease = errors.New("jobstore: stale lease fencing token")
-
-// ErrConflict is the historical name for a stale or conflicting
-// transition; it is now the same error as ErrStaleLease.
-var ErrConflict = ErrStaleLease
 
 // ErrNotFound is returned for unknown job IDs.
 var ErrNotFound = errors.New("jobstore: no such job")
@@ -286,12 +282,6 @@ func (s *Store) Enqueue(request json.RawMessage, maxAttempts int) (Job, error) {
 	}
 	s.signal()
 	return *j, nil
-}
-
-// Dequeue claims the oldest runnable queued job with no lease expiry —
-// the historical in-process contract. Equivalent to Lease("", 0).
-func (s *Store) Dequeue() (*Job, time.Duration, error) {
-	return s.Lease("", 0)
 }
 
 // Lease claims the oldest runnable queued job for workerID, marking it
@@ -459,7 +449,7 @@ func (s *Store) reapExpiredLocked() (int, error) {
 }
 
 // Ready signals that a job may have become runnable (enqueue, retry, or
-// crash recovery). The channel has capacity 1; drain it and call Dequeue.
+// crash recovery). The channel has capacity 1; drain it and call Lease.
 func (s *Store) Ready() <-chan struct{} { return s.ready }
 
 func (s *Store) signal() {
@@ -470,8 +460,8 @@ func (s *Store) signal() {
 }
 
 // MarkDone finalizes a running job with its result. fence must be the
-// fencing token issued by the Lease (or Dequeue) that claimed the job, so
-// a stale, abandoned execution cannot clobber a newer one.
+// fencing token issued by the Lease that claimed the job, so a stale,
+// abandoned execution cannot clobber a newer one.
 func (s *Store) MarkDone(id, fence int64, result json.RawMessage) error {
 	return s.finish(id, fence, Done, result, "")
 }

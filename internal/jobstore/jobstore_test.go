@@ -32,7 +32,7 @@ func TestLifecycle(t *testing.T) {
 		t.Fatalf("depth = %d", d)
 	}
 
-	got, wait, err := s.Dequeue()
+	got, wait, err := s.Lease("", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestLifecycle(t *testing.T) {
 
 func TestEmptyQueueDequeue(t *testing.T) {
 	s := open(t, "", Options{})
-	j, wait, err := s.Dequeue()
+	j, wait, err := s.Lease("", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestEmptyQueueDequeue(t *testing.T) {
 func TestFailedPermanently(t *testing.T) {
 	s := open(t, "", Options{})
 	j, _ := s.Enqueue(json.RawMessage(`{}`), 3)
-	run, _, _ := s.Dequeue()
+	run, _, _ := s.Lease("", 0)
 	if err := s.MarkFailed(j.ID, run.Fence, "parse error"); err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestFailedPermanently(t *testing.T) {
 		t.Fatalf("failed job = %+v", got)
 	}
 	// Failed jobs are not re-dequeued.
-	if next, _, _ := s.Dequeue(); next != nil {
+	if next, _, _ := s.Lease("", 0); next != nil {
 		t.Fatalf("failed job dequeued: %+v", next)
 	}
 }
@@ -89,19 +89,19 @@ func TestRetryWithBackoffThenExhaustion(t *testing.T) {
 	s := open(t, "", Options{now: clock})
 	j, _ := s.Enqueue(json.RawMessage(`{}`), 2)
 
-	run, _, _ := s.Dequeue()
+	run, _, _ := s.Lease("", 0)
 	retried, err := s.Requeue(j.ID, run.Fence, "timeout", 100*time.Millisecond)
 	if err != nil || !retried {
 		t.Fatalf("requeue = %v, %v", retried, err)
 	}
 
-	// Backed off: not runnable yet, Dequeue reports the wait.
-	got, wait, _ := s.Dequeue()
+	// Backed off: not runnable yet, Lease reports the wait.
+	got, wait, _ := s.Lease("", 0)
 	if got != nil || wait <= 0 || wait > 100*time.Millisecond {
 		t.Fatalf("backoff dequeue = %v, %v", got, wait)
 	}
 	now = now.Add(200 * time.Millisecond)
-	run2, _, _ := s.Dequeue()
+	run2, _, _ := s.Lease("", 0)
 	if run2 == nil || run2.Attempts != 2 {
 		t.Fatalf("second attempt = %+v", run2)
 	}
@@ -120,12 +120,12 @@ func TestRetryWithBackoffThenExhaustion(t *testing.T) {
 func TestStaleAttemptRejected(t *testing.T) {
 	s := open(t, "", Options{})
 	j, _ := s.Enqueue(json.RawMessage(`{}`), 5)
-	run, _, _ := s.Dequeue()
+	run, _, _ := s.Lease("", 0)
 	// First attempt is abandoned (timeout) and re-queued...
 	if _, err := s.Requeue(j.ID, run.Fence, "timeout", 0); err != nil {
 		t.Fatal(err)
 	}
-	run2, _, _ := s.Dequeue()
+	run2, _, _ := s.Lease("", 0)
 	// ...then the stale attempt finally reports: it must be rejected.
 	if err := s.MarkDone(j.ID, run.Fence, nil); !errors.Is(err, ErrStaleLease) {
 		t.Fatalf("stale MarkDone err = %v", err)
@@ -141,7 +141,7 @@ func TestCrashRecoveryRunsExactlyOnce(t *testing.T) {
 	if _, err := s1.Enqueue(json.RawMessage(`{"model":"a"}`), 3); err != nil {
 		t.Fatal(err)
 	}
-	run, _, err := s1.Dequeue()
+	run, _, err := s1.Lease("", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestCrashRecoveryRunsExactlyOnce(t *testing.T) {
 	if s2.Recovered() != 1 {
 		t.Fatalf("recovered = %d", s2.Recovered())
 	}
-	got, wait, err := s2.Dequeue()
+	got, wait, err := s2.Lease("", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestCrashRecoveryRunsExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Exactly once: nothing left to run.
-	if extra, _, _ := s2.Dequeue(); extra != nil {
+	if extra, _, _ := s2.Lease("", 0); extra != nil {
 		t.Fatalf("job ran twice: %+v", extra)
 	}
 }
@@ -182,7 +182,7 @@ func TestRecoveryPreservesCompletedAndIDs(t *testing.T) {
 	s1 := open(t, dir, Options{})
 	a, _ := s1.Enqueue(json.RawMessage(`1`), 1)
 	b, _ := s1.Enqueue(json.RawMessage(`2`), 1)
-	run, _, _ := s1.Dequeue()
+	run, _, _ := s1.Lease("", 0)
 	s1.MarkDone(run.ID, run.Fence, json.RawMessage(`"done-a"`))
 	s1.Close()
 
@@ -235,7 +235,7 @@ func TestTTLEvictionAndCompaction(t *testing.T) {
 	s := open(t, dir, Options{now: clock})
 
 	old, _ := s.Enqueue(json.RawMessage(`1`), 1)
-	run, _, _ := s.Dequeue()
+	run, _, _ := s.Lease("", 0)
 	s.MarkDone(run.ID, run.Fence, nil)
 	fresh, _ := s.Enqueue(json.RawMessage(`2`), 1)
 
@@ -273,7 +273,7 @@ func TestAutoCompactionBoundsWAL(t *testing.T) {
 	s := open(t, dir, Options{CompactEvery: 16})
 	for i := 0; i < 40; i++ {
 		j, _ := s.Enqueue(json.RawMessage(`{}`), 1)
-		run, _, _ := s.Dequeue()
+		run, _, _ := s.Lease("", 0)
 		s.MarkDone(run.ID, run.Fence, nil)
 		if _, err := s.EvictCompleted(0); err != nil {
 			t.Fatal(err)
@@ -312,7 +312,7 @@ func TestMemoryOnlyModeHasNoFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, _, _ := s.Dequeue()
+	run, _, _ := s.Lease("", 0)
 	if run.ID != j.ID {
 		t.Fatalf("dequeued %d", run.ID)
 	}
@@ -339,7 +339,7 @@ func TestMaxPendingShedsEnqueue(t *testing.T) {
 
 	// A running job still counts against the cap: dequeuing must not open
 	// a slot until the job reaches a terminal state.
-	j, _, err := s.Dequeue()
+	j, _, err := s.Lease("", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestRequeueBackoffCapped(t *testing.T) {
 	s := open(t, "", Options{now: func() time.Time { return now }})
 	j, _ := s.Enqueue(json.RawMessage(`{}`), 64)
 	for attempt := 1; attempt < 64; attempt++ {
-		run, _, err := s.Dequeue()
+		run, _, err := s.Lease("", 0)
 		if err != nil || run == nil || run.Attempts != attempt {
 			t.Fatalf("attempt %d: dequeue = %+v, %v", attempt, run, err)
 		}

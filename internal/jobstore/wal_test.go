@@ -15,7 +15,7 @@ func churn(t *testing.T, s *Store) Job {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, _, err := s.Dequeue()
+	run, _, err := s.Lease("", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

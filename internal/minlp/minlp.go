@@ -25,8 +25,10 @@
 // change that: a tangent of a convex row never cuts off a feasible point, so
 // any set of them keeps every LP bound valid, and an incumbent is accepted
 // only at a point that meets the rows themselves. On a nonconvex model a cut
-// can cut off the optimum; internal/core answers those specs by its exact
-// search instead.
+// can cut off the optimum. internal/core answers the nonconvex Table I
+// models (max-min, layout-1 sync tolerance) by its exact search instead, a
+// spec (SolveAllocation) and served AMPL text (SolveModel) alike; any other
+// nonconvex model still gets this search's answer.
 package minlp
 
 import (

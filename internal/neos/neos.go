@@ -2,7 +2,10 @@
 // reproducing the deployment shape of the paper's automated pipeline: "The
 // AMPL code in HSLB is executed remotely via Python script on NEOS server
 // hosted by ANL" (§V). Models are submitted as AMPL text (parsed by
-// internal/ampl) and solved with the MINLP branch-and-bound solvers.
+// internal/ampl) and answered by core.SolveModel, the library's one solve
+// decision: a Table I model whose spec the exact search answers in the
+// library gets that answer here too, and every other model the MINLP
+// branch-and-bound.
 //
 // The *Server is a transport-free solve core: the one solve ladder, the
 // five lease methods of the pull-worker protocol (work.go), the workers and
@@ -35,6 +38,7 @@ import (
 	"math"
 
 	"hslb/internal/ampl"
+	"hslb/internal/core"
 	"hslb/internal/minlp"
 )
 
@@ -43,7 +47,8 @@ type SolveRequest struct {
 	// Model is AMPL source text.
 	Model string `json:"model"`
 	// Algorithm is "oa" (the default and only value): LP/NLP-based
-	// branch-and-bound. Any other value is answered with status "error".
+	// branch-and-bound, or the exact search for a nonconvex Table I model
+	// (core.SolveModel). Any other value is answered with status "error".
 	Algorithm string `json:"algorithm,omitempty"`
 	// BranchSOS enables SOS branching.
 	BranchSOS bool `json:"branch_sos,omitempty"`
@@ -140,16 +145,16 @@ func parseRequest(req *SolveRequest) (*ampl.Result, error) {
 	return ampl.Parse(req.Model)
 }
 
-// solveParsedContext optimizes an already-parsed request; when ctx carries a
-// deadline the solver stops there and reports status "deadline" with its
-// best incumbent.
+// solveParsedContext answers an already-parsed request through
+// core.SolveModel; when ctx carries a deadline the solver stops there and
+// reports status "deadline" with its best incumbent, if it has one.
 func solveParsedContext(ctx context.Context, parsed *ampl.Result, req *SolveRequest) *SolveResponse {
 	opt := minlp.Options{
 		BranchSOS: req.BranchSOS,
 		MaxNodes:  req.MaxNodes,
 		RelGap:    req.RelGap,
 	}
-	res, err := minlp.SolveContext(ctx, parsed.Model, opt)
+	res, err := core.SolveModel(ctx, parsed, opt)
 	if err != nil {
 		return &SolveResponse{Status: "error", Error: err.Error()}
 	}

@@ -11,7 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"hslb/internal/cesm"
+	"hslb/internal/core"
 	"hslb/internal/jobstore"
+	"hslb/internal/perf"
 )
 
 // miniModelReformatted is miniModel with comments, reordered statements and
@@ -276,7 +279,7 @@ func TestCrashRecoveryCompletesQueuedJob(t *testing.T) {
 	if _, err := store.Enqueue(runningReq, 3); err != nil {
 		t.Fatal(err)
 	}
-	midRun, _, err := store.Dequeue()
+	midRun, _, err := store.Lease("", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,6 +444,41 @@ func TestSolveTimeoutBoundsPathologicalModel(t *testing.T) {
 	}
 	if m.Cache.Size != 0 {
 		t.Fatalf("cache size = %d, deadline result was cached", m.Cache.Size)
+	}
+}
+
+// TestSolveTimeoutBoundsExactSearch: SolveTimeout bounds the exact search
+// a nonconvex Table I model routes to as it bounds OA. The 1/8° 32 768-node
+// sync-tolerance model takes the exact search about 0.3 s on a 2-CPU
+// host; under a 50 ms budget it answers "deadline" within 200 ms, and the
+// answer is not cached.
+func TestSolveTimeoutBoundsExactSearch(t *testing.T) {
+	perfs := map[cesm.Component]perf.Model{}
+	for _, c := range cesm.OptimizedComponents {
+		perfs[c] = cesm.TruthModel(cesm.Res8thDeg, c)
+	}
+	src, err := core.WriteAMPL(core.Spec{Resolution: cesm.Res8thDeg, Layout: cesm.Layout1, TotalNodes: 32768,
+		Perf: perfs, SyncTol: 2, ConstrainOcean: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newCore(t, Config{MaxConcurrent: 2, SolveTimeout: 50 * time.Millisecond}, nil)
+	req := &SolveRequest{Model: src, BranchSOS: true, RelGap: 1e-4}
+	for i := 0; i < 2; i++ {
+		start := time.Now()
+		out, err := s.solve(context.Background(), req, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if elapsed := time.Since(start); elapsed > 200*time.Millisecond {
+			t.Fatalf("solve took %v under a 50ms budget", elapsed)
+		}
+		if out.Status != "deadline" || out.Variables != nil {
+			t.Fatalf("status %q with %d variables, want deadline with none", out.Status, len(out.Variables))
+		}
+	}
+	if m := s.metrics(); m.Solves.Count != 2 || m.Cache.Size != 0 {
+		t.Fatalf("%d solves, cache size %d: a deadline answer was cached", m.Solves.Count, m.Cache.Size)
 	}
 }
 
