@@ -10,7 +10,11 @@ import (
 // Metrics is the JSON document served at /metrics.
 type Metrics struct {
 	Cache solvecache.Stats `json:"cache"`
-	Jobs  struct {
+	// KeyMemo counts the process's request-key memo (KeyMemoStats): a hit
+	// is a request whose exact body this process had keyed before, so it
+	// was neither parsed nor canonicalized again.
+	KeyMemo solvecache.Stats `json:"key_memo"`
+	Jobs    struct {
 		QueueDepth int            `json:"queue_depth"`
 		Counts     map[string]int `json:"counts"`
 		Recovered  int            `json:"recovered"`
@@ -49,8 +53,9 @@ type Metrics struct {
 func (s *Server) metrics() *Metrics {
 	counts := s.store.Counts()
 	m := &Metrics{
-		Cache:  s.cache.Stats(),
-		Solves: s.hist.snapshot(),
+		Cache:   s.cache.Stats(),
+		KeyMemo: KeyMemoStats(),
+		Solves:  s.hist.snapshot(),
 	}
 	m.Jobs.QueueDepth = counts[jobstore.Queued]
 	m.Jobs.Recovered = s.store.Recovered()

@@ -32,6 +32,7 @@ package neos
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"io"
@@ -40,6 +41,7 @@ import (
 	"hslb/internal/ampl"
 	"hslb/internal/core"
 	"hslb/internal/minlp"
+	"hslb/internal/solvecache"
 )
 
 // SolveRequest is the JSON body of /solve and /submit.
@@ -112,35 +114,100 @@ func ExecuteRequest(ctx context.Context, req *SolveRequest, _ int) *SolveRespons
 	return solveParsedContext(ctx, parsed, req)
 }
 
+// keyMemoCapacity bounds the request-key memo: 4096 keys of 64 hex bytes
+// under 32-byte ids, about 1 MB with the LRU's bookkeeping.
+const keyMemoCapacity = 4096
+
+// keyMemo maps a request's memo id (memoID) to its canonical key, so a
+// process parses and canonicalizes each distinct body once: a repeated
+// request — a cache hit at the shard, a placement at the router — costs a
+// SHA-256 over its bytes and an LRU lookup. The key is a pure function of
+// the request, so the memo is per process and needs no invalidation; only
+// successful keys enter it.
+var keyMemo = solvecache.New[string](keyMemoCapacity)
+
+// memoID identifies a request by its exact bytes: SHA-256 over the
+// length-prefixed model text and the key's solver options, so two requests
+// share an id only when they share every input of the canonical key. The
+// algorithm is left out: requestKey checks it before the lookup, and every
+// accepted value keys alike.
+func memoID(req *SolveRequest) string {
+	h := sha256.New()
+	var buf [8]byte
+	binary.BigEndian.PutUint64(buf[:], uint64(len(req.Model)))
+	h.Write(buf[:])
+	io.WriteString(h, req.Model)
+	var opts [17]byte
+	if req.BranchSOS {
+		opts[0] = 1
+	}
+	binary.BigEndian.PutUint64(opts[1:9], uint64(req.MaxNodes))
+	binary.BigEndian.PutUint64(opts[9:], math.Float64bits(req.RelGap))
+	h.Write(opts[:])
+	var sum [sha256.Size]byte
+	return string(h.Sum(sum[:0]))
+}
+
 // requestKey fingerprints a request: SHA-256 over the canonical form of
 // the model (whitespace/comment/ordering-insensitive, via the AMPL AST)
-// plus the solver options. The parse is returned so callers solve without
-// re-parsing: the key and the parse are the core's inputs, computed once by
-// the adapter or the in-process worker.
+// plus the solver options. The key comes from keyMemo when this process has
+// keyed the same bytes before, and the parse is then nil: only a request
+// that is solved needs it, and Server.solve parses in the flight leader.
+// Otherwise the parse is returned, so the caller solves without re-parsing.
 func requestKey(req *SolveRequest) (string, *ampl.Result, error) {
-	parsed, err := parseRequest(req)
+	if err := checkAlgorithm(req); err != nil {
+		return "", nil, err
+	}
+	id := memoID(req)
+	if key, ok := keyMemo.Get(id); ok {
+		return key, nil, nil
+	}
+	parsed, err := ampl.Parse(req.Model)
 	if err != nil {
 		return "", nil, err
 	}
+	key := canonicalKey(parsed, req)
+	keyMemo.Put(id, key)
+	return key, parsed, nil
+}
+
+// canonicalKey is the key itself: SHA-256 over the parse's canonical form
+// and the solver options, hex-encoded.
+func canonicalKey(parsed *ampl.Result, req *SolveRequest) string {
 	h := sha256.New()
 	io.WriteString(h, parsed.CanonicalForm())
 	fmt.Fprintf(h, "|alg=oa|sos=%t|nodes=%d|gap=%g", req.BranchSOS, req.MaxNodes, req.RelGap)
-	return hex.EncodeToString(h.Sum(nil)), parsed, nil
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // RequestKey returns the content-addressed fingerprint of a solve request:
 // the solve-cache key, the persisted-result key suffix, and the digest the
 // shard router consistent-hashes on — one identity for one model, at every
-// tier of the fleet.
+// tier of the fleet. It is memoized per process (see keyMemo).
 func RequestKey(req *SolveRequest) (string, error) {
 	key, _, err := requestKey(req)
 	return key, err
 }
 
+// KeyMemoStats snapshots the request-key memo's counters, the key_memo
+// field of the shard's and the router's /metrics. The memo is per process,
+// so a router and shards sharing one process share these counters.
+func KeyMemoStats() solvecache.Stats {
+	return keyMemo.Stats()
+}
+
+// checkAlgorithm refuses any algorithm but the solver's own.
+func checkAlgorithm(req *SolveRequest) error {
+	if req.Algorithm != "" && req.Algorithm != "oa" {
+		return fmt.Errorf("unknown algorithm %q: the solver is \"oa\", LP/NLP-based branch-and-bound", req.Algorithm)
+	}
+	return nil
+}
+
 // parseRequest checks the request's algorithm and parses its model.
 func parseRequest(req *SolveRequest) (*ampl.Result, error) {
-	if req.Algorithm != "" && req.Algorithm != "oa" {
-		return nil, fmt.Errorf("unknown algorithm %q: the solver is \"oa\", LP/NLP-based branch-and-bound", req.Algorithm)
+	if err := checkAlgorithm(req); err != nil {
+		return nil, err
 	}
 	return ampl.Parse(req.Model)
 }

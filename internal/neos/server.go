@@ -322,14 +322,19 @@ type unavailable string
 func (e unavailable) Error() string { return string(e) }
 
 // solve is the one solve path, for /solve and async jobs alike. The
-// request's key and parse are computed once (requestKey); a request error
-// (an unknown algorithm, a model that does not parse) is answered uncached
-// with status "error", so the solver and its breaker never see it. Then a
-// cache hit, else join the key's in-flight solve or lead it (see lead), so
-// a herd of identical requests gets one answer — full quality, degraded, or
-// one refusal (a shedError). ctx may carry the client's propagated
-// deadline; coalesced followers share the leader's budget, which is safe
-// because deadline results are never cached.
+// request's key is computed once (requestKey, memoized per process); a
+// request error (an unknown algorithm, a model that does not parse) is
+// answered uncached with status "error", so the solver and its breaker
+// never see it. Then a cache hit, else join the key's in-flight solve or
+// lead it (see lead), so a herd of identical requests gets one answer —
+// full quality, degraded, or one refusal (a shedError). When the key came
+// from the memo only the flight leader parses the model, so neither a hit
+// nor a follower does. The parse stays inside the flight: between the
+// cache miss and flight.Do it would widen the window in which a request
+// that missed just before the leader filled the cache joins after the
+// flight ended, and leads a second solve. ctx may carry the client's
+// propagated deadline; coalesced followers share the leader's budget,
+// which is safe because deadline results are never cached.
 func (s *Server) solve(ctx context.Context, req *SolveRequest, admit bool) (*SolveResponse, error) {
 	key, parsed, err := requestKey(req)
 	if err != nil {
@@ -340,6 +345,13 @@ func (s *Server) solve(ctx context.Context, req *SolveRequest, admit bool) (*Sol
 		return resp, nil
 	}
 	resp, err, _ := s.flight.Do(key, func() (*SolveResponse, error) {
+		if parsed == nil {
+			p, err := ampl.Parse(req.Model)
+			if err != nil {
+				return &SolveResponse{Status: "error", Error: err.Error()}, nil
+			}
+			parsed = p
+		}
 		return s.lead(ctx, key, parsed, req, admit)
 	})
 	return resp, err

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"hslb/internal/neos"
+	"hslb/internal/solvecache"
 )
 
 // maxBody mirrors the shard's request cap; the router rejects oversized
@@ -257,8 +258,10 @@ func (rt *Router) handleReady(w http.ResponseWriter, r *http.Request) {
 // requestDigest fingerprints the request body for placement. Parseable
 // models use the canonical solve key — the same digest the shard caches
 // and persists under — so identical models always meet their cached
-// results. Unparseable bodies hash raw: the chosen shard will produce the
-// canonical error, and identical garbage at least routes consistently.
+// results. The key is memoized per process by the body's exact bytes, so a
+// repeated body is placed without parsing its model again. Unparseable
+// bodies hash raw: the chosen shard will produce the canonical error, and
+// identical garbage at least routes consistently.
 func requestDigest(body []byte) string {
 	var req neos.SolveRequest
 	if err := json.Unmarshal(body, &req); err == nil {
@@ -470,6 +473,9 @@ type Metrics struct {
 	NoShard503     uint64 `json:"no_shard_503"`
 	// Resizes counts live shard-set replacements via POST /admin/shards.
 	Resizes uint64 `json:"resizes"`
+	// KeyMemo counts the process's request-key memo (neos.KeyMemoStats):
+	// a hit is a body placed without parsing its model again.
+	KeyMemo solvecache.Stats `json:"key_memo"`
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -485,6 +491,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Passthrough503: rt.pass503.Load(),
 		NoShard503:     rt.noShard.Load(),
 		Resizes:        rt.resizes.Load(),
+		KeyMemo:        neos.KeyMemoStats(),
 	}
 	for _, s := range rt.ring.Shards() {
 		m.Shards = append(m.Shards, ShardMetrics{

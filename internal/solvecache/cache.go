@@ -3,9 +3,11 @@
 // fingerprints, with hit/miss/eviction counters and a singleflight group
 // that coalesces concurrent identical solves into one solver invocation.
 //
-// The cache is deliberately generic over the value type so it can hold
-// solve responses today and other derived artifacts (fitted performance
-// models, presolve results) later.
+// The cache is generic over the value type: it holds solve responses, and
+// the service's request-key memo (package neos) is one too, mapping a
+// request's exact-bytes digest to its canonical key so a repeated request
+// is not parsed again. Other derived artifacts (fitted performance models,
+// presolve results) can follow.
 package solvecache
 
 import (
