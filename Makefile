@@ -35,7 +35,8 @@ race:
 # arrived) fails here instead of on the next multi-core host. The gather
 # runner's kill-and-resume tests run here with the JSONL log and the result
 # store they resume from. The neos line sweeps the concurrency-sensitive
-# /solve flight (coalescing before admission, the peer consult outside the
+# /solve flight (a herd of identical requests solved once, the flight's
+# cache re-check, coalescing before admission, the peer consult outside the
 # admission slot, the overload gates, the one pool of solver slots that
 # async attempts share with /solve, and a job deadline met while waiting
 # for one), the ladder tests that drive the transport-free core directly
@@ -44,15 +45,17 @@ race:
 # loop, remote and in-process, which is timing-sensitive: heartbeats,
 # drains, panics and the retry schedule it sleeps on. The minlp solver runs
 # here because each solve's row tapes carry mutable sweep buffers, and its
-# concurrent-solve test must hold at every GOMAXPROCS.
+# concurrent-solve test must hold at every GOMAXPROCS. The Table II fit runs
+# here because bench's FitAll fits the four components on concurrent
+# goroutines, each with its own nls workspace and perf power cache.
 STRESS_PKGS = ./internal/solvecache/ ./internal/expr/ ./internal/nlp/ ./internal/lp/ \
 	./internal/minlp/ ./internal/overload/ ./internal/router/ ./internal/jobstore/ \
 	./internal/faultnet/ ./internal/backoff/ ./internal/jsonl/ ./internal/cas/ \
-	./internal/resultstore/ ./internal/bench/
+	./internal/resultstore/ ./internal/bench/ ./internal/perf/ ./internal/nls/
 
 stress:
 	$(GO) test -count=3 -cpu 1,2,4 $(STRESS_PKGS)
-	$(GO) test -count=3 -cpu 1,2,4 -run 'TestSingleflight|TestOverload|TestPeer|TestDeadlineUnmeetable|TestWorker|TestChaosFleet|TestLocalWorker|TestLocalAttempt|TestAsyncAttemptHoldsASolverSlot|TestJobDeadlineWhileWaitingForASlot|TestSolveCacheHit|TestDifferentOptionsMissCache|TestBrownout|TestBreaker|TestCacheHitsServedWhileBreakerOpen|TestPersistenceBar|TestDeadlineAndDegradedNeverPersist|TestCachePersistSurvivesRestart|TestSolveTimeoutBoundsPathologicalModel|TestSolveTimeoutBoundsExactSearch|TestMetricsHistogram' ./internal/neos/
+	$(GO) test -count=3 -cpu 1,2,4 -run 'TestSingleflight|TestConcurrentSolvesParallelWorkers|TestFlightRechecksCache|TestOverload|TestPeer|TestDeadlineUnmeetable|TestWorker|TestChaosFleet|TestLocalWorker|TestLocalAttempt|TestAsyncAttemptHoldsASolverSlot|TestJobDeadlineWhileWaitingForASlot|TestSolveCacheHit|TestDifferentOptionsMissCache|TestBrownout|TestBreaker|TestCacheHitsServedWhileBreakerOpen|TestPersistenceBar|TestDeadlineAndDegradedNeverPersist|TestCachePersistSurvivesRestart|TestSolveTimeoutBoundsPathologicalModel|TestSolveTimeoutBoundsExactSearch|TestMetricsHistogram' ./internal/neos/
 
 # Fault-injection suite: the chaos pipeline acceptance scenario, the 1 ns
 # solve-deadline ladder at 1° and at 1/8° 32768 nodes, and the brute-force

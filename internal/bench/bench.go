@@ -7,6 +7,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"hslb/internal/cesm"
@@ -178,15 +179,28 @@ func (c Campaign) Run() (*Data, error) {
 }
 
 // FitAll fits the Table II performance model to every component's samples
-// (HSLB step 2).
+// (HSLB step 2). The components are independent fits, so each runs on its
+// own goroutine; an error is reported for the first failing component in
+// cesm.OptimizedComponents order, as a sequential loop would report it.
 func (d *Data) FitAll(opt perf.FitOptions) (map[cesm.Component]*perf.FitResult, error) {
-	out := map[cesm.Component]*perf.FitResult{}
-	for _, comp := range cesm.OptimizedComponents {
-		res, err := perf.Fit(d.Samples[comp], opt)
-		if err != nil {
-			return nil, fmt.Errorf("bench: fitting %v: %w", comp, err)
+	comps := cesm.OptimizedComponents
+	fits := make([]*perf.FitResult, len(comps))
+	errs := make([]error, len(comps))
+	var wg sync.WaitGroup
+	for i, comp := range comps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fits[i], errs[i] = perf.Fit(d.Samples[comp], opt)
+		}()
+	}
+	wg.Wait()
+	out := make(map[cesm.Component]*perf.FitResult, len(comps))
+	for i, comp := range comps {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("bench: fitting %v: %w", comp, errs[i])
 		}
-		out[comp] = res
+		out[comp] = fits[i]
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"strings"
 	"testing"
 
 	"hslb/internal/cesm"
@@ -142,5 +143,47 @@ func TestCustomAllocator(t *testing.T) {
 	}
 	if data.Samples[cesm.ICE][0].Nodes != 80 {
 		t.Fatalf("custom allocation not used: %+v", data.Samples[cesm.ICE][0])
+	}
+}
+
+// TestFitAllReportsErrorsInComponentOrder: the components are fitted
+// concurrently, but the error returned is the first in
+// cesm.OptimizedComponents order, whichever fit finished first.
+func TestFitAllReportsErrorsInComponentOrder(t *testing.T) {
+	good := []perf.Sample{{Nodes: 16, Time: 100}, {Nodes: 32, Time: 55}, {Nodes: 64, Time: 32}, {Nodes: 128, Time: 20}}
+	short := good[:2]
+	d := &Data{Samples: map[cesm.Component][]perf.Sample{
+		cesm.LND: good, cesm.ICE: short, cesm.ATM: good, cesm.OCN: short,
+	}}
+	for range 20 {
+		_, err := d.FitAll(perf.FitOptions{})
+		if err == nil || !strings.Contains(err.Error(), "fitting "+cesm.ICE.String()+":") {
+			t.Fatalf("err = %v, want the ice fit's error", err)
+		}
+	}
+}
+
+// BenchmarkFitAll times HSLB step 2 on the campaign experiments.FitModels
+// gathers (six node counts, two repeats, fit seed 1) at each resolution.
+func BenchmarkFitAll(b *testing.B) {
+	for _, tc := range []struct {
+		res  cesm.Resolution
+		plan []int
+	}{
+		{cesm.Res1Deg, perf.SamplingPlan(64, 2048, 6)},
+		{cesm.Res8thDeg, perf.SamplingPlan(1024, 32768, 6)},
+	} {
+		data, err := Campaign{Resolution: tc.res, Layout: cesm.Layout1, NodeCounts: tc.plan, Repeats: 2, Seed: 1}.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(tc.res.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				if _, err := data.FitAll(perf.FitOptions{ConvexExponent: true}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -9,10 +9,6 @@ import (
 // singular matrix.
 var ErrSingular = errors.New("linalg: singular matrix")
 
-// ErrNotPositiveDefinite is returned by Cholesky when the matrix is not
-// positive definite.
-var ErrNotPositiveDefinite = errors.New("linalg: matrix not positive definite")
-
 // LU holds an LU factorization with partial pivoting: P*A = L*U.
 type LU struct {
 	lu  *Matrix // combined L (unit lower) and U storage
@@ -112,27 +108,64 @@ func SolveLU(a *Matrix, b Vector) (Vector, error) {
 	return f.Solve(b)
 }
 
-// Cholesky holds the lower-triangular factor L with A = L*Lᵀ.
-type Cholesky struct {
-	l *Matrix
+// SolveSPD solves a·x = b for the symmetric positive-definite matrix a in
+// place: b is overwritten with x, and l (the same order as a) receives the
+// Cholesky factor L with a = L·Lᵀ; a is not modified, and the Cholesky
+// attempts read only its lower triangle. When a is not quite positive
+// definite (as happens with near-singular Gauss–Newton systems) it retries
+// with the diagonal raised by 1e-10·max(|a_ii|, 1), then falls back to LU on
+// a itself; only that last fallback allocates.
+func SolveSPD(a, l *Matrix, b Vector) error {
+	n := a.Rows
+	if a.Cols != n || l.Rows != n || l.Cols != n || len(b) != n {
+		return ErrDimension
+	}
+	if cholesky(a, l, false) || cholesky(a, l, true) {
+		// Forward L·y = b, then backward Lᵀ·x = y, both over b.
+		for i := 0; i < n; i++ {
+			s := b[i]
+			for j := 0; j < i; j++ {
+				s -= l.At(i, j) * b[j]
+			}
+			b[i] = s / l.At(i, i)
+		}
+		for i := n - 1; i >= 0; i-- {
+			s := b[i]
+			for j := i + 1; j < n; j++ {
+				s -= l.At(j, i) * b[j]
+			}
+			b[i] = s / l.At(i, i)
+		}
+		return nil
+	}
+	x, err := SolveLU(a, b)
+	if err != nil {
+		return err
+	}
+	copy(b, x)
+	return nil
 }
 
-// FactorCholesky computes the Cholesky factorization of the symmetric
-// positive-definite matrix a. Only the lower triangle of a is read.
-func FactorCholesky(a *Matrix) (*Cholesky, error) {
-	if a.Rows != a.Cols {
-		return nil, ErrDimension
-	}
+// cholesky writes the lower triangle of the Cholesky factor of a, its
+// diagonal regularized when reg is set, into l and reports whether a was
+// positive definite. It reads only entries of l it has already written.
+func cholesky(a, l *Matrix, reg bool) bool {
 	n := a.Rows
-	l := NewMatrix(n, n)
 	for j := 0; j < n; j++ {
 		d := a.At(j, j)
+		if reg {
+			r := math.Abs(d)
+			if r < 1 {
+				r = 1
+			}
+			d += 1e-10 * r
+		}
 		for k := 0; k < j; k++ {
 			ljk := l.At(j, k)
 			d -= ljk * ljk
 		}
 		if d <= 0 || math.IsNaN(d) {
-			return nil, ErrNotPositiveDefinite
+			return false
 		}
 		d = math.Sqrt(d)
 		l.Set(j, j, d)
@@ -144,55 +177,5 @@ func FactorCholesky(a *Matrix) (*Cholesky, error) {
 			l.Set(i, j, s/d)
 		}
 	}
-	return &Cholesky{l: l}, nil
-}
-
-// Solve solves A*x = b given A = L*Lᵀ.
-func (c *Cholesky) Solve(b Vector) (Vector, error) {
-	n := c.l.Rows
-	if len(b) != n {
-		return nil, ErrDimension
-	}
-	// Forward: L*y = b.
-	y := make(Vector, n)
-	for i := 0; i < n; i++ {
-		s := b[i]
-		for j := 0; j < i; j++ {
-			s -= c.l.At(i, j) * y[j]
-		}
-		y[i] = s / c.l.At(i, i)
-	}
-	// Backward: Lᵀ*x = y.
-	x := make(Vector, n)
-	for i := n - 1; i >= 0; i-- {
-		s := y[i]
-		for j := i + 1; j < n; j++ {
-			s -= c.l.At(j, i) * x[j]
-		}
-		x[i] = s / c.l.At(i, i)
-	}
-	return x, nil
-}
-
-// SolveSPD factors the symmetric positive-definite matrix a and solves
-// a*x = b, falling back to LU with diagonal regularization when a is not
-// quite positive definite (as happens with near-singular Gauss-Newton
-// systems).
-func SolveSPD(a *Matrix, b Vector) (Vector, error) {
-	if c, err := FactorCholesky(a); err == nil {
-		return c.Solve(b)
-	}
-	// Regularize: a + eps*diag(max(|a_ii|,1)).
-	reg := a.Clone()
-	for i := 0; i < reg.Rows; i++ {
-		d := math.Abs(reg.At(i, i))
-		if d < 1 {
-			d = 1
-		}
-		reg.Set(i, i, reg.At(i, i)+1e-10*d)
-	}
-	if c, err := FactorCholesky(reg); err == nil {
-		return c.Solve(b)
-	}
-	return SolveLU(a, b)
+	return true
 }

@@ -7,8 +7,6 @@ import (
 	"testing/quick"
 )
 
-const tol = 1e-9
-
 func approxEq(a, b, eps float64) bool {
 	d := math.Abs(a - b)
 	if d <= eps {
@@ -56,67 +54,6 @@ func randMatrix(rng *rand.Rand, rows, cols int) *Matrix {
 		m.Data[i] = rng.NormFloat64()
 	}
 	return m
-}
-
-func randSPD(rng *rand.Rand, n int) *Matrix {
-	a := randMatrix(rng, n, n)
-	spd := a.T().Mul(a)
-	for i := 0; i < n; i++ {
-		spd.Set(i, i, spd.At(i, i)+float64(n)) // ensure well-conditioned
-	}
-	return spd
-}
-
-func TestVectorNorms(t *testing.T) {
-	v := Vector{3, -4}
-	if got := v.NormInf(); !approxEq(got, 4, tol) {
-		t.Errorf("NormInf = %v, want 4", got)
-	}
-}
-
-func TestVectorArithmetic(t *testing.T) {
-	v := Vector{1, 2}
-	if got := v.Scale(-2); !vecApproxEq(got, Vector{-2, -4}, tol) {
-		t.Errorf("Scale = %v", got)
-	}
-	if !vecApproxEq(v, Vector{1, 2}, tol) {
-		t.Errorf("source mutated: %v", v)
-	}
-}
-
-func TestVectorAllFinite(t *testing.T) {
-	if !(Vector{1, 2}).AllFinite() {
-		t.Error("finite vector reported non-finite")
-	}
-	if (Vector{1, math.NaN()}).AllFinite() {
-		t.Error("NaN not detected")
-	}
-	if (Vector{math.Inf(1)}).AllFinite() {
-		t.Error("Inf not detected")
-	}
-}
-
-func TestMatrixMul(t *testing.T) {
-	a := fromRows([][]float64{{1, 2}, {3, 4}})
-	b := fromRows([][]float64{{5, 6}, {7, 8}})
-	got := a.Mul(b)
-	want := fromRows([][]float64{{19, 22}, {43, 50}})
-	for i := range want.Data {
-		if !approxEq(got.Data[i], want.Data[i], tol) {
-			t.Fatalf("Mul = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestMatrixMulVecT(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	a := randMatrix(rng, 4, 3)
-	v := Vector{1, -2, 0.5, 3}
-	got := a.MulVecT(v)
-	want := mulVec(a.T(), v)
-	if !vecApproxEq(got, want, tol) {
-		t.Fatalf("MulVecT = %v, want %v", got, want)
-	}
 }
 
 func TestLUSolve(t *testing.T) {
@@ -167,43 +104,81 @@ func TestLUSolveRandomProperty(t *testing.T) {
 	}
 }
 
-func TestCholeskySolve(t *testing.T) {
+// randSPD returns AᵀA + n·I for a random A: symmetric and well conditioned.
+func randSPD(rng *rand.Rand, n int) *Matrix {
+	a := randMatrix(rng, n, n)
+	spd := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			for k := 0; k < n; k++ {
+				spd.Data[i*n+j] += a.At(k, i) * a.At(k, j)
+			}
+		}
+		spd.Data[i*n+i] += float64(n)
+	}
+	return spd
+}
+
+// solveSPD runs SolveSPD on a copy of b and returns the solution and factor.
+func solveSPD(t *testing.T, a *Matrix, b Vector) (Vector, *Matrix) {
+	t.Helper()
+	x := append(Vector(nil), b...)
+	l := NewMatrix(a.Rows, a.Cols)
+	if err := SolveSPD(a, l, x); err != nil {
+		t.Fatal(err)
+	}
+	return x, l
+}
+
+func TestSolveSPD(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := randSPD(rng, 5)
+	before := a.Clone()
 	want := Vector{1, -2, 3, 0.5, -1}
-	b := mulVec(a, want)
-	c, err := FactorCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Solve(b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, l := solveSPD(t, a, mulVec(a, want))
 	if !vecApproxEq(got, want, 1e-8) {
 		t.Fatalf("x = %v, want %v", got, want)
+	}
+	for i := range a.Data {
+		if a.Data[i] != before.Data[i] {
+			t.Fatalf("SolveSPD modified a at %d", i)
+		}
+	}
+	// The factor it leaves in l reconstructs a: (L·Lᵀ)_ij = Σ_k≤min(i,j) L_ik·L_jk.
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j <= i; j++ {
+			s := 0.0
+			for k := 0; k <= j; k++ {
+				s += l.At(i, k) * l.At(j, k)
+			}
+			if !approxEq(s, a.At(i, j), 1e-8) {
+				t.Fatalf("(L·Lᵀ)(%d,%d) = %v, want %v", i, j, s, a.At(i, j))
+			}
+		}
+	}
+}
+
+// TestSolveSPDAllocatesNothing holds the Levenberg–Marquardt step's promise:
+// on a positive-definite system the solve runs in the caller's buffers.
+func TestSolveSPDAllocatesNothing(t *testing.T) {
+	a := randSPD(rand.New(rand.NewSource(6)), 4)
+	l := NewMatrix(4, 4)
+	b := make(Vector, 4)
+	allocs := testing.AllocsPerRun(100, func() {
+		copy(b, Vector{1, 2, 3, 4})
+		if err := SolveSPD(a, l, b); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("SolveSPD allocated %v times per call, want 0", allocs)
 	}
 }
 
 func TestCholeskyRejectsIndefinite(t *testing.T) {
 	a := fromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
-	if _, err := FactorCholesky(a); err != ErrNotPositiveDefinite {
-		t.Fatalf("err = %v, want ErrNotPositiveDefinite", err)
-	}
-}
-
-func TestCholeskyFactorReconstructs(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a := randSPD(rng, 6)
-	c, err := FactorCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	llt := c.l.Mul(c.l.T())
-	for i := range a.Data {
-		if !approxEq(llt.Data[i], a.Data[i], 1e-8) {
-			t.Fatalf("L*Lt != A at %d: %v vs %v", i, llt.Data[i], a.Data[i])
-		}
+	if cholesky(a, NewMatrix(2, 2), false) {
+		t.Fatal("cholesky accepted an indefinite matrix")
 	}
 }
 
@@ -211,90 +186,9 @@ func TestSolveSPDFallback(t *testing.T) {
 	// Symmetric but indefinite: SolveSPD should still solve via LU fallback.
 	a := fromRows([][]float64{{1, 2}, {2, 1}})
 	b := Vector{3, 3}
-	x, err := SolveSPD(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	x, _ := solveSPD(t, a, b)
 	if got := mulVec(a, x); !vecApproxEq(got, b, 1e-8) {
 		t.Fatalf("A*x = %v, want %v", got, b)
-	}
-}
-
-func TestTransposeInvolution(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	a := randMatrix(rng, 3, 5)
-	att := a.T().T()
-	if att.Rows != a.Rows || att.Cols != a.Cols {
-		t.Fatal("shape changed")
-	}
-	for i := range a.Data {
-		if a.Data[i] != att.Data[i] {
-			t.Fatal("T().T() != A")
-		}
-	}
-}
-
-// TestDimensionMismatch pins the shape contract of every operation the LM
-// step calls: factorizations and solves return ErrDimension, products and
-// constructors panic with it.
-func TestDimensionMismatch(t *testing.T) {
-	rect := NewMatrix(2, 3)
-	spd := randSPD(rand.New(rand.NewSource(9)), 3)
-	lu, err := FactorLU(spd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chol, err := FactorCholesky(spd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	returns := []struct {
-		name string
-		fn   func() error
-	}{
-		{"FactorLU/non-square", func() error { _, err := FactorLU(rect); return err }},
-		{"LU.Solve/short-rhs", func() error { _, err := lu.Solve(Vector{1, 2}); return err }},
-		{"FactorCholesky/non-square", func() error { _, err := FactorCholesky(rect); return err }},
-		{"Cholesky.Solve/long-rhs", func() error { _, err := chol.Solve(Vector{1, 2, 3, 4}); return err }},
-	}
-	for _, tc := range returns {
-		t.Run(tc.name, func(t *testing.T) {
-			if err := tc.fn(); err != ErrDimension {
-				t.Fatalf("err = %v, want ErrDimension", err)
-			}
-		})
-	}
-	panics := []struct {
-		name string
-		fn   func()
-	}{
-		{"Mul", func() { rect.Mul(rect) }},
-		{"MulVecT", func() { rect.MulVecT(Vector{1, 2, 3}) }},
-		{"NewMatrix/negative", func() { NewMatrix(-1, 2) }},
-	}
-	for _, tc := range panics {
-		t.Run(tc.name, func(t *testing.T) {
-			defer func() {
-				if r := recover(); r != ErrDimension {
-					t.Fatalf("recovered %v, want ErrDimension", r)
-				}
-			}()
-			tc.fn()
-		})
-	}
-}
-
-// TestMatrixCloneIsDeep guards the LM step, which damps the diagonal of a
-// clone of JᵀJ on every trial and must leave JᵀJ itself untouched.
-func TestMatrixCloneIsDeep(t *testing.T) {
-	a := fromRows([][]float64{{1, 2}, {3, 4}})
-	c := a.Clone()
-	c.Set(0, 0, 10)
-	if a.At(0, 0) != 1 {
-		t.Fatalf("Clone aliases the source: a(0,0) = %v", a.At(0, 0))
-	}
-	if c.Rows != 2 || c.Cols != 2 || c.At(1, 1) != 4 {
-		t.Fatalf("Clone = %+v, want a 2×2 copy", c)
 	}
 }
 
@@ -308,14 +202,61 @@ func TestSolveSPDRegularizesSingularPSD(t *testing.T) {
 	if _, err := SolveLU(a, b); err != ErrSingular {
 		t.Fatalf("SolveLU err = %v, want ErrSingular", err)
 	}
-	x, err := SolveSPD(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !x.AllFinite() {
-		t.Fatalf("x = %v, not finite", x)
+	x, _ := solveSPD(t, a, b)
+	for _, v := range x {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("x = %v, not finite", x)
+		}
 	}
 	if got := mulVec(a, x); !vecApproxEq(got, b, 1e-8) {
 		t.Fatalf("A*x = %v, want %v", got, b)
 	}
+}
+
+// TestFactorLULeavesInputIntact guards the LU fallback, which factors the
+// damped matrix SolveSPD was given and must not disturb it.
+func TestFactorLULeavesInputIntact(t *testing.T) {
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
+	if _, err := FactorLU(a); err != nil {
+		t.Fatal(err)
+	}
+	if a.At(0, 0) != 1 || a.At(0, 1) != 2 || a.At(1, 0) != 3 || a.At(1, 1) != 4 {
+		t.Fatalf("FactorLU modified its input: %v", a.Data)
+	}
+}
+
+// TestDimensionMismatch pins the shape contract: factorizations and solves
+// return ErrDimension, the constructor panics with it.
+func TestDimensionMismatch(t *testing.T) {
+	rect := NewMatrix(2, 3)
+	spd := randSPD(rand.New(rand.NewSource(9)), 3)
+	lu, err := FactorLU(spd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	returns := []struct {
+		name string
+		fn   func() error
+	}{
+		{"FactorLU/non-square", func() error { _, err := FactorLU(rect); return err }},
+		{"LU.Solve/short-rhs", func() error { _, err := lu.Solve(Vector{1, 2}); return err }},
+		{"SolveSPD/non-square", func() error { return SolveSPD(rect, NewMatrix(2, 2), Vector{1, 2}) }},
+		{"SolveSPD/short-factor", func() error { return SolveSPD(spd, NewMatrix(2, 2), Vector{1, 2, 3}) }},
+		{"SolveSPD/long-rhs", func() error { return SolveSPD(spd, NewMatrix(3, 3), Vector{1, 2, 3, 4}) }},
+	}
+	for _, tc := range returns {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.fn(); err != ErrDimension {
+				t.Fatalf("err = %v, want ErrDimension", err)
+			}
+		})
+	}
+	t.Run("NewMatrix/negative", func(t *testing.T) {
+		defer func() {
+			if r := recover(); r != ErrDimension {
+				t.Fatalf("recovered %v, want ErrDimension", r)
+			}
+		}()
+		NewMatrix(-1, 2)
+	})
 }

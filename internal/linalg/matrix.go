@@ -26,55 +26,3 @@ func (m *Matrix) Clone() *Matrix {
 	copy(out.Data, m.Data)
 	return out
 }
-
-// T returns the transpose of m as a new matrix.
-func (m *Matrix) T() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
-}
-
-// Mul returns m*b as a new matrix.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.Cols != b.Rows {
-		panic(ErrDimension)
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		mi := m.Data[i*m.Cols : (i+1)*m.Cols]
-		oi := out.Data[i*out.Cols : (i+1)*out.Cols]
-		for k, mik := range mi {
-			if mik == 0 {
-				continue
-			}
-			bk := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bkj := range bk {
-				oi[j] += mik * bkj
-			}
-		}
-	}
-	return out
-}
-
-// MulVecT returns mᵀ*v as a new vector without forming the transpose.
-func (m *Matrix) MulVecT(v Vector) Vector {
-	if m.Rows != len(v) {
-		panic(ErrDimension)
-	}
-	out := make(Vector, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		vi := v[i]
-		if vi == 0 {
-			continue
-		}
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, mij := range row {
-			out[j] += mij * vi
-		}
-	}
-	return out
-}

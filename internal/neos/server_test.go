@@ -84,6 +84,48 @@ func TestSolveCacheHit(t *testing.T) {
 	}
 }
 
+// TestFlightRechecksCache closes the herd's double solve. A request misses
+// the cache just before the previous flight's leader fills it, and reaches
+// flight.Do after that flight ended, so it leads a flight of its own. That
+// flight answers from the cache instead of running the solver again, and
+// its second look is not a second miss.
+func TestFlightRechecksCache(t *testing.T) {
+	s := newCore(t, Config{MaxConcurrent: 2}, nil)
+	ctx := context.Background()
+	late := &SolveRequest{Model: miniModel}
+	key, parsed, err := requestKey(late)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The late request's outer lookup, as solve makes it: a miss.
+	if _, ok := s.cache.Get(key); ok {
+		t.Fatal("cache hit before any solve")
+	}
+	// The previous leader (an equivalent model, so the same key) solves and
+	// fills the cache before the late request reaches the flight.
+	first, err := s.solve(ctx, &SolveRequest{Model: miniModelReformatted}, true)
+	if err != nil || first.Status != "optimal" {
+		t.Fatalf("first solve = %+v, %v", first, err)
+	}
+	// The late request leads the key's next flight.
+	got, err, shared := s.flight.Do(key, func() (*SolveResponse, error) {
+		return s.fly(ctx, key, parsed, late, true)
+	})
+	if err != nil || shared {
+		t.Fatalf("late flight: err %v, shared %v", err, shared)
+	}
+	m := s.metrics()
+	if m.Solves.Count != 1 {
+		t.Fatalf("solver invoked %d times, want 1: the late flight solved again", m.Solves.Count)
+	}
+	if got != first {
+		t.Fatalf("late request answered %+v, want the cached %+v", got, first)
+	}
+	if m.Cache.Misses != 2 || m.Cache.Hits != 0 {
+		t.Fatalf("cache stats = %+v, want the two outer misses and nothing else", m.Cache)
+	}
+}
+
 func TestDifferentOptionsMissCache(t *testing.T) {
 	s := newCore(t, Config{MaxConcurrent: 2}, nil)
 	ctx := context.Background()

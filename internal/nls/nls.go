@@ -8,6 +8,13 @@
 // which is a small nonconvex least-squares problem; the paper notes that
 // different starting points reach different local optima of similar quality.
 // MultiStart reproduces that workflow.
+//
+// Solve allocates its buffers (residuals, the forward-difference Jacobian,
+// JᵀJ, the damped system, its Cholesky factor and the step) once and then
+// iterates without allocating: JᵀJ and Jᵀr are formed in place and the
+// damped normal equations are solved in place by linalg.SolveSPD. Solve
+// calls the residual function sequentially, so a Residuals closure may keep
+// per-problem caches without locking.
 package nls
 
 import (
@@ -62,52 +69,52 @@ func Solve(prob *Problem, p0 []float64, opt Options) (*Result, error) {
 	if err := check(prob, p0); err != nil {
 		return nil, err
 	}
-	n, m := prob.NumParams, prob.NumResiduals
+	n := prob.NumParams
 	p := append([]float64(nil), p0...)
 	clamp(p, prob.Lower, prob.Upper)
 
-	r := make([]float64, m)
-	rTrial := make([]float64, m)
+	w := newWorkspace(n, prob.NumResiduals)
+	r, rTrial, pTrial, g, step := w.r, w.rTrial, w.pTrial, w.g, w.step
 	prob.F(p, r)
 	ssr := dot(r, r)
 
 	lambda := initDamp
-	jac := linalg.NewMatrix(m, n)
 	iter := 0
 	converged := false
 
 	for ; iter < maxIter; iter++ {
-		numJacobian(prob, p, r, jac, diffStep)
+		w.jacobian(prob, p)
 		// Normal equations: (JᵀJ + λ·diag(JᵀJ))·δ = −Jᵀr.
-		jtj := jac.T().Mul(jac)
-		g := jac.MulVecT(linalg.Vector(r)) // Jᵀr
-		if linalg.Vector(g).NormInf() < tol {
+		w.normalEquations()
+		if normInf(g) < tol {
 			converged = true
 			break
 		}
 		improved := false
 		for try := 0; try < 40; try++ {
-			a := jtj.Clone()
+			a := w.damped.Data
+			copy(a, w.jtj)
 			for i := 0; i < n; i++ {
-				d := a.At(i, i)
+				d := a[i*n+i]
 				if d <= 0 {
 					d = 1
 				}
-				a.Set(i, i, a.At(i, i)+lambda*d)
+				a[i*n+i] += lambda * d
 			}
-			delta, err := linalg.SolveSPD(a, linalg.Vector(g).Scale(-1))
-			if err != nil {
+			for i, gi := range g {
+				step[i] = -1 * gi
+			}
+			if err := linalg.SolveSPD(w.damped, w.chol, step); err != nil {
 				lambda *= 10
 				continue
 			}
-			pTrial := make([]float64, n)
 			for i := range pTrial {
-				pTrial[i] = p[i] + delta[i]
+				pTrial[i] = p[i] + step[i]
 			}
 			clamp(pTrial, prob.Lower, prob.Upper)
 			prob.F(pTrial, rTrial)
 			ssrTrial := dot(rTrial, rTrial)
-			if ssrTrial < ssr && linalg.Vector(rTrial).AllFinite() {
+			if ssrTrial < ssr && allFinite(rTrial) {
 				stepNorm := 0.0
 				for i := range p {
 					stepNorm = math.Max(stepNorm, math.Abs(pTrial[i]-p[i]))
@@ -136,6 +143,80 @@ func Solve(prob *Problem, p0 []float64, opt Options) (*Result, error) {
 		}
 	}
 	return &Result{Params: p, SSR: ssr, Iterations: iter}, nil
+}
+
+// workspace holds every buffer one Solve needs, carved from one allocation.
+type workspace struct {
+	n             int
+	r, rTrial, rt []float64 // residuals at p, at the trial point, at a difference point
+	pTrial, pt    []float64 // the trial point and the difference point
+	jac           []float64 // m×n row-major: jac[i*n+j] = ∂r_i/∂p_j
+	jtj           []float64 // n×n JᵀJ
+	g             []float64 // Jᵀr
+	step          linalg.Vector
+	damped, chol  *linalg.Matrix
+}
+
+func newWorkspace(n, m int) *workspace {
+	buf := make([]float64, 3*m+m*n+3*n*n+4*n)
+	take := func(k int) []float64 {
+		s := buf[:k:k]
+		buf = buf[k:]
+		return s
+	}
+	return &workspace{
+		n: n,
+		r: take(m), rTrial: take(m), rt: take(m),
+		pTrial: take(n), pt: take(n),
+		jac: take(m * n), jtj: take(n * n), g: take(n), step: take(n),
+		damped: &linalg.Matrix{Rows: n, Cols: n, Data: take(n * n)},
+		chol:   &linalg.Matrix{Rows: n, Cols: n, Data: take(n * n)},
+	}
+}
+
+// jacobian fills w.jac with ∂r/∂p by forward differences, reusing the
+// residual vector w.r already evaluated at p.
+func (w *workspace) jacobian(prob *Problem, p []float64) {
+	n := w.n
+	copy(w.pt, p)
+	for j := 0; j < n; j++ {
+		h := diffStep * math.Max(1, math.Abs(p[j]))
+		// Respect an upper bound by stepping backwards when pinned.
+		if prob.Upper != nil && p[j]+h > prob.Upper[j] {
+			h = -h
+		}
+		w.pt[j] = p[j] + h
+		prob.F(w.pt, w.rt)
+		w.pt[j] = p[j]
+		for i, rti := range w.rt {
+			w.jac[i*n+j] = (rti - w.r[i]) / h
+		}
+	}
+}
+
+// normalEquations forms JᵀJ and Jᵀr in place. Each entry sums its products
+// from 0 in row order and skips a zero left factor, so the result is bit for
+// bit that of the dense products Jᵀ·J and Jᵀ·r.
+func (w *workspace) normalEquations() {
+	n, jac := w.n, w.jac
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			s := 0.0
+			for k := i; k < len(jac); k += n {
+				if jki := jac[k]; jki != 0 {
+					s += jki * jac[k-i+j]
+				}
+			}
+			w.jtj[i*n+j] = s
+		}
+		s := 0.0
+		for k, rk := range w.r {
+			if rk != 0 {
+				s += jac[k*n+i] * rk
+			}
+		}
+		w.g[i] = s
+	}
 }
 
 // MultiStart runs Solve from each starting point and returns the best fit.
@@ -230,31 +311,29 @@ func clamp(p, lower, upper []float64) {
 	}
 }
 
+func normInf(v []float64) float64 {
+	m := 0.0
+	for _, x := range v {
+		if a := math.Abs(x); a > m {
+			m = a
+		}
+	}
+	return m
+}
+
+func allFinite(v []float64) bool {
+	for _, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
+}
+
 func dot(a, b []float64) float64 {
 	s := 0.0
 	for i := range a {
 		s += a[i] * b[i]
 	}
 	return s
-}
-
-// numJacobian fills jac with ∂r/∂p by forward differences, reusing the
-// residual vector r already evaluated at p.
-func numJacobian(prob *Problem, p, r []float64, jac *linalg.Matrix, relStep float64) {
-	n, m := prob.NumParams, prob.NumResiduals
-	pt := append([]float64(nil), p...)
-	rt := make([]float64, m)
-	for j := 0; j < n; j++ {
-		h := relStep * math.Max(1, math.Abs(p[j]))
-		// Respect an upper bound by stepping backwards when pinned.
-		if prob.Upper != nil && p[j]+h > prob.Upper[j] {
-			h = -h
-		}
-		pt[j] = p[j] + h
-		prob.F(pt, rt)
-		pt[j] = p[j]
-		for i := 0; i < m; i++ {
-			jac.Set(i, j, (rt[i]-r[i])/h)
-		}
-	}
 }

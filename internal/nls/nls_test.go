@@ -208,3 +208,41 @@ func TestFitQuadraticProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSolveAllocationsIndependentOfIterations guards the workspace: on the
+// Table II problem a Solve allocates its buffers once, so one that runs
+// hundreds of iterations allocates exactly as often as one that stops
+// after the first.
+func TestSolveAllocationsIndependentOfIterations(t *testing.T) {
+	truth := []float64{7700, 0.001, 1.1, 11.8}
+	ns := []float64{16, 32, 80, 160, 320, 640, 1280}
+	ys := make([]float64, len(ns))
+	for i, n := range ns {
+		ys[i] = perfFunc(truth, n) * (1 + 0.01*math.Sin(n))
+	}
+	lower := []float64{0, 0, 1, 0}
+	upper := []float64{math.Inf(1), math.Inf(1), 3, math.Inf(1)}
+	prob := CurveProblem(perfFunc, ns, ys, 4, lower, upper)
+	start := []float64{1000, 1e-6, 1, 1}
+	allocs := func(maxIter int) (float64, int) {
+		var iters int
+		a := testing.AllocsPerRun(20, func() {
+			res, err := Solve(prob, start, Options{MaxIter: maxIter})
+			if err != nil {
+				t.Fatal(err)
+			}
+			iters = res.Iterations
+		})
+		return a, iters
+	}
+	short, shortIters := allocs(1)
+	long, longIters := allocs(400)
+	if longIters < 20*shortIters {
+		t.Fatalf("iterations %d vs %d: the long solve must run many more", longIters, shortIters)
+	}
+	t.Logf("%v allocations per Solve over %d iterations, %v over %d", long, longIters, short, shortIters)
+	if long != short || long > 8 {
+		t.Fatalf("Solve allocated %v times over %d iterations and %v over %d, want the same handful",
+			long, longIters, short, shortIters)
+	}
+}

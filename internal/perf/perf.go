@@ -121,9 +121,19 @@ func Fit(samples []Sample, opt FitOptions) (*FitResult, error) {
 	}
 	lower := []float64{0, 0, cMin, 0}
 	upper := []float64{math.Inf(1), math.Inf(1), 3, math.Inf(1)}
-	prob := nls.CurveProblem(func(p []float64, n float64) float64 {
-		return p[0]/n + p[1]*math.Pow(n, p[2]) + p[3]
-	}, xs, ys, 4, lower, upper)
+	pows := powCache{xs: xs}
+	prob := &nls.Problem{
+		NumParams:    4,
+		NumResiduals: len(xs),
+		F: func(p []float64, r []float64) {
+			pw := pows.at(p[2])
+			for i, n := range xs {
+				r[i] = ys[i] - (p[0]/n + p[1]*pw[i] + p[3])
+			}
+		},
+		Lower: lower,
+		Upper: upper,
+	}
 
 	// Heuristic starts spanning serial-dominated to scaling-dominated fits.
 	// The paper notes distinct local optima of similar prediction quality;
@@ -151,6 +161,38 @@ func Fit(samples []Sample, opt FitOptions) (*FitResult, error) {
 		R2:    nls.RSquared(ys, preds),
 		SSR:   res.SSR,
 	}, nil
+}
+
+// powCache holds n^c over the samples' node counts for the last two
+// exponents Fit's residuals were evaluated at, keyed by the exponent's bits.
+// The forward-difference Jacobian's a, b and d columns and the accepted step
+// reuse the current point's powers, so only the c column and each trial step
+// call math.Pow. Each Fit owns its cache; the solver calls the residuals
+// sequentially.
+type powCache struct {
+	xs   []float64
+	key  [2]uint64
+	pw   [2][]float64
+	last int // slot of the most recent exponent
+}
+
+func (c *powCache) at(e float64) []float64 {
+	k := math.Float64bits(e)
+	for s := range c.pw {
+		if c.pw[s] != nil && c.key[s] == k {
+			c.last = s
+			return c.pw[s]
+		}
+	}
+	s := 1 - c.last
+	if c.pw[s] == nil {
+		c.pw[s] = make([]float64, len(c.xs))
+	}
+	for i, n := range c.xs {
+		c.pw[s][i] = math.Pow(n, e)
+	}
+	c.key[s], c.last = k, s
+	return c.pw[s]
 }
 
 func minTime(ys []float64) float64 {

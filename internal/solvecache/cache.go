@@ -137,6 +137,19 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 	return zero, false
 }
 
+// Peek returns the value cached under key without counting a hit or a miss
+// and without changing its recency: a second look on behalf of a request
+// whose Get already counted its miss.
+func (c *Cache[V]) Peek(key string) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		return el.Value.(*entry[V]).val, true
+	}
+	var zero V
+	return zero, false
+}
+
 // Put stores val under key, evicting the least recently used entry when
 // the cache is full, and writes through to the backend when one is set.
 func (c *Cache[V]) Put(key string, val V) {

@@ -25,6 +25,25 @@ func TestCacheBasic(t *testing.T) {
 	}
 }
 
+func TestCachePeekCountsNothing(t *testing.T) {
+	c := New[int](2)
+	if _, ok := c.Peek("a"); ok {
+		t.Fatal("empty cache peeked a value")
+	}
+	c.Put("a", 1)
+	c.Put("b", 2)
+	if v, ok := c.Peek("a"); !ok || v != 1 {
+		t.Fatalf("Peek(a) = %v, %v", v, ok)
+	}
+	c.Put("c", 3) // Peek left a least recent: it is evicted, not b
+	if _, ok := c.Peek("a"); ok {
+		t.Fatal("Peek refreshed a's recency")
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("stats = %+v, want no hits or misses from Peek", st)
+	}
+}
+
 func TestCacheLRUEviction(t *testing.T) {
 	c := New[int](2)
 	c.Put("a", 1)
