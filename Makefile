@@ -43,7 +43,12 @@ race:
 # (cache keys, breaker and brownout, the persistence bar, the peer
 # consult), and the one job executor's lease
 # loop, remote and in-process, which is timing-sensitive: heartbeats,
-# drains, panics and the retry schedule it sleeps on. The minlp solver runs
+# drains, panics and the retry schedule it sleeps on. The clock package
+# runs here, and so do the neos tests that run in virtual time on a
+# clock.Fake (the overload sheds, solve and job budgets, lease expiry and
+# renewal, retry and client backoff, the breaker): a test that advances the
+# fake before a goroutine armed its timer fails at some CPU count here. The
+# minlp solver runs
 # here because each solve's row tapes carry mutable sweep buffers, and its
 # concurrent-solve test must hold at every GOMAXPROCS. The Table II fit runs
 # here because bench's FitAll fits the four components on concurrent
@@ -51,11 +56,12 @@ race:
 STRESS_PKGS = ./internal/solvecache/ ./internal/expr/ ./internal/nlp/ ./internal/lp/ \
 	./internal/minlp/ ./internal/overload/ ./internal/router/ ./internal/jobstore/ \
 	./internal/faultnet/ ./internal/backoff/ ./internal/jsonl/ ./internal/cas/ \
-	./internal/resultstore/ ./internal/bench/ ./internal/perf/ ./internal/nls/
+	./internal/resultstore/ ./internal/bench/ ./internal/perf/ ./internal/nls/ \
+	./internal/clock/
 
 stress:
 	$(GO) test -count=3 -cpu 1,2,4 $(STRESS_PKGS)
-	$(GO) test -count=3 -cpu 1,2,4 -run 'TestSingleflight|TestConcurrentSolvesParallelWorkers|TestFlightRechecksCache|TestOverload|TestPeer|TestDeadlineUnmeetable|TestWorker|TestChaosFleet|TestLocalWorker|TestLocalAttempt|TestAsyncAttemptHoldsASolverSlot|TestJobDeadlineWhileWaitingForASlot|TestSolveCacheHit|TestDifferentOptionsMissCache|TestBrownout|TestBreaker|TestCacheHitsServedWhileBreakerOpen|TestPersistenceBar|TestDeadlineAndDegradedNeverPersist|TestCachePersistSurvivesRestart|TestSolveTimeoutBoundsPathologicalModel|TestSolveTimeoutBoundsExactSearch|TestMetricsHistogram' ./internal/neos/
+	$(GO) test -count=3 -cpu 1,2,4 -run 'TestSingleflight|TestConcurrentSolvesParallelWorkers|TestFlightRechecksCache|TestOverload|TestPeer|TestDeadlineUnmeetable|TestWorker|TestChaosFleet|TestLocalWorker|TestLocalAttempt|TestAsyncAttemptHoldsASolverSlot|TestJobDeadlineWhileWaitingForASlot|TestSolveCacheHit|TestDifferentOptionsMissCache|TestBrownout|TestBreaker|TestCacheHitsServedWhileBreakerOpen|TestPersistenceBar|TestDeadlineAndDegradedNeverPersist|TestCachePersistSurvivesRestart|TestSolveTimeoutBoundsPathologicalModel|TestSolveTimeoutBoundsExactSearch|TestMetricsHistogram|TestSubmitShedsWhenJobQueueFull|TestTimedOutJobEventuallyCompletes|TestWorkFailRetryReleaseSemantics|TestWorkLeaseExpiryReclaim|TestWaitHonorsRetryAfterOnShed|TestDoRetryFloorsBackoffAtRetryAfter|TestRequestDeadlineHeaderBoundsSolve|TestJobTimeoutMsFieldBoundsAsyncSolve' ./internal/neos/
 
 # Fault-injection suite: the chaos pipeline acceptance scenario, the 1 ns
 # solve-deadline ladder at 1° and at 1/8° 32768 nodes, and the brute-force

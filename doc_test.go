@@ -383,6 +383,47 @@ func TestNeosCoreImportsNoHTTP(t *testing.T) {
 	})
 }
 
+// clockCalls are the time and context calls that read the wall clock: in
+// the serving stack only internal/clock makes them.
+var clockCalls = map[string]map[string]bool{
+	"time": {"Now": true, "Since": true, "Until": true, "After": true, "AfterFunc": true,
+		"NewTimer": true, "NewTicker": true, "Tick": true, "Sleep": true},
+	"context": {"WithTimeout": true, "WithDeadline": true},
+}
+
+// TestServingStackReadsOneClock: every timing decision of the serving stack
+// reads one injectable clock.Clock, so a test can drive budgets, cooldowns,
+// leases and drains on a clock.Fake. No non-test file of these packages may
+// read the wall clock itself.
+func TestServingStackReadsOneClock(t *testing.T) {
+	serving := regexp.MustCompile(`^internal/(neos|router|overload|jobstore|resultstore|backoff)/`)
+	parseModule(t, func(path string, f *ast.File) {
+		if !serving.MatchString(path) || strings.HasSuffix(path, "_test.go") {
+			return
+		}
+		local := map[string]string{} // local import name -> "time" or "context"
+		for _, imp := range f.Imports {
+			if p := strings.Trim(imp.Path.Value, `"`); clockCalls[p] != nil {
+				local[p] = p
+				if imp.Name != nil {
+					local[imp.Name.Name] = p
+					delete(local, p)
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if x, ok := sel.X.(*ast.Ident); ok && clockCalls[local[x.Name]][sel.Sel.Name] {
+				t.Errorf("%s calls %s.%s: read the time through clock.Clock", path, local[x.Name], sel.Sel.Name)
+			}
+			return true
+		})
+	})
+}
+
 // TestOneDifferentiationMechanism: the search takes every cut and
 // violation from compiled expr.Tape sweeps, so no non-test file outside
 // internal/expr may call the compile-per-call expr.Gradient or

@@ -1,8 +1,6 @@
 package backoff
 
 import (
-	"context"
-	"errors"
 	"math"
 	"testing"
 	"time"
@@ -43,36 +41,5 @@ func TestDelaySaturatesWithoutOverflow(t *testing.T) {
 				t.Fatalf("Delay(250ms, %v, %d) = %v, want the cap", max, attempt, got)
 			}
 		}
-	}
-}
-
-func TestSleep(t *testing.T) {
-	if err := Sleep(context.Background(), time.Millisecond); err != nil {
-		t.Fatalf("elapsed sleep = %v, want nil", err)
-	}
-	if err := Sleep(context.Background(), 0); err != nil {
-		t.Fatalf("zero sleep = %v, want nil", err)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	start := time.Now()
-	if err := Sleep(ctx, time.Hour); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled sleep = %v, want context.Canceled", err)
-	}
-	if err := Sleep(ctx, 0); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled zero sleep = %v, want context.Canceled", err)
-	}
-	if d := time.Since(start); d > time.Minute {
-		t.Fatalf("cancelled sleep took %v", d)
-	}
-
-	ctx, cancel = context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(5 * time.Millisecond)
-		cancel()
-	}()
-	if err := Sleep(ctx, time.Hour); !errors.Is(err, context.Canceled) {
-		t.Fatalf("sleep cancelled mid-wait = %v, want context.Canceled", err)
 	}
 }

@@ -15,6 +15,7 @@ import (
 
 	"hslb/internal/backoff"
 	"hslb/internal/cesm"
+	"hslb/internal/clock"
 	"hslb/internal/perf"
 )
 
@@ -450,7 +451,7 @@ func (c Campaign) gatherOne(ctx context.Context, total, rep int, a cesm.Allocati
 		// Deterministic jitter in [0.5, 1.5) derived from the run identity.
 		rng := rand.New(rand.NewSource(c.Seed ^ int64(total)<<32 ^ int64(rep)<<16 ^ int64(attempt)))
 		d := backoff.Delay(retry.BaseBackoff, retry.MaxBackoff, attempt)
-		if err := backoff.Sleep(ctx, time.Duration(float64(d)*(0.5+rng.Float64()))); err != nil {
+		if err := clock.Wall.Sleep(ctx, time.Duration(float64(d)*(0.5+rng.Float64()))); err != nil {
 			out.err = err
 			return out
 		}

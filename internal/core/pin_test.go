@@ -11,9 +11,10 @@ import (
 	"hslb/internal/minlp"
 )
 
-// TestSolveSearchPinned pins the paper-configuration search on two Table III
-// rungs for two fit seeds, fitted as the benchmark fits them (the same
-// campaign and fit options as experiments.FitModels). The node,
+// TestSolveSearchPinned pins the paper-configuration search on every
+// table3-pipeline rung (the constrained 1° block and the four 1/8° blocks,
+// constrained and free) for two fit seeds, fitted as the benchmark fits them
+// (the same campaign and fit options as experiments.FitModels). The node,
 // NLP-solve, cut and warm-resolve counts were last re-recorded by the
 // change that replaced the root NLP relaxation by a pool of tangent cuts:
 // pool cuts now separate fractional LP points too, so the tree is five to
@@ -26,17 +27,27 @@ func TestSolveSearchPinned(t *testing.T) {
 	pins := []struct {
 		res                     cesm.Resolution
 		nodes                   int
+		constrained             bool
 		seed                    int64
 		bbNodes, nlps, cuts, lp int
 		obj                     uint64
 	}{
-		{cesm.Res1Deg, 128, 2, 23, 4, 18, 3, 0x4079077ca605a2c5},
-		{cesm.Res1Deg, 128, 3, 15, 4, 18, 3, 0x40792bf655052c94},
-		{cesm.Res8thDeg, 8192, 2, 6, 5, 25, 5, 0x40aa11f125e7b3ef},
-		{cesm.Res8thDeg, 8192, 3, 7, 6, 31, 6, 0x40aa0c4d8ca2e50a},
+		{cesm.Res1Deg, 128, true, 2, 23, 4, 18, 3, 0x4079077ca605a2c5},
+		{cesm.Res1Deg, 128, true, 3, 15, 4, 18, 3, 0x40792bf655052c94},
+		{cesm.Res8thDeg, 8192, true, 2, 6, 5, 25, 5, 0x40aa11f125e7b3ef},
+		{cesm.Res8thDeg, 8192, true, 3, 7, 6, 31, 6, 0x40aa0c4d8ca2e50a},
+		{cesm.Res8thDeg, 32768, true, 2, 7, 5, 22, 5, 0x409992c2d220ec11},
+		{cesm.Res8thDeg, 32768, true, 3, 11, 5, 28, 7, 0x4097d91e0093942e},
+		{cesm.Res8thDeg, 8192, false, 2, 26, 7, 40, 7, 0x40a8c5b733a5c3e9},
+		{cesm.Res8thDeg, 8192, false, 3, 23, 7, 38, 7, 0x40a8d3285293e57e},
+		{cesm.Res8thDeg, 32768, false, 2, 72, 11, 58, 11, 0x4093b3a0059d90ff},
+		{cesm.Res8thDeg, 32768, false, 3, 49, 8, 50, 9, 0x40914685a4a41312},
 	}
 	for _, p := range pins {
 		name := fmt.Sprintf("%v-%d-seed%d", p.res, p.nodes, p.seed)
+		if !p.constrained {
+			name += "-free"
+		}
 		t.Run(name, func(t *testing.T) {
 			models, err := experiments.FitModels(p.res, p.seed)
 			if err != nil {
@@ -44,7 +55,7 @@ func TestSolveSearchPinned(t *testing.T) {
 			}
 			spec := core.Spec{
 				Resolution: p.res, Layout: cesm.Layout1, TotalNodes: p.nodes, Perf: models,
-				ConstrainOcean: true, ConstrainAtm: p.res == cesm.Res1Deg,
+				ConstrainOcean: p.constrained, ConstrainAtm: p.constrained && p.res == cesm.Res1Deg,
 			}
 			m, _, err := core.BuildModel(spec)
 			if err != nil {

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"hslb/internal/backoff"
+	"hslb/internal/clock"
 	"hslb/internal/jsonl"
 )
 
@@ -95,8 +96,9 @@ type Options struct {
 	// ErrQueueFull at the cap, so an overloaded server sheds submissions
 	// instead of growing the WAL without bound (0 = unlimited).
 	MaxPending int
-	// now overrides the clock in tests.
-	now func() time.Time
+	// Clock times leases, retry backoffs and TTL eviction (nil =
+	// clock.Wall); a server passes its own, so one clock rules both.
+	Clock clock.Clock
 }
 
 // Store is a durable FIFO job queue. All methods are safe for concurrent
@@ -150,9 +152,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if opts.CompactEvery == 0 {
 		opts.CompactEvery = 4096
 	}
-	if opts.now == nil {
-		opts.now = time.Now
-	}
+	opts.Clock = clock.Or(opts.Clock)
 	s := &Store{
 		opts:  opts,
 		jobs:  map[int64]*Job{},
@@ -274,7 +274,7 @@ func (s *Store) Enqueue(request json.RawMessage, maxAttempts int) (Job, error) {
 		Request:     request,
 		Attempts:    0,
 		MaxAttempts: maxAttempts,
-		EnqueuedAt:  s.opts.now(),
+		EnqueuedAt:  s.opts.Clock.Now(),
 	}
 	s.jobs[j.ID] = j
 	if err := s.appendLocked(record{Op: "put", Job: j}); err != nil {
@@ -305,7 +305,7 @@ func (s *Store) Lease(workerID string, ttl time.Duration) (*Job, time.Duration, 
 	if _, err := s.reapExpiredLocked(); err != nil {
 		return nil, 0, err
 	}
-	now := s.opts.now()
+	now := s.opts.Clock.Now()
 	var best *Job
 	var earliest time.Time
 	for _, j := range s.jobs {
@@ -374,7 +374,7 @@ func (s *Store) Renew(id, fence int64, ttl time.Duration) (time.Duration, error)
 		s.staleRejects++
 		return 0, ErrStaleLease
 	}
-	j.LeaseExpiry = s.opts.now().Add(ttl)
+	j.LeaseExpiry = s.opts.Clock.Now().Add(ttl)
 	return ttl, nil
 }
 
@@ -416,7 +416,7 @@ func (s *Store) ReapExpired() (int, error) {
 }
 
 func (s *Store) reapExpiredLocked() (int, error) {
-	now := s.opts.now()
+	now := s.opts.Clock.Now()
 	n := 0
 	for _, j := range s.jobs {
 		if j.Status != Running || j.LeaseExpiry.IsZero() || j.LeaseExpiry.After(now) {
@@ -485,7 +485,7 @@ func (s *Store) finish(id, fence int64, st Status, result json.RawMessage, errMs
 	j.Status = st
 	j.Result = result
 	j.Error = errMsg
-	j.FinishedAt = s.opts.now()
+	j.FinishedAt = s.opts.Clock.Now()
 	j.Worker = ""
 	j.LeaseExpiry = time.Time{}
 	return s.appendLocked(record{Op: "put", Job: j})
@@ -512,13 +512,13 @@ func (s *Store) Requeue(id, fence int64, errMsg string, retryBackoff time.Durati
 	j.LeaseExpiry = time.Time{}
 	if j.Attempts >= j.MaxAttempts {
 		j.Status = Failed
-		j.FinishedAt = s.opts.now()
+		j.FinishedAt = s.opts.Clock.Now()
 		return false, s.appendLocked(record{Op: "put", Job: j})
 	}
 	j.Status = Queued
 	j.StartedAt = time.Time{}
 	if retryBackoff > 0 {
-		j.NotBefore = s.opts.now().Add(backoff.Delay(retryBackoff, maxRetryBackoff, j.Attempts-1))
+		j.NotBefore = s.opts.Clock.Now().Add(backoff.Delay(retryBackoff, maxRetryBackoff, j.Attempts-1))
 	}
 	if err := s.appendLocked(record{Op: "put", Job: j}); err != nil {
 		return false, err
@@ -636,7 +636,7 @@ func (s *Store) Depth() int {
 func (s *Store) EvictCompleted(ttl time.Duration) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cutoff := s.opts.now().Add(-ttl)
+	cutoff := s.opts.Clock.Now().Add(-ttl)
 	n := 0
 	for id, j := range s.jobs {
 		if (j.Status == Done || j.Status == Failed) && !j.FinishedAt.IsZero() && !j.FinishedAt.After(cutoff) {

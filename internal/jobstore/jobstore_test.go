@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"hslb/internal/clock"
 )
 
 func open(t *testing.T, dir string, opts Options) *Store {
@@ -84,9 +86,8 @@ func TestFailedPermanently(t *testing.T) {
 }
 
 func TestRetryWithBackoffThenExhaustion(t *testing.T) {
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { return now }
-	s := open(t, "", Options{now: clock})
+	clk := clock.NewFake(time.Unix(1000, 0))
+	s := open(t, "", Options{Clock: clk})
 	j, _ := s.Enqueue(json.RawMessage(`{}`), 2)
 
 	run, _, _ := s.Lease("", 0)
@@ -100,7 +101,7 @@ func TestRetryWithBackoffThenExhaustion(t *testing.T) {
 	if got != nil || wait <= 0 || wait > 100*time.Millisecond {
 		t.Fatalf("backoff dequeue = %v, %v", got, wait)
 	}
-	now = now.Add(200 * time.Millisecond)
+	clk.Advance(200 * time.Millisecond)
 	run2, _, _ := s.Lease("", 0)
 	if run2 == nil || run2.Attempts != 2 {
 		t.Fatalf("second attempt = %+v", run2)
@@ -229,17 +230,16 @@ func TestTornTailTolerated(t *testing.T) {
 }
 
 func TestTTLEvictionAndCompaction(t *testing.T) {
-	now := time.Unix(5000, 0)
-	clock := func() time.Time { return now }
+	clk := clock.NewFake(time.Unix(5000, 0))
 	dir := t.TempDir()
-	s := open(t, dir, Options{now: clock})
+	s := open(t, dir, Options{Clock: clk})
 
 	old, _ := s.Enqueue(json.RawMessage(`1`), 1)
 	run, _, _ := s.Lease("", 0)
 	s.MarkDone(run.ID, run.Fence, nil)
 	fresh, _ := s.Enqueue(json.RawMessage(`2`), 1)
 
-	now = now.Add(2 * time.Hour)
+	clk.Advance(2 * time.Hour)
 	n, err := s.EvictCompleted(time.Hour)
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +259,7 @@ func TestTTLEvictionAndCompaction(t *testing.T) {
 
 	// Compaction + eviction survive a restart.
 	s.Close()
-	s2 := open(t, dir, Options{now: clock})
+	s2 := open(t, dir, Options{Clock: clk})
 	if _, ok := s2.Get(old.ID); ok {
 		t.Fatal("expired job resurrected after restart")
 	}
@@ -374,8 +374,8 @@ func TestMaxPendingSurvivesRecovery(t *testing.T) {
 // days or, once the doubling overflows, rerun it immediately: every
 // requeue's NotBefore stays in (now, now+maxRetryBackoff].
 func TestRequeueBackoffCapped(t *testing.T) {
-	now := time.Unix(1000, 0)
-	s := open(t, "", Options{now: func() time.Time { return now }})
+	clk := clock.NewFake(time.Unix(1000, 0))
+	s := open(t, "", Options{Clock: clk})
 	j, _ := s.Enqueue(json.RawMessage(`{}`), 64)
 	for attempt := 1; attempt < 64; attempt++ {
 		run, _, err := s.Lease("", 0)
@@ -387,11 +387,11 @@ func TestRequeueBackoffCapped(t *testing.T) {
 			t.Fatalf("attempt %d: requeue = %v, %v", attempt, retried, err)
 		}
 		got, _ := s.Get(j.ID)
-		if !got.NotBefore.After(now) || got.NotBefore.After(now.Add(maxRetryBackoff)) {
+		if !got.NotBefore.After(clk.Now()) || got.NotBefore.After(clk.Now().Add(maxRetryBackoff)) {
 			t.Fatalf("attempt %d: NotBefore - now = %v, want within (0, %v]",
-				attempt, got.NotBefore.Sub(now), maxRetryBackoff)
+				attempt, got.NotBefore.Sub(clk.Now()), maxRetryBackoff)
 		}
-		now = got.NotBefore
+		clk.Advance(got.NotBefore.Sub(clk.Now()))
 	}
 }
 

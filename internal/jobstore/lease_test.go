@@ -9,11 +9,13 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"hslb/internal/clock"
 )
 
 func TestLeaseFencingLifecycle(t *testing.T) {
-	now := time.Unix(1000, 0)
-	s := open(t, t.TempDir(), Options{now: func() time.Time { return now }})
+	clk := clock.NewFake(time.Unix(1000, 0))
+	s := open(t, t.TempDir(), Options{Clock: clk})
 	j, err := s.Enqueue(json.RawMessage(`{"m":1}`), 3)
 	if err != nil {
 		t.Fatal(err)
@@ -26,17 +28,17 @@ func TestLeaseFencingLifecycle(t *testing.T) {
 	if got.Status != Running || got.Fence != 1 || got.Worker != "w1" || got.Attempts != 1 {
 		t.Fatalf("leased job = %+v", got)
 	}
-	if want := now.Add(time.Second); !got.LeaseExpiry.Equal(want) {
+	if want := clk.Now().Add(time.Second); !got.LeaseExpiry.Equal(want) {
 		t.Fatalf("expiry = %v, want %v", got.LeaseExpiry, want)
 	}
 
 	// Renew pushes the expiry forward.
-	now = now.Add(500 * time.Millisecond)
+	clk.Advance(500 * time.Millisecond)
 	if _, err := s.Renew(j.ID, got.Fence, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	cur, _ := s.Get(j.ID)
-	if want := now.Add(2 * time.Second); !cur.LeaseExpiry.Equal(want) {
+	if want := clk.Now().Add(2 * time.Second); !cur.LeaseExpiry.Equal(want) {
 		t.Fatalf("renewed expiry = %v, want %v", cur.LeaseExpiry, want)
 	}
 
@@ -61,15 +63,15 @@ func TestLeaseFencingLifecycle(t *testing.T) {
 }
 
 func TestLeaseExpiryReclaimAndStaleComplete(t *testing.T) {
-	now := time.Unix(2000, 0)
-	s := open(t, t.TempDir(), Options{now: func() time.Time { return now }})
+	clk := clock.NewFake(time.Unix(2000, 0))
+	s := open(t, t.TempDir(), Options{Clock: clk})
 	j, _ := s.Enqueue(json.RawMessage(`{}`), 3)
 
 	first, _, err := s.Lease("zombie", time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	now = now.Add(1500 * time.Millisecond)
+	clk.Advance(1500 * time.Millisecond)
 	n, err := s.ReapExpired()
 	if err != nil || n != 1 {
 		t.Fatalf("reap = %d, %v", n, err)
@@ -108,13 +110,13 @@ func TestLeaseExpiryReclaimAndStaleComplete(t *testing.T) {
 }
 
 func TestLeaseExpiryExhaustsAttempts(t *testing.T) {
-	now := time.Unix(3000, 0)
-	s := open(t, "", Options{now: func() time.Time { return now }})
+	clk := clock.NewFake(time.Unix(3000, 0))
+	s := open(t, "", Options{Clock: clk})
 	j, _ := s.Enqueue(json.RawMessage(`{}`), 1)
 	if _, _, err := s.Lease("w", time.Second); err != nil {
 		t.Fatal(err)
 	}
-	now = now.Add(2 * time.Second)
+	clk.Advance(2 * time.Second)
 	if n, _ := s.ReapExpired(); n != 1 {
 		t.Fatalf("reap = %d", n)
 	}
@@ -125,14 +127,14 @@ func TestLeaseExpiryExhaustsAttempts(t *testing.T) {
 }
 
 func TestLeaseInlineReap(t *testing.T) {
-	now := time.Unix(4000, 0)
-	s := open(t, "", Options{now: func() time.Time { return now }})
+	clk := clock.NewFake(time.Unix(4000, 0))
+	s := open(t, "", Options{Clock: clk})
 	j, _ := s.Enqueue(json.RawMessage(`{}`), 3)
 	if _, _, err := s.Lease("w1", time.Second); err != nil {
 		t.Fatal(err)
 	}
 	// No explicit reaper tick: the next Lease call reclaims inline.
-	now = now.Add(2 * time.Second)
+	clk.Advance(2 * time.Second)
 	got, _, err := s.Lease("w2", time.Second)
 	if err != nil || got == nil {
 		t.Fatalf("lease after expiry = %v, %v", got, err)
@@ -143,8 +145,8 @@ func TestLeaseInlineReap(t *testing.T) {
 }
 
 func TestLeaseWaitHintCoversExpiry(t *testing.T) {
-	now := time.Unix(5000, 0)
-	s := open(t, "", Options{now: func() time.Time { return now }})
+	clk := clock.NewFake(time.Unix(5000, 0))
+	s := open(t, "", Options{Clock: clk})
 	s.Enqueue(json.RawMessage(`{}`), 3)
 	if _, _, err := s.Lease("w1", time.Second); err != nil {
 		t.Fatal(err)
@@ -191,9 +193,8 @@ func TestReleaseReturnsAttempt(t *testing.T) {
 // across the restart so a pre-crash holder can never complete.
 func TestLeaseRecordsSurviveRestart(t *testing.T) {
 	dir := t.TempDir()
-	now := time.Unix(6000, 0)
-	clock := func() time.Time { return now }
-	s1 := open(t, dir, Options{now: clock, CompactEvery: -1})
+	clk := clock.NewFake(time.Unix(6000, 0))
+	s1 := open(t, dir, Options{Clock: clk, CompactEvery: -1})
 	a, _ := s1.Enqueue(json.RawMessage(`"a"`), 3)
 	b, _ := s1.Enqueue(json.RawMessage(`"b"`), 3)
 
@@ -202,7 +203,7 @@ func TestLeaseRecordsSurviveRestart(t *testing.T) {
 	if _, err := s1.Renew(a.ID, la.Fence, time.Second); err != nil {
 		t.Fatal(err)
 	}
-	now = now.Add(3 * time.Second)
+	clk.Advance(3 * time.Second)
 	if n, _ := s1.ReapExpired(); n != 1 {
 		t.Fatal("expire record not written")
 	}
@@ -217,7 +218,7 @@ func TestLeaseRecordsSurviveRestart(t *testing.T) {
 	}
 	// Crash: no Close, no terminal transitions.
 
-	s2 := open(t, dir, Options{now: clock, CompactEvery: -1})
+	s2 := open(t, dir, Options{Clock: clk, CompactEvery: -1})
 	if s2.Recovered() != 2 {
 		t.Fatalf("recovered = %d", s2.Recovered())
 	}
@@ -304,12 +305,12 @@ func TestTornTailMidLeaseRecord(t *testing.T) {
 // snapshot per live job that still replays with the lease state folded in.
 func TestCompactionFoldsLeaseRecords(t *testing.T) {
 	dir := t.TempDir()
-	now := time.Unix(7000, 0)
-	s := open(t, dir, Options{now: func() time.Time { return now }, CompactEvery: -1})
+	clk := clock.NewFake(time.Unix(7000, 0))
+	s := open(t, dir, Options{Clock: clk, CompactEvery: -1})
 	j, _ := s.Enqueue(json.RawMessage(`{"keep":1}`), 3)
 	l, _, _ := s.Lease("w", time.Minute)
 	for i := 0; i < 50; i++ {
-		now = now.Add(time.Second)
+		clk.Advance(time.Second)
 		if _, err := s.Renew(j.ID, l.Fence, time.Minute); err != nil {
 			t.Fatal(err)
 		}
@@ -345,8 +346,8 @@ func TestCompactionFoldsLeaseRecords(t *testing.T) {
 // replays harmlessly.
 func TestRenewWritesNoRecord(t *testing.T) {
 	dir := t.TempDir()
-	now := time.Unix(8000, 0)
-	s := open(t, dir, Options{now: func() time.Time { return now }, CompactEvery: -1})
+	clk := clock.NewFake(time.Unix(8000, 0))
+	s := open(t, dir, Options{Clock: clk, CompactEvery: -1})
 	j, _ := s.Enqueue(json.RawMessage(`{}`), 3)
 	l, _, _ := s.Lease("w", time.Minute)
 	path := filepath.Join(dir, walName)
@@ -356,7 +357,7 @@ func TestRenewWritesNoRecord(t *testing.T) {
 	}
 	records := s.Records()
 	for i := 0; i < 50; i++ {
-		now = now.Add(time.Second)
+		clk.Advance(time.Second)
 		if _, err := s.Renew(j.ID, l.Fence, time.Minute); err != nil {
 			t.Fatal(err)
 		}
@@ -368,8 +369,8 @@ func TestRenewWritesNoRecord(t *testing.T) {
 	if s.Records() != records || after.Size() != before.Size() {
 		t.Fatalf("50 renews: records %d -> %d, WAL %d -> %d bytes", records, s.Records(), before.Size(), after.Size())
 	}
-	if cur, _ := s.Get(j.ID); !cur.LeaseExpiry.Equal(now.Add(time.Minute)) {
-		t.Fatalf("expiry = %v, want %v", cur.LeaseExpiry, now.Add(time.Minute))
+	if cur, _ := s.Get(j.ID); !cur.LeaseExpiry.Equal(clk.Now().Add(time.Minute)) {
+		t.Fatalf("expiry = %v, want %v", cur.LeaseExpiry, clk.Now().Add(time.Minute))
 	}
 	s.Close()
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"hslb/internal/backoff"
+	"hslb/internal/clock"
 )
 
 // Client talks to a Server over HTTP, retrying transport failures and 5xx
@@ -21,6 +22,8 @@ type Client struct {
 	BaseURL string
 	HTTP    *http.Client
 	Retry   RetryPolicy
+	// clock times retry and poll waits (nil = clock.Wall).
+	clock clock.Clock
 }
 
 // NewClient returns a client for the given base URL.
@@ -235,7 +238,7 @@ func (c *Client) doRetry(ctx context.Context, build func() (*http.Request, error
 			// overload. The hint deliberately overrides MaxBackoff — a
 			// server asking for 10s means 10s.
 			d := max(backoff.Delay(rp.BaseBackoff, rp.MaxBackoff, attempt-1), retryAfterHint(lastErr))
-			if err := backoff.Sleep(ctx, d); err != nil {
+			if err := clock.Or(c.clock).Sleep(ctx, d); err != nil {
 				return nil, err
 			}
 		}
@@ -295,7 +298,7 @@ func (c *Client) Wait(ctx context.Context, id int64) (*JobResult, error) {
 			return jr, nil
 		}
 		wait := max(backoff.Delay(rp.BaseBackoff, rp.MaxBackoff, poll), retryAfterHint(err))
-		if err := backoff.Sleep(ctx, wait); err != nil {
+		if err := clock.Or(c.clock).Sleep(ctx, wait); err != nil {
 			return nil, err
 		}
 	}

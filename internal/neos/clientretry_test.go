@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"hslb/internal/clock"
 )
 
 func fastRetryPolicy() RetryPolicy {
@@ -211,15 +213,16 @@ func TestWaitHonorsRetryAfterOnShed(t *testing.T) {
 	var calls int32
 	var afterShed atomic.Int64 // unix-nano of the poll following the shed
 	var shedAt atomic.Int64
+	clk := clock.NewFake(time.Unix(1_700_000_000, 0))
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch atomic.AddInt32(&calls, 1) {
 		case 1:
-			shedAt.Store(time.Now().UnixNano())
+			shedAt.Store(clk.Now().UnixNano())
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusTooManyRequests)
 			fmt.Fprintf(w, `{"error":"overloaded: solve queue full","retry_after_ms":%d}`, hint.Milliseconds())
 		default:
-			afterShed.CompareAndSwap(0, time.Now().UnixNano())
+			afterShed.CompareAndSwap(0, clk.Now().UnixNano())
 			writeJSON(w, http.StatusOK, &JobResult{ID: 7, Status: JobDone,
 				Result: &SolveResponse{Status: "optimal", Objective: 3}})
 		}
@@ -228,9 +231,18 @@ func TestWaitHonorsRetryAfterOnShed(t *testing.T) {
 
 	c := NewClient(srv.URL)
 	c.Retry = fastRetryPolicy() // base 1ms: without the floor the re-poll lands long before the hint
+	c.clock = clk
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	jr, err := c.Wait(ctx, 7)
+	var jr *JobResult
+	var err error
+	waited := make(chan struct{})
+	go func() {
+		defer close(waited)
+		jr, err = c.Wait(ctx, 7)
+	}()
+	sleepPastHint(t, clk, hint)
+	<-waited
 	if err != nil {
 		t.Fatalf("Wait aborted on a shed response: %v", err)
 	}
@@ -250,9 +262,10 @@ func TestDoRetryFloorsBackoffAtRetryAfter(t *testing.T) {
 	const hint = 250 * time.Millisecond
 	var times []time.Time
 	var mu sync.Mutex
+	clk := clock.NewFake(time.Unix(1_700_000_000, 0))
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()
-		times = append(times, time.Now())
+		times = append(times, clk.Now())
 		n := len(times)
 		mu.Unlock()
 		if n == 1 {
@@ -267,7 +280,16 @@ func TestDoRetryFloorsBackoffAtRetryAfter(t *testing.T) {
 
 	c := NewClient(srv.URL)
 	c.Retry = fastRetryPolicy() // MaxBackoff 5ms — the hint must override it
-	out, err := c.Solve(context.Background(), &SolveRequest{Model: tinyModel})
+	c.clock = clk
+	var out *SolveResponse
+	var err error
+	solved := make(chan struct{})
+	go func() {
+		defer close(solved)
+		out, err = c.Solve(context.Background(), &SolveRequest{Model: tinyModel})
+	}()
+	sleepPastHint(t, clk, hint)
+	<-solved
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,6 +304,16 @@ func TestDoRetryFloorsBackoffAtRetryAfter(t *testing.T) {
 	if gap := times[1].Sub(times[0]); gap < hint {
 		t.Fatalf("retried %v after a 503 with a %v Retry-After hint", gap, hint)
 	}
+}
+
+// sleepPastHint moves clk through the client's sleep after a shed: to 1 ms
+// before the hint, where the client must still be asleep, then past it.
+func sleepPastHint(t *testing.T, clk *clock.Fake, hint time.Duration) {
+	t.Helper()
+	blockUntil(t, clk, 1)
+	clk.Advance(hint - time.Millisecond)
+	blockUntil(t, clk, 1)
+	clk.Advance(time.Millisecond)
 }
 
 func TestWaitHonorsContext(t *testing.T) {

@@ -243,7 +243,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	ctx := context.Background()
 	if budget > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, budget)
+		ctx, cancel = s.cfg.clock.WithTimeout(ctx, budget)
 		defer cancel()
 	}
 	resp, err := s.solve(ctx, req, true)

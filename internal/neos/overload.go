@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"hslb/internal/ampl"
+	"hslb/internal/clock"
 	"hslb/internal/overload"
 )
 
@@ -75,7 +76,7 @@ type guard struct {
 	shedJobs    atomic.Uint64 // 429s from a full job queue
 }
 
-func newGuard(cfg OverloadConfig, maxConcurrent int) *guard {
+func newGuard(cfg OverloadConfig, maxConcurrent int, clk clock.Clock) *guard {
 	cfg = cfg.withDefaults(maxConcurrent)
 	return &guard{
 		cfg: cfg,
@@ -87,6 +88,7 @@ func newGuard(cfg OverloadConfig, maxConcurrent int) *guard {
 			Threshold:     cfg.BreakerThreshold,
 			Cooldown:      cfg.BreakerCooldown,
 			ProbeFraction: cfg.BreakerProbe,
+			Clock:         clk,
 		}),
 		degradedSem: make(chan struct{}, max(1, maxConcurrent/2)),
 	}
@@ -160,7 +162,7 @@ func (s *Server) tryDegraded(key string, parsed *ampl.Result, req *SolveRequest)
 		return nil
 	}
 	defer func() { <-g.degradedSem }()
-	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.DegradedTimeout)
+	ctx, cancel := s.cfg.clock.WithTimeout(context.Background(), g.cfg.DegradedTimeout)
 	defer cancel()
 	resp := solveParsedContext(ctx, parsed, req)
 	switch resp.Status {

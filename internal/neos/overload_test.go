@@ -68,10 +68,22 @@ func postSolve(t *testing.T, url string, req *SolveRequest, hdr map[string]strin
 func TestRequestDeadlineHeaderBoundsSolve(t *testing.T) {
 	// Generous server-wide budget: the client's own 100ms deadline must stop
 	// the pathological solve, not the 30s default.
-	_, hs, _ := newServerWith(t, Config{MaxConcurrent: 2, SolveTimeout: 30 * time.Second})
+	_, hs, _, clk := newFakeServer(t, Config{MaxConcurrent: 2, SolveTimeout: 30 * time.Second})
 	start := time.Now()
-	resp, out := postSolve(t, hs.URL, &SolveRequest{Model: pathologicalModel},
-		map[string]string{"X-Request-Deadline-Ms": "100"})
+	type reply struct {
+		resp *http.Response
+		out  *SolveResponse
+	}
+	replied := make(chan reply)
+	go func() {
+		resp, out := postSolve(t, hs.URL, &SolveRequest{Model: pathologicalModel},
+			map[string]string{"X-Request-Deadline-Ms": "100"})
+		replied <- reply{resp, out}
+	}()
+	blockUntil(t, clk, fakeBase+2) // the client's budget and the server's
+	clk.Advance(100 * time.Millisecond)
+	r := <-replied
+	resp, out := r.resp, r.out
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status code = %d", resp.StatusCode)
 	}
@@ -93,11 +105,16 @@ func TestRequestDeadlineHeaderRejectsGarbage(t *testing.T) {
 }
 
 func TestJobTimeoutMsFieldBoundsAsyncSolve(t *testing.T) {
-	_, _, c := newServerWith(t, Config{MaxConcurrent: 2, SolveTimeout: 30 * time.Second})
+	// One in-process worker: an idle second one would arm timers of its own.
+	_, _, c, clk := newFakeServer(t, Config{MaxConcurrent: 2, AsyncWorkers: 1, SolveTimeout: 30 * time.Second})
 	id, err := c.Submit(context.Background(), &SolveRequest{Model: pathologicalModel, TimeoutMs: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Armed: the job's budget, its heartbeat, its attempt timeout and the
+	// server's solve budget.
+	blockUntil(t, clk, fakeBase+4)
+	clk.Advance(100 * time.Millisecond)
 	jr := waitForStatus(t, c, id, JobDone)
 	if jr.Result == nil || jr.Result.Status != "deadline" {
 		t.Fatalf("result = %+v, want deadline inside the job's own 100ms budget", jr.Result)
@@ -105,7 +122,7 @@ func TestJobTimeoutMsFieldBoundsAsyncSolve(t *testing.T) {
 }
 
 func TestOverloadShedsWith429AndRetryAfter(t *testing.T) {
-	s, hs, _ := newServerWith(t, Config{
+	s, hs, _, clk := newFakeServer(t, Config{
 		MaxConcurrent: 1,
 		SolveTimeout:  2 * time.Second,
 		Overload: OverloadConfig{
@@ -120,6 +137,7 @@ func TestOverloadShedsWith429AndRetryAfter(t *testing.T) {
 		postSolve(t, hs.URL, &SolveRequest{Model: uniquePathologicalModel(0)}, nil)
 	}()
 	waitUntil(t, func() bool { return s.guard.adm.Stats().Admitted == 1 })
+	blockUntil(t, clk, fakeBase+1) // the busy solve's budget
 
 	// Fill the single queue slot.
 	queued := make(chan struct{})
@@ -137,6 +155,7 @@ func TestOverloadShedsWith429AndRetryAfter(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After")
 	}
+	clk.Advance(2 * time.Second) // the busy solve's budget runs out; the queued one solves
 	<-busy
 	<-queued
 	m := s.metrics()
@@ -149,13 +168,13 @@ func TestOverloadShedsWith429AndRetryAfter(t *testing.T) {
 }
 
 func TestBrownoutServesDegradedAnswer(t *testing.T) {
-	s := newCore(t, Config{
+	s, clk := newFakeCore(t, Config{
 		MaxConcurrent: 2,
 		SolveTimeout:  30 * time.Second,
 		Overload: OverloadConfig{
 			DegradedTimeout: 100 * time.Millisecond,
 		},
-	}, nil)
+	})
 	// Trip the breaker by hand: the service must now walk the ladder.
 	for i := 0; i < 5; i++ {
 		s.guard.brk.Record(false)
@@ -166,7 +185,7 @@ func TestBrownoutServesDegradedAnswer(t *testing.T) {
 
 	// A pathological model cannot finish inside the 100ms brownout budget:
 	// the rounding incumbent comes back tagged degraded.
-	out, err := s.solve(context.Background(), &SolveRequest{Model: uniquePathologicalModel(0)}, true)
+	out, err := solveAdvancing(t, s, clk, context.Background(), &SolveRequest{Model: uniquePathologicalModel(0)}, fakeBase+1, 100*time.Millisecond)
 	if err != nil {
 		t.Fatalf("refused: %v", err)
 	}
@@ -194,7 +213,7 @@ func TestBrownoutServesDegradedAnswer(t *testing.T) {
 }
 
 func TestBreakerTripsOnPathologicalModelClass(t *testing.T) {
-	s := newCore(t, Config{
+	s, clk := newFakeCore(t, Config{
 		MaxConcurrent: 2,
 		SolveTimeout:  100 * time.Millisecond,
 		Overload: OverloadConfig{
@@ -202,10 +221,10 @@ func TestBreakerTripsOnPathologicalModelClass(t *testing.T) {
 			BreakerCooldown:  time.Minute,
 			DegradedTimeout:  -1,
 		},
-	}, nil)
+	})
 	// Two consecutive full-budget deadlines trip the breaker.
 	for i := 0; i < 2; i++ {
-		out, err := s.solve(context.Background(), &SolveRequest{Model: uniquePathologicalModel(i)}, true)
+		out, err := solveAdvancing(t, s, clk, context.Background(), &SolveRequest{Model: uniquePathologicalModel(i)}, fakeBase+1, 100*time.Millisecond)
 		if err != nil || out.Status != "deadline" {
 			t.Fatalf("request %d: %v %+v", i, err, out)
 		}
@@ -231,16 +250,17 @@ func TestBreakerTripsOnPathologicalModelClass(t *testing.T) {
 func TestBreakerIgnoresClientBudgetDeadlines(t *testing.T) {
 	// A deadline forced by a short client budget must not count against
 	// solver health: only full-budget deadlines trip the breaker.
-	s := newCore(t, Config{
+	s, clk := newFakeCore(t, Config{
 		MaxConcurrent: 2,
 		SolveTimeout:  30 * time.Second,
 		Overload: OverloadConfig{
 			BreakerThreshold: 2,
 		},
-	}, nil)
+	})
 	for i := 0; i < 4; i++ {
-		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-		out, err := s.solve(ctx, &SolveRequest{Model: uniquePathologicalModel(i)}, true)
+		ctx, cancel := clk.WithTimeout(context.Background(), 50*time.Millisecond)
+		// Armed: the client budget and the solve's own budget.
+		out, err := solveAdvancing(t, s, clk, ctx, &SolveRequest{Model: uniquePathologicalModel(i)}, fakeBase+2, 50*time.Millisecond)
 		cancel()
 		if err != nil || out.Status != "deadline" {
 			t.Fatalf("request %d: %v %+v", i, err, out)
@@ -270,7 +290,7 @@ func TestCacheHitsServedWhileBreakerOpen(t *testing.T) {
 }
 
 func TestSubmitShedsWhenJobQueueFull(t *testing.T) {
-	s, hs, c := newServerWith(t, Config{
+	s, hs, c, _ := newFakeServer(t, Config{
 		MaxConcurrent:  1,
 		MaxPendingJobs: 1,
 		SolveTimeout:   time.Second,
@@ -338,7 +358,7 @@ func TestReadinessProbe(t *testing.T) {
 }
 
 func TestDeadlineUnmeetableShedsUpFront(t *testing.T) {
-	s, hs, _ := newServerWith(t, Config{
+	s, hs, _, clk := newFakeServer(t, Config{
 		MaxConcurrent: 1,
 		SolveTimeout:  2 * time.Second,
 		Overload:      OverloadConfig{MaxQueue: 8},
@@ -351,6 +371,7 @@ func TestDeadlineUnmeetableShedsUpFront(t *testing.T) {
 		postSolve(t, hs.URL, &SolveRequest{Model: uniquePathologicalModel(0)}, nil)
 	}()
 	waitUntil(t, func() bool { return s.guard.adm.Stats().Admitted == 1 })
+	blockUntil(t, clk, fakeBase+1) // the busy solve's budget
 
 	// 100ms of budget against an estimated ~2s of queue wait + solve:
 	// hopeless, shed immediately rather than admitted.
@@ -363,6 +384,7 @@ func TestDeadlineUnmeetableShedsUpFront(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("unmeetable deadline took %v to shed", elapsed)
 	}
+	clk.Advance(2 * time.Second)
 	<-busy
 	if st := s.guard.adm.Stats(); st.ShedDeadline == 0 {
 		t.Fatalf("admission stats = %+v, want a deadline shed", st)
@@ -375,7 +397,7 @@ func TestDeadlineUnmeetableShedsUpFront(t *testing.T) {
 // is shed with 429 and Retry-After when its deadline passes, instead of
 // waiting out the async solve for a late "deadline" answer.
 func TestAsyncAttemptHoldsASolverSlot(t *testing.T) {
-	s, hs, c := newServerWith(t, Config{MaxConcurrent: 1, SolveTimeout: 300 * time.Millisecond})
+	s, hs, c, clk := newFakeServer(t, Config{MaxConcurrent: 1, SolveTimeout: 300 * time.Millisecond})
 	submitJob(t, c, uniquePathologicalModel(0))
 	// A probe whose context is already done takes a free slot on the fast
 	// path, so it is refused only while the async attempt holds the slot.
@@ -390,8 +412,15 @@ func TestAsyncAttemptHoldsASolverSlot(t *testing.T) {
 	})
 
 	start := time.Now()
-	resp, _ := postSolve(t, hs.URL, &SolveRequest{Model: uniqueEasyModel(1)},
-		map[string]string{"X-Request-Deadline-Ms": "100"})
+	replied := make(chan *http.Response)
+	go func() {
+		resp, _ := postSolve(t, hs.URL, &SolveRequest{Model: uniqueEasyModel(1)},
+			map[string]string{"X-Request-Deadline-Ms": "100"})
+		replied <- resp
+	}()
+	waitUntil(t, func() bool { return s.guard.adm.QueueLen() == 1 })
+	clk.Advance(100 * time.Millisecond) // the request's deadline passes while it waits
+	resp := <-replied
 	elapsed := time.Since(start)
 	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
 		t.Fatalf("status code = %d, Retry-After %q; want 429 with Retry-After", resp.StatusCode, resp.Header.Get("Retry-After"))
@@ -406,7 +435,7 @@ func TestAsyncAttemptHoldsASolverSlot(t *testing.T) {
 // terminal "deadline" answer on its first attempt, instead of being handed
 // back and re-leased at once, round after round, with two WAL records each.
 func TestJobDeadlineWhileWaitingForASlotEndsTheJob(t *testing.T) {
-	s, hs, c := newServerWith(t, Config{MaxConcurrent: 1, SolveTimeout: 400 * time.Millisecond, DataDir: t.TempDir()})
+	s, hs, c, clk := newFakeServer(t, Config{MaxConcurrent: 1, SolveTimeout: 400 * time.Millisecond, DataDir: t.TempDir()})
 	busy := make(chan struct{})
 	go func() {
 		defer close(busy)
@@ -418,6 +447,10 @@ func TestJobDeadlineWhileWaitingForASlotEndsTheJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Armed: the /solve's budget, then the job's own deadline, its lease
+	// heartbeat and its attempt timeout.
+	blockUntil(t, clk, fakeBase+4)
+	clk.Advance(20 * time.Millisecond)
 	jr := waitForStatus(t, c, id, JobDone)
 	select {
 	case <-busy:
@@ -431,6 +464,7 @@ func TestJobDeadlineWhileWaitingForASlotEndsTheJob(t *testing.T) {
 	if n := s.store.Records(); n > 3 {
 		t.Fatalf("WAL holds %d records for one job, want 3", n)
 	}
+	clk.Advance(400 * time.Millisecond)
 	<-busy
 }
 

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"hslb/internal/backoff"
+	"hslb/internal/clock"
 	"hslb/internal/rendezvous"
 	"hslb/internal/resultstore"
 )
@@ -80,6 +81,7 @@ type peering struct {
 	factor int
 	budget time.Duration
 	tr     transfer
+	clock  clock.Clock
 
 	queue chan repPush  // replication push retry queue; nil without replication
 	kick  chan struct{} // wakes the sweeper early (membership change)
@@ -132,6 +134,7 @@ func newPeering(cfg Config, tr transfer) *peering {
 		factor:  cfg.Replicate,
 		budget:  budget,
 		tr:      tr,
+		clock:   cfg.clock,
 	}
 	if p.replicating() {
 		p.queue = make(chan repPush, replQueueCap)
@@ -201,7 +204,7 @@ func (s *Server) consult(ctx context.Context, key string) *SolveResponse {
 	if len(peers) == 0 {
 		return nil // never peered: no consult, no counters
 	}
-	ctx, cancel := context.WithTimeout(ctx, p.budget)
+	ctx, cancel := p.clock.WithTimeout(ctx, p.budget)
 	defer cancel()
 	exhausted := func(how, peer string) *SolveResponse {
 		p.budgetExhausted.Add(1)
@@ -370,7 +373,7 @@ func (p *peering) enqueue(item repPush) {
 
 // push delivers one replica under transferTimeout.
 func (p *peering) push(item repPush) error {
-	ctx, cancel := context.WithTimeout(context.Background(), transferTimeout)
+	ctx, cancel := p.clock.WithTimeout(context.Background(), transferTimeout)
 	defer cancel()
 	return p.tr.push(ctx, item.target, item.key, item.payload)
 }
@@ -402,10 +405,12 @@ func (s *Server) pusher() {
 			continue
 		}
 		// Back off before the retry; a dead owner must not spin the queue.
+		t := p.clock.NewTimer(backoff.Delay(100*time.Millisecond, 2*time.Second, item.attempts-1))
 		select {
 		case <-s.quit:
+			t.Stop()
 			return
-		case <-time.After(backoff.Delay(100*time.Millisecond, 2*time.Second, item.attempts-1)):
+		case <-t.C():
 		}
 		p.pushRetries.Add(1)
 		p.enqueue(item)
@@ -424,9 +429,9 @@ func (s *Server) sweeper() {
 	// directly); kicks still run one so membership changes repair.
 	var tick <-chan time.Time
 	if interval > 0 {
-		t := time.NewTicker(interval)
+		t := s.peering.clock.NewTicker(interval)
 		defer t.Stop()
-		tick = t.C
+		tick = t.C()
 	}
 	for {
 		select {
@@ -460,7 +465,7 @@ func (s *Server) sweepOnce() {
 			return
 		default:
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), transferTimeout)
+		ctx, cancel := p.clock.WithTimeout(context.Background(), transferTimeout)
 		listed, err := p.tr.keys(ctx, peer, solveKeyPrefix)
 		cancel()
 		if err != nil {
@@ -496,7 +501,7 @@ func (s *Server) sweepOnce() {
 			if _, ok := s.results.Head(full); ok {
 				continue // already replicated here
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), transferTimeout)
+			ctx, cancel := p.clock.WithTimeout(context.Background(), transferTimeout)
 			data, err := p.tr.fetch(ctx, peer, key)
 			cancel()
 			if err != nil {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"hslb/internal/ampl"
+	"hslb/internal/clock"
 	"hslb/internal/jobstore"
 	"hslb/internal/overload"
 	"hslb/internal/resultstore"
@@ -112,6 +113,9 @@ type Config struct {
 	// solveHook overrides the in-process workers' solve in tests (fault
 	// injection: panics, hangs, wrong answers). nil uses solveJob.
 	solveHook func(ctx context.Context, req *SolveRequest) *SolveResponse
+	// clock times every budget, timeout, lease and background loop of the
+	// server, its job store and its in-process workers (nil = clock.Wall).
+	clock clock.Clock
 }
 
 func (c Config) withDefaults() Config {
@@ -139,6 +143,7 @@ func (c Config) withDefaults() Config {
 	if c.AsyncWorkers == 0 {
 		c.AsyncWorkers = c.MaxConcurrent
 	}
+	c.clock = clock.Or(c.clock)
 	return c
 }
 
@@ -210,6 +215,7 @@ func newServer(cfg Config, tr transfer) (*Server, error) {
 	store, err := jobstore.Open(cfg.DataDir, jobstore.Options{
 		Sync:       cfg.Sync,
 		MaxPending: cfg.MaxPendingJobs,
+		Clock:      cfg.clock,
 	})
 	if err != nil {
 		return nil, err
@@ -219,7 +225,7 @@ func newServer(cfg Config, tr transfer) (*Server, error) {
 		cache: solvecache.New[*SolveResponse](cfg.CacheSize),
 		store: store,
 		hist:  newHistogram(),
-		guard: newGuard(cfg.Overload, cfg.MaxConcurrent),
+		guard: newGuard(cfg.Overload, cfg.MaxConcurrent, cfg.clock),
 		quit:  make(chan struct{}),
 	}
 	warmed, err := s.openResults()
@@ -244,7 +250,7 @@ func newServer(cfg Config, tr transfer) (*Server, error) {
 			interval = time.Second
 		}
 		s.wg.Add(1)
-		go s.every(interval, s.janitor)
+		go s.every(cfg.clock.NewTicker(interval), s.janitor)
 	}
 	interval := cfg.LeaseTTL / 4
 	if interval > time.Second {
@@ -254,7 +260,7 @@ func newServer(cfg Config, tr transfer) (*Server, error) {
 		interval = 25 * time.Millisecond
 	}
 	s.wg.Add(1)
-	go s.every(interval, func() { _, _ = s.store.ReapExpired() })
+	go s.every(cfg.clock.NewTicker(interval), func() { _, _ = s.store.ReapExpired() })
 	return s, nil
 }
 
@@ -409,15 +415,17 @@ func (s *Server) lead(ctx context.Context, key string, parsed *ampl.Result, req 
 		return nil, shedError("no solver slot before the attempt was cancelled")
 	}
 	defer release()
+	// start precedes the budget's deadline, so a solve that ran the whole
+	// budget out measures at least SolveTimeout and counts as one.
+	start := s.cfg.clock.Now()
 	sctx := ctx
 	if s.cfg.SolveTimeout > 0 {
 		var cancel context.CancelFunc
-		sctx, cancel = context.WithTimeout(sctx, s.cfg.SolveTimeout)
+		sctx, cancel = s.cfg.clock.WithTimeout(sctx, s.cfg.SolveTimeout)
 		defer cancel()
 	}
-	start := time.Now()
 	resp := solveParsedContext(sctx, parsed, req)
-	elapsed := time.Since(start)
+	elapsed := s.cfg.clock.Now().Sub(start)
 	s.hist.observe(elapsed.Seconds())
 	g.recordSolve(resp, elapsed, s.cfg.SolveTimeout)
 	s.fill(key, resp)
@@ -489,6 +497,7 @@ func (s *Server) startWorkers() {
 			attemptTimeout: s.cfg.JobTimeout,
 			ready:          s.store.Ready(),
 			panics:         &s.workerPanics,
+			clock:          s.cfg.clock,
 		})
 		s.wg.Add(1)
 		go func() {
@@ -498,20 +507,19 @@ func (s *Server) startWorkers() {
 	}
 }
 
-// every runs f every interval until Close. The reaper requeues jobs whose
+// every runs f on every tick until Close. The reaper requeues jobs whose
 // lease lapsed — a crashed remote worker, a renewal partition, or a
 // panicked local worker; Lease() also reaps inline, so its ticker only
 // bounds reclaim latency when no worker is polling. The janitor evicts
 // completed jobs past JobTTL and truncates store history.
-func (s *Server) every(interval time.Duration, f func()) {
+func (s *Server) every(tick clock.Timer, f func()) {
 	defer s.wg.Done()
-	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	for {
 		select {
 		case <-s.quit:
 			return
-		case <-tick.C:
+		case <-tick.C():
 			f()
 		}
 	}

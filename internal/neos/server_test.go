@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"hslb/internal/cesm"
+	"hslb/internal/clock"
 	"hslb/internal/core"
 	"hslb/internal/jobstore"
 	"hslb/internal/perf"
@@ -53,6 +54,96 @@ func newCore(t *testing.T, cfg Config, tr transfer) *Server {
 	}
 	t.Cleanup(func() { s.Close() })
 	return s
+}
+
+// fakeBase is how many timers a fresh fake-clocked server arms by itself:
+// the reaper's ticker and the janitor's.
+const fakeBase = 2
+
+// newFakeServer is newServerWith on a clock.Fake: every solve budget,
+// timeout, lease, backoff and background loop of the server, its job store
+// and its in-process workers waits for the test to Advance the clock.
+func newFakeServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *Client, *clock.Fake) {
+	t.Helper()
+	clk := clock.NewFake(time.Unix(1_700_000_000, 0))
+	cfg.clock = clk
+	s, err := NewServerWith(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { advanceUntil(clk, func() { hs.Close(); s.Close() }) })
+	return s, hs, NewClient(hs.URL), clk
+}
+
+// newFakeCore is newCore on a clock.Fake, with no peers and no in-process
+// workers: the tests drive the core directly, and an idle worker polling an
+// open breaker would arm timers of its own.
+func newFakeCore(t *testing.T, cfg Config) (*Server, *clock.Fake) {
+	t.Helper()
+	clk := clock.NewFake(time.Unix(1_700_000_000, 0))
+	cfg.clock, cfg.AsyncWorkers = clk, -1
+	s, err := newServer(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { advanceUntil(clk, func() { s.Close() }) })
+	return s, clk
+}
+
+// advanceUntil runs f, advancing clk a second at a time while it blocks: a
+// fake-clocked Close waits out an in-flight solve's budget or drain grace,
+// which only Advance ends.
+func advanceUntil(clk *clock.Fake, f func()) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	for {
+		select {
+		case <-done:
+			return
+		case <-time.After(time.Millisecond):
+			clk.Advance(time.Second)
+		}
+	}
+}
+
+// blockUntil waits until n timers, tickers or contexts are armed on clk,
+// failing the test after 5 s.
+func blockUntil(t *testing.T, clk *clock.Fake, n int) {
+	t.Helper()
+	armed := make(chan struct{})
+	go func() {
+		clk.BlockUntil(n)
+		close(armed)
+	}()
+	select {
+	case <-armed:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("fewer than %d timers armed within 5s", n)
+	}
+}
+
+// solveAdvancing runs s.solve in the background, waits until armed timers
+// are armed in all (the solve's budget among them), advances clk by d, and
+// returns the solve's answer.
+func solveAdvancing(t *testing.T, s *Server, clk *clock.Fake, ctx context.Context, req *SolveRequest, armed int, d time.Duration) (*SolveResponse, error) {
+	t.Helper()
+	type answer struct {
+		resp *SolveResponse
+		err  error
+	}
+	done := make(chan answer, 1)
+	go func() {
+		resp, err := s.solve(ctx, req, true)
+		done <- answer{resp, err}
+	}()
+	blockUntil(t, clk, armed)
+	clk.Advance(d)
+	a := <-done
+	return a.resp, a.err
 }
 
 func TestSolveCacheHit(t *testing.T) {
@@ -457,11 +548,11 @@ func hardLadderModel(k, seed int) string {
 var pathologicalModel = hardLadderModel(120, 0)
 
 func TestSolveTimeoutBoundsPathologicalModel(t *testing.T) {
-	s := newCore(t, Config{MaxConcurrent: 2, SolveTimeout: 300 * time.Millisecond}, nil)
+	s, clk := newFakeCore(t, Config{MaxConcurrent: 2, SolveTimeout: 300 * time.Millisecond})
 	ctx := context.Background()
 
 	start := time.Now()
-	out, err := s.solve(ctx, &SolveRequest{Model: pathologicalModel}, true)
+	out, err := solveAdvancing(t, s, clk, ctx, &SolveRequest{Model: pathologicalModel}, fakeBase+1, 300*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +568,7 @@ func TestSolveTimeoutBoundsPathologicalModel(t *testing.T) {
 
 	// Deadline results depend on the wall-clock budget, not just the
 	// model, so they must not stick in the cache.
-	if _, err := s.solve(ctx, &SolveRequest{Model: pathologicalModel}, true); err != nil {
+	if _, err := solveAdvancing(t, s, clk, ctx, &SolveRequest{Model: pathologicalModel}, fakeBase+1, 300*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	m := s.metrics()
@@ -527,16 +618,13 @@ func TestSolveTimeoutBoundsExactSearch(t *testing.T) {
 func TestTimedOutJobEventuallyCompletes(t *testing.T) {
 	// The near-tied coefficients, with 11 components that cannot split the
 	// 8000 nodes evenly, make branch-and-bound grind (~210 nodes, ≥100ms
-	// even on a fast box: the 10-component version fell to ~13ms once
-	// tangent cuts tightened the node LPs), so an 8ms per-attempt
-	// timeout forces at least one retry. The solve must far exceed the
-	// timeout plus scheduler jitter: with a marginally slow model the
-	// worker's select can wake late with both the timer and the finished
-	// solve ready, record the result on attempt 1, and flake. The
-	// abandoned attempt's solver still warms the cache, so a later attempt
-	// (the exponential backoff allows ~10s of them) finishes in
-	// microseconds — inside the timeout. The job must converge to done,
-	// never run unbounded.
+	// even on a fast box), far longer than the test takes to fire the 8ms
+	// per-attempt timeout on the fake clock, so attempt 1 is abandoned
+	// mid-solve. The abandoned attempt's solver still warms the cache, so
+	// a later attempt finishes in microseconds — inside its own 8ms, which
+	// the test fires too. A retry that solved again would time out at every
+	// attempt until MaxAttempts failed the job. The job must converge to
+	// done, never run unbounded.
 	const slowModel = `
 param N := 8000;
 var T >= 0 <= 100000;
@@ -565,8 +653,9 @@ subject to t10: 11000.010 / n10 + 0.000010 <= T;
 subject to t11: 11000.011 / n11 + 0.000011 <= T;
 subject to cap: n1 + n2 + n3 + n4 + n5 + n6 + n7 + n8 + n9 + n10 + n11 <= N;
 `
-	_, _, c := newServerWith(t, Config{
+	s, _, c, clk := newFakeServer(t, Config{
 		MaxConcurrent: 2,
+		AsyncWorkers:  1, // an idle second worker would arm timers of its own
 		JobTimeout:    8 * time.Millisecond,
 		MaxAttempts:   10,
 		RetryBackoff:  20 * time.Millisecond,
@@ -575,6 +664,28 @@ subject to cap: n1 + n2 + n3 + n4 + n5 + n6 + n7 + n8 + n9 + n10 + n11 <= N;
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Attempt 1 times out: armed are its solve's budget, its lease
+	// heartbeat and its attempt timeout. Its solve runs on and fills the
+	// cache.
+	blockUntil(t, clk, fakeBase+3)
+	clk.Advance(8 * time.Millisecond)
+	job := func() jobstore.Job { j, _ := s.store.Get(id); return j }
+	waitUntil(t, func() bool { return job().Status == jobstore.Queued })
+	// The solve takes seconds under -race, longer than waitUntil allows.
+	for deadline := time.Now().Add(60 * time.Second); s.metrics().Cache.Size == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the abandoned solve never filled the cache")
+		}
+	}
+	// Step virtual time through each retry backoff and each later
+	// attempt's 8ms timeout until the job ends.
+	waitUntil(t, func() bool {
+		if st := job().Status; st == jobstore.Done || st == jobstore.Failed {
+			return true
+		}
+		clk.Advance(time.Millisecond)
+		return false
+	})
 	jr := waitForStatus(t, c, id, JobDone)
 	if jr.Attempts < 2 {
 		t.Fatalf("attempts = %d, expected at least one timeout retry", jr.Attempts)

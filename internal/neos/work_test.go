@@ -8,6 +8,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"hslb/internal/clock"
+	"hslb/internal/jobstore"
 )
 
 // pullOnlyConfig is the config for tests that drive the queue exclusively
@@ -188,7 +191,7 @@ func TestWorkIdempotentComplete(t *testing.T) {
 }
 
 func TestWorkFailRetryReleaseSemantics(t *testing.T) {
-	_, _, c := newServerWith(t, pullOnlyConfig())
+	_, _, c, clk := newFakeServer(t, pullOnlyConfig())
 	ctx := context.Background()
 	id := submitJob(t, c, miniModel)
 
@@ -202,7 +205,7 @@ func TestWorkFailRetryReleaseSemantics(t *testing.T) {
 	}
 
 	// Attempt 2 is released (a draining worker): NOT consumed.
-	g2 := leaseEventually(t, c, "node-b")
+	g2 := leaseEventually(t, c, clk, "node-b")
 	if g2.Attempt != 2 {
 		t.Fatalf("attempt after retryable fail = %d, want 2", g2.Attempt)
 	}
@@ -214,7 +217,7 @@ func TestWorkFailRetryReleaseSemantics(t *testing.T) {
 	}
 
 	// The release rolled the attempt counter back.
-	g3 := leaseEventually(t, c, "node-c")
+	g3 := leaseEventually(t, c, clk, "node-c")
 	if g3.Attempt != 2 {
 		t.Fatalf("attempt after release = %d, want 2 again", g3.Attempt)
 	}
@@ -237,12 +240,12 @@ func TestWorkFailRetryReleaseSemantics(t *testing.T) {
 	}
 }
 
-// leaseEventually retries LeaseWork through retry backoff windows until a
-// grant arrives.
-func leaseEventually(t *testing.T, c *Client, worker string) *WorkGrant {
+// leaseEventually retries LeaseWork until a grant arrives, advancing the
+// server's clock through each retry backoff or lease expiry it is told to
+// wait for.
+func leaseEventually(t *testing.T, c *Client, clk *clock.Fake, worker string) *WorkGrant {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
+	for i := 0; ; i++ {
 		g, wait, err := c.LeaseWork(context.Background(), worker, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -250,13 +253,10 @@ func leaseEventually(t *testing.T, c *Client, worker string) *WorkGrant {
 		if g != nil {
 			return g
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("no lease before deadline")
+		if i == 100 {
+			t.Fatal("no lease after 100 waits")
 		}
-		if wait > 50*time.Millisecond {
-			wait = 50 * time.Millisecond
-		}
-		time.Sleep(wait)
+		clk.Advance(wait)
 	}
 }
 
@@ -264,7 +264,7 @@ func leaseEventually(t *testing.T, c *Client, worker string) *WorkGrant {
 // never reports) and shows the reaper hands the job to the next node, whose
 // result wins while the zombie's stale complete bounces.
 func TestWorkLeaseExpiryReclaim(t *testing.T) {
-	s, _, c := newServerWith(t, Config{
+	s, _, c, clk := newFakeServer(t, Config{
 		MaxConcurrent: 2,
 		AsyncWorkers:  -1,
 		LeaseTTL:      100 * time.Millisecond,
@@ -280,7 +280,7 @@ func TestWorkLeaseExpiryReclaim(t *testing.T) {
 
 	// The reaper (interval LeaseTTL/4) reclaims after expiry; the next
 	// worker gets a fresh fence.
-	next := leaseEventually(t, c, "healthy")
+	next := leaseEventually(t, c, clk, "healthy")
 	if next.JobID != id || next.Fence <= dead.Fence {
 		t.Fatalf("reclaimed grant = %+v (dead fence %d)", next, dead.Fence)
 	}
@@ -314,7 +314,7 @@ func TestWorkLeaseExpiryReclaim(t *testing.T) {
 // lapses, the reaper requeues it, and a healthy retry completes it.
 func TestLocalWorkerPanicReclaimed(t *testing.T) {
 	var calls atomic.Int64
-	s, _, c := newServerWith(t, Config{
+	s, _, c, clk := newFakeServer(t, Config{
 		MaxConcurrent: 2,
 		AsyncWorkers:  2,
 		LeaseTTL:      100 * time.Millisecond,
@@ -328,6 +328,15 @@ func TestLocalWorkerPanicReclaimed(t *testing.T) {
 		},
 	})
 	id := submitJob(t, c, miniModel)
+	// Let the panicked attempt's lease lapse, a reaper interval of virtual
+	// time per step, until the retry has completed the job.
+	waitUntil(t, func() bool {
+		if j, _ := s.store.Get(id); j.Status == jobstore.Done {
+			return true
+		}
+		clk.Advance(25 * time.Millisecond)
+		return false
+	})
 	jr := waitForStatus(t, c, id, JobDone)
 	if jr.Result == nil || jr.Result.Objective != 3 {
 		t.Fatalf("result = %+v", jr.Result)
@@ -351,7 +360,8 @@ func TestLocalWorkerPanicReclaimed(t *testing.T) {
 // the job fails.
 func TestLocalAttemptOutlivesLeaseTTL(t *testing.T) {
 	var calls atomic.Int64
-	s, _, c := newServerWith(t, Config{
+	var clk *clock.Fake
+	s, _, c, clk := newFakeServer(t, Config{
 		MaxConcurrent: 2,
 		AsyncWorkers:  1,
 		LeaseTTL:      100 * time.Millisecond,
@@ -359,11 +369,26 @@ func TestLocalAttemptOutlivesLeaseTTL(t *testing.T) {
 		RetryBackoff:  time.Millisecond,
 		solveHook: func(ctx context.Context, req *SolveRequest) *SolveResponse {
 			calls.Add(1)
-			time.Sleep(400 * time.Millisecond)
+			_ = clk.Sleep(ctx, 400*time.Millisecond)
 			return &SolveResponse{Status: "optimal", Objective: 3}
 		},
 	})
 	id := submitJob(t, c, miniModel)
+	// Armed: the heartbeat's ticker and the solve's 400 ms. Step virtual
+	// time one heartbeat at a time, each step waiting for the renewal it
+	// fired, until the solve ends.
+	blockUntil(t, clk, fakeBase+2)
+	for {
+		j, _ := s.store.Get(id)
+		if j.Status == jobstore.Done {
+			break
+		}
+		clk.Advance(100 * time.Millisecond / 3)
+		waitUntil(t, func() bool {
+			cur, _ := s.store.Get(id)
+			return cur.Status == jobstore.Done || cur.LeaseExpiry.After(j.LeaseExpiry)
+		})
+	}
 	jr := waitForStatus(t, c, id, JobDone)
 	if jr.Attempts != 1 || calls.Load() != 1 {
 		t.Fatalf("attempts = %d, solves = %d; want 1 and 1", jr.Attempts, calls.Load())

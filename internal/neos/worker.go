@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"hslb/internal/backoff"
+	"hslb/internal/clock"
 )
 
 // Worker is the one job executor: lease a job, solve it under a heartbeat
@@ -61,10 +62,13 @@ type WorkerConfig struct {
 	// abandons an attempt as a retryable failure without cancelling the
 	// solve, which runs on and can still warm the cache for the retry.
 	// ready wakes an idle worker when a job becomes runnable (nil never
-	// fires). panics is the counter recovered solve panics add to.
+	// fires). panics is the counter recovered solve panics add to. clock
+	// times backoffs, heartbeats, deadlines and the drain grace (nil =
+	// clock.Wall; tests may set it on a remote worker too).
 	attemptTimeout time.Duration
 	ready          <-chan struct{}
 	panics         *atomic.Uint64
+	clock          clock.Clock
 }
 
 // WorkerStats counts a worker's lifetime outcomes; read with Worker.Stats.
@@ -103,6 +107,7 @@ func newWorker(src leaser, cfg WorkerConfig) (*Worker, error) {
 	if cfg.panics == nil {
 		cfg.panics = new(atomic.Uint64)
 	}
+	cfg.clock = clock.Or(cfg.clock)
 	return &Worker{cfg: cfg, src: src}, nil
 }
 
@@ -149,7 +154,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			if ctx.Err() == nil {
 				w.logf("lease error (backing off %v): %v", d, err)
 			}
-			_ = backoff.Sleep(ctx, d)
+			_ = w.cfg.clock.Sleep(ctx, d)
 		case grant != nil:
 			errs = 0
 			w.execute(ctx, grant)
@@ -159,14 +164,17 @@ func (w *Worker) Run(ctx context.Context) error {
 			// no hint (an empty queue) on nothing else.
 			errs = 0
 			var hint <-chan time.Time
+			stop := func() {}
 			if wait > 0 || w.cfg.ready == nil {
-				hint = time.After(min(wait, w.cfg.MaxBackoff))
+				t := w.cfg.clock.NewTimer(min(wait, w.cfg.MaxBackoff))
+				hint, stop = t.C(), t.Stop
 			}
 			select {
 			case <-ctx.Done():
 			case <-w.cfg.ready:
 			case <-hint:
 			}
+			stop() // a fake clock keeps an unstopped timer armed
 		}
 	}
 	return nil
@@ -192,7 +200,7 @@ func (w *Worker) execute(ctx context.Context, grant *WorkGrant) {
 	solveCtx, cancelSolve := context.WithCancel(context.Background())
 	if req.TimeoutMs > 0 {
 		cancelSolve()
-		solveCtx, cancelSolve = context.WithTimeout(context.Background(), time.Duration(req.TimeoutMs)*time.Millisecond)
+		solveCtx, cancelSolve = w.cfg.clock.WithTimeout(context.Background(), time.Duration(req.TimeoutMs)*time.Millisecond)
 	}
 
 	lost := make(chan struct{})
@@ -219,9 +227,9 @@ func (w *Worker) execute(ctx context.Context, grant *WorkGrant) {
 
 	var timeout, grace <-chan time.Time
 	if w.cfg.attemptTimeout > 0 {
-		t := time.NewTimer(w.cfg.attemptTimeout)
+		t := w.cfg.clock.NewTimer(w.cfg.attemptTimeout)
 		defer t.Stop()
-		timeout = t.C
+		timeout = t.C()
 	}
 	drain := ctx.Done()
 	for {
@@ -252,9 +260,9 @@ func (w *Worker) execute(ctx context.Context, grant *WorkGrant) {
 		case <-drain:
 			drain = nil
 			w.logf("job %d: draining, letting solve finish (grace %v)", grant.JobID, w.cfg.DrainGrace)
-			t := time.NewTimer(max(w.cfg.DrainGrace, 0))
+			t := w.cfg.clock.NewTimer(max(w.cfg.DrainGrace, 0))
 			defer t.Stop()
-			grace = t.C
+			grace = t.C()
 		case <-grace:
 			cancelSolve()
 			w.release(grant, "draining")
@@ -280,14 +288,14 @@ func (w *Worker) heartbeat(grant *WorkGrant, stop, done, lost chan struct{}, can
 	defer close(done)
 	ttl := time.Duration(grant.TTLMs) * time.Millisecond
 	interval := max(ttl/3, 10*time.Millisecond)
-	tick := time.NewTicker(interval)
+	tick := w.cfg.clock.NewTicker(interval)
 	defer tick.Stop()
 	for {
 		select {
 		case <-stop:
 			return
-		case <-tick.C:
-			rctx, cancel := context.WithTimeout(context.Background(), interval)
+		case <-tick.C():
+			rctx, cancel := w.cfg.clock.WithTimeout(context.Background(), interval)
 			_, err := w.src.RenewWork(rctx, grant.JobID, grant.Fence, ttl)
 			cancel()
 			if errors.Is(err, ErrLeaseLost) {
@@ -313,7 +321,7 @@ func (w *Worker) report(grant *WorkGrant, resp *SolveResponse) {
 		w.release(grant, "solve refused")
 		return
 	}
-	rctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	rctx, cancel := w.cfg.clock.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	dup, err := w.src.CompleteWork(rctx, grant.JobID, grant.Fence, resp)
 	switch {

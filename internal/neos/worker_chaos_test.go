@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"hslb/internal/backoff"
+	"hslb/internal/clock"
 )
 
 // TestChaosFleet is the acceptance suite for the lease/fencing layer: a
@@ -105,7 +105,7 @@ func TestChaosFleet(t *testing.T) {
 			BaseBackoff: 2 * time.Millisecond,
 			MaxBackoff:  50 * time.Millisecond,
 			SolveFn: func(sctx context.Context, req *SolveRequest) *SolveResponse {
-				_ = backoff.Sleep(sctx, 3*time.Millisecond) // a cancelled solve still answers
+				_ = clock.Wall.Sleep(sctx, 3*time.Millisecond) // a cancelled solve still answers
 				return hookSolve(req)
 			},
 		})
@@ -118,7 +118,7 @@ func TestChaosFleet(t *testing.T) {
 		MaxBackoff:  50 * time.Millisecond,
 		SolveFn: func(sctx context.Context, req *SolveRequest) *SolveResponse {
 			// Outlive the lease: the renewal partition guarantees expiry.
-			_ = backoff.Sleep(sctx, 3*ttl)
+			_ = clock.Wall.Sleep(sctx, 3*ttl)
 			return hookSolve(req)
 		},
 	})

@@ -10,6 +10,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"hslb/internal/clock"
+	"hslb/internal/jobstore"
 )
 
 // boundModel(n) is a one-variable model whose optimum is n — trivially
@@ -161,14 +164,10 @@ func TestWorkerDrainFinishesWithinGrace(t *testing.T) {
 // panic is recovered and counted, the lease is left to lapse, the reaper
 // requeues the job, and the same worker completes it on attempt 2.
 func TestWorkerSurvivesPanickingSolve(t *testing.T) {
-	ttl := 100 * time.Millisecond
-	if raceEnabled {
-		ttl *= 4
-	}
-	s, _, c := newServerWith(t, Config{
+	s, _, c, clk := newFakeServer(t, Config{
 		MaxConcurrent: 2,
 		AsyncWorkers:  -1,
-		LeaseTTL:      ttl,
+		LeaseTTL:      100 * time.Millisecond,
 		JobTimeout:    -1,
 		RetryBackoff:  time.Millisecond,
 	})
@@ -186,6 +185,7 @@ func TestWorkerSurvivesPanickingSolve(t *testing.T) {
 			}
 			return &SolveResponse{Status: "optimal", Objective: 4}
 		},
+		clock: clk,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -198,6 +198,15 @@ func TestWorkerSurvivesPanickingSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Let the panicked attempt's lease lapse and the worker poll again, a
+	// heartbeat's worth of virtual time per step, until the job is done.
+	waitUntil(t, func() bool {
+		if j, _ := s.store.Get(id); j.Status == jobstore.Done {
+			return true
+		}
+		clk.Advance(25 * time.Millisecond)
+		return false
+	})
 	jr := waitTerminal(t, c, id, 30*time.Second)
 	if jr.Status != JobDone || jr.Attempts != 2 || jr.Result == nil || jr.Result.Objective != 4 {
 		t.Fatalf("job = %+v, want done on attempt 2 with objective 4", jr)
@@ -226,13 +235,14 @@ func TestWorkerBackoffResetsAfterIdleLease(t *testing.T) {
 	)
 	var mu sync.Mutex
 	var calls []time.Time
+	clk := clock.NewFake(time.Unix(1_700_000_000, 0))
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/work/lease" {
 			http.NotFound(w, r)
 			return
 		}
 		mu.Lock()
-		calls = append(calls, time.Now())
+		calls = append(calls, clk.Now())
 		n := len(calls)
 		mu.Unlock()
 		switch n {
@@ -251,7 +261,7 @@ func TestWorkerBackoffResetsAfterIdleLease(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	w, err := NewWorker(NewClient(srv.URL), WorkerConfig{ID: "idle-node", BaseBackoff: base})
+	w, err := NewWorker(NewClient(srv.URL), WorkerConfig{ID: "idle-node", BaseBackoff: base, clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,8 +269,9 @@ func TestWorkerBackoffResetsAfterIdleLease(t *testing.T) {
 	wg.Add(1)
 	go func() { defer wg.Done(); _ = w.Run(ctx) }()
 
-	// Wait for the request after the second 429, then stop the loop.
-	deadline := time.Now().Add(10 * time.Second)
+	// Step virtual time while the worker sleeps until the request after the
+	// second 429, then stop the loop. Each sleep ends within one step of
+	// its deadline, so the recorded gaps are the worker's delays.
 	for {
 		mu.Lock()
 		n := len(calls)
@@ -268,10 +279,8 @@ func TestWorkerBackoffResetsAfterIdleLease(t *testing.T) {
 		if n >= 4 {
 			break
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("worker made only %d lease calls", n)
-		}
-		time.Sleep(time.Millisecond)
+		blockUntil(t, clk, 1)
+		clk.Advance(time.Millisecond)
 	}
 	cancel()
 	wg.Wait()

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"sync"
 	"time"
+
+	"hslb/internal/clock"
 )
 
 // Admission rejection reasons.
@@ -26,8 +28,6 @@ type AdmissionConfig struct {
 	// MaxQueue bounds how many requests may wait for a slot beyond
 	// MaxConcurrent (default 4 × MaxConcurrent).
 	MaxQueue int
-	// Now overrides the clock, for deterministic tests (default time.Now).
-	Now func() time.Time
 }
 
 func (c AdmissionConfig) withDefaults() AdmissionConfig {
@@ -36,9 +36,6 @@ func (c AdmissionConfig) withDefaults() AdmissionConfig {
 	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 4 * c.MaxConcurrent
-	}
-	if c.Now == nil {
-		c.Now = time.Now
 	}
 	return c
 }
@@ -84,7 +81,8 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 
 // Acquire claims a solver slot, waiting in the bounded queue when all are
 // busy. On success it returns a release function that must be called
-// exactly once. On failure it returns ErrSaturated or ErrDeadline.
+// exactly once. On failure it returns ErrSaturated or ErrDeadline. ctx's
+// deadline is read on the clock that set it (clock.Of).
 func (a *Admission) Acquire(ctx context.Context) (release func(), err error) {
 	// Fast path: a slot is free right now.
 	select {
@@ -102,7 +100,7 @@ func (a *Admission) Acquire(ctx context.Context) (release func(), err error) {
 		return nil, ErrSaturated
 	}
 	if dl, ok := ctx.Deadline(); ok {
-		if est := a.estimateLocked(a.waiters); est > 0 && a.cfg.Now().Add(est).After(dl) {
+		if est := a.estimateLocked(a.waiters); est > 0 && clock.Of(ctx).Now().Add(est).After(dl) {
 			a.stats.ShedDeadline++
 			a.mu.Unlock()
 			return nil, ErrDeadline

@@ -67,7 +67,7 @@ func TestAdmissionShedsWhenSaturated(t *testing.T) {
 
 func TestAdmissionRejectsUnmeetableDeadline(t *testing.T) {
 	clk := newFakeClock()
-	a := NewAdmission(AdmissionConfig{MaxConcurrent: 1, MaxQueue: 8, Now: clk.now})
+	a := NewAdmission(AdmissionConfig{MaxConcurrent: 1, MaxQueue: 8})
 	// Teach the EWMA that a solve takes 1s.
 	a.Observe(time.Second)
 
@@ -78,14 +78,15 @@ func TestAdmissionRejectsUnmeetableDeadline(t *testing.T) {
 	defer hold()
 	// Empty queue: estimated completion = drain(1 slot ahead)/1 + own solve
 	// = 2s. A 500ms budget cannot be met → shed up front.
-	ctx, cancel := context.WithDeadline(context.Background(), clk.now().Add(500*time.Millisecond))
+	ctx, cancel := clk.WithTimeout(context.Background(), 500*time.Millisecond)
 	defer cancel()
 	if _, err := a.Acquire(ctx); !errors.Is(err, ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", err)
 	}
-	// A 10s budget is fine; the request queues (and then expires when its
-	// real context fires — use a cancel to release it deterministically).
-	ctx2, cancel2 := context.WithCancel(context.Background())
+	// A 10s budget is fine: the request queues, and is shed when its
+	// deadline passes while it waits.
+	ctx2, cancel2 := clk.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel2()
 	done := make(chan error, 1)
 	go func() {
 		rel, err := a.Acquire(ctx2)
@@ -97,9 +98,9 @@ func TestAdmissionRejectsUnmeetableDeadline(t *testing.T) {
 	for a.QueueLen() == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	cancel2()
+	clk.Advance(10 * time.Second)
 	if err := <-done; !errors.Is(err, ErrDeadline) {
-		t.Fatalf("cancelled waiter returned %v, want ErrDeadline", err)
+		t.Fatalf("expired waiter returned %v, want ErrDeadline", err)
 	}
 	if st := a.Stats(); st.ShedDeadline != 2 {
 		t.Fatalf("stats = %+v, want 2 deadline sheds", st)
@@ -109,12 +110,13 @@ func TestAdmissionRejectsUnmeetableDeadline(t *testing.T) {
 func TestAdmissionNoEstimateAdmitsOptimistically(t *testing.T) {
 	// Before any latency observation there is no wait model; deadlines are
 	// not second-guessed.
+	clk := newFakeClock()
 	a := NewAdmission(AdmissionConfig{MaxConcurrent: 1, MaxQueue: 4})
 	hold, err := a.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	ctx, cancel := clk.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"sync"
 	"time"
+
+	"hslb/internal/clock"
 )
 
 // State is a circuit breaker's position.
@@ -49,8 +51,8 @@ type BreakerConfig struct {
 	// Recovery is the number of half-open probe successes that close the
 	// breaker again (default 2).
 	Recovery int
-	// Now overrides the clock, for deterministic tests (default time.Now).
-	Now func() time.Time
+	// Clock times the cooldown (nil = clock.Wall).
+	Clock clock.Clock
 	// Rand overrides the probe coin flip with a [0,1) source, for
 	// deterministic tests (default math/rand.Float64).
 	Rand func() float64
@@ -69,9 +71,7 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.Recovery <= 0 {
 		c.Recovery = 2
 	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
+	c.Clock = clock.Or(c.Clock)
 	if c.Rand == nil {
 		c.Rand = rand.Float64
 	}
@@ -108,7 +108,7 @@ func (b *Breaker) Allow() bool {
 	case Closed:
 		return true
 	case Open:
-		if b.cfg.Now().Sub(b.openedAt) < b.cfg.Cooldown {
+		if b.cfg.Clock.Now().Sub(b.openedAt) < b.cfg.Cooldown {
 			b.rejected++
 			return false
 		}
@@ -155,7 +155,7 @@ func (b *Breaker) Record(success bool) {
 
 func (b *Breaker) tripLocked() {
 	b.state = Open
-	b.openedAt = b.cfg.Now()
+	b.openedAt = b.cfg.Clock.Now()
 	b.consecFails = 0
 	b.probeSucc = 0
 	b.trips++

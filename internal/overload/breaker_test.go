@@ -3,23 +3,19 @@ package overload
 import (
 	"testing"
 	"time"
+
+	"hslb/internal/clock"
 )
 
-// fakeClock is a manually advanced clock for deterministic state-machine
-// tests.
-type fakeClock struct{ t time.Time }
-
-func (c *fakeClock) now() time.Time          { return c.t }
-func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
-func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1_700_000_000, 0)} }
-func always() float64                        { return 0 } // every half-open coin flip admits a probe
-func never() float64                         { return 1 } // no half-open coin flip admits a probe
-func testBreaker(clk *fakeClock, r func() float64, threshold, recovery int) *Breaker {
+func newFakeClock() *clock.Fake { return clock.NewFake(time.Unix(1_700_000_000, 0)) }
+func always() float64           { return 0 } // every half-open coin flip admits a probe
+func never() float64            { return 1 } // no half-open coin flip admits a probe
+func testBreaker(clk *clock.Fake, r func() float64, threshold, recovery int) *Breaker {
 	return NewBreaker(BreakerConfig{
 		Threshold: threshold,
 		Cooldown:  10 * time.Second,
 		Recovery:  recovery,
-		Now:       clk.now,
+		Clock:     clk,
 		Rand:      r,
 	})
 }
@@ -63,12 +59,12 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 		b.Record(false)
 	}
 	// Inside the cooldown: still short-circuiting.
-	clk.advance(9 * time.Second)
+	clk.Advance(9 * time.Second)
 	if b.Allow() {
 		t.Fatal("admitted a request 1s before the cooldown elapsed")
 	}
 	// Cooldown elapsed: half-open, probes flow (Rand=always).
-	clk.advance(2 * time.Second)
+	clk.Advance(2 * time.Second)
 	if !b.Allow() {
 		t.Fatal("half-open breaker rejected a probe despite Rand admitting all")
 	}
@@ -99,7 +95,7 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		b.Record(false)
 	}
-	clk.advance(11 * time.Second)
+	clk.Advance(11 * time.Second)
 	if !b.Allow() {
 		t.Fatal("probe rejected")
 	}
@@ -108,7 +104,7 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 		t.Fatalf("state = %v after failed probe, want open", b.State())
 	}
 	// The cooldown restarts from the re-trip, not the original one.
-	clk.advance(9 * time.Second)
+	clk.Advance(9 * time.Second)
 	if b.Allow() {
 		t.Fatal("re-opened breaker admitted a request before its fresh cooldown elapsed")
 	}
@@ -123,7 +119,7 @@ func TestBreakerProbeFractionGates(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		b.Record(false)
 	}
-	clk.advance(11 * time.Second)
+	clk.Advance(11 * time.Second)
 	if b.Allow() {
 		t.Fatal("half-open breaker admitted a probe despite Rand rejecting all")
 	}

@@ -20,6 +20,8 @@ type Family struct {
 	Eval      func(p []float64, n float64) float64
 	// Lower bounds the parameters (positivity, as in Table II line 11).
 	Lower []float64
+	// Upper bounds the parameters; nil leaves them unbounded above.
+	Upper []float64
 	// Starts proposes multistart seeds from the data.
 	Starts func(xs, ys []float64) [][]float64
 }
@@ -38,7 +40,8 @@ type FamilyFit struct {
 // Predict evaluates the fitted curve.
 func (f *FamilyFit) Predict(n float64) float64 { return f.Family.Eval(f.Params, n) }
 
-// PaperFamily is the Table II model a/n + b·n^c + d.
+// PaperFamily is the Table II model a/n + b·n^c + d, bounded as Fit bounds
+// it, so it is the model step 2 fits.
 var PaperFamily = Family{
 	Name:      "paper",
 	NumParams: 4,
@@ -46,6 +49,7 @@ var PaperFamily = Family{
 		return p[0]/n + p[1]*math.Pow(n, p[2]) + p[3]
 	},
 	Lower: []float64{0, 0, 0, 0},
+	Upper: []float64{math.Inf(1), math.Inf(1), maxExponent, math.Inf(1)},
 	Starts: func(xs, ys []float64) [][]float64 {
 		a := ys[0] * xs[0]
 		return [][]float64{
@@ -110,7 +114,7 @@ func FitFamily(samples []Sample, fam Family) (*FamilyFit, error) {
 		xs[i] = float64(s.Nodes)
 		ys[i] = s.Time
 	}
-	prob := nls.CurveProblem(fam.Eval, xs, ys, fam.NumParams, fam.Lower, nil)
+	prob := nls.CurveProblem(fam.Eval, xs, ys, fam.NumParams, fam.Lower, fam.Upper)
 	res, err := nls.MultiStart(prob, fam.Starts(xs, ys), nls.Options{MaxIter: fitMaxIter})
 	if err != nil {
 		return nil, err

@@ -76,6 +76,11 @@ type FitOptions struct {
 	ConvexExponent bool
 }
 
+// maxExponent bounds the fitted exponent c of Table II's b·n^c term, in
+// Fit and PaperFamily alike, so a sparse or noisy sample set cannot fit the
+// growth term to a steep spike between two node counts.
+const maxExponent = 3
+
 // fitMaxIter bounds the Levenberg–Marquardt iterations of each multistart
 // seed, in Fit and FitFamily alike.
 const fitMaxIter = 400
@@ -120,7 +125,7 @@ func Fit(samples []Sample, opt FitOptions) (*FitResult, error) {
 		cMin = 1.0
 	}
 	lower := []float64{0, 0, cMin, 0}
-	upper := []float64{math.Inf(1), math.Inf(1), 3, math.Inf(1)}
+	upper := []float64{math.Inf(1), math.Inf(1), maxExponent, math.Inf(1)}
 	pows := powCache{xs: xs}
 	prob := &nls.Problem{
 		NumParams:    4,

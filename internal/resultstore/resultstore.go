@@ -27,9 +27,9 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"hslb/internal/cas"
+	"hslb/internal/clock"
 	"hslb/internal/jsonl"
 )
 
@@ -60,8 +60,8 @@ type Options struct {
 	// append before the commit returns, so a committed head survives a
 	// power loss.
 	Sync bool
-	// now overrides the commit clock in tests.
-	now func() time.Time
+	// clock stamps commits (nil = clock.Wall); tests set it.
+	clock clock.Clock
 }
 
 // Sentinel errors.
@@ -99,9 +99,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("resultstore: empty directory")
 	}
-	if opts.now == nil {
-		opts.now = time.Now
-	}
+	opts.clock = clock.Or(opts.clock)
 	// cas.Open creates dir along with dir/chunks, syncing both when asked.
 	chunk, err := cas.Open(filepath.Join(dir, "chunks"), cas.Options{Sync: opts.Sync})
 	if err != nil {
@@ -223,7 +221,7 @@ func (s *Store) Commit(key string, value []byte, meta map[string]string) (Commit
 		Parent: parent,
 		Value:  vh.String(),
 		Seq:    seq,
-		Unix:   s.opts.now().Unix(),
+		Unix:   s.opts.clock.Now().Unix(),
 		Meta:   meta,
 	}
 	enc, err := json.Marshal(c)

@@ -13,20 +13,12 @@ import (
 	"time"
 
 	"hslb/internal/cas"
+	"hslb/internal/clock"
 )
-
-func testClock() func() time.Time {
-	t0 := time.Unix(1700000000, 0)
-	n := 0
-	return func() time.Time {
-		n++
-		return t0.Add(time.Duration(n) * time.Second)
-	}
-}
 
 func openStore(t *testing.T, dir string) *Store {
 	t.Helper()
-	s, err := Open(dir, Options{now: testClock()})
+	s, err := Open(dir, Options{clock: clock.NewFake(time.Unix(1700000000, 0))})
 	if err != nil {
 		t.Fatal(err)
 	}

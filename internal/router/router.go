@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hslb/internal/clock"
 	"hslb/internal/neos"
 	"hslb/internal/solvecache"
 )
@@ -149,18 +150,18 @@ func (rt *Router) logf(format string, args ...interface{}) {
 // round so a fleet of routers doesn't probe the shards in lockstep.
 func (rt *Router) healthLoop() {
 	defer rt.wg.Done()
-	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
+	rng := rand.New(rand.NewSource(clock.Wall.Now().UnixNano()))
 	for {
 		d := rt.cfg.HealthInterval
 		if half := int64(d) / 2; half > 0 {
 			d += time.Duration(rng.Int63n(half)) - d/4
 		}
-		timer := time.NewTimer(d)
+		timer := clock.Wall.NewTimer(d)
 		select {
 		case <-rt.quit:
 			timer.Stop()
 			return
-		case <-timer.C:
+		case <-timer.C():
 			rt.probeAll()
 		}
 	}
@@ -200,7 +201,7 @@ func (rt *Router) probeAll() {
 }
 
 func (rt *Router) probe(s *Shard) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.HealthTimeout)
+	ctx, cancel := clock.Wall.WithTimeout(context.Background(), rt.cfg.HealthTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.URL+"/ready", nil)
 	if err != nil {
@@ -301,7 +302,7 @@ func (rt *Router) handleRouted(w http.ResponseWriter, r *http.Request) {
 	if h := r.Header.Get(deadlineHeader); h != "" {
 		if ms, err := strconv.ParseInt(h, 10, 64); err == nil && ms > 0 {
 			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
+			ctx, cancel = clock.Wall.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
 			defer cancel()
 		}
 	}
