@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: verify build test vet fmt race stress chaos chaos-fleet fsck
+.PHONY: verify build test vet fmt race stress chaos chaos-fleet fsck bench-solver
 
 verify: build vet fmt test race stress chaos-fleet fsck
 
@@ -118,3 +118,10 @@ fsck:
 	$(GO) run ./cmd/hslb -nodes 64 -points 4 -repeats 1 -sync-tol 2 \
 		-store-dir "$$dir" -campaign verify-sync >/dev/null && \
 	$(GO) run ./cmd/hslb fsck -store-dir "$$dir"
+
+# Solver timings, outside verify: the 1° constrained min-sum search at 128
+# to 2 048 nodes (the largest trees) and the ten table3-pipeline rungs that
+# TestSolveSearchPinned pins, three solves each. Each line reports ns/op
+# and the search's B&B node and cold-solved LP counts.
+bench-solver:
+	$(GO) test -run '^$$' -bench 'BenchmarkSolveMinSum|BenchmarkSolveTable3Rungs' -benchtime 3x ./internal/core/

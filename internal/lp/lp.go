@@ -103,9 +103,13 @@ type Solution struct {
 // ErrBadProblem reports a malformed problem definition.
 var ErrBadProblem = errors.New("lp: malformed problem")
 
+// FeasTol is the primal feasibility tolerance: a basic variable within
+// FeasTol of its bounds counts as feasible, so a returned point can miss a
+// row by about this much.
+const FeasTol = 1e-7
+
 const (
 	pivTol   = 1e-9
-	feasTol  = 1e-7
 	costTol  = 1e-9
 	blandAt  = 4000 // switch to Bland's rule after this many iterations
 	maxExtra = 200  // iteration budget multiplier guard
@@ -127,6 +131,7 @@ type tableau struct {
 	dj      []float64 // reduced-cost row
 	iters   int
 	ctx     context.Context // polled by the pivot loops
+	cands   []dualCand      // dualSimplex's ratio-test scratch
 
 	// Original-coordinate recovery.
 	reflect   []bool    // original var j was reflected x → u−x'
@@ -164,7 +169,7 @@ func solveKeep(ctx context.Context, p *Problem) (*Solution, *tableau, error) {
 	if st == IterationLimit || st == Canceled {
 		return &Solution{Status: st}, nil, nil
 	}
-	if t.objValue(phase1) > feasTol {
+	if t.objValue(phase1) > FeasTol {
 		return &Solution{Status: Infeasible}, nil, nil
 	}
 	// Pin artificials to zero so phase 2 cannot reuse them.

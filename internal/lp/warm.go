@@ -1,8 +1,10 @@
 package lp
 
 import (
+	"cmp"
 	"context"
 	"math"
+	"slices"
 )
 
 // WarmSolver solves a sequence of LPs that differ only by appended
@@ -33,11 +35,11 @@ type WarmStats struct {
 	ColdSolves   int // full two-phase solves (first call and fallbacks)
 	WarmResolves int // solves answered from the cached basis
 	DualPivots   int // dual simplex pivots across all warm re-solves
-	BoundFlips   int // dual long steps resolved by a bound flip
+	BoundFlips   int // boxed columns the dual ratio test flipped past
 }
 
 // NewWarmSolver wraps the problem. The problem is NOT copied: the caller
-// may keep appending constraints via AddConstraint (only — in-place edits
+// may keep appending constraints via AddConstraint(s) (only — in-place edits
 // of existing rows, bounds or objective invalidate the cache silently).
 func NewWarmSolver(p *Problem) *WarmSolver {
 	return &WarmSolver{p: p}
@@ -64,18 +66,23 @@ func (s *WarmStats) Add(o WarmStats) {
 	s.BoundFlips += o.BoundFlips
 }
 
-// AddConstraint appends coef·x sense rhs to the underlying problem and,
-// when a cached basis exists, patches the tableau so the next Solve can
-// start warm. Equality rows cannot join a finished basis (their slack is
-// fixed at zero, so the appended row has no basic variable to own it) and
-// drop the cache instead.
+// AddConstraint appends coef·x sense rhs: AddConstraints with one row.
 func (ws *WarmSolver) AddConstraint(coef []float64, sense Sense, rhs float64) {
-	ws.p.AddConstraint(coef, sense, rhs)
-	if ws.t != nil {
-		c := ws.p.Cons[len(ws.p.Cons)-1]
-		if !ws.t.appendRows([]Constraint{c}) {
-			ws.t = nil
-		}
+	ws.AddConstraints([]Constraint{{Coef: coef, Sense: sense, RHS: rhs}})
+}
+
+// AddConstraints appends the rows to the underlying problem (copying each
+// coefficient slice) and, when a cached basis exists, patches the tableau
+// in one pass for the whole batch, so the next Solve can start warm.
+// Equality rows cannot join a finished basis (their slack is fixed at zero,
+// so the appended row has no basic variable to own it); a batch holding
+// one drops the cache instead.
+func (ws *WarmSolver) AddConstraints(cs []Constraint) {
+	for _, c := range cs {
+		ws.p.AddConstraint(c.Coef, c.Sense, c.RHS)
+	}
+	if ws.t != nil && !ws.t.appendRows(ws.p.Cons[len(ws.p.Cons)-len(cs):]) {
+		ws.t = nil
 	}
 }
 
@@ -274,15 +281,28 @@ func (t *tableau) appendRows(cs []Constraint) bool {
 	return true
 }
 
+// dualCand is a column eligible to enter in one dual simplex iteration:
+// moving it in direction dir carries the leaving row toward its bound, at
+// the dual ratio |dj/α|.
+type dualCand struct {
+	j          int
+	dir, ratio float64
+}
+
 // dualSimplex restores primal feasibility after appendRows left basic
-// variables outside their bounds, pivoting on the most-violated row each
-// iteration while choosing the entering column by the smallest |dj/α|
-// ratio (which preserves dual feasibility up to degeneracy; the caller's
-// primal clean-up pass mops up the rest). Long steps that would carry the
-// entering variable past its opposite bound are resolved as bound flips
-// without a pivot. Returns the pivot and flip counts and a status:
-// Optimal (feasible again), Infeasible (a row's violation cannot be
-// reduced — the appended cuts are inconsistent), IterationLimit or Canceled.
+// variables outside their bounds. Each iteration takes the most-violated
+// row and runs the bound-flipping ratio test on it: the eligible columns
+// are sorted once by their dual ratio |dj/α| (ties to the lower index) and
+// walked in that order. A boxed column whose whole range still leaves the
+// row violated is flipped to its other bound, one O(m) update of the basic
+// values and no pivot; the first column that would carry the row past its
+// bound enters the basis. The flipped columns' reduced costs change sign
+// with the pivot, which their new bound makes dual feasible, so the walk
+// keeps dual feasibility up to degeneracy (the caller's primal clean-up
+// pass mops up the rest). Returns the pivot and flip counts and a status:
+// Optimal (feasible again), Infeasible (every eligible column flipped and
+// the row still violated, or none eligible — the appended cuts are
+// inconsistent), IterationLimit or Canceled.
 func (t *tableau) dualSimplex(c []float64) (pivots, flips int, st Status) {
 	t.cost = c
 	t.computeReducedCosts()
@@ -295,7 +315,7 @@ func (t *tableau) dualSimplex(c []float64) (pivots, flips int, st Status) {
 			return pivots, flips, Canceled
 		}
 		// Most-infeasible basic variable.
-		r, viol, below := -1, feasTol, false
+		r, viol, below := -1, FeasTol, false
 		for i := 0; i < t.m; i++ {
 			b := t.basis[i]
 			if d := t.lower[b] - t.beta[i]; d > viol {
@@ -309,10 +329,10 @@ func (t *tableau) dualSimplex(c []float64) (pivots, flips int, st Status) {
 			return pivots, flips, Optimal
 		}
 
-		// Entering column: eligible sign pattern, best (smallest) dual
-		// ratio |dj/α|.
+		// Eligible columns: the sign pattern that moves row r toward its
+		// violated bound.
 		row := t.a[r]
-		bestJ, bestDir, bestRatio := -1, 0.0, math.Inf(1)
+		cands := t.cands[:0]
 		for j := 0; j < t.n; j++ {
 			if t.inBasis[j] >= 0 || t.lower[j] == t.upper[j] {
 				continue
@@ -334,56 +354,62 @@ func (t *tableau) dualSimplex(c []float64) (pivots, flips int, st Status) {
 			default:
 				continue
 			}
-			ratio := math.Abs(t.dj[j] / alpha)
-			if ratio < bestRatio-1e-12 ||
-				(ratio < bestRatio+1e-12 && (bestJ < 0 || j < bestJ)) {
-				bestJ, bestDir, bestRatio = j, dir, ratio
+			cands = append(cands, dualCand{j: j, dir: dir, ratio: math.Abs(t.dj[j] / alpha)})
+		}
+		t.cands = cands
+		slices.SortFunc(cands, func(a, b dualCand) int {
+			if c := cmp.Compare(a.ratio, b.ratio); c != 0 {
+				return c
 			}
-		}
-		if bestJ < 0 {
-			// No column can move this row's variable toward its bound: the
-			// row is unsatisfiable — the appended constraints conflict.
-			return pivots, flips, Infeasible
-		}
+			return a.j - b.j
+		})
 
 		b := t.basis[r]
-		var target float64
+		target := t.upper[b]
 		if below {
 			target = t.lower[b]
-		} else {
-			target = t.upper[b]
 		}
-		// Entering movement that lands beta[r] exactly on target.
-		mu := (t.beta[r] - target) / (row[bestJ] * bestDir)
-
-		if rng := t.upper[bestJ] - t.lower[bestJ]; mu > rng {
-			// Long step: the entering variable hits its opposite bound
-			// first. Flip it and keep working on the same violation.
-			for i := 0; i < t.m; i++ {
-				t.beta[i] -= t.a[i][bestJ] * bestDir * rng
+		enter, dir, mu := -1, 0.0, 0.0
+		for _, cd := range cands {
+			// Entering movement that lands beta[r] exactly on target.
+			mu = (t.beta[r] - target) / (row[cd.j] * cd.dir)
+			if rng := t.upper[cd.j] - t.lower[cd.j]; mu > rng {
+				// The column's whole range leaves the row violated: flip
+				// it to its other bound and walk on.
+				for i := 0; i < t.m; i++ {
+					t.beta[i] -= t.a[i][cd.j] * cd.dir * rng
+				}
+				t.atUpper[cd.j] = cd.dir > 0
+				flips++
+				continue
 			}
-			t.atUpper[bestJ] = bestDir > 0
-			flips++
-			continue
+			enter, dir = cd.j, cd.dir
+			break
+		}
+		if enter < 0 {
+			// No column, or all of them at their far bounds, can bring
+			// this row's variable to its bound: the appended constraints
+			// conflict.
+			return pivots, flips, Infeasible
 		}
 
 		// Pivot: mirror step()'s mechanics.
 		for i := 0; i < t.m; i++ {
-			t.beta[i] -= t.a[i][bestJ] * bestDir * mu
+			t.beta[i] -= t.a[i][enter] * dir * mu
 		}
 		var enterVal float64
-		if bestDir > 0 {
-			enterVal = t.lower[bestJ] + mu
+		if dir > 0 {
+			enterVal = t.lower[enter] + mu
 		} else {
-			enterVal = t.upper[bestJ] - mu
+			enterVal = t.upper[enter] - mu
 		}
 		t.inBasis[b] = -1
 		t.atUpper[b] = !below
-		t.basis[r] = bestJ
-		t.inBasis[bestJ] = r
+		t.basis[r] = enter
+		t.inBasis[enter] = r
 		t.beta[r] = enterVal
 
-		piv := row[bestJ]
+		piv := row[enter]
 		inv := 1 / piv
 		for kk := 0; kk < t.n; kk++ {
 			row[kk] *= inv
@@ -392,7 +418,7 @@ func (t *tableau) dualSimplex(c []float64) (pivots, flips int, st Status) {
 			if i == r {
 				continue
 			}
-			f := t.a[i][bestJ]
+			f := t.a[i][enter]
 			if f == 0 {
 				continue
 			}
@@ -400,13 +426,13 @@ func (t *tableau) dualSimplex(c []float64) (pivots, flips int, st Status) {
 			for kk := 0; kk < t.n; kk++ {
 				ri[kk] -= f * row[kk]
 			}
-			ri[bestJ] = 0
+			ri[enter] = 0
 		}
-		if f := t.dj[bestJ]; f != 0 {
+		if f := t.dj[enter]; f != 0 {
 			for kk := 0; kk < t.n; kk++ {
 				t.dj[kk] -= f * row[kk]
 			}
-			t.dj[bestJ] = 0
+			t.dj[enter] = 0
 		}
 		pivots++
 	}

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -290,4 +291,90 @@ func TestWarmBindingCutKnownOptimum(t *testing.T) {
 		t.Fatalf("after cut: %v obj %v at %v, want -33 at (1, 6)", warm.Status, warm.Obj, warm.X)
 	}
 	checkAgainstCold(t, "cut", ws)
+}
+
+// TestWarmBoundFlipsInOnePass: over many [0, 1] columns, minimize a
+// positive cost and append one covering cut Σ aⱼxⱼ ≥ rhs whose rhs takes
+// several columns to reach. The dual simplex must walk the columns in
+// order of their ratio cⱼ/aⱼ, flipping each whose whole range leaves the
+// row short, and pivot once on the column that closes it: more than one
+// bound flip, no more dual pivots than appended rows, and the objective
+// of a cold Solve.
+func TestWarmBoundFlipsInOnePass(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 20; trial++ {
+		n := 20 + rng.Intn(40)
+		p := NewProblem(n)
+		box := make([]float64, n)
+		for j := 0; j < n; j++ {
+			p.Obj[j] = 0.5 + rng.Float64()
+			p.Upper[j] = 1
+			box[j] = 1
+		}
+		p.AddConstraint(box, LE, float64(n))
+		ws := NewWarmSolver(p)
+		checkAgainstCold(t, "initial", ws)
+		cover := make([]float64, n)
+		sum := 0.0
+		for j := range cover {
+			cover[j] = 0.5 + rng.Float64()
+			sum += cover[j]
+		}
+		ws.AddConstraint(cover, GE, sum*(0.2+0.5*rng.Float64()))
+		before := ws.Stats()
+		checkAgainstCold(t, "cover", ws)
+		st := ws.Stats().Sub(before)
+		if st.WarmResolves != 1 || st.BoundFlips <= 1 || st.DualPivots > 1 {
+			t.Fatalf("trial %d: %+v; want one warm re-solve, several bound flips and at most one dual pivot", trial, st)
+		}
+	}
+}
+
+// TestAddConstraintsMatchesOneAtATime: appending k rows in one batch gives
+// the same tableau, and so the same solution bit for bit, as k single
+// appends.
+func TestAddConstraintsMatchesOneAtATime(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 30; trial++ {
+		n := 2 + rng.Intn(6)
+		p := NewProblem(n)
+		box := make([]float64, n)
+		for j := 0; j < n; j++ {
+			p.Obj[j] = rng.Float64()*4 - 2
+			p.Upper[j] = 1 + rng.Float64()*9
+			box[j] = 1
+		}
+		p.AddConstraint(box, LE, 5+rng.Float64()*10)
+		batch, single := NewWarmSolver(cloneProblem(p)), NewWarmSolver(cloneProblem(p))
+		for _, ws := range []*WarmSolver{batch, single} {
+			if _, err := ws.Solve(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var cs []Constraint
+		for k := 1 + rng.Intn(5); k > 0; k-- {
+			c := Constraint{Coef: make([]float64, n), Sense: LE, RHS: rng.Float64()*4 - 1}
+			for j := range c.Coef {
+				c.Coef[j] = rng.Float64()*2 - 1
+			}
+			if rng.Intn(3) == 0 {
+				c.Sense = GE
+			}
+			cs = append(cs, c)
+		}
+		batch.AddConstraints(cs)
+		for _, c := range cs {
+			single.AddConstraint(c.Coef, c.Sense, c.RHS)
+		}
+		a, errA := batch.Solve()
+		b, errB := single.Solve()
+		if errA != nil || errB != nil {
+			t.Fatal(errA, errB)
+		}
+		if a.Status != b.Status || a.Obj != b.Obj || fmt.Sprint(a.X) != fmt.Sprint(b.X) || batch.Stats() != single.Stats() {
+			t.Fatalf("trial %d: batch %v %v %v %+v; one at a time %v %v %v %+v",
+				trial, a.Status, a.Obj, a.X, batch.Stats(), b.Status, b.Obj, b.X, single.Stats())
+		}
+		checkAgainstCold(t, "batch", batch)
+	}
 }

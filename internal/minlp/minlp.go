@@ -157,6 +157,12 @@ func Solve(m *model.Model, opt Options) (*Result, error) {
 // from the most recent relaxation point and solves one fixed-integer
 // subproblem to manufacture a feasible point before giving up.
 func SolveContext(ctx context.Context, m *model.Model, opt Options) (*Result, error) {
+	return solveContext(ctx, m, opt, nil)
+}
+
+// solveContext is SolveContext with the search's points reported to watch
+// (see work.watch).
+func solveContext(ctx context.Context, m *model.Model, opt Options, watch func(x []float64, cuts []lp.Constraint)) (*Result, error) {
 	if opt.Algorithm != OuterApprox {
 		return nil, fmt.Errorf("minlp: algorithm %v is not available; the solver is %v (LP/NLP-based branch-and-bound)", opt.Algorithm, OuterApprox)
 	}
@@ -168,6 +174,7 @@ func SolveContext(ctx context.Context, m *model.Model, opt Options) (*Result, er
 	if err != nil {
 		return nil, err
 	}
+	w.watch = watch
 	// Root presolve: tighten the work model's box before the tree search.
 	ps := Presolve(w.m, feasTol)
 	if ps.Infeasible {
@@ -418,19 +425,19 @@ func (w *work) fixedLP(z []float64) *fixedSolve {
 	ws := lp.NewWarmSolver(p)
 	x := z
 	for round := 0; round < maxCutRoundsPerNode; round++ {
-		added := 0
+		var batch []lp.Constraint
 		for i := range w.nlCons {
 			if round > 0 && w.tapes[i].Eval(x) <= feasTol {
 				continue
 			}
 			if c, ok := w.cutAt(i, x); ok {
-				ws.AddConstraint(c.Coef, c.Sense, c.RHS)
-				added++
+				batch = append(batch, c)
 			}
 		}
-		if round > 0 && added == 0 {
+		if round > 0 && len(batch) == 0 {
 			return nil // a linear row or bound rejects the point: no cut helps
 		}
+		ws.AddConstraints(batch)
 		sol, err := ws.Solve()
 		w.subLPs++
 		if err != nil || sol.Status != lp.Optimal {
@@ -554,6 +561,9 @@ type work struct {
 	nlCons   []model.Constraint // nonlinear inequality constraints, body ≤ rhs form
 	tapes    []*expr.Tape       // nlCons[i].Body compiled, owned by this solve
 	subLPs   int                // fixed-integer LP solves (Result.NLPSolves)
+	// watch, when set, sees every LP point the search acts on beside the
+	// global cuts at that moment (tests only).
+	watch func(x []float64, cuts []lp.Constraint)
 }
 
 // prepare normalizes the model: minimization sense, linear objective via an
@@ -654,6 +664,7 @@ func (w *work) nlViolation(x []float64) float64 {
 type node struct {
 	lower, upper []float64
 	bound        float64
+	parentX      []float64 // final LP point of the parent; nil at the root
 }
 
 type nodeHeap []*node

@@ -95,6 +95,7 @@ func solveOA(ctx context.Context, w *work, opt Options) (*Result, error) {
 		}
 	}
 	cutsAdded = len(cuts)
+	rootCuts := len(cuts) // cuts[:rootCuts] is the root linearization
 	// separatePool adds to the LP, for each nonlinear row, the pool cut
 	// that x violates most, if it violates it by more than feasTol.
 	separatePool := func(x []float64) int {
@@ -120,37 +121,77 @@ func solveOA(ctx context.Context, w *work, opt Options) (*Result, error) {
 	incumbent := math.Inf(1)
 	var bestX []float64
 
-	// Each node gets one warm-start session: the first round solves cold,
-	// later rounds differ only by the cuts appended since, which the
-	// WarmSolver absorbs with a few dual simplex pivots instead of a full
-	// two-phase restart. Sessions are per-node because node bounds differ
-	// (the warm path supports appended rows, not bound changes), and the
-	// session tracks the global cut list by high-water mark so cuts added
-	// mid-round (e.g. at a fixed-integer subproblem's point) are picked up
-	// too.
+	// A node LP holds the linear rows, the root linearization and only the
+	// other cuts that bind near its point. The root LP holds every cut. A
+	// child's LP starts from the root linearization and the cuts tight at
+	// the final LP point of the parent that branched it: the tight cuts
+	// carry the parent's LP bound, and the rest were slack there. The root
+	// linearization stays because it ties every nonlinear row's variables
+	// to the objective: without it a child LP parks the variables of rows
+	// it holds no cut of at arbitrary bounds, and the cuts it then takes in
+	// leave them at fractional vertices, which on near-tied models grows
+	// the tree many times over. After each solve, every global cut the
+	// point violates by more than the simplex's tolerance joins the session
+	// in one batch and the LP is re-solved warm (the WarmSolver absorbs
+	// appended rows with a few dual simplex pivots, not a two-phase
+	// restart), until the point violates none; cuts added mid-round, at a
+	// fixed-integer subproblem's point or from the pool, reach the session
+	// the same way. So every point the search acts on satisfies every
+	// global cut, a node's bound is that of the LP over all cuts, and only
+	// the vertex picked among alternative optima can differ from it. A
+	// session lives for one node, because node bounds differ and the warm
+	// path takes appended rows, not bound changes.
 	type nodeLP struct {
 		ws   *lp.WarmSolver
-		seen int // cuts already appended to the session's problem
+		held []bool // held[k]: cuts[k] is a row of this LP
 	}
 	newNodeLP := func(nd *node) *nodeLP {
-		p := &lp.Problem{
+		s := &nodeLP{held: make([]bool, len(cuts))}
+		cons := append([]lp.Constraint(nil), w.linCons...)
+		for k, c := range cuts {
+			if nd.parentX == nil || k < rootCuts || tightAt(c, nd.parentX) {
+				cons = append(cons, c)
+				s.held[k] = true
+			}
+		}
+		s.ws = lp.NewWarmSolver(&lp.Problem{
 			NumVars: n,
 			Obj:     w.objCoef,
-			Cons:    append(append([]lp.Constraint(nil), w.linCons...), cuts...),
+			Cons:    cons,
 			Lower:   nd.lower,
 			Upper:   nd.upper,
-		}
-		return &nodeLP{ws: lp.NewWarmSolver(p), seen: len(cuts)}
+		})
+		return s
 	}
 	solveNodeLP := func(s *nodeLP) (*lp.Solution, error) {
-		for ; s.seen < len(cuts); s.seen++ {
-			c := cuts[s.seen]
-			s.ws.AddConstraint(c.Coef, c.Sense, c.RHS)
-		}
 		before := s.ws.Stats()
-		sol, err := s.ws.SolveContext(ctx)
-		lpStats.Add(s.ws.Stats().Sub(before))
-		return sol, err
+		defer func() { lpStats.Add(s.ws.Stats().Sub(before)) }()
+		for {
+			sol, err := s.ws.SolveContext(ctx)
+			if err != nil {
+				return nil, err
+			}
+			for len(s.held) < len(cuts) {
+				s.held = append(s.held, false)
+			}
+			var batch []lp.Constraint
+			for k, c := range cuts {
+				if s.held[k] {
+					continue
+				}
+				// An LP unbounded over part of the cuts proves nothing:
+				// it takes all of them.
+				if sol.Status == lp.Unbounded ||
+					sol.Status == lp.Optimal && dotObj(c.Coef, sol.X)-c.RHS > lp.FeasTol {
+					batch = append(batch, c)
+					s.held[k] = true
+				}
+			}
+			if len(batch) == 0 {
+				return sol, nil
+			}
+			s.ws.AddConstraints(batch)
+		}
 	}
 
 	// result reports the search as it stands; an Optimal search that found
@@ -223,25 +264,29 @@ func solveOA(ctx context.Context, w *work, opt Options) (*Result, error) {
 			}
 			clampToNode(sol.X, nd)
 			lastX = sol.X
+			if w.watch != nil {
+				w.watch(sol.X, cuts)
+			}
 			if separatePool(sol.X) > 0 {
 				continue
 			}
 
 			frac := pickFractional(sol.X, intVars, intTol)
 			if frac >= 0 {
-				// Fractional: branch, children inherit the (global) cuts.
+				// Fractional: branch. The children start from the cuts
+				// that bind at this point.
+				var left, right *node
+				ok := false
 				if opt.BranchSOS {
-					if left, right, ok := branchSOS(m, nd, sol.X, intTol); ok {
-						left.bound, right.bound = sol.Obj, sol.Obj
-						heap.Push(open, left)
-						heap.Push(open, right)
-						break nodeLoop
-					}
+					left, right, ok = branchSOS(m, nd, sol.X, intTol)
 				}
-				left, right := branchVar(nd, frac, sol.X[frac])
-				left.bound, right.bound = sol.Obj, sol.Obj
-				heap.Push(open, left)
-				heap.Push(open, right)
+				if !ok {
+					left, right = branchVar(nd, frac, sol.X[frac])
+				}
+				for _, child := range []*node{left, right} {
+					child.bound, child.parentX = sol.Obj, sol.X
+					heap.Push(open, child)
+				}
 				break nodeLoop
 			}
 
@@ -268,6 +313,12 @@ func solveOA(ctx context.Context, w *work, opt Options) (*Result, error) {
 		}
 	}
 	return result(Optimal)
+}
+
+// tightAt reports whether cut c holds with equality at x, to within
+// 1e-7·(1+|rhs|).
+func tightAt(c lp.Constraint, x []float64) bool {
+	return math.Abs(dotObj(c.Coef, x)-c.RHS) <= 1e-7*(1+math.Abs(c.RHS))
 }
 
 func dotObj(c, x []float64) float64 {

@@ -616,29 +616,31 @@ func TestSolveTimeoutBoundsExactSearch(t *testing.T) {
 }
 
 func TestTimedOutJobEventuallyCompletes(t *testing.T) {
-	// The near-tied coefficients, with 11 components that cannot split the
-	// 8000 nodes evenly, make branch-and-bound grind (~210 nodes, ≥100ms
-	// even on a fast box), far longer than the test takes to fire the 8ms
-	// per-attempt timeout on the fake clock, so attempt 1 is abandoned
+	// The near-tied coefficients, with 13 components that cannot split the
+	// 4000 nodes evenly, make branch-and-bound grind (about 400 nodes and
+	// 60 ms on a 2-CPU Xeon), far longer than the test takes to fire the
+	// 8ms per-attempt timeout on the fake clock, so attempt 1 is abandoned
 	// mid-solve. The abandoned attempt's solver still warms the cache, so
 	// a later attempt finishes in microseconds — inside its own 8ms, which
 	// the test fires too. A retry that solved again would time out at every
 	// attempt until MaxAttempts failed the job. The job must converge to
 	// done, never run unbounded.
 	const slowModel = `
-param N := 8000;
+param N := 4000;
 var T >= 0 <= 100000;
-var n1 integer >= 1 <= 8000;
-var n2 integer >= 1 <= 8000;
-var n3 integer >= 1 <= 8000;
-var n4 integer >= 1 <= 8000;
-var n5 integer >= 1 <= 8000;
-var n6 integer >= 1 <= 8000;
-var n7 integer >= 1 <= 8000;
-var n8 integer >= 1 <= 8000;
-var n9 integer >= 1 <= 8000;
-var n10 integer >= 1 <= 8000;
-var n11 integer >= 1 <= 8000;
+var n1 integer >= 1 <= 4000;
+var n2 integer >= 1 <= 4000;
+var n3 integer >= 1 <= 4000;
+var n4 integer >= 1 <= 4000;
+var n5 integer >= 1 <= 4000;
+var n6 integer >= 1 <= 4000;
+var n7 integer >= 1 <= 4000;
+var n8 integer >= 1 <= 4000;
+var n9 integer >= 1 <= 4000;
+var n10 integer >= 1 <= 4000;
+var n11 integer >= 1 <= 4000;
+var n12 integer >= 1 <= 4000;
+var n13 integer >= 1 <= 4000;
 minimize total: T;
 subject to t1: 11000.001 / n1 + 0.000001 <= T;
 subject to t2: 11000.002 / n2 + 0.000002 <= T;
@@ -651,7 +653,9 @@ subject to t8: 11000.008 / n8 + 0.000008 <= T;
 subject to t9: 11000.009 / n9 + 0.000009 <= T;
 subject to t10: 11000.010 / n10 + 0.000010 <= T;
 subject to t11: 11000.011 / n11 + 0.000011 <= T;
-subject to cap: n1 + n2 + n3 + n4 + n5 + n6 + n7 + n8 + n9 + n10 + n11 <= N;
+subject to t12: 11000.012 / n12 + 0.000012 <= T;
+subject to t13: 11000.013 / n13 + 0.000013 <= T;
+subject to cap: n1 + n2 + n3 + n4 + n5 + n6 + n7 + n8 + n9 + n10 + n11 + n12 + n13 <= N;
 `
 	s, _, c, clk := newFakeServer(t, Config{
 		MaxConcurrent: 2,

@@ -223,9 +223,10 @@ func TestWorkerSurvivesPanickingSolve(t *testing.T) {
 
 // TestWorkerBackoffResetsAfterIdleLease is the regression test for the
 // inflated-backoff bug: a 429 raised the error backoff, and a successful
-// but idle (204) lease response never reset it — only a grant did — so one
-// shed response permanently inflated the error-path delay of an otherwise
-// healthy idle worker. The scripted sequence is 429(hint) → 204 idle →
+// but idle (204) lease response never reset it — only a grant did — so a
+// run of shed responses permanently inflated the error-path delay of an
+// otherwise healthy idle worker. The scripted sequence is 429(hint), four
+// hintless 429s (the error count reaches 5, a 640 ms backoff), 204 idle,
 // 429(no hint): after the idle response the next error must back off from
 // BaseBackoff again, not from the inflated delay.
 func TestWorkerBackoffResetsAfterIdleLease(t *testing.T) {
@@ -250,7 +251,7 @@ func TestWorkerBackoffResetsAfterIdleLease(t *testing.T) {
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusTooManyRequests)
 			fmt.Fprintf(w, `{"error":"overloaded","retry_after_ms":%d}`, hint.Milliseconds())
-		case 3:
+		case 2, 3, 4, 5, 7:
 			w.WriteHeader(http.StatusTooManyRequests)
 		default: // healthy but idle
 			w.Header().Set("X-Wait-Ms", "1")
@@ -270,13 +271,13 @@ func TestWorkerBackoffResetsAfterIdleLease(t *testing.T) {
 	go func() { defer wg.Done(); _ = w.Run(ctx) }()
 
 	// Step virtual time while the worker sleeps until the request after the
-	// second 429, then stop the loop. Each sleep ends within one step of
-	// its deadline, so the recorded gaps are the worker's delays.
+	// last 429, then stop the loop. Each sleep ends within one step of its
+	// deadline, so the recorded gaps are the worker's delays.
 	for {
 		mu.Lock()
 		n := len(calls)
 		mu.Unlock()
-		if n >= 4 {
+		if n >= 8 {
 			break
 		}
 		blockUntil(t, clk, 1)
@@ -292,11 +293,15 @@ func TestWorkerBackoffResetsAfterIdleLease(t *testing.T) {
 	if gap := calls[1].Sub(calls[0]); gap < hint {
 		t.Fatalf("hinted 429 backoff too short: %v < %v", gap, hint)
 	}
-	// The idle 204 between the two 429s must reset the backoff: the sleep
-	// after the second (hintless) 429 starts over from BaseBackoff instead
-	// of continuing from the inflated ~2×hint delay.
-	if gap := calls[3].Sub(calls[2]); gap >= hint {
-		t.Fatalf("backoff not reset by idle lease response: slept %v after a hintless 429 (base %v)", gap, base)
+	// The hintless 429s back off exponentially: the fourth sleeps 16·base.
+	if gap := calls[5].Sub(calls[4]); gap < 16*base {
+		t.Fatalf("backoff did not grow over consecutive 429s: slept %v after the fifth, want >= %v", gap, 16*base)
+	}
+	// The idle 204 after them must reset the backoff: the sleep after the
+	// next (hintless) 429 starts over from BaseBackoff instead of
+	// continuing from the inflated 32·base delay.
+	if gap := calls[7].Sub(calls[6]); gap > 2*base {
+		t.Fatalf("backoff not reset by idle lease response: slept %v after a hintless 429, want <= %v (2·base)", gap, 2*base)
 	}
 }
 
